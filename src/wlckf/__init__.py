@@ -64,14 +64,12 @@ from .stats import (
     validate,
 )
 from .unscented import (
-    DualChannelUKFModel,
     NonlinearModel,
     SigmaPointSet,
     UTParams,
     complex_sigma_points,
     real_sigma_points,
     reconstruct_stats,
-    ukf_step,
     uwlckf_run,
     uwlckf_step,
 )

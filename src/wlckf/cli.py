@@ -129,6 +129,13 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError("seed must be an integer")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    if command == "phase-demod":
+        for key in ("runs", "horizon"):
+            if cfg[key] < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        rhos = [cfg["xi_rho"], cfg["traj_rho"], *cfg["rho_list"]]
+        if not all(0.0 <= rho <= 1.0 for rho in rhos):
+            raise ConfigError("noise impropriety rho must lie in [0, 1]")
     return cfg
 
 

@@ -1,24 +1,28 @@
 """Phase demodulation with improper measurement noise.
 
 A real first-order Markov phase modulates a unit complex carrier observed
-in improper complex noise. Two trackers estimate the phase: the unscented
-widely linear filter, which keeps the full augmented description (the
-phase is real, so its state statistics are maximally improper), and a
-baseline UKF on the dual real channels that assumes the noise is proper.
+in improper complex noise. Two trackers estimate the phase, both the
+unscented widely linear filter: ``"uwlckf"`` runs it on the true noise
+statistics, and the proper-assuming baseline ``"ukf"`` runs it on the
+same model with the noise's complementary variance set to zero. The phase
+is real, so the state statistics are maximally improper in both.
 
-The Monte Carlo helpers run both trackers vectorized over runs; the
-vectorized steps mirror :func:`wlckf.unscented.uwlckf_step` and
-:func:`wlckf.unscented.ukf_step` exactly (same composite construction,
-same eigendecomposition square root, same weights) and are cross-checked
-against them in the test suite.
+The Monte Carlo helpers run the tracker vectorized over runs. The joint
+[phase, drive noise, measurement noise] covariance is block diagonal over
+three scalar variables, so the vectorized step builds its sigma points in
+closed form instead of by an eigendecomposition. They carry the moments of
+:func:`wlckf.unscented.complex_sigma_points` of the same statistics, and
+the step is cross-checked against :func:`wlckf.unscented.uwlckf_step` in
+the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augmented import build_transform
+# Unused here; bench/spans.py still rebinds this name in this module.
+from .augmented import build_transform  # noqa: F401
 from .errors import DegenerateError, DimensionError
 from .stats import SecondOrderStats, sample, substream
 from .unscented import UTParams
@@ -81,19 +85,6 @@ def nonlinear_phase_model(model: PhaseModel):
     )
 
 
-def baseline_ukf_model(model: PhaseModel):
-    """The phase model for the proper-assuming dual-channel baseline."""
-    from .unscented import DualChannelUKFModel
-
-    return DualChannelUKFModel(
-        state_coeff=model.a,
-        noise_coeff=model.b,
-        measure=lambda x: np.stack([np.cos(x), np.sin(x)], axis=-1),
-        ru=model.noise_var / 2.0,
-        rv=model.noise_var / 2.0,
-    )
-
-
 def simulate_phase(model: PhaseModel, horizon: int, rng: np.random.Generator):
     """Phase trajectory t = 0..horizon and measurements t = 1..horizon."""
     if horizon < 1:
@@ -121,24 +112,32 @@ def normalized_error(theta, theta_hat) -> float:
     return float(err @ err) / denom
 
 
-def _psd_sqrt_batch(m: np.ndarray) -> np.ndarray:
-    # Same construction as augmented.psd_sqrt: symmetric eigendecomposition,
-    # eigenvalues below 1e-13 relative flushed to zero.
-    w, v = np.linalg.eigh(m)
-    top = np.clip(w[:, -1:], 0.0, None)
-    w = np.where(w > 1e-13 * top, w, 0.0)
-    return v * np.sqrt(w)[:, None, :]
+def _scalar_sigma_points(mean: np.ndarray, var: np.ndarray, cvar: np.ndarray, params: UTParams):
+    """Joint sigma points of independent scalar complex variables, in closed form.
 
-
-def _sigma_points_batch(mu: np.ndarray, cov: np.ndarray, params: UTParams):
-    """Batched real sigma points: mu (B, L), cov (B, L, L) -> (B, 2L+1, L)."""
-    dim = mu.shape[1]
-    w_mean, w_cov = params.weights(dim)
-    spread = np.sqrt(dim + params.lam(dim))
-    b = _psd_sqrt_batch(cov)
-    cols = b.transpose(0, 2, 1)
-    center = mu[:, None, :]
-    points = np.concatenate([center, center + spread * cols, center - spread * cols], axis=1)
+    ``mean``, ``var`` and ``cvar`` are (B, k) means, Hermitian variances and
+    complementary variances. The composite covariance of a variable with
+    statistics (p, pt) has eigenvalues (p + |pt|)/2 and (p - |pt|)/2 along
+    the complex directions exp(j phi) and j exp(j phi), phi = arg(pt)/2; a
+    joint covariance that is block diagonal over the variables factors block
+    by block. Eigenvalues below 1e-13 of a row's largest are flushed to zero,
+    as in :func:`wlckf.augmented.psd_sqrt`. Returns points (B, 4k+1, k)
+    ordered [mean, mean + offsets, mean - offsets], and the mean and
+    covariance weights.
+    """
+    runs, k = mean.shape
+    w_mean, w_cov = params.weights(2 * k)
+    spread = np.sqrt(2 * k + params.lam(2 * k))
+    half_abs = 0.5 * np.abs(cvar)
+    lam = np.stack([0.5 * var + half_abs, 0.5 * var - half_abs], axis=-1)
+    top = np.clip(lam[:, :, 0].max(axis=1), 0.0, None)
+    lam = np.where(lam > 1e-13 * top[:, None, None], lam, 0.0)
+    rot = np.exp(0.5j * np.angle(cvar))[:, :, None] * np.array([1.0, 1j])
+    axes = (spread * np.sqrt(lam) * rot).reshape(runs, 2 * k)
+    points = np.repeat(mean[:, None, :], 4 * k + 1, axis=1)
+    col = np.arange(2 * k)  # axis col belongs to variable col // 2
+    points[:, 1 + col, col // 2] += axes
+    points[:, 1 + 2 * k + col, col // 2] -= axes
     return points, w_mean, w_cov
 
 
@@ -146,9 +145,8 @@ class _BatchUWLCKF:
     """Widely linear phase tracker vectorized over Monte Carlo runs.
 
     State per run: complex estimate, Hermitian variance, complementary
-    variance. Each step forms the joint [phase, drive noise, meas noise]
-    augmented covariance, maps it to the real composite domain with the
-    same transform the scalar path uses, and runs the unscented cycle.
+    variance. Each step draws the joint [phase, drive noise, meas noise]
+    sigma points in closed form and runs the unscented cycle.
     """
 
     def __init__(self, model: PhaseModel, runs: int, params: UTParams):
@@ -157,34 +155,21 @@ class _BatchUWLCKF:
         self.est = np.full(runs, model.init_mean, dtype=complex)
         self.p = np.full(runs, float(model.init_var))
         self.pt = np.full(runs, complex(model.init_var))
-        t3 = build_transform(3)
-        self._t3 = t3
-        self._t3h = t3.conj().T
+        # Joint statistics; the drive and measurement noise columns are constant.
+        self._mean = np.zeros((runs, 3), dtype=complex)
+        self._var = np.tile([0.0, 1.0, model.noise_var], (runs, 1))
+        self._cvar = np.tile(np.array([0.0, 1.0, model.noise_cvar], dtype=complex), (runs, 1))
         self.max_imag = 0.0
 
     def step(self, y: np.ndarray) -> None:
-        model, runs = self.model, self.est.shape[0]
-        r, rt = model.noise_var, model.noise_cvar
-        full = np.zeros((runs, 6, 6), dtype=complex)
-        idx = np.arange(3)
-        herm = np.stack([self.p.astype(complex), np.full(runs, 1.0 + 0j), np.full(runs, complex(r))], axis=1)
-        comp = np.stack([self.pt, np.full(runs, 1.0 + 0j), np.full(runs, complex(rt))], axis=1)
-        full[:, idx, idx] = herm
-        full[:, idx + 3, idx + 3] = np.conj(herm)
-        full[:, idx, idx + 3] = comp
-        full[:, idx + 3, idx] = np.conj(comp)
-        composite = (0.25 * (self._t3h @ full @ self._t3)).real
-        mu = np.zeros((runs, 6))
-        mu[:, 0] = self.est.real
-        mu[:, 3] = self.est.imag
-        pts, wm, wc = _sigma_points_batch(mu, composite, self.params)
+        model = self.model
+        self._mean[:, 0] = self.est
+        self._var[:, 0] = self.p
+        self._cvar[:, 0] = self.pt
+        pts, wm, wc = _scalar_sigma_points(self._mean, self._var, self._cvar, self.params)
 
-        theta_pts = pts[:, :, 0] + 1j * pts[:, :, 3]
-        w_pts = pts[:, :, 1] + 1j * pts[:, :, 4]
-        n_pts = pts[:, :, 2] + 1j * pts[:, :, 5]
-        x_next = model.a * theta_pts + model.b * w_pts
-        y_pts = np.exp(1j * x_next) + n_pts
-
+        x_next = model.a * pts[:, :, 0] + model.b * pts[:, :, 1]
+        y_pts = np.exp(1j * x_next) + pts[:, :, 2]
         x_pred = x_next @ wm
         y_pred = y_pts @ wm
         dx = x_next - x_pred[:, None]
@@ -216,47 +201,6 @@ class _BatchUWLCKF:
         self.max_imag = max(self.max_imag, float(np.max(np.abs(self.est.imag), initial=0.0)))
 
 
-class _BatchUKF:
-    """Proper-assuming dual-channel tracker vectorized over Monte Carlo runs."""
-
-    def __init__(self, model: PhaseModel, runs: int, params: UTParams):
-        self.model = model
-        self.params = params
-        self.est = np.full(runs, float(model.init_mean))
-        self.p = np.full(runs, float(model.init_var))
-        self._half_r = model.noise_var / 2.0
-
-    def step(self, y: np.ndarray) -> None:
-        model, runs = self.model, self.est.shape[0]
-        cov = np.zeros((runs, 4, 4))
-        cov[:, 0, 0] = self.p
-        cov[:, 1, 1] = 1.0
-        cov[:, 2, 2] = self._half_r
-        cov[:, 3, 3] = self._half_r
-        mu = np.zeros((runs, 4))
-        mu[:, 0] = self.est
-        pts, wm, wc = _sigma_points_batch(mu, cov, self.params)
-
-        x_next = model.a * pts[:, :, 0] + model.b * pts[:, :, 1]
-        z = np.stack([np.cos(x_next) + pts[:, :, 2], np.sin(x_next) + pts[:, :, 3]], axis=-1)
-        x_pred = x_next @ wm
-        z_pred = np.einsum("k,bkj->bj", wm, z)
-        dx = x_next - x_pred[:, None]
-        dz = z - z_pred[:, None, :]
-        p_pred = (wc * dx * dx).sum(axis=1)
-        s = np.einsum("k,bki,bkj->bij", wc, dz, dz)
-        p_xz = np.einsum("k,bk,bkj->bj", wc, dx, dz)
-
-        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] ** 2
-        k1 = (p_xz[:, 0] * s[:, 1, 1] - p_xz[:, 1] * s[:, 0, 1]) / det
-        k2 = (p_xz[:, 1] * s[:, 0, 0] - p_xz[:, 0] * s[:, 0, 1]) / det
-
-        nu0 = y.real - z_pred[:, 0]
-        nu1 = y.imag - z_pred[:, 1]
-        self.est = x_pred + k1 * nu0 + k2 * nu1
-        self.p = p_pred - (k1 * k1 * s[:, 0, 0] + 2 * k1 * k2 * s[:, 0, 1] + k2 * k2 * s[:, 1, 1])
-
-
 @dataclass
 class BatchTrackResult:
     """Per-run estimate and variance trajectories from a vectorized tracker."""
@@ -272,20 +216,25 @@ def track_batch(
     tracker: str,
     params: UTParams = UTParams(),
 ) -> BatchTrackResult:
-    """Run one tracker over a (runs, steps) batch of measurement sequences."""
+    """Run one tracker over a (runs, steps) batch of measurement sequences.
+
+    ``"uwlckf"`` uses the model's noise statistics; the proper-assuming
+    ``"ukf"`` runs the same filter with the noise complementary variance
+    set to zero.
+    """
     if tracker not in TRACKERS:
         raise ValueError(f"tracker must be one of {TRACKERS}, got {tracker!r}")
     ys = np.atleast_2d(np.asarray(measurements, dtype=complex))
     runs, steps = ys.shape
-    engine = _BatchUWLCKF(model, runs, params) if tracker == "uwlckf" else _BatchUKF(model, runs, params)
+    assumed = model if tracker == "uwlckf" else replace(model, rho_abs=0.0)
+    engine = _BatchUWLCKF(assumed, runs, params)
     estimates = np.empty((runs, steps))
     variances = np.empty((runs, steps))
     for t in range(steps):
         engine.step(ys[:, t])
-        estimates[:, t] = engine.est.real if tracker == "uwlckf" else engine.est
+        estimates[:, t] = engine.est.real
         variances[:, t] = engine.p
-    max_imag = engine.max_imag if tracker == "uwlckf" else 0.0
-    return BatchTrackResult(estimates, variances, float(max_imag))
+    return BatchTrackResult(estimates, variances, engine.max_imag)
 
 
 @dataclass

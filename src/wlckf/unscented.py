@@ -7,13 +7,14 @@ the Hermitian covariance and the complementary covariance, so propagating
 it through a nonlinearity keeps the complete second-order description.
 Sigma points built from the Hermitian covariance alone (the conventional
 complex construction) drop the complementary part; that variant is kept as
-a negative control and baseline.
+a negative control.
 
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
 innovation and cross covariances in augmented form, so the gain is widely
-linear.
+linear. A proper-assuming unscented filter is the same step run on noise
+statistics whose complementary covariances are set to zero.
 """
 from __future__ import annotations
 
@@ -270,76 +271,3 @@ def uwlckf_run(
         reports.append(report)
         state = report.state
     return reports
-
-
-@dataclass
-class DualChannelUKFModel:
-    """Scalar-state model for the proper-assuming baseline UKF.
-
-    The state advances as state_coeff * x + noise_coeff * w with unit-
-    variance real driving noise; the measurement is a real 2-vector
-    ``measure(x) + [u, v]`` with independent channel noise variances
-    ``ru`` and ``rv`` (the proper reading of complex noise of Hermitian
-    variance R is ru = rv = R / 2).
-    """
-
-    state_coeff: float
-    noise_coeff: float
-    measure: Callable[[np.ndarray], np.ndarray]
-    ru: float
-    rv: float
-    drive_var: float = 1.0
-
-
-@dataclass
-class RealUKFReport:
-    """One cycle of the dual-channel baseline UKF."""
-
-    predicted_mean: float
-    predicted_var: float
-    innovation: np.ndarray
-    innovation_cov: np.ndarray
-    gain: np.ndarray
-    mean: float
-    var: float
-
-
-def ukf_step(
-    mean: float,
-    var: float,
-    y: complex,
-    model: DualChannelUKFModel,
-    params: UTParams = UTParams(),
-) -> RealUKFReport:
-    """Proper-assuming UKF cycle on the dual real channels of a measurement.
-
-    Sigma points come from the real 4-vector [x, w, u, v] with covariance
-    diag(var, drive_var, ru, rv); the gain is a 1 x 2 row acting on
-    [Re y, Im y].
-    """
-    mu = np.array([mean, 0.0, 0.0, 0.0])
-    cov = np.diag([var, model.drive_var, model.ru, model.rv])
-    sps = real_sigma_points(mu, cov, params)
-    x_next = model.state_coeff * sps.points[:, 0] + model.noise_coeff * sps.points[:, 1]
-    z = np.asarray(model.measure(x_next), dtype=float) + sps.points[:, 2:4]
-    wm, wc = sps.w_mean, sps.w_cov
-    x_pred = float(wm @ x_next)
-    z_pred = wm @ z
-    dx = x_next - x_pred
-    dz = z - z_pred
-    p_pred = float(wc @ dx**2)
-    s = (wc[:, None] * dz).T @ dz
-    p_xz = (wc * dx) @ dz
-    gain = np.linalg.solve(s.T, p_xz).reshape(1, 2)
-    nu = np.array([y.real, y.imag]) - z_pred
-    mean_new = x_pred + float((gain @ nu)[0])
-    var_new = p_pred - float((gain @ s @ gain.T)[0, 0])
-    return RealUKFReport(
-        predicted_mean=x_pred,
-        predicted_var=p_pred,
-        innovation=nu,
-        innovation_cov=s,
-        gain=gain,
-        mean=mean_new,
-        var=var_new,
-    )

@@ -62,6 +62,15 @@ def test_mismatched_experiment_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--runs", "0"], ["--horizon", "0"], ["--rho-list", "1.2"]], ids=["runs", "horizon", "rho"]
+)
+def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, flags):
+    code = main(["phase-demod", *flags, "--out", str(tmp_path / "pd.csv")])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mse_sweep_zero_grid_gives_ones(tmp_path):
     out = tmp_path / "ms.csv"
     code = main(["mse-sweep", "--rho-w", "0", "--rho-n", "0", "--out", str(out)])

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlckf.errors import DegenerateError, DimensionError
 from wlckf.linear import FilterState
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
 from wlckf.phase import (
     PhaseModel,
-    baseline_ukf_model,
+    _scalar_sigma_points,
     improvement_ratio,
     nonlinear_phase_model,
     normalized_error,
@@ -15,8 +19,8 @@ from wlckf.phase import (
     simulate_phase_batch,
     track_batch,
 )
-from wlckf.stats import substream
-from wlckf.unscented import ukf_step, uwlckf_step
+from wlckf.stats import SecondOrderStats, substream
+from wlckf.unscented import SigmaPointSet, UTParams, complex_sigma_points, reconstruct_stats, uwlckf_step
 
 
 def test_model_noise_levels():
@@ -92,11 +96,13 @@ def test_tracker_high_snr_small_error():
     assert normalized_error(theta[51:], res.estimates[50:]) < 1e-3
 
 
-def test_batch_tracker_matches_reference_steps_uwlckf():
+@pytest.mark.parametrize("tracker", ["uwlckf", "ukf"])
+def test_batch_tracker_matches_reference_steps_uwlckf(tracker):
+    # The proper-assuming baseline is the same filter on proper noise.
     model = PhaseModel(snr_db=20.0, rho_abs=0.7)
     _, y = simulate_phase(model, 80, substream(5, 0))
-    res = run_tracker(model, y, "uwlckf")
-    nl = nonlinear_phase_model(model)
+    res = run_tracker(model, y, tracker)
+    nl = nonlinear_phase_model(model if tracker == "uwlckf" else replace(model, rho_abs=0.0))
     state = FilterState(
         AugmentedVector.from_complex([complex(model.init_mean)]),
         AugmentedMatrix([[model.init_var]], [[model.init_var]]),
@@ -109,17 +115,36 @@ def test_batch_tracker_matches_reference_steps_uwlckf():
         assert abs(state.cov.m1[0, 0].real - res.variances[t]) < 1e-10
 
 
-def test_batch_tracker_matches_reference_steps_ukf():
-    model = PhaseModel(snr_db=20.0, rho_abs=0.7)
-    _, y = simulate_phase(model, 80, substream(6, 0))
-    res = run_tracker(model, y, "ukf")
-    bm = baseline_ukf_model(model)
-    mean, var = model.init_mean, model.init_var
-    for t in range(80):
-        rep = ukf_step(mean, var, complex(y[t]), bm)
-        mean, var = rep.mean, rep.var
-        assert abs(mean - res.estimates[t]) < 1e-10
-        assert abs(var - res.variances[t]) < 1e-10
+# A scalar complex variable as (Hermitian variance p, |pt| / p, arg pt); the
+# ratio's edges 0 and 1 are the proper and the maximally improper variable.
+scalar_variable = st.tuples(
+    st.floats(0.0, 100.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(-np.pi, np.pi),
+)
+
+
+@given(st.lists(scalar_variable, min_size=3, max_size=3),
+       st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
+@example([(1.0, 0.0, 0.0)] * 3, 0j)
+@example([(2.0, 1.0, 0.3), (1.0, 1.0, 0.0), (0.5, 1.0, -2.0)], 1 + 1j)
+@settings(max_examples=100)
+def test_closed_form_sigma_points_match_joint_statistics(variables, mean0):
+    var = np.array([v[0] for v in variables])
+    cvar = np.array([v[0] * v[1] * np.exp(1j * v[2]) for v in variables])
+    mean = np.array([mean0, 0j, 0j])
+    points, w_mean, w_cov = _scalar_sigma_points(mean[None], var[None], cvar[None], UTParams())
+    assert points.shape == (1, 13, 3)
+    rec = reconstruct_stats(SigmaPointSet(points[0], w_mean, w_cov))
+    tol = 1e-12 * max(1.0, float(var.max()))
+    assert np.max(np.abs(rec.mean - mean)) <= tol
+    assert np.max(np.abs(rec.hermitian_cov - np.diag(var))) <= tol
+    assert np.max(np.abs(rec.complementary_cov - np.diag(cvar))) <= tol
+    joint = SecondOrderStats(mean, np.diag(var), np.diag(cvar))
+    ref = reconstruct_stats(complex_sigma_points(joint))
+    assert np.max(np.abs(rec.mean - ref.mean)) <= tol
+    assert np.max(np.abs(rec.hermitian_cov - ref.hermitian_cov)) <= tol
+    assert np.max(np.abs(rec.complementary_cov - ref.complementary_cov)) <= tol
 
 
 def test_track_batch_rejects_unknown_tracker():
@@ -129,8 +154,10 @@ def test_track_batch_rejects_unknown_tracker():
 
 
 def test_improvement_ratio_proper_case_is_unity():
+    # On proper noise the two trackers are one computation.
     res = improvement_ratio(20.0, 0.0, 50, 200, 7)
-    assert 0.9 <= res.r_mean <= 1.1
+    assert res.r_mean == 1.0
+    assert res.r_stderr == 0.0
     assert res.max_imag < 1e-9
 
 

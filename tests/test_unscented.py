@@ -6,14 +6,12 @@ from wlckf.errors import DimensionError
 from wlckf.linear import FilterState, model_from_real, simulate_linear, wlckf_run
 from wlckf.stats import SecondOrderStats, substream
 from wlckf.unscented import (
-    DualChannelUKFModel,
     NonlinearModel,
     SigmaPointSet,
     UTParams,
     complex_sigma_points,
     real_sigma_points,
     reconstruct_stats,
-    ukf_step,
     uwlckf_run,
     uwlckf_step,
 )
@@ -228,40 +226,3 @@ def test_phase_step_keeps_estimate_real():
     )
     rep = uwlckf_step(init, np.array([np.exp(0.3j) + 0.01]), nl)
     assert abs(rep.state.estimate.top[0].imag) < 1e-9
-
-
-# --- proper-assuming baseline -----------------------------------------------------
-
-
-def phase_baseline():
-    return DualChannelUKFModel(
-        state_coeff=0.98,
-        noise_coeff=0.05,
-        measure=lambda x: np.stack([np.cos(x), np.sin(x)], axis=-1),
-        ru=0.5,
-        rv=0.5,
-    )
-
-
-def test_ukf_step_gain_is_one_by_two():
-    rep = ukf_step(0.0, 1.0, 0.9 + 0.1j, phase_baseline())
-    assert rep.gain.shape == (1, 2)
-
-
-def test_ukf_step_nine_points_at_dimension_four():
-    # 2L+1 points for the real stack [state, drive, re-noise, im-noise]
-    sps = real_sigma_points(np.zeros(4), np.diag([1.0, 1.0, 0.5, 0.5]), UTParams())
-    assert sps.count == 9
-
-
-def test_ukf_step_reduces_variance_with_informative_measurement():
-    model = DualChannelUKFModel(
-        state_coeff=0.98,
-        noise_coeff=0.05,
-        measure=lambda x: np.stack([np.cos(x), np.sin(x)], axis=-1),
-        ru=0.005,
-        rv=0.005,
-    )
-    rep = ukf_step(0.0, 1.0, np.exp(0.4j), model)
-    assert rep.var < rep.predicted_var
-    assert rep.var > 0

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Minimal walkthrough: one random dual-channel model, three filters.
+"""Minimal walkthrough: one random dual-channel model, two filters.
 
 Builds a coupled two-channel real model, lifts it to the widely linear
 complex form, runs the widely linear filter on complex measurements and
 the textbook real filter on the stacked channels, and prints how far the
-two trajectories are apart (they agree to rounding). Also shows what the
-strictly linear filter loses when the noise is improper.
+two trajectories are apart (they agree to rounding), the tracking error
+and the final posterior covariance trace. The strictly linear filter is
+not run: the coupled model has nonzero conjugate blocks, where it is
+undefined.
 """
 import numpy as np
 

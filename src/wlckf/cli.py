@@ -70,6 +70,10 @@ _DEFAULTS = {
 }
 
 
+# Run counts, dimensions and horizons; each must be at least 1.
+_COUNT_KEYS = ("runs", "trials", "horizon", "state_dim", "meas_dim", "draws", "t_max", "max_iter")
+
+
 class ConfigError(Exception):
     pass
 
@@ -125,17 +129,21 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+        raise ConfigError("seed must be an integer >= 0")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    for key in _COUNT_KEYS:
+        if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] >= 1):
+            raise ConfigError(f"{key} must be a number >= 1")
     if command == "phase-demod":
-        for key in ("runs", "horizon"):
-            if cfg[key] < 1:
-                raise ConfigError(f"{key} must be >= 1")
         rhos = [cfg["xi_rho"], cfg["traj_rho"], *cfg["rho_list"]]
-        if not all(0.0 <= rho <= 1.0 for rho in rhos):
-            raise ConfigError("noise impropriety rho must lie in [0, 1]")
+    elif command == "mse-sweep":
+        rhos = [*cfg["rho_w"], *cfg["rho_n"]]
+    else:
+        rhos = []
+    if not all(isinstance(rho, (int, float)) and 0.0 <= rho <= 1.0 for rho in rhos):
+        raise ConfigError("noise impropriety rho must lie in [0, 1]")
     return cfg
 
 

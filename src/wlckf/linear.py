@@ -8,8 +8,9 @@ Three filters operate on it:
 * ``wlckf_run``: the widely linear complex Kalman filter on the augmented
   representation. Equivalent, step by step, to the dual-channel real KF.
 * ``ckf_run``: the strictly linear complex KF baseline, which ignores all
-  complementary covariance. Only defined for models whose conjugate
-  blocks A2, B2, C2 vanish.
+  complementary covariance: the widely linear filter on the model's proper
+  part (``WidelyLinearModel.proper_part``). Only defined for models whose
+  conjugate blocks A2, B2, C2 vanish.
 * ``real_kf_run``: a textbook real Kalman filter on the composite
   dual-channel model, written directly in real arithmetic.
 
@@ -22,7 +23,7 @@ before any prediction, for models whose measurements start at time zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,9 +43,8 @@ class WidelyLinearModel:
 
     ``A``, ``B``, ``C`` are the augmented state, noise-gain and measurement
     maps; ``Q``, ``R`` the augmented driving/measurement noise covariances;
-    ``Pi0`` the initial augmented state covariance. ``S`` is the
-    driving/measurement noise cross-covariance; it is carried for
-    completeness but only the zero value is accepted by the filters.
+    ``Pi0`` the initial augmented state covariance. Driving and
+    measurement noise are uncorrelated.
     """
 
     A: AugmentedMatrix
@@ -53,7 +53,6 @@ class WidelyLinearModel:
     Q: AugmentedMatrix
     R: AugmentedMatrix
     Pi0: AugmentedMatrix
-    S: AugmentedMatrix | None = None
 
     def __post_init__(self):
         n = self.A.block_shape[0]
@@ -73,9 +72,6 @@ class WidelyLinearModel:
             raise DimensionError("initial covariance must match the state dimension")
         for name in ("Q", "R", "Pi0"):
             getattr(self, name).check_covariance()
-        if self.S is not None and self.S.max_abs() > 0:
-            # Carried in the type, not in the recursion; reject early.
-            raise UnsupportedModelError("nonzero driving/measurement cross-covariance is not supported")
 
     @property
     def n(self) -> int:
@@ -93,6 +89,20 @@ class WidelyLinearModel:
             float(np.max(np.abs(self.C.m2), initial=0.0)),
         )
         return worst <= tol
+
+    def proper_part(self) -> "WidelyLinearModel":
+        """The same model with the complementary blocks of Q, R and Pi0 set to zero.
+
+        This is the model a filter that ignores complementary covariance
+        assumes; the system maps are kept as they are.
+        """
+        return replace(
+            self, Q=_hermitian_part(self.Q), R=_hermitian_part(self.R), Pi0=_hermitian_part(self.Pi0)
+        )
+
+
+def _hermitian_part(cov: AugmentedMatrix) -> AugmentedMatrix:
+    return AugmentedMatrix(cov.m1, np.zeros_like(cov.m1))
 
 
 @dataclass
@@ -209,60 +219,17 @@ def ckf_run(
     init: FilterState | None = None,
     initial_update: bool = False,
 ) -> list[StepReport]:
-    """Strictly linear complex KF: Hermitian blocks only.
+    """Strictly linear complex KF: the widely linear filter on the model's proper part.
 
     Rejects models with nonzero conjugate blocks, where strictly linear
-    filtering is undefined. Complementary covariances of the model are
-    ignored and all complementary outputs are exactly zero.
+    filtering is undefined. Complementary covariances of the model and of
+    ``init`` are ignored.
     """
     if not model.is_strictly_linear():
         raise UnsupportedModelError("strictly linear filtering needs zero conjugate blocks A2, B2, C2")
-    a, b, c = model.A.m1, model.B.m1, model.C.m1
-    q, r = model.Q.m1, model.R.m1
-    n, m = model.n, model.m
     if init is not None:
-        x = init.estimate.top.copy()
-        p = init.cov.m1.copy()
-        t = init.t
-    else:
-        x = np.zeros(n, complex)
-        p = model.Pi0.m1.copy()
-        t = 0
-    reports: list[StepReport] = []
-    zero_nm = np.zeros((n, m), complex)
-    for k, y in enumerate(measurements):
-        y = np.asarray(y, dtype=complex)
-        if not (k == 0 and initial_update):
-            x = a @ x
-            p = a @ p @ a.conj().T + b @ q @ b.conj().T
-            p = (p + p.conj().T) / 2
-            t += 1
-        predicted = FilterState(AugmentedVector.from_complex(x), AugmentedMatrix(p, np.zeros_like(p)), t)
-        s = c @ p @ c.conj().T + r
-        s = (s + s.conj().T) / 2
-        sv = np.linalg.svd(s, compute_uv=False)
-        singular = sv[0] == 0 or sv[-1] <= 1e-12 * sv[0]
-        rhs = p @ c.conj().T
-        if singular:
-            kt, *_ = np.linalg.lstsq(s.T, rhs.T, rcond=None)
-            gain = kt.T
-        else:
-            gain = np.linalg.solve(s.T, rhs.T).T
-        innovation = y - c @ x
-        x = x + gain @ innovation
-        p = p - gain @ c @ p
-        p = (p + p.conj().T) / 2
-        reports.append(
-            StepReport(
-                predicted=predicted,
-                innovation=AugmentedVector.from_complex(innovation),
-                innovation_cov=AugmentedMatrix(s, np.zeros_like(s)),
-                gain=AugmentedMatrix(gain, zero_nm),
-                state=FilterState(AugmentedVector.from_complex(x), AugmentedMatrix(p, np.zeros_like(p)), t),
-                singular_innovation=bool(singular),
-            )
-        )
-    return reports
+        init = replace(init, cov=_hermitian_part(init.cov))
+    return wlckf_run(model.proper_part(), measurements, init, initial_update)
 
 
 @dataclass

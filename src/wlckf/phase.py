@@ -304,7 +304,8 @@ def improvement_ratio(
     thetas, ys = simulate_phase_batch(model, horizon, mc_runs, seed)
     truth = thetas[:, 1:]
     res_u = track_batch(model, ys, "uwlckf", params)
-    res_k = track_batch(model, ys, "ukf", params)
+    # On proper noise the baseline is the same computation; track once.
+    res_k = res_u if replace(model, rho_abs=0.0) == model else track_batch(model, ys, "ukf", params)
     denom = np.sum(truth * truth, axis=1)
     xi_u = np.sum((res_u.estimates - truth) ** 2, axis=1) / denom
     xi_k = np.sum((res_k.estimates - truth) ** 2, axis=1) / denom

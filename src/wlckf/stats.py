@@ -19,7 +19,7 @@ from .augmented import (
     augmented_to_real_matrix,
     psd_sqrt,
 )
-from .errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
+from .errors import DegenerateError, DimensionError
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -80,17 +80,9 @@ def validate(stats: SecondOrderStats, tol: float = 1e-9) -> SecondOrderStats:
 
     Raises ConsistencyError for a non-Hermitian Hermitian covariance or a
     non-symmetric complementary covariance, NotPSDError when the assembled
-    augmented covariance is indefinite.
+    augmented covariance is indefinite (see ``AugmentedMatrix.check_covariance``).
     """
-    r, rt = stats.hermitian_cov, stats.complementary_cov
-    scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
-    if np.max(np.abs(r - r.conj().T), initial=0.0) > tol * scale:
-        raise ConsistencyError("hermitian covariance is not Hermitian")
-    if np.max(np.abs(rt - rt.T), initial=0.0) > tol * scale:
-        raise ConsistencyError("complementary covariance is not symmetric")
-    w = stats.augmented_cov().eigenvalues()
-    if w[0] < -tol * max(1.0, float(abs(w[-1]))):
-        raise NotPSDError("augmented covariance is not positive semidefinite")
+    stats.augmented_cov().check_covariance(tol)
     return stats
 
 

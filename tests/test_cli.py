@@ -55,6 +55,14 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert code == 2
 
 
+def test_non_numeric_count_exits_two(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"trials": "5"}))
+    code = main(["equivalence", "--config", str(cfg), "--out", str(tmp_path / "eq.csv")])
+    assert code == 2
+    assert not (tmp_path / "eq.csv").exists()
+
+
 def test_mismatched_experiment_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "phase-demod"}))
@@ -63,10 +71,29 @@ def test_mismatched_experiment_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--runs", "0"], ["--horizon", "0"], ["--rho-list", "1.2"]], ids=["runs", "horizon", "rho"]
+    "command, flags",
+    [
+        ("phase-demod", ["--runs", "0"]),
+        ("phase-demod", ["--horizon", "0"]),
+        ("phase-demod", ["--rho-list", "1.2"]),
+        ("equivalence", ["--seed", "-1"]),
+        ("equivalence", ["--state-dim", "0"]),
+        ("equivalence", ["--horizon", "0"]),
+        ("equivalence", ["--trials", "0"]),
+        ("mse-sweep", ["--rho-w", "1.5"]),
+        ("mse-sweep", ["--horizon", "0"]),
+        ("theta-bound", ["--draws", "0"]),
+        ("theta-bound", ["--t-max", "0"]),
+    ],
+    ids=[
+        "runs", "horizon", "rho",
+        "equivalence-seed", "equivalence-state-dim", "equivalence-horizon", "equivalence-trials",
+        "mse-sweep-rho", "mse-sweep-horizon",
+        "theta-bound-draws", "theta-bound-t-max",
+    ],
 )
-def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, flags):
-    code = main(["phase-demod", *flags, "--out", str(tmp_path / "pd.csv")])
+def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, command, flags):
+    code = main([command, *flags, "--out", str(tmp_path / "out.csv")])
     assert code == 2
     assert list(tmp_path.iterdir()) == []
 

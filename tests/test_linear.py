@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wlckf.augmented import (
     AugmentedVector,
     augmented_to_real,
     augmented_to_real_matrix,
+    real_matrix_to_augmented,
 )
 from wlckf.errors import UnsupportedModelError
 from wlckf.linear import (
@@ -80,6 +82,17 @@ def proper_model(seed, n=2, m=2):
     )
 
 
+def improper_strictly_linear_model(seed, n=2, m=2):
+    """Zero conjugate blocks A2, B2, C2 with improper Q, R and Pi0."""
+    rng = np.random.default_rng(seed + 1)
+
+    def icov(k):
+        z = rng.standard_normal((2 * k, 2 * k))
+        return real_matrix_to_augmented(z @ z.T / (2 * k) + 0.1 * np.eye(2 * k), "covariance")
+
+    return replace(proper_model(seed, n, m), Q=icov(n), R=icov(m), Pi0=icov(n))
+
+
 def run_real_oracle(e, f, g, q, r, pi, measurements):
     meas_real = [np.concatenate([y.real, y.imag]) for y in measurements]
     return real_kf_run(e, f, g, q, r, pi, meas_real)
@@ -109,19 +122,6 @@ def test_model_from_real_round_trip():
     model = model_from_real(e, f, g, q, r, pi)
     assert np.max(np.abs(augmented_to_real_matrix(model.A, "system") - e)) < 1e-13
     assert np.max(np.abs(augmented_to_real_matrix(model.Q, "covariance") - q)) < 1e-13
-
-
-def test_model_rejects_nonzero_cross_covariance():
-    with pytest.raises(UnsupportedModelError):
-        WidelyLinearModel(
-            A=AugmentedMatrix.eye(1),
-            B=AugmentedMatrix.eye(1),
-            C=AugmentedMatrix.eye(1),
-            Q=AugmentedMatrix.eye(1),
-            R=AugmentedMatrix.eye(1),
-            Pi0=AugmentedMatrix.eye(1),
-            S=AugmentedMatrix([[0.1]], [[0.0]]),
-        )
 
 
 # --- predict ------------------------------------------------------------------
@@ -297,6 +297,39 @@ def test_ckf_rejects_widely_linear_model():
     assert not model.is_strictly_linear(tol=1e-12)
     with pytest.raises(UnsupportedModelError):
         ckf_run(model, np.zeros((3, 2), complex))
+
+
+def test_ckf_is_real_kf_on_hermitian_blocks_with_improper_noise():
+    # Oracle: the textbook real filter on the composite model whose Q, R,
+    # Pi0 keep only their Hermitian blocks, built here without proper_part.
+    model = improper_strictly_linear_model(20)
+    for name in ("Q", "R", "Pi0"):
+        assert np.max(np.abs(getattr(model, name).m2)) > 0.05
+
+    def hermitian_part(cov):
+        return augmented_to_real_matrix(AugmentedMatrix(cov.m1, np.zeros_like(cov.m1)), "covariance")
+
+    e, f, g = (augmented_to_real_matrix(getattr(model, name), "system") for name in ("A", "B", "C"))
+    q, r, pi = (hermitian_part(getattr(model, name)) for name in ("Q", "R", "Pi0"))
+    _, meas = simulate_linear(model, 100, substream(20, 0))
+    meas_real = [np.concatenate([y.real, y.imag]) for y in meas]
+    x0 = np.array([0.5 - 1j, 2j])
+    # The initial complementary covariance is ignored as well.
+    init = FilterState(AugmentedVector.from_complex(x0), AugmentedMatrix(model.Pi0.m1, model.Pi0.m2), 0)
+    runs = [
+        (ckf_run(model, meas), real_kf_run(e, f, g, q, r, pi, meas_real)),
+        (
+            ckf_run(model, meas, init=init),
+            real_kf_run(e, f, g, q, r, pi, meas_real, init_mean=np.concatenate([x0.real, x0.imag])),
+        ),
+    ]
+    for reports, refs in runs:
+        assert len(reports) == len(refs) == 100
+        for rep, ref in zip(reports, refs):
+            est = augmented_to_real(rep.state.estimate)
+            cov = augmented_to_real_matrix(rep.state.cov, "covariance")
+            assert np.max(np.abs(est - ref.mean)) <= 1e-12 * max(1.0, np.max(np.abs(ref.mean)))
+            assert np.max(np.abs(cov - ref.cov)) <= 1e-12 * max(1.0, np.max(np.abs(ref.cov)))
 
 
 def test_ckf_mse_is_composed_variance_map_with_improper_init():

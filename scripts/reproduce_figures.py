@@ -2,7 +2,7 @@
 """Run the four experiments at their default desk-scale settings.
 
 Writes CSVs under results/ with a fixed seed. The phase experiment is the
-slow one (about 10 s of vectorized Monte Carlo on a 2-core machine); pass
+slow one (about 5 s of vectorized Monte Carlo on a 2-core machine); pass
 --quick to shrink run counts for a fast smoke pass.
 """
 import argparse

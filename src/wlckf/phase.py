@@ -7,13 +7,19 @@ statistics, and the proper-assuming baseline ``"ukf"`` runs it on the
 same model with the noise's complementary variance set to zero. The phase
 is real, so the state statistics are maximally improper in both.
 
-The Monte Carlo helpers run the tracker vectorized over runs. The joint
-[phase, drive noise, measurement noise] covariance is block diagonal over
-three scalar variables, so the vectorized step builds its sigma points in
-closed form instead of by an eigendecomposition. They carry the moments of
-:func:`wlckf.unscented.complex_sigma_points` of the same statistics, and
-the step is cross-checked against :func:`wlckf.unscented.uwlckf_step` in
-the test suite.
+The Monte Carlo helpers run the tracker vectorized over runs, and
+:func:`improvement_ratio` runs both trackers as one batch whose rows differ
+only in the noise complementary variance they assume. The joint [phase,
+drive noise, measurement noise] covariance is block diagonal over three
+scalar variables, so the step builds its sigma points in closed form
+instead of by an eigendecomposition, with the constant noise blocks
+factored once. The measurement noise is additive, so only the 9 points
+that move the phase or the drive pass through the carrier. The points carry
+the moments of :func:`wlckf.unscented.complex_sigma_points` of the same
+statistics, and the step is cross-checked against
+:func:`wlckf.unscented.uwlckf_step` in the test suite. Simulation draws
+each run from its own generator, in the order of a single-run simulation,
+and runs the phase recursion across runs.
 """
 from __future__ import annotations
 
@@ -21,10 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Unused here; bench/spans.py still rebinds this name in this module.
+# build_transform and sample are unused here; bench/spans.py still rebinds
+# both names in this module.
 from .augmented import build_transform  # noqa: F401
 from .errors import DegenerateError, DimensionError
-from .stats import SecondOrderStats, sample, substream
+from .stats import SecondOrderStats, composite_factor, sample, substream  # noqa: F401
 from .unscented import UTParams
 
 TRACKERS = ("uwlckf", "ukf")
@@ -85,18 +92,34 @@ def nonlinear_phase_model(model: PhaseModel):
     )
 
 
-def simulate_phase(model: PhaseModel, horizon: int, rng: np.random.Generator):
-    """Phase trajectory t = 0..horizon and measurements t = 1..horizon."""
+def _simulate(model: PhaseModel, horizon: int, rngs: list[np.random.Generator]):
+    """Trajectories (rows, horizon + 1) and measurements (rows, horizon).
+
+    Row r is drawn from ``rngs[r]``: the initial phase, then the drive
+    sequence, then the measurement noise. The noise factor is computed once
+    and the phase recursion runs across rows.
+    """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
-    theta = np.empty(horizon + 1)
-    theta[0] = model.init_mean + np.sqrt(model.init_var) * rng.standard_normal()
-    w = rng.standard_normal(horizon)
+    mu_z, factor = composite_factor(model.noise_stats())
+    rows = len(rngs)
+    theta = np.empty((rows, horizon + 1))
+    w = np.empty((rows, horizon))
+    noise = np.empty((rows, horizon), complex)
+    for r, rng in enumerate(rngs):
+        theta[r, 0] = model.init_mean + np.sqrt(model.init_var) * rng.standard_normal()
+        w[r] = rng.standard_normal(horizon)
+        z = mu_z + rng.standard_normal((horizon, 2)) @ factor.T
+        noise[r] = z[:, 0] + 1j * z[:, 1]
     for t in range(1, horizon + 1):
-        theta[t] = model.a * theta[t - 1] + model.b * w[t - 1]
-    noise = sample(model.noise_stats(), horizon, rng)[:, 0]
-    y = np.exp(1j * theta[1:]) + noise
-    return theta, y
+        theta[:, t] = model.a * theta[:, t - 1] + model.b * w[:, t - 1]
+    return theta, np.exp(1j * theta[:, 1:]) + noise
+
+
+def simulate_phase(model: PhaseModel, horizon: int, rng: np.random.Generator):
+    """Phase trajectory t = 0..horizon and measurements t = 1..horizon."""
+    theta, y = _simulate(model, horizon, [rng])
+    return theta[0], y[0]
 
 
 def normalized_error(theta, theta_hat) -> float:
@@ -112,74 +135,99 @@ def normalized_error(theta, theta_hat) -> float:
     return float(err @ err) / denom
 
 
-def _scalar_sigma_points(mean: np.ndarray, var: np.ndarray, cvar: np.ndarray, params: UTParams):
-    """Joint sigma points of independent scalar complex variables, in closed form.
+def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
+    """Closed-form factor of scalar complex variables.
 
-    ``mean``, ``var`` and ``cvar`` are (B, k) means, Hermitian variances and
-    complementary variances. The composite covariance of a variable with
-    statistics (p, pt) has eigenvalues (p + |pt|)/2 and (p - |pt|)/2 along
-    the complex directions exp(j phi) and j exp(j phi), phi = arg(pt)/2; a
-    joint covariance that is block diagonal over the variables factors block
-    by block. Eigenvalues below 1e-13 of a row's largest are flushed to zero,
-    as in :func:`wlckf.augmented.psd_sqrt`. Returns points (B, 4k+1, k)
-    ordered [mean, mean + offsets, mean - offsets], and the mean and
-    covariance weights.
+    The composite covariance of a variable with Hermitian variance p and
+    complementary variance pt has eigenvalues (p + |pt|)/2 and
+    (p - |pt|)/2 along the complex directions exp(j phi) and j exp(j phi),
+    phi = arg(pt)/2. Returns the eigenvalues and the unit directions, each
+    of shape ``var.shape + (2,)``.
     """
-    runs, k = mean.shape
-    w_mean, w_cov = params.weights(2 * k)
-    spread = np.sqrt(2 * k + params.lam(2 * k))
     half_abs = 0.5 * np.abs(cvar)
     lam = np.stack([0.5 * var + half_abs, 0.5 * var - half_abs], axis=-1)
-    top = np.clip(lam[:, :, 0].max(axis=1), 0.0, None)
-    lam = np.where(lam > 1e-13 * top[:, None, None], lam, 0.0)
-    rot = np.exp(0.5j * np.angle(cvar))[:, :, None] * np.array([1.0, 1j])
-    axes = (spread * np.sqrt(lam) * rot).reshape(runs, 2 * k)
-    points = np.repeat(mean[:, None, :], 4 * k + 1, axis=1)
-    col = np.arange(2 * k)  # axis col belongs to variable col // 2
-    points[:, 1 + col, col // 2] += axes
-    points[:, 1 + 2 * k + col, col // 2] -= axes
-    return points, w_mean, w_cov
+    rot = np.exp(0.5j * np.angle(cvar))[..., None] * np.array([1.0, 1j])
+    return lam, rot
+
+
+# Joint sigma points of [phase, drive noise, meas noise], in the order of
+# :func:`wlckf.unscented.complex_sigma_points`: the centre, the centre plus
+# the two axes of each variable in turn, then the centre minus them.
+# _DISTINCT_POINT maps each of the 13 points to one of 9 that differ in the
+# phase or the drive, ordered [centre, +phase, +drive, -phase, -drive]: the
+# measurement-noise points leave both at the centre.
+_DISTINCT_POINT = np.array([0, 1, 2, 3, 4, 0, 0, 5, 6, 7, 8, 0, 0])
 
 
 class _BatchUWLCKF:
-    """Widely linear phase tracker vectorized over Monte Carlo runs.
+    """Widely linear phase tracker vectorized over rows.
 
-    State per run: complex estimate, Hermitian variance, complementary
-    variance. Each step draws the joint [phase, drive noise, meas noise]
-    sigma points in closed form and runs the unscented cycle.
+    State per row: complex estimate, Hermitian variance, complementary
+    variance. ``noise_cvar`` gives the measurement-noise complementary
+    variance each row assumes, so rows with the model's value and rows
+    with zero run the two trackers side by side.
+
+    The joint [phase, drive noise, meas noise] covariance is block diagonal
+    over scalar variables, so its sigma points are built in closed form:
+    the constant noise eigenpairs are computed here, and each step factors
+    the phase only. Eigenvalues below 1e-13 of a row's largest over all
+    three variables are flushed to zero, as in
+    :func:`wlckf.augmented.psd_sqrt`. The measurement-noise points share the
+    centre's transition output and enter the measurement additively, so
+    only the other 9 points pass through the carrier exp(j x); a +/- pair of
+    noise points adds exactly its eigenvalue's share of the noise moments.
     """
 
-    def __init__(self, model: PhaseModel, runs: int, params: UTParams):
+    def __init__(self, model: PhaseModel, noise_cvar: np.ndarray, params: UTParams):
         self.model = model
-        self.params = params
-        self.est = np.full(runs, model.init_mean, dtype=complex)
-        self.p = np.full(runs, float(model.init_var))
-        self.pt = np.full(runs, complex(model.init_var))
-        # Joint statistics; the drive and measurement noise columns are constant.
-        self._mean = np.zeros((runs, 3), dtype=complex)
-        self._var = np.tile([0.0, 1.0, model.noise_var], (runs, 1))
-        self._cvar = np.tile(np.array([0.0, 1.0, model.noise_cvar], dtype=complex), (runs, 1))
-        self.max_imag = 0.0
+        rows = len(noise_cvar)
+        self.est = np.full(rows, model.init_mean, dtype=complex)
+        self.p = np.full(rows, float(model.init_var))
+        self.pt = np.full(rows, complex(model.init_var))
+        self.max_imag = np.zeros(rows)
+        w_mean, w_cov = params.weights(6)
+        self._w_mean = np.bincount(_DISTINCT_POINT, weights=w_mean)
+        self._w_cov = np.bincount(_DISTINCT_POINT, weights=w_cov)
+        self._spread = np.sqrt(6 + params.lam(6))
+        # Unit, maximally improper drive noise; per-row measurement noise.
+        var = np.array([1.0, model.noise_var])
+        cvar = np.stack([np.ones(rows, complex), np.asarray(noise_cvar, complex)], axis=1)
+        self._noise_lam, rot = _scalar_eigenpairs(var, cvar)
+        self._noise_top = np.clip(self._noise_lam[:, :, 0].max(axis=1), 0.0, None)
+        self._drive_axes = self._spread * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
+        self._meas_dir = rot[:, 1, 0] ** 2
 
     def step(self, y: np.ndarray) -> None:
-        model = self.model
-        self._mean[:, 0] = self.est
-        self._var[:, 0] = self.p
-        self._cvar[:, 0] = self.pt
-        pts, wm, wc = _scalar_sigma_points(self._mean, self._var, self._cvar, self.params)
+        a, b = self.model.a, self.model.b
+        lam, rot = _scalar_eigenpairs(self.p, self.pt)
+        threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
+        phase_axes = self._spread * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
+        keep = self._noise_lam > threshold[:, None, None]
+        drive_axes = np.where(keep[:, 0], self._drive_axes, 0.0)
+        # The +/- pair along a noise eigenvector with eigenvalue l adds l to
+        # the Hermitian noise variance and +/- l along exp(2j phi) to the
+        # complementary one.
+        meas_lam = np.where(keep[:, 1], self._noise_lam[:, 1], 0.0)
+        r = meas_lam[:, 0] + meas_lam[:, 1]
+        rt = (meas_lam[:, 0] - meas_lam[:, 1]) * self._meas_dir
 
-        x_next = model.a * pts[:, :, 0] + model.b * pts[:, :, 1]
-        y_pts = np.exp(1j * x_next) + pts[:, :, 2]
-        x_pred = x_next @ wm
-        y_pred = y_pts @ wm
-        dx = x_next - x_pred[:, None]
-        dy = y_pts - y_pred[:, None]
-        p_pred = np.real((wc * dx * np.conj(dx)).sum(axis=1))
-        pt_pred = (wc * dx * dx).sum(axis=1)
-        s = np.real((wc * dy * np.conj(dy)).sum(axis=1))
-        st = (wc * dy * dy).sum(axis=1)
-        p_xy = (wc * dx * np.conj(dy)).sum(axis=1)
-        pt_xy = (wc * dx * dy).sum(axis=1)
+        m = self.est[:, None]
+        centre = a * m
+        x = np.concatenate(
+            [centre, a * (m + phase_axes), centre + b * drive_axes, a * (m - phase_axes), centre - b * drive_axes],
+            axis=1,
+        )
+        carrier = np.exp(1j * x)
+        x_pred = x @ self._w_mean
+        y_pred = carrier @ self._w_mean
+        dx = x - x_pred[:, None]
+        dy = carrier - y_pred[:, None]
+        p_pred = (dx.real**2 + dx.imag**2) @ self._w_cov
+        pt_pred = (dx * dx) @ self._w_cov
+        s = (dy.real**2 + dy.imag**2) @ self._w_cov + r
+        st = (dy * dy) @ self._w_cov + rt
+        p_xy = (dx * np.conj(dy)) @ self._w_cov
+        pt_xy = (dx * dy) @ self._w_cov
 
         det = s * s - np.abs(st) ** 2
         bad = det <= 1e-14 * np.maximum(s, 1e-300) ** 2
@@ -198,7 +246,26 @@ class _BatchUWLCKF:
         ksk_t = 2 * s * k1 * k2 + st * k1 * k1 + np.conj(st) * k2 * k2
         self.p = p_pred - ksk
         self.pt = pt_pred - ksk_t
-        self.max_imag = max(self.max_imag, float(np.max(np.abs(self.est.imag), initial=0.0)))
+        np.maximum(self.max_imag, np.abs(self.est.imag), out=self.max_imag)
+
+
+def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex], params: UTParams):
+    """Track every row of ``ys`` once per assumed noise complementary variance.
+
+    Row block i of the returned (len(noise_cvars) * runs, steps) estimates
+    and variances assumes ``noise_cvars[i]``; the third value is each
+    row's largest |Im(estimate)|.
+    """
+    runs, steps = ys.shape
+    copies = len(noise_cvars)
+    engine = _BatchUWLCKF(model, np.repeat(noise_cvars, runs), params)
+    estimates = np.empty((copies * runs, steps))
+    variances = np.empty((copies * runs, steps))
+    for t in range(steps):
+        engine.step(np.tile(ys[:, t], copies))
+        estimates[:, t] = engine.est.real
+        variances[:, t] = engine.p
+    return estimates, variances, engine.max_imag
 
 
 @dataclass
@@ -225,16 +292,9 @@ def track_batch(
     if tracker not in TRACKERS:
         raise ValueError(f"tracker must be one of {TRACKERS}, got {tracker!r}")
     ys = np.atleast_2d(np.asarray(measurements, dtype=complex))
-    runs, steps = ys.shape
     assumed = model if tracker == "uwlckf" else replace(model, rho_abs=0.0)
-    engine = _BatchUWLCKF(assumed, runs, params)
-    estimates = np.empty((runs, steps))
-    variances = np.empty((runs, steps))
-    for t in range(steps):
-        engine.step(ys[:, t])
-        estimates[:, t] = engine.est.real
-        variances[:, t] = engine.p
-    return BatchTrackResult(estimates, variances, engine.max_imag)
+    estimates, variances, max_imag = _track(model, ys, [assumed.noise_cvar], params)
+    return BatchTrackResult(estimates, variances, float(max_imag.max()))
 
 
 @dataclass
@@ -259,11 +319,7 @@ def run_tracker(
 
 def simulate_phase_batch(model: PhaseModel, horizon: int, runs: int, seed: int):
     """Independent seeded trajectories; run r uses substream (seed, r)."""
-    thetas = np.empty((runs, horizon + 1))
-    ys = np.empty((runs, horizon), complex)
-    for r in range(runs):
-        thetas[r], ys[r] = simulate_phase(model, horizon, substream(seed, r))
-    return thetas, ys
+    return _simulate(model, horizon, [substream(seed, r) for r in range(runs)])
 
 
 @dataclass
@@ -303,12 +359,15 @@ def improvement_ratio(
         model = PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
     thetas, ys = simulate_phase_batch(model, horizon, mc_runs, seed)
     truth = thetas[:, 1:]
-    res_u = track_batch(model, ys, "uwlckf", params)
-    # On proper noise the baseline is the same computation; track once.
-    res_k = res_u if replace(model, rho_abs=0.0) == model else track_batch(model, ys, "ukf", params)
+    # Both trackers run as one batch on the same measurements: the first
+    # mc_runs rows assume the model's noise, the last mc_runs proper noise.
+    # On proper noise the two are one computation, so it is tracked once.
+    proper = replace(model, rho_abs=0.0)
+    cvars = [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]
+    estimates, _, max_imag = _track(model, ys, cvars, params)
     denom = np.sum(truth * truth, axis=1)
-    xi_u = np.sum((res_u.estimates - truth) ** 2, axis=1) / denom
-    xi_k = np.sum((res_k.estimates - truth) ** 2, axis=1) / denom
+    xi_u = np.sum((estimates[:mc_runs] - truth) ** 2, axis=1) / denom
+    xi_k = np.sum((estimates[-mc_runs:] - truth) ** 2, axis=1) / denom
     ratio = xi_k / xi_u
 
     def se(x):
@@ -324,6 +383,6 @@ def improvement_ratio(
         xi_uwlckf_se=se(xi_u),
         xi_ukf=float(xi_k.mean()),
         xi_ukf_se=se(xi_k),
-        max_imag=res_u.max_imag,
+        max_imag=float(max_imag[:mc_runs].max()),
         seed=seed,
     )

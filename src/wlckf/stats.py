@@ -107,6 +107,17 @@ def correlation_coefficient(stats: SecondOrderStats) -> complex:
     return complex(stats.complementary_cov[0, 0] / r)
 
 
+def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
+    """Validated real composite mean mu_z and factor B with B B^T the composite covariance.
+
+    ``mu_z + B xi`` with xi standard normal is a draw of [Re x; Im x]; the
+    factor is the PSD square root, so singular covariances are handled.
+    """
+    validate(stats)
+    mu_z, cov_z = stats.composite()
+    return mu_z, psd_sqrt(cov_z)
+
+
 def sample(stats: SecondOrderStats, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` complex Gaussian vectors with the given second-order stats.
 
@@ -118,9 +129,7 @@ def sample(stats: SecondOrderStats, count: int, rng: np.random.Generator) -> np.
     """
     if count < 1:
         raise DimensionError("count must be positive")
-    validate(stats)
-    mu_z, cov_z = stats.composite()
-    b = psd_sqrt(cov_z)
+    mu_z, b = composite_factor(stats)
     xi = rng.standard_normal((count, 2 * stats.n))
     z = mu_z + xi @ b.T
     return z[:, : stats.n] + 1j * z[:, stats.n :]

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from wlckf import cli
+from wlckf.augmented import AugmentedVector
 from wlckf.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -26,13 +29,34 @@ def test_equivalence_default_small(tmp_path, capsys):
         assert float(row[5]) < 1e-9
 
 
-def test_equivalence_proper_mode_checks_ckf(tmp_path):
+def test_equivalence_proper_mode_checks_ckf(tmp_path, monkeypatch):
     out = tmp_path / "eq.csv"
-    code = main(["equivalence", "--trials", "3", "--horizon", "30", "--proper", "--out", str(out)])
+    args = ["equivalence", "--trials", "3", "--horizon", "30", "--proper", "--out", str(out)]
+    code = main(args)
     assert code == 0
     _, rows = read_rows(out)
     for row in rows:
         assert float(row[6]) < 1e-12
+
+    # ckf_dev compares the strictly linear filter with the real oracle, so a
+    # filter off by 1e-6 in its estimate or in its covariance fails the gate.
+    def corrupt_estimate(state):
+        return replace(state, estimate=AugmentedVector.from_complex(state.estimate.top * (1 + 1e-6)))
+
+    def corrupt_cov(state):
+        return replace(state, cov=state.cov * (1 + 1e-6))
+
+    ckf_run = cli.ckf_run
+    for corrupt in (corrupt_estimate, corrupt_cov):
+        def corrupted(model, measurements, corrupt=corrupt):
+            return [replace(rep, state=corrupt(rep.state)) for rep in ckf_run(model, measurements)]
+
+        monkeypatch.setattr(cli, "ckf_run", corrupted)
+        assert main(args) == 1
+        _, rows = read_rows(out)
+        for row in rows:
+            assert float(row[4]) < 1e-12 and float(row[5]) < 1e-12
+            assert float(row[6]) > 1e-7
 
 
 def test_equivalence_exit_one_on_threshold(tmp_path):
@@ -71,31 +95,48 @@ def test_mismatched_experiment_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, config",
     [
-        ("phase-demod", ["--runs", "0"]),
-        ("phase-demod", ["--horizon", "0"]),
-        ("phase-demod", ["--rho-list", "1.2"]),
-        ("equivalence", ["--seed", "-1"]),
-        ("equivalence", ["--state-dim", "0"]),
-        ("equivalence", ["--horizon", "0"]),
-        ("equivalence", ["--trials", "0"]),
-        ("mse-sweep", ["--rho-w", "1.5"]),
-        ("mse-sweep", ["--horizon", "0"]),
-        ("theta-bound", ["--draws", "0"]),
-        ("theta-bound", ["--t-max", "0"]),
+        ("phase-demod", ["--runs", "0"], None),
+        ("phase-demod", ["--horizon", "0"], None),
+        ("phase-demod", ["--rho-list", "1.2"], None),
+        ("equivalence", ["--seed", "-1"], None),
+        ("equivalence", ["--state-dim", "0"], None),
+        ("equivalence", ["--horizon", "0"], None),
+        ("equivalence", ["--trials", "0"], None),
+        ("mse-sweep", ["--rho-w", "1.5"], None),
+        ("mse-sweep", ["--horizon", "0"], None),
+        ("theta-bound", ["--draws", "0"], None),
+        ("theta-bound", ["--t-max", "0"], None),
+        ("mse-sweep", [], {"panels": [[-20.0]]}),
+        ("mse-sweep", [], {"panels": [[-20.0, "x"]]}),
+        ("mse-sweep", [], {"tol": -1}),
+        ("mse-sweep", [], {"tol": 0}),
+        ("phase-demod", [], {"snr_list": ["a"]}),
+        ("phase-demod", [], {"r_snr": "a"}),
+        ("phase-demod", [], {"traj_snr": "a"}),
     ],
     ids=[
         "runs", "horizon", "rho",
         "equivalence-seed", "equivalence-state-dim", "equivalence-horizon", "equivalence-trials",
         "mse-sweep-rho", "mse-sweep-horizon",
         "theta-bound-draws", "theta-bound-t-max",
+        "mse-sweep-panel-one-number", "mse-sweep-panel-text", "mse-sweep-tol-negative", "mse-sweep-tol-zero",
+        "snr-list-text", "r-snr-text", "traj-snr-text",
     ],
 )
-def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, command, flags):
-    code = main([command, *flags, "--out", str(tmp_path / "out.csv")])
+def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):
+    out_dir = tmp_path / "out"
+    args = [command, *flags, "--out", str(out_dir / "out.csv")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    code = main(args)
     assert code == 2
-    assert list(tmp_path.iterdir()) == []
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_mse_sweep_zero_grid_gives_ones(tmp_path):

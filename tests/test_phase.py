@@ -9,8 +9,10 @@ from wlckf.errors import DegenerateError, DimensionError
 from wlckf.linear import FilterState
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
 from wlckf.phase import (
+    TRACKERS,
     PhaseModel,
-    _scalar_sigma_points,
+    _scalar_eigenpairs,
+    _track,
     improvement_ratio,
     nonlinear_phase_model,
     normalized_error,
@@ -19,7 +21,7 @@ from wlckf.phase import (
     simulate_phase_batch,
     track_batch,
 )
-from wlckf.stats import SecondOrderStats, substream
+from wlckf.stats import SecondOrderStats, sample, substream
 from wlckf.unscented import SigmaPointSet, UTParams, complex_sigma_points, reconstruct_stats, uwlckf_step
 
 
@@ -96,10 +98,14 @@ def test_tracker_high_snr_small_error():
     assert normalized_error(theta[51:], res.estimates[50:]) < 1e-3
 
 
-@pytest.mark.parametrize("tracker", ["uwlckf", "ukf"])
-def test_batch_tracker_matches_reference_steps_uwlckf(tracker):
+@pytest.mark.parametrize(
+    "tracker, rho_abs, rho_phase",
+    [("uwlckf", 0.7, 0.0), ("ukf", 0.7, 0.0), ("uwlckf", 1.0, 0.7), ("ukf", 1.0, 0.7)],
+    ids=["uwlckf", "ukf", "uwlckf-maximally-improper-rotated", "ukf-maximally-improper-rotated"],
+)
+def test_batch_tracker_matches_reference_steps_uwlckf(tracker, rho_abs, rho_phase):
     # The proper-assuming baseline is the same filter on proper noise.
-    model = PhaseModel(snr_db=20.0, rho_abs=0.7)
+    model = PhaseModel(snr_db=20.0, rho_abs=rho_abs, rho_phase=rho_phase)
     _, y = simulate_phase(model, 80, substream(5, 0))
     res = run_tracker(model, y, tracker)
     nl = nonlinear_phase_model(model if tracker == "uwlckf" else replace(model, rho_abs=0.0))
@@ -133,9 +139,15 @@ def test_closed_form_sigma_points_match_joint_statistics(variables, mean0):
     var = np.array([v[0] for v in variables])
     cvar = np.array([v[0] * v[1] * np.exp(1j * v[2]) for v in variables])
     mean = np.array([mean0, 0j, 0j])
-    points, w_mean, w_cov = _scalar_sigma_points(mean[None], var[None], cvar[None], UTParams())
-    assert points.shape == (1, 13, 3)
-    rec = reconstruct_stats(SigmaPointSet(points[0], w_mean, w_cov))
+    params = UTParams()
+    w_mean, w_cov = params.weights(6)
+    lam, rot = _scalar_eigenpairs(var, cvar)
+    # Axis c of the (3, 2) factor moves variable c // 2.
+    axes = np.sqrt(6 + params.lam(6)) * np.sqrt(np.clip(lam, 0.0, None)) * rot
+    offsets = np.zeros((6, 3), complex)
+    offsets[np.arange(6), np.arange(6) // 2] = axes.reshape(6)
+    points = np.concatenate([mean[None], mean + offsets, mean - offsets])
+    rec = reconstruct_stats(SigmaPointSet(points, w_mean, w_cov))
     tol = 1e-12 * max(1.0, float(var.max()))
     assert np.max(np.abs(rec.mean - mean)) <= tol
     assert np.max(np.abs(rec.hermitian_cov - np.diag(var))) <= tol
@@ -175,12 +187,44 @@ def test_improvement_ratio_grows_with_impropriety_smoke():
     assert hi.r_mean > lo.r_mean
 
 
+def _simulate_one_run(model, horizon, rng):
+    # Reference: the per-run loop, drawing the noise through stats.sample.
+    theta = np.empty(horizon + 1)
+    theta[0] = model.init_mean + np.sqrt(model.init_var) * rng.standard_normal()
+    w = rng.standard_normal(horizon)
+    for t in range(1, horizon + 1):
+        theta[t] = model.a * theta[t - 1] + model.b * w[t - 1]
+    noise = sample(model.noise_stats(), horizon, rng)[:, 0]
+    return theta, np.exp(1j * theta[1:]) + noise
+
+
 def test_simulate_batch_rows_are_independent_substreams():
-    model = PhaseModel()
-    thetas, ys = simulate_phase_batch(model, 50, 3, 17)
-    t1, y1 = simulate_phase(model, 50, substream(17, 1))
-    assert np.array_equal(thetas[1], t1)
-    assert np.array_equal(ys[1], y1)
+    # rho_abs = 1 makes the noise factor singular.
+    for model in (PhaseModel(), PhaseModel(rho_abs=1.0), PhaseModel(rho_abs=1.0, rho_phase=0.7),
+                  PhaseModel(snr_db=0.0, rho_abs=0.4, rho_phase=-2.5, init_mean=0.3)):
+        thetas, ys = simulate_phase_batch(model, 50, 4, 17)
+        for r in range(4):
+            t_ref, y_ref = _simulate_one_run(model, 50, substream(17, r))
+            assert np.array_equal(thetas[r], t_ref)
+            assert np.array_equal(ys[r], y_ref)
+            t_one, y_one = simulate_phase(model, 50, substream(17, r))
+            assert np.array_equal(t_one, t_ref)
+            assert np.array_equal(y_one, y_ref)
+
+
+@pytest.mark.parametrize("rho_abs, rho_phase", [(0.7, 0.0), (1.0, 0.7)])
+def test_paired_engine_matches_separate_trackers(rho_abs, rho_phase):
+    # improvement_ratio runs both trackers as one batch of 2 * runs rows.
+    model = PhaseModel(snr_db=10.0, rho_abs=rho_abs, rho_phase=rho_phase)
+    _, ys = simulate_phase_batch(model, 200, 6, 29)
+    proper = replace(model, rho_abs=0.0)
+    estimates, variances, max_imag = _track(model, ys, [model.noise_cvar, proper.noise_cvar], UTParams())
+    for block, tracker in enumerate(TRACKERS):
+        alone = track_batch(model, ys, tracker)
+        rows = slice(6 * block, 6 * (block + 1))
+        for got, ref in ((estimates[rows], alone.estimates), (variances[rows], alone.variances)):
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+        assert max_imag[rows].max() == pytest.approx(alone.max_imag, abs=1e-15)
 
 
 def test_improvement_ratio_never_loses_within_noise():

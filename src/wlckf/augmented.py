@@ -93,11 +93,6 @@ class AugmentedMatrix:
             raise DimensionError("augmented blocks must be 2-d and equal shape")
 
     @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "AugmentedMatrix":
-        cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), complex), np.zeros((rows, cols), complex))
-
-    @classmethod
     def eye(cls, n: int) -> "AugmentedMatrix":
         return cls(np.eye(n, dtype=complex), np.zeros((n, n), complex))
 

@@ -141,8 +141,10 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigError("seed must be an integer >= 0")
+    if "proper" in cfg and not isinstance(cfg["proper"], bool):
+        raise ConfigError("proper must be true or false")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     for key in _COUNT_KEYS:
@@ -242,7 +244,7 @@ def cmd_equivalence(cfg: dict) -> int:
     worst = 0.0
     for trial in range(int(cfg["trials"])):
         est_dev, cov_dev, ckf_dev = equivalence_trial(
-            cfg["seed"], trial, int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"]), bool(cfg["proper"])
+            cfg["seed"], trial, int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"]), cfg["proper"]
         )
         worst = max(worst, est_dev, cov_dev)
         if cfg["proper"] and not np.isnan(ckf_dev):

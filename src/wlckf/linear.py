@@ -14,6 +14,11 @@ Three filters operate on it:
 * ``real_kf_run``: a textbook real Kalman filter on the composite
   dual-channel model, written directly in real arithmetic.
 
+The measurement update is :func:`wl_update`, shared with the unscented
+filter: given the predicted measurement, the cross covariance P_xy and the
+innovation covariance S, it forms the widely linear gain K S = P_xy and the
+posterior covariance P - K P_xy^H.
+
 Conventions: the innovation is measurement minus prediction, the run
 starts from a posterior at t = 0 (zero mean, initial covariance), and each
 measurement triggers predict-then-update. Passing ``initial_update=True``
@@ -152,24 +157,22 @@ def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
     return FilterState(est, cov.symmetrized(), state.t + 1)
 
 
-def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepReport:
-    """Measurement update in the augmented domain.
+def wl_update(predicted: FilterState, y, y_pred, cross: AugmentedMatrix, s_cov: AugmentedMatrix) -> StepReport:
+    """Widely linear measurement update shared by the linear and unscented filters.
 
-    The innovation covariance is C P C^H + R, the gain solves
-    K S = P C^H, and the posterior covariance is (I - K C) P, symmetrized.
-    A singular innovation covariance (maximally improper measurements) is
-    handled by a least-squares solve and flagged on the report.
+    ``y_pred`` is the predicted measurement, ``cross`` the augmented
+    state/measurement cross covariance P_xy and ``s_cov`` the augmented
+    innovation covariance S. The gain solves K S = P_xy (least squares when
+    S is singular, flagged on the report) and the posterior covariance is
+    P - K P_xy^H, symmetrized.
     """
     y = np.asarray(y, dtype=complex)
-    if y.shape != (model.m,):
+    if y.shape != y_pred.shape:
         raise DimensionError("measurement dimension does not match the model")
-    predicted_y = model.C @ predicted.estimate
-    innovation = AugmentedVector.from_complex(y - predicted_y.top)
-    s_cov = (model.C @ predicted.cov @ model.C.conj_t() + model.R).symmetrized()
-    gain, singular = solve_right(predicted.cov @ model.C.conj_t(), s_cov)
+    gain, singular = solve_right(cross, s_cov)
+    innovation = AugmentedVector.from_complex(y - y_pred)
     estimate = predicted.estimate + gain @ innovation
-    identity = AugmentedMatrix.eye(model.n)
-    cov = ((identity - gain @ model.C) @ predicted.cov).symmetrized()
+    cov = (predicted.cov - gain @ cross.conj_t()).symmetrized()
     return StepReport(
         predicted=predicted,
         innovation=innovation,
@@ -178,6 +181,20 @@ def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepRep
         state=FilterState(estimate, cov, predicted.t),
         singular_innovation=singular,
     )
+
+
+def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepReport:
+    """Measurement update in the augmented domain.
+
+    The cross covariance is P C^H and the innovation covariance
+    C P C^H + R; :func:`wl_update` forms the gain and the posterior
+    P - K (P C^H)^H = (I - K C) P. A singular innovation covariance
+    (maximally improper measurements) is handled by a least-squares solve
+    and flagged on the report.
+    """
+    cross = predicted.cov @ model.C.conj_t()
+    s_cov = (model.C @ predicted.cov @ model.C.conj_t() + model.R).symmetrized()
+    return wl_update(predicted, y, (model.C @ predicted.estimate).top, cross, s_cov)
 
 
 def default_init(model: WidelyLinearModel) -> FilterState:

@@ -32,7 +32,7 @@ import numpy as np
 from .augmented import build_transform  # noqa: F401
 from .errors import DegenerateError, DimensionError
 from .stats import SecondOrderStats, composite_factor, sample, substream  # noqa: F401
-from .unscented import UTParams
+from .unscented import NonlinearModel, UTParams
 
 TRACKERS = ("uwlckf", "ukf")
 
@@ -81,8 +81,6 @@ class PhaseModel:
 
 def nonlinear_phase_model(model: PhaseModel):
     """The phase model as a generic complex nonlinear state-space model."""
-    from .unscented import NonlinearModel
-
     return NonlinearModel(
         f=lambda x, w: model.a * x + model.b * w,
         h=lambda x, n: np.exp(1j * x) + n,
@@ -157,6 +155,10 @@ def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
 # phase or the drive, ordered [centre, +phase, +drive, -phase, -drive]: the
 # measurement-noise points leave both at the centre.
 _DISTINCT_POINT = np.array([0, 1, 2, 3, 4, 0, 0, 5, 6, 7, 8, 0, 0])
+# Default unscented weights of the 6-dimensional composite joint, merged
+# onto the 9 distinct points, and the spread of its points.
+_W_MEAN, _W_COV = (np.bincount(_DISTINCT_POINT, weights=w) for w in UTParams().weights(6))
+_SPREAD = np.sqrt(6 + UTParams().lam(6))
 
 
 class _BatchUWLCKF:
@@ -178,30 +180,26 @@ class _BatchUWLCKF:
     noise points adds exactly its eigenvalue's share of the noise moments.
     """
 
-    def __init__(self, model: PhaseModel, noise_cvar: np.ndarray, params: UTParams):
+    def __init__(self, model: PhaseModel, noise_cvar: np.ndarray):
         self.model = model
         rows = len(noise_cvar)
         self.est = np.full(rows, model.init_mean, dtype=complex)
         self.p = np.full(rows, float(model.init_var))
         self.pt = np.full(rows, complex(model.init_var))
         self.max_imag = np.zeros(rows)
-        w_mean, w_cov = params.weights(6)
-        self._w_mean = np.bincount(_DISTINCT_POINT, weights=w_mean)
-        self._w_cov = np.bincount(_DISTINCT_POINT, weights=w_cov)
-        self._spread = np.sqrt(6 + params.lam(6))
         # Unit, maximally improper drive noise; per-row measurement noise.
         var = np.array([1.0, model.noise_var])
         cvar = np.stack([np.ones(rows, complex), np.asarray(noise_cvar, complex)], axis=1)
         self._noise_lam, rot = _scalar_eigenpairs(var, cvar)
         self._noise_top = np.clip(self._noise_lam[:, :, 0].max(axis=1), 0.0, None)
-        self._drive_axes = self._spread * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
+        self._drive_axes = _SPREAD * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
         self._meas_dir = rot[:, 1, 0] ** 2
 
     def step(self, y: np.ndarray) -> None:
         a, b = self.model.a, self.model.b
         lam, rot = _scalar_eigenpairs(self.p, self.pt)
         threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
-        phase_axes = self._spread * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
+        phase_axes = _SPREAD * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
         keep = self._noise_lam > threshold[:, None, None]
         drive_axes = np.where(keep[:, 0], self._drive_axes, 0.0)
         # The +/- pair along a noise eigenvector with eigenvalue l adds l to
@@ -218,16 +216,16 @@ class _BatchUWLCKF:
             axis=1,
         )
         carrier = np.exp(1j * x)
-        x_pred = x @ self._w_mean
-        y_pred = carrier @ self._w_mean
+        x_pred = x @ _W_MEAN
+        y_pred = carrier @ _W_MEAN
         dx = x - x_pred[:, None]
         dy = carrier - y_pred[:, None]
-        p_pred = (dx.real**2 + dx.imag**2) @ self._w_cov
-        pt_pred = (dx * dx) @ self._w_cov
-        s = (dy.real**2 + dy.imag**2) @ self._w_cov + r
-        st = (dy * dy) @ self._w_cov + rt
-        p_xy = (dx * np.conj(dy)) @ self._w_cov
-        pt_xy = (dx * dy) @ self._w_cov
+        p_pred = (dx.real**2 + dx.imag**2) @ _W_COV
+        pt_pred = (dx * dx) @ _W_COV
+        s = (dy.real**2 + dy.imag**2) @ _W_COV + r
+        st = (dy * dy) @ _W_COV + rt
+        p_xy = (dx * np.conj(dy)) @ _W_COV
+        pt_xy = (dx * dy) @ _W_COV
 
         det = s * s - np.abs(st) ** 2
         bad = det <= 1e-14 * np.maximum(s, 1e-300) ** 2
@@ -249,7 +247,7 @@ class _BatchUWLCKF:
         np.maximum(self.max_imag, np.abs(self.est.imag), out=self.max_imag)
 
 
-def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex], params: UTParams):
+def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex]):
     """Track every row of ``ys`` once per assumed noise complementary variance.
 
     Row block i of the returned (len(noise_cvars) * runs, steps) estimates
@@ -258,7 +256,7 @@ def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex], params
     """
     runs, steps = ys.shape
     copies = len(noise_cvars)
-    engine = _BatchUWLCKF(model, np.repeat(noise_cvars, runs), params)
+    engine = _BatchUWLCKF(model, np.repeat(noise_cvars, runs))
     estimates = np.empty((copies * runs, steps))
     variances = np.empty((copies * runs, steps))
     for t in range(steps):
@@ -269,20 +267,19 @@ def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex], params
 
 
 @dataclass
-class BatchTrackResult:
-    """Per-run estimate and variance trajectories from a vectorized tracker."""
+class TrackResult:
+    """Estimate and variance trajectories and the largest |Im(estimate)|.
+
+    The arrays are (runs, steps) from :func:`track_batch` and (steps,) from
+    :func:`run_tracker`.
+    """
 
     estimates: np.ndarray
     variances: np.ndarray
     max_imag: float
 
 
-def track_batch(
-    model: PhaseModel,
-    measurements: np.ndarray,
-    tracker: str,
-    params: UTParams = UTParams(),
-) -> BatchTrackResult:
+def track_batch(model: PhaseModel, measurements: np.ndarray, tracker: str) -> TrackResult:
     """Run one tracker over a (runs, steps) batch of measurement sequences.
 
     ``"uwlckf"`` uses the model's noise statistics; the proper-assuming
@@ -293,27 +290,13 @@ def track_batch(
         raise ValueError(f"tracker must be one of {TRACKERS}, got {tracker!r}")
     ys = np.atleast_2d(np.asarray(measurements, dtype=complex))
     assumed = model if tracker == "uwlckf" else replace(model, rho_abs=0.0)
-    estimates, variances, max_imag = _track(model, ys, [assumed.noise_cvar], params)
-    return BatchTrackResult(estimates, variances, float(max_imag.max()))
+    estimates, variances, max_imag = _track(model, ys, [assumed.noise_cvar])
+    return TrackResult(estimates, variances, float(max_imag.max()))
 
 
-@dataclass
-class TrackResult:
-    """Single-trajectory tracker output."""
-
-    estimates: np.ndarray
-    variances: np.ndarray
-    max_imag: float
-
-
-def run_tracker(
-    model: PhaseModel,
-    measurements,
-    tracker: str,
-    params: UTParams = UTParams(),
-) -> TrackResult:
+def run_tracker(model: PhaseModel, measurements, tracker: str) -> TrackResult:
     """Track one measurement sequence; returns per-step estimate and variance."""
-    batch = track_batch(model, np.asarray(measurements, complex)[None, :], tracker, params)
+    batch = track_batch(model, np.asarray(measurements, complex)[None, :], tracker)
     return TrackResult(batch.estimates[0], batch.variances[0], batch.max_imag)
 
 
@@ -339,15 +322,7 @@ class RatioResult:
     seed: int
 
 
-def improvement_ratio(
-    snr_db: float,
-    rho_abs: float,
-    mc_runs: int,
-    horizon: int,
-    seed: int,
-    params: UTParams = UTParams(),
-    model: PhaseModel | None = None,
-) -> RatioResult:
+def improvement_ratio(snr_db: float, rho_abs: float, mc_runs: int, horizon: int, seed: int) -> RatioResult:
     """Mean per-run error ratio of the baseline UKF over the widely linear tracker.
 
     Both trackers consume the same simulated measurements in every run, so
@@ -355,8 +330,7 @@ def improvement_ratio(
     """
     if mc_runs < 1:
         raise DimensionError("mc_runs must be >= 1")
-    if model is None:
-        model = PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
+    model = PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
     thetas, ys = simulate_phase_batch(model, horizon, mc_runs, seed)
     truth = thetas[:, 1:]
     # Both trackers run as one batch on the same measurements: the first
@@ -364,7 +338,7 @@ def improvement_ratio(
     # On proper noise the two are one computation, so it is tracked once.
     proper = replace(model, rho_abs=0.0)
     cvars = [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]
-    estimates, _, max_imag = _track(model, ys, cvars, params)
+    estimates, _, max_imag = _track(model, ys, cvars)
     denom = np.sum(truth * truth, axis=1)
     xi_u = np.sum((estimates[:mc_runs] - truth) ** 2, axis=1) / denom
     xi_k = np.sum((estimates[-mc_runs:] - truth) ** 2, axis=1) / denom

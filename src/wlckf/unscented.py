@@ -12,8 +12,10 @@ a negative control.
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
-innovation and cross covariances in augmented form, so the gain is widely
-linear. A proper-assuming unscented filter is the same step run on noise
+innovation and cross covariances in augmented form. The gain and the
+posterior then come from the WLCKF's own widely linear update,
+:func:`wlckf.linear.wl_update`, with posterior covariance P - K P_xy^H.
+A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
 from __future__ import annotations
@@ -23,14 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .augmented import (
-    AugmentedMatrix,
-    AugmentedVector,
-    psd_sqrt,
-    solve_right,
-)
+from .augmented import AugmentedMatrix, AugmentedVector, psd_sqrt
+# solve_right is unused here; bench/spans.py still rebinds it in this module.
+from .augmented import solve_right  # noqa: F401
 from .errors import DimensionError
-from .linear import FilterState, StepReport
+from .linear import FilterState, StepReport, wl_update
 from .stats import SecondOrderStats, validate
 
 
@@ -134,11 +133,6 @@ def complex_sigma_points(
     return SigmaPointSet(complex_points, composite.w_mean, composite.w_cov)
 
 
-def augmented_points(sps: SigmaPointSet) -> np.ndarray:
-    """Augmented stacks [x; x*] of a complex point set, shape (count, 2n)."""
-    return np.concatenate([sps.points, np.conj(sps.points)], axis=1)
-
-
 def reconstruct_stats(sps: SigmaPointSet) -> SecondOrderStats:
     """Weighted mean and second moments of a complex sigma-point set."""
     if sps.count == 0:
@@ -183,38 +177,31 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def uwlckf_step(
-    state: FilterState,
-    y,
-    model: NonlinearModel,
-    params: UTParams = UTParams(),
-) -> StepReport:
+def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     """One cycle of the unscented widely linear filter.
 
     Joint sigma points of [state; driving noise; measurement noise] are
     generated with the full augmented statistics, the state parts pass
     through the transition and then the measurement map, and predicted,
     innovation and cross second moments are assembled in augmented form.
-    The gain solves against the augmented innovation covariance (least
-    squares when singular, flagged), the covariance update is
-    P - K S K^H with symmetrization.
+    From there the update is the WLCKF's, :func:`wlckf.linear.wl_update`:
+    the gain solves against the augmented innovation covariance (least
+    squares when singular, flagged) and the posterior is P - K P_xy^H,
+    symmetrized.
     """
-    y = np.asarray(y, dtype=complex)
     n = model.n
     nw = model.drive_noise.n
     joint_mean = np.concatenate([state.estimate.top, model.drive_noise.mean, model.meas_noise.mean])
     joint_r = _block_diag(state.cov.m1, model.drive_noise.hermitian_cov, model.meas_noise.hermitian_cov)
     joint_rt = _block_diag(state.cov.m2, model.drive_noise.complementary_cov, model.meas_noise.complementary_cov)
     joint = SecondOrderStats(joint_mean, joint_r, joint_rt)
-    sps = complex_sigma_points(joint, params)
+    sps = complex_sigma_points(joint)
     xs = sps.points[:, :n]
     ws = sps.points[:, n : n + nw]
     ns = sps.points[:, n + nw :]
 
     xs_next = np.asarray(model.f(xs, ws), dtype=complex)
     ys = np.asarray(model.h(xs_next, ns), dtype=complex)
-    if y.shape != (ys.shape[1],):
-        raise DimensionError("measurement dimension does not match the measurement map")
 
     wm = sps.w_mean
     wc = sps.w_cov
@@ -235,39 +222,15 @@ def uwlckf_step(
         AugmentedMatrix(p_pred, pt_pred).symmetrized(),
         state.t + 1,
     )
-    s_cov = AugmentedMatrix(s, st).symmetrized()
-    cross = AugmentedMatrix(p_xy, pt_xy)
-    gain, singular = solve_right(cross, s_cov)
-    innovation = AugmentedVector.from_complex(y - y_pred)
-    estimate = predicted.estimate + gain @ innovation
-    cov = (predicted.cov - gain @ s_cov @ gain.conj_t()).symmetrized()
-    return StepReport(
-        predicted=predicted,
-        innovation=innovation,
-        innovation_cov=s_cov,
-        gain=gain,
-        state=FilterState(estimate, cov, predicted.t),
-        singular_innovation=singular,
-    )
+    return wl_update(predicted, y, y_pred, AugmentedMatrix(p_xy, pt_xy), AugmentedMatrix(s, st).symmetrized())
 
 
-def uwlckf_run(
-    model: NonlinearModel,
-    measurements,
-    params: UTParams = UTParams(),
-    init: FilterState | None = None,
-) -> list[StepReport]:
-    """Run the unscented widely linear filter over a measurement sequence."""
-    if init is None:
-        init = FilterState(
-            AugmentedVector.from_complex(model.init.mean),
-            AugmentedMatrix(model.init.hermitian_cov, model.init.complementary_cov),
-            t=0,
-        )
-    state = init
+def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
+    """Run the unscented widely linear filter from ``model.init`` over a measurement sequence."""
+    state = FilterState(AugmentedVector.from_complex(model.init.mean), model.init.augmented_cov(), t=0)
     reports: list[StepReport] = []
     for y in measurements:
-        report = uwlckf_step(state, np.atleast_1d(np.asarray(y, complex)), model, params)
+        report = uwlckf_step(state, np.atleast_1d(np.asarray(y, complex)), model)
         reports.append(report)
         state = report.state
     return reports

@@ -115,6 +115,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("phase-demod", [], {"snr_list": ["a"]}),
         ("phase-demod", [], {"r_snr": "a"}),
         ("phase-demod", [], {"traj_snr": "a"}),
+        ("equivalence", [], {"seed": True}),
+        ("equivalence", [], {"proper": "false"}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -123,6 +125,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "theta-bound-draws", "theta-bound-t-max",
         "mse-sweep-panel-one-number", "mse-sweep-panel-text", "mse-sweep-tol-negative", "mse-sweep-tol-zero",
         "snr-list-text", "r-snr-text", "traj-snr-text",
+        "equivalence-seed-bool", "equivalence-proper-text",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):

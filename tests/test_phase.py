@@ -218,7 +218,7 @@ def test_paired_engine_matches_separate_trackers(rho_abs, rho_phase):
     model = PhaseModel(snr_db=10.0, rho_abs=rho_abs, rho_phase=rho_phase)
     _, ys = simulate_phase_batch(model, 200, 6, 29)
     proper = replace(model, rho_abs=0.0)
-    estimates, variances, max_imag = _track(model, ys, [model.noise_cvar, proper.noise_cvar], UTParams())
+    estimates, variances, max_imag = _track(model, ys, [model.noise_cvar, proper.noise_cvar])
     for block, tracker in enumerate(TRACKERS):
         alone = track_batch(model, ys, tracker)
         rows = slice(6 * block, 6 * (block + 1))

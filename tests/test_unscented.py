@@ -3,7 +3,7 @@ import pytest
 
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
 from wlckf.errors import DimensionError
-from wlckf.linear import FilterState, model_from_real, simulate_linear, wlckf_run
+from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run, wlckf_update
 from wlckf.stats import SecondOrderStats, substream
 from wlckf.unscented import (
     NonlinearModel,
@@ -191,6 +191,19 @@ def test_linear_collapse_trajectory():
     for a, b in zip(ut, lin):
         assert np.max(np.abs(a.state.estimate.top - b.state.estimate.top)) < 1e-8
         assert np.max(np.abs(a.state.cov.full() - b.state.cov.full())) < 1e-8
+
+
+@pytest.mark.parametrize("filter_step", ["wlckf_update", "uwlckf_step"])
+def test_wrong_measurement_length_raises(filter_step):
+    # Both filters reach the shared update, which checks the shape.
+    model = random_model(23)
+    state = default_init(model)
+    for y in (np.zeros(model.m + 1, complex), np.zeros(model.m - 1, complex), np.zeros((model.m, 1), complex)):
+        with pytest.raises(DimensionError):
+            if filter_step == "wlckf_update":
+                wlckf_update(state, y, model)
+            else:
+                uwlckf_step(state, y, linearized(model))
 
 
 def test_proper_linear_model_gives_vanishing_conjugate_gain():

@@ -7,11 +7,13 @@ filters rely on (PSD matrix square root, scalar augmented eigenvalues).
 A complex vector x = u + jv has the augmented form [x; x*], related to the
 real composite [u; v] by the transform returned by :func:`build_transform`.
 Augmented matrices carry the block-conjugate pattern [[M1, M2], [M2*, M1*]]
-and are stored as the (M1, M2) pair so the pattern holds by construction.
+and are stored as the (M1, M2) pair so the pattern holds by construction;
+:func:`block_conjugate` fills the full array of a pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -21,15 +23,33 @@ from .errors import ConsistencyError, DimensionError, NotPSDError
 CONJ_TOL = 1e-9
 
 
+def block_conjugate(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The full array [[M1, M2], [M2*, M1*]] of the block pair (M1, M2)."""
+    rows, cols = m1.shape
+    full = np.empty((2 * rows, 2 * cols), dtype=complex)
+    full[:rows, :cols] = m1
+    full[:rows, cols:] = m2
+    np.conjugate(m2, out=full[rows:, :cols])
+    np.conjugate(m1, out=full[rows:, cols:])
+    return full
+
+
+@cache
 def build_transform(n: int) -> np.ndarray:
     """Return the 2n x 2n real-to-augmented map [[I, jI], [I, -jI]].
 
-    Unitary within a factor of 2: T @ T.conj().T == 2 I.
+    Unitary within a factor of 2: T @ T.conj().T == 2 I. Built once per
+    ``n`` and shared, so the array is read-only.
     """
     if n < 1:
         raise DimensionError(f"transform size must be >= 1, got {n}")
     eye = np.eye(n)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    t = np.zeros((2 * n, 2 * n), dtype=complex)
+    t[:n, :n] = t[n:, :n] = eye
+    t[:n, n:] = 1j * eye
+    t[n:, n:] = -1j * eye
+    t.flags.writeable = False
+    return t
 
 
 @dataclass
@@ -123,7 +143,7 @@ class AugmentedMatrix:
         return self.m1.shape
 
     def full(self) -> np.ndarray:
-        return np.block([[self.m1, self.m2], [np.conj(self.m2), np.conj(self.m1)]])
+        return block_conjugate(self.m1, self.m2)
 
     def conj_t(self) -> "AugmentedMatrix":
         """Hermitian transpose; stays inside the block pattern."""
@@ -279,18 +299,18 @@ def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, flo
 def solve_right(b: AugmentedMatrix, a: AugmentedMatrix, rcond: float = 1e-12) -> tuple[AugmentedMatrix, bool]:
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
-    Returns (X, used_least_squares). The full system is solved and the top
-    block row is kept, which projects the solution back onto the block
-    pattern exactly.
+    Returns (X, used_least_squares). Only the top block row [X1, X2] is
+    solved for, from the top block row of ``b`` against the full ``a``,
+    which keeps the solution on the block pattern exactly.
     """
     af = a.full()
-    bf = b.full()
+    b_top = np.concatenate([b.m1, b.m2], axis=1)
     sv = np.linalg.svd(af, compute_uv=False)
     singular = sv[0] == 0 or sv[-1] <= rcond * sv[0]
     if singular:
-        xt, *_ = np.linalg.lstsq(af.T, bf.T, rcond=None)
+        xt, *_ = np.linalg.lstsq(af.T, b_top.T, rcond=None)
         x = xt.T
     else:
-        x = np.linalg.solve(af.T, bf.T).T
-    n, m = b.block_shape[0], a.block_shape[0]
-    return AugmentedMatrix(x[:n, :m], x[:n, m:]), bool(singular)
+        x = np.linalg.solve(af.T, b_top.T).T
+    m = a.block_shape[0]
+    return AugmentedMatrix(x[:, :m], x[:, m:]), bool(singular)

@@ -71,7 +71,7 @@ _DEFAULTS = {
 }
 
 
-# Run counts, dimensions and horizons; each must be at least 1.
+# Run counts, dimensions and horizons; each must be an integer of at least 1.
 _COUNT_KEYS = ("runs", "trials", "horizon", "state_dim", "meas_dim", "draws", "t_max", "max_iter")
 # Scalar settings and lists that must be finite numbers.
 _NUMBER_KEYS = ("r_snr", "traj_snr", "rho_w_phase", "rho_n_phase", "tol", "max_dev")
@@ -84,6 +84,10 @@ class ConfigError(Exception):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number_list(value) -> bool:
@@ -141,15 +145,15 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+    if not _is_integer(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be an integer >= 0")
     if "proper" in cfg and not isinstance(cfg["proper"], bool):
         raise ConfigError("proper must be true or false")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     for key in _COUNT_KEYS:
-        if key in cfg and not (_is_number(cfg[key]) and cfg[key] >= 1):
-            raise ConfigError(f"{key} must be a number >= 1")
+        if key in cfg and not (_is_integer(cfg[key]) and cfg[key] >= 1):
+            raise ConfigError(f"{key} must be an integer >= 1")
     for key in _NUMBER_KEYS:
         if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a finite number")
@@ -219,18 +223,18 @@ def equivalence_trial(seed: int, trial: int, n: int, m: int, horizon: int, prope
     _, measurements = simulate_linear(model, horizon, substream(seed, trial, 1))
     meas_real = [np.concatenate([y.real, y.imag]) for y in measurements]
     real_steps = real_kf_run(e, f, g, q, r, pi, meas_real)
+    ref_mean = np.array([ref.mean for ref in real_steps])
+    ref_cov = np.array([ref.cov for ref in real_steps])
+    scale_e = np.maximum(1.0, np.abs(ref_mean).max(axis=1))
+    scale_c = np.maximum(1.0, np.abs(ref_cov).max(axis=(1, 2)))
 
     def deviations(reports):
-        est_dev = 0.0
-        cov_dev = 0.0
-        for rep, ref in zip(reports, real_steps):
-            est = augmented_to_real(rep.state.estimate)
-            cov = augmented_to_real_matrix(rep.state.cov, "covariance")
-            scale_e = max(1.0, float(np.max(np.abs(ref.mean))))
-            scale_c = max(1.0, float(np.max(np.abs(ref.cov))))
-            est_dev = max(est_dev, float(np.max(np.abs(est - ref.mean))) / scale_e)
-            cov_dev = max(cov_dev, float(np.max(np.abs(cov - ref.cov))) / scale_c)
-        return est_dev, cov_dev
+        """Worst deviation over the steps, each relative to max(1, largest oracle entry)."""
+        est = np.array([augmented_to_real(rep.state.estimate) for rep in reports])
+        cov = np.array([augmented_to_real_matrix(rep.state.cov, "covariance") for rep in reports])
+        est_dev = np.abs(est - ref_mean).max(axis=1) / scale_e
+        cov_dev = np.abs(cov - ref_cov).max(axis=(1, 2)) / scale_c
+        return float(est_dev.max()), float(cov_dev.max())
 
     est_dev, cov_dev = deviations(wlckf_run(model, measurements))
     # The strictly linear filter is checked against the same real oracle,

@@ -14,10 +14,18 @@ Three filters operate on it:
 * ``real_kf_run``: a textbook real Kalman filter on the composite
   dual-channel model, written directly in real arithmetic.
 
-The measurement update is :func:`wl_update`, shared with the unscented
-filter: given the predicted measurement, the cross covariance P_xy and the
-innovation covariance S, it forms the widely linear gain K S = P_xy and the
-posterior covariance P - K P_xy^H.
+The widely linear filter runs on full 2n x 2n augmented arrays: the
+model's arrays (A, A^H, B Q B^H, C, C^H, R) are formed once per run, and
+each step is one predict kernel and one update kernel. The measurement
+update is :func:`wl_update`, shared with the unscented filter: given the
+predicted measurement, the cross covariance P_xy and the innovation
+covariance S, it forms the widely linear gain K S = P_xy and the estimate.
+For a linear model the posterior covariance is the Joseph form
+(I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite under
+rounding; the unscented filter, which has no linear measurement map, keeps
+P - K P_xy^H. ``real_kf_run`` uses the Joseph form too, in its own code.
+Every covariance is symmetrized, and the reports hold the top block rows
+of the arrays, so the block-conjugate pattern holds exactly.
 
 Conventions: the innovation is measurement minus prediction, the run
 starts from a posterior at t = 0 (zero mean, initial covariance), and each
@@ -29,12 +37,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
+    block_conjugate,
     real_matrix_to_augmented,
     solve_right,
 )
@@ -148,53 +158,138 @@ def model_from_real(e, f, g, q_real, r_real, pi_real) -> WidelyLinearModel:
     )
 
 
+class _Maps(NamedTuple):
+    """A linear model's full augmented arrays, formed once per run."""
+
+    a: np.ndarray
+    a_h: np.ndarray
+    bqb_h: np.ndarray
+    c: np.ndarray
+    c_h: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, model: WidelyLinearModel) -> "_Maps":
+        a, b, c = model.A.full(), model.B.full(), model.C.full()
+        return cls(a, a.conj().T, b @ model.Q.full() @ b.conj().T, c, c.conj().T, model.R.full())
+
+
+def _covariance(top: np.ndarray) -> np.ndarray:
+    """Full covariance from a computed top block row [M1, M2], symmetrized.
+
+    The Hermitian part of the block-conjugate completion: M1 becomes
+    (M1 + M1^H) / 2 and M2 becomes (M2 + M2^T) / 2, and the pattern holds.
+    """
+    n = top.shape[0]
+    full = block_conjugate(top[:, :n], top[:, n:])
+    return (full + full.conj().T) / 2
+
+
+def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
+    """Filter state holding copies of the top block rows of x and p.
+
+    Copies, not views, so that a kept report does not keep the full arrays.
+    """
+    n = x.shape[0] // 2
+    return FilterState(
+        AugmentedVector(x[:n].copy(), x[n:].copy()), AugmentedMatrix(p[:n, :n].copy(), p[:n, n:].copy()), t
+    )
+
+
+def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
+    """Time update on full arrays: A x and A P A^H + B Q B^H, symmetrized."""
+    n = x.shape[0] // 2
+    a_top = maps.a[:n]
+    top = a_top @ x
+    cov = _covariance(a_top @ p @ maps.a_h + maps.bqb_h[:n])
+    return np.concatenate([top, np.conj(top)]), cov
+
+
+def _update(x: np.ndarray, p: np.ndarray, t: int, y, maps: _Maps) -> tuple[StepReport, np.ndarray, np.ndarray]:
+    """Measurement update on full arrays: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
+    m = maps.c.shape[0] // 2
+    c_top = maps.c[:m]
+    # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
+    # from it by more than the equivalence gate on one stiff-family model.
+    s = _covariance(c_top @ p @ maps.c_h + maps.r[:m])
+    s_cov = AugmentedMatrix(s[:m, :m].copy(), s[:m, m:].copy())
+    return wl_update(x, p, t, y, c_top @ x, p @ maps.c_h, s_cov, joseph=(maps.c, maps.r))
+
+
 def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
     """Time update: propagate estimate and covariance through the state map."""
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    est = model.A @ state.estimate
-    cov = model.A @ state.cov @ model.A.conj_t() + model.B @ model.Q @ model.B.conj_t()
-    return FilterState(est, cov.symmetrized(), state.t + 1)
+    x, p = _predict(state.estimate.full(), state.cov.full(), _Maps.of(model))
+    return _state(x, p, state.t + 1)
 
 
-def wl_update(predicted: FilterState, y, y_pred, cross: AugmentedMatrix, s_cov: AugmentedMatrix) -> StepReport:
+def wl_update(
+    x: np.ndarray,
+    p: np.ndarray,
+    t: int,
+    y,
+    y_pred: np.ndarray,
+    cross: np.ndarray,
+    s_cov: AugmentedMatrix,
+    joseph: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[StepReport, np.ndarray, np.ndarray]:
     """Widely linear measurement update shared by the linear and unscented filters.
 
-    ``y_pred`` is the predicted measurement, ``cross`` the augmented
-    state/measurement cross covariance P_xy and ``s_cov`` the augmented
-    innovation covariance S. The gain solves K S = P_xy (least squares when
-    S is singular, flagged on the report) and the posterior covariance is
-    P - K P_xy^H, symmetrized.
+    Works on full augmented arrays: ``x`` and ``p`` are the predicted
+    estimate [x; x*] and covariance at time ``t``, ``y_pred`` the predicted
+    measurement, ``cross`` the state/measurement cross covariance P_xy and
+    ``s_cov`` the innovation covariance S. The gain solves K S = P_xy
+    (least squares when S is singular, flagged on the report). With
+    ``joseph = (C, R)``, the measurement map and noise of a linear model,
+    the posterior covariance is the Joseph form
+    (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite
+    under rounding; without it (the unscented filter, whose measurement map
+    is not linear) it is P - K P_xy^H. Either is symmetrized.
+
+    Returns the step report and the posterior estimate and covariance as
+    full arrays. The report holds copies of their top block rows, so the
+    block-conjugate pattern holds exactly.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape != y_pred.shape:
         raise DimensionError("measurement dimension does not match the model")
-    gain, singular = solve_right(cross, s_cov)
+    n, m = x.shape[0] // 2, y.shape[0]
+    gain, singular = solve_right(AugmentedMatrix(cross[:n, :m], cross[:n, m:]), s_cov)
+    k = gain.full()
+    k_top = k[:n]
     innovation = AugmentedVector.from_complex(y - y_pred)
-    estimate = predicted.estimate + gain @ innovation
-    cov = (predicted.cov - gain @ cross.conj_t()).symmetrized()
-    return StepReport(
-        predicted=predicted,
+    top = x[:n] + k_top @ innovation.full()
+    if joseph is None:
+        cov_top = p[:n] - k_top @ cross.conj().T
+    else:
+        c, r = joseph
+        i_kc = np.eye(2 * n) - k @ c
+        cov_top = i_kc[:n] @ p @ i_kc.conj().T + k_top @ r @ k.conj().T
+    x_post = np.concatenate([top, np.conj(top)])
+    p_post = _covariance(cov_top)
+    report = StepReport(
+        predicted=_state(x, p, t),
         innovation=innovation,
         innovation_cov=s_cov,
         gain=gain,
-        state=FilterState(estimate, cov, predicted.t),
+        state=_state(x_post, p_post, t),
         singular_innovation=singular,
     )
+    return report, x_post, p_post
 
 
 def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepReport:
     """Measurement update in the augmented domain.
 
     The cross covariance is P C^H and the innovation covariance
-    C P C^H + R; :func:`wl_update` forms the gain and the posterior
-    P - K (P C^H)^H = (I - K C) P. A singular innovation covariance
-    (maximally improper measurements) is handled by a least-squares solve
-    and flagged on the report.
+    C P C^H + R; :func:`wl_update` forms the gain and the posterior in
+    Joseph form, (I - K C) P (I - K C)^H + K R K^H, on full augmented
+    arrays. A singular innovation covariance (maximally improper
+    measurements) is handled by a least-squares solve and flagged on the
+    report.
     """
-    cross = predicted.cov @ model.C.conj_t()
-    s_cov = (model.C @ predicted.cov @ model.C.conj_t() + model.R).symmetrized()
-    return wl_update(predicted, y, (model.C @ predicted.estimate).top, cross, s_cov)
+    return _update(predicted.estimate.full(), predicted.cov.full(), predicted.t, y, _Maps.of(model))[0]
 
 
 def default_init(model: WidelyLinearModel) -> FilterState:
@@ -218,15 +313,17 @@ def wlckf_run(
     initial state at ``t0`` by an update-only step.
     """
     state = init if init is not None else default_init(model)
+    if state.estimate.n != model.n:
+        raise DimensionError("state dimension does not match the model")
+    maps = _Maps.of(model)
+    x, p, t = state.estimate.full(), state.cov.full(), state.t
     reports: list[StepReport] = []
     for k, y in enumerate(measurements):
-        if k == 0 and initial_update:
-            predicted = state
-        else:
-            predicted = wlckf_predict(state, model)
-        report = wlckf_update(predicted, y, model)
+        if not (k == 0 and initial_update):
+            x, p = _predict(x, p, maps)
+            t += 1
+        report, x, p = _update(x, p, t, y, maps)
         reports.append(report)
-        state = report.state
     return reports
 
 
@@ -278,7 +375,8 @@ def real_kf_run(
     """Textbook real-valued Kalman filter on the composite dual-channel model.
 
     Written directly in real arithmetic with no shared code with the
-    augmented filter, so the two can check each other.
+    augmented filter, so the two can check each other. The posterior
+    covariance is in Joseph form, (I - K G) P (I - K G)^T + K R K^T.
     """
     e = np.asarray(e, float)
     f = np.asarray(f, float)
@@ -291,15 +389,17 @@ def real_kf_run(
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
     p = np.asarray(pi_real, float).copy() if init_cov is None else np.asarray(init_cov, float).copy()
     t = 0
+    fqf = f @ q @ f.T
+    eye = np.eye(dim)
     steps: list[RealKFStep] = []
     for k, psi in enumerate(measurements_real):
         psi = np.asarray(psi, float)
         if not (k == 0 and initial_update):
             x = e @ x
-            p = e @ p @ e.T + f @ q @ f.T
+            p = e @ p @ e.T + fqf
             p = (p + p.T) / 2
             t += 1
-        x_pred, p_pred = x.copy(), p.copy()
+        x_pred, p_pred = x, p
         s = g @ p @ g.T + r
         s = (s + s.T) / 2
         sv = np.linalg.svd(s, compute_uv=False)
@@ -310,9 +410,10 @@ def real_kf_run(
             gain = np.linalg.solve(s.T, (p @ g.T).T).T
         nu = psi - g @ x
         x = x + gain @ nu
-        p = p - gain @ g @ p
+        i_kg = eye - gain @ g
+        p = i_kg @ p @ i_kg.T + gain @ r @ gain.T
         p = (p + p.T) / 2
-        steps.append(RealKFStep(x_pred, p_pred, nu, s, gain, x.copy(), p.copy(), t))
+        steps.append(RealKFStep(x_pred, p_pred, nu, s, gain, x, p, t))
     return steps
 
 

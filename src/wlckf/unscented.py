@@ -14,7 +14,9 @@ joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
 innovation and cross covariances in augmented form. The gain and the
 posterior then come from the WLCKF's own widely linear update,
-:func:`wlckf.linear.wl_update`, with posterior covariance P - K P_xy^H.
+:func:`wlckf.linear.wl_update`, on full augmented arrays. The posterior
+covariance stays P - K P_xy^H: the Joseph form the linear filter uses
+needs a linear measurement map, which this model does not have.
 A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .augmented import AugmentedMatrix, AugmentedVector, psd_sqrt
+from .augmented import AugmentedMatrix, AugmentedVector, block_conjugate, psd_sqrt
 # solve_right is unused here; bench/spans.py still rebinds it in this module.
 from .augmented import solve_right  # noqa: F401
 from .errors import DimensionError
@@ -184,10 +186,10 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     generated with the full augmented statistics, the state parts pass
     through the transition and then the measurement map, and predicted,
     innovation and cross second moments are assembled in augmented form.
-    From there the update is the WLCKF's, :func:`wlckf.linear.wl_update`:
-    the gain solves against the augmented innovation covariance (least
-    squares when singular, flagged) and the posterior is P - K P_xy^H,
-    symmetrized.
+    From there the update is the WLCKF's, :func:`wlckf.linear.wl_update`,
+    on full augmented arrays: the gain solves against the augmented
+    innovation covariance (least squares when singular, flagged) and the
+    posterior is P - K P_xy^H, symmetrized.
     """
     n = model.n
     nw = model.drive_noise.n
@@ -217,12 +219,16 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     p_xy = wdx.T @ np.conj(dy)
     pt_xy = wdx.T @ dy
 
-    predicted = FilterState(
-        AugmentedVector.from_complex(x_pred),
-        AugmentedMatrix(p_pred, pt_pred).symmetrized(),
+    report, _, _ = wl_update(
+        np.concatenate([x_pred, np.conj(x_pred)]),
+        AugmentedMatrix(p_pred, pt_pred).symmetrized().full(),
         state.t + 1,
+        y,
+        y_pred,
+        block_conjugate(p_xy, pt_xy),
+        AugmentedMatrix(s, st).symmetrized(),
     )
-    return wl_update(predicted, y, y_pred, AugmentedMatrix(p_xy, pt_xy), AugmentedMatrix(s, st).symmetrized())
+    return report
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:

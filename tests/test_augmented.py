@@ -42,6 +42,22 @@ def test_transform_inverse_is_half_hermitian():
     assert np.max(np.abs(np.linalg.inv(t) - t.conj().T / 2)) <= 1e-14
 
 
+def test_transform_is_built_once_and_read_only():
+    t = build_transform(3)
+    assert build_transform(3) is t
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 2.0
+
+
+def test_full_matches_block_reference_for_rectangular_blocks():
+    rng = np.random.default_rng(5)
+    m1 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    m2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    reference = np.block([[m1, m2], [np.conj(m2), np.conj(m1)]])
+    assert np.array_equal(AugmentedMatrix(m1, m2).full(), reference)
+
+
 def test_real_to_augmented_basic():
     v = real_to_augmented([1.0, 2.0])
     assert v.top == pytest.approx([1 + 2j])

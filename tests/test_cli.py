@@ -2,11 +2,14 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wlckf import cli
-from wlckf.augmented import AugmentedVector
+from wlckf.augmented import AugmentedVector, augmented_to_real, augmented_to_real_matrix
 from wlckf.cli import main
+from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
+from wlckf.stats import substream
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +60,27 @@ def test_equivalence_proper_mode_checks_ckf(tmp_path, monkeypatch):
         for row in rows:
             assert float(row[4]) < 1e-12 and float(row[5]) < 1e-12
             assert float(row[6]) > 1e-7
+
+
+def test_equivalence_trial_matches_per_step_deviations():
+    seed, trial, n, horizon = 3, 1, 2, 15
+    e, f, g, q, r, pi = cli.random_real_model(substream(seed, trial), n, n, proper=True)
+    model = model_from_real(e, f, g, q, r, pi)
+    _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
+    refs = real_kf_run(e, f, g, q, r, pi, [np.concatenate([y.real, y.imag]) for y in meas])
+
+    def per_step(reports):
+        est_dev = cov_dev = 0.0
+        for rep, ref in zip(reports, refs, strict=True):
+            est = augmented_to_real(rep.state.estimate)
+            cov = augmented_to_real_matrix(rep.state.cov, "covariance")
+            est_dev = max(est_dev, float(np.max(np.abs(est - ref.mean))) / max(1.0, float(np.max(np.abs(ref.mean)))))
+            cov_dev = max(cov_dev, float(np.max(np.abs(cov - ref.cov))) / max(1.0, float(np.max(np.abs(ref.cov)))))
+        return est_dev, cov_dev
+
+    est_dev, cov_dev, ckf_dev = cli.equivalence_trial(seed, trial, n, n, horizon, proper=True)
+    assert (est_dev, cov_dev) == per_step(wlckf_run(model, meas))
+    assert ckf_dev == max(per_step(ckf_run(model, meas)))
 
 
 def test_equivalence_exit_one_on_threshold(tmp_path):
@@ -117,6 +141,9 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("phase-demod", [], {"traj_snr": "a"}),
         ("equivalence", [], {"seed": True}),
         ("equivalence", [], {"proper": "false"}),
+        ("equivalence", [], {"state_dim": 1.5, "trials": 2.7}),
+        ("phase-demod", [], {"runs": 2.5}),
+        ("mse-sweep", [], {"max_iter": 10.0}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -126,6 +153,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "mse-sweep-panel-one-number", "mse-sweep-panel-text", "mse-sweep-tol-negative", "mse-sweep-tol-zero",
         "snr-list-text", "r-snr-text", "traj-snr-text",
         "equivalence-seed-bool", "equivalence-proper-text",
+        "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):

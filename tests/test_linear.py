@@ -240,6 +240,42 @@ def test_run_initial_update_consumes_time_zero_measurement():
         assert np.max(np.abs(augmented_to_real(rep.state.estimate) - ref.mean)) < 1e-10
 
 
+def _assert_same_report(a, b):
+    for x, y in (
+        (a.predicted.estimate.top, b.predicted.estimate.top),
+        (a.predicted.estimate.bottom, b.predicted.estimate.bottom),
+        (a.predicted.cov.m1, b.predicted.cov.m1),
+        (a.predicted.cov.m2, b.predicted.cov.m2),
+        (a.innovation.top, b.innovation.top),
+        (a.innovation.bottom, b.innovation.bottom),
+        (a.innovation_cov.m1, b.innovation_cov.m1),
+        (a.innovation_cov.m2, b.innovation_cov.m2),
+        (a.gain.m1, b.gain.m1),
+        (a.gain.m2, b.gain.m2),
+        (a.state.estimate.top, b.state.estimate.top),
+        (a.state.estimate.bottom, b.state.estimate.bottom),
+        (a.state.cov.m1, b.state.cov.m1),
+        (a.state.cov.m2, b.state.cov.m2),
+    ):
+        assert np.array_equal(x, y)
+    assert (a.predicted.t, a.state.t, a.singular_innovation) == (b.predicted.t, b.state.t, b.singular_innovation)
+
+
+@pytest.mark.parametrize("initial_update", [False, True])
+def test_run_is_the_public_predict_update_loop(initial_update):
+    e, f, g, q, r, pi = random_composite(20, n=3, m=2)
+    model = model_from_real(e, f, g, q, r, pi)
+    _, meas = simulate_linear(model, 12, substream(20, 0))
+    init = FilterState(AugmentedVector.from_complex(np.array([1 - 1j, 0.5j, 2.0])), model.Pi0, 3)
+    reports = wlckf_run(model, meas, init=init, initial_update=initial_update)
+    state = init
+    for k, (rep, y) in enumerate(zip(reports, meas, strict=True)):
+        predicted = state if k == 0 and initial_update else wlckf_predict(state, model)
+        step = wlckf_update(predicted, y, model)
+        _assert_same_report(rep, step)
+        state = step.state
+
+
 def test_gain_normal_equation_residual():
     e, f, g, q, r, pi = random_composite(8)
     model = model_from_real(e, f, g, q, r, pi)

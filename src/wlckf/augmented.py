@@ -149,10 +149,6 @@ class AugmentedMatrix:
         """Hermitian transpose; stays inside the block pattern."""
         return AugmentedMatrix(self.m1.conj().T, self.m2.T)
 
-    def symmetrized(self) -> "AugmentedMatrix":
-        """Project onto Hermitian M1 and symmetric M2 (covariance cleanup)."""
-        return AugmentedMatrix((self.m1 + self.m1.conj().T) / 2, (self.m2 + self.m2.T) / 2)
-
     def __add__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
         return AugmentedMatrix(self.m1 + other.m1, self.m2 + other.m2)
 
@@ -181,18 +177,18 @@ class AugmentedMatrix:
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.m1), initial=0.0), np.max(np.abs(self.m2), initial=0.0)))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the full matrix (Hermitian full assumed), ascending."""
-        return np.linalg.eigvalsh(self.full())
-
-    def check_covariance(self, tol: float = CONJ_TOL) -> "AugmentedMatrix":
-        """Require Hermitian M1, symmetric M2, and a PSD full matrix."""
+    def check_blocks(self, tol: float = CONJ_TOL) -> "AugmentedMatrix":
+        """Require the covariance block symmetries: Hermitian M1 and symmetric M2."""
         scale = max(1.0, self.max_abs())
         if np.max(np.abs(self.m1 - self.m1.conj().T), initial=0.0) > tol * scale:
             raise ConsistencyError("covariance block M1 is not Hermitian")
         if np.max(np.abs(self.m2 - self.m2.T), initial=0.0) > tol * scale:
             raise ConsistencyError("covariance block M2 is not symmetric")
-        w = self.eigenvalues()
+        return self
+
+    def check_covariance(self, tol: float = CONJ_TOL) -> "AugmentedMatrix":
+        """Require Hermitian M1, symmetric M2, and a PSD full matrix."""
+        w = np.linalg.eigvalsh(self.check_blocks(tol).full())
         if w[0] < -tol * max(1.0, float(abs(w[-1]))):
             raise NotPSDError("augmented covariance is not positive semidefinite")
         return self
@@ -296,21 +292,19 @@ def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, flo
     return p + mag, max(p - mag, 0.0)
 
 
-def solve_right(b: AugmentedMatrix, a: AugmentedMatrix, rcond: float = 1e-12) -> tuple[AugmentedMatrix, bool]:
+def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple[np.ndarray, bool]:
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
-    Returns (X, used_least_squares). Only the top block row [X1, X2] is
-    solved for, from the top block row of ``b`` against the full ``a``,
-    which keeps the solution on the block pattern exactly.
+    ``b_top`` is the top block row [B1, B2] of ``b`` and ``a`` the full
+    augmented array. Returns the top block row [X1, X2] of X and whether
+    the least-squares fallback was used. Solving for the top block row
+    alone keeps X on the block pattern exactly; :func:`block_conjugate`
+    completes it.
     """
-    af = a.full()
-    b_top = np.concatenate([b.m1, b.m2], axis=1)
-    sv = np.linalg.svd(af, compute_uv=False)
+    sv = np.linalg.svd(a, compute_uv=False)
     singular = sv[0] == 0 or sv[-1] <= rcond * sv[0]
     if singular:
-        xt, *_ = np.linalg.lstsq(af.T, b_top.T, rcond=None)
-        x = xt.T
+        xt, *_ = np.linalg.lstsq(a.T, b_top.T, rcond=None)
     else:
-        x = np.linalg.solve(af.T, b_top.T).T
-    m = a.block_shape[0]
-    return AugmentedMatrix(x[:, :m], x[:, m:]), bool(singular)
+        xt = np.linalg.solve(a.T, b_top.T)
+    return xt.T, bool(singular)

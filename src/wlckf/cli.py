@@ -164,6 +164,12 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         isinstance(cfg["panels"], list) and all(_is_number_list(p) and len(p) == 2 for p in cfg["panels"])
     ):
         raise ConfigError("panels must be a list of [N1_db, N2_db] pairs of numbers")
+    # Linear noise powers: 10^(N/10) for the mse-sweep panels, 10^(-SNR/10) for phase-demod.
+    snrs = [*cfg.get("snr_list", []), *(cfg[key] for key in ("r_snr", "traj_snr") if key in cfg)]
+    with np.errstate(over="ignore"):
+        powers = np.power(10.0, np.concatenate([np.ravel(cfg.get("panels", [])), np.negative(snrs)]) / 10.0)
+    if not np.isfinite(powers).all():
+        raise ConfigError("dB setting out of range: its linear power overflows")
     if "tol" in cfg and cfg["tol"] <= 0:
         raise ConfigError("tol must be > 0")
     if command == "phase-demod":
@@ -250,9 +256,9 @@ def cmd_equivalence(cfg: dict) -> int:
         est_dev, cov_dev, ckf_dev = equivalence_trial(
             cfg["seed"], trial, int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"]), cfg["proper"]
         )
-        worst = max(worst, est_dev, cov_dev)
-        if cfg["proper"] and not np.isnan(ckf_dev):
-            worst = max(worst, ckf_dev)
+        gated = (est_dev, cov_dev, ckf_dev) if cfg["proper"] else (est_dev, cov_dev)
+        # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
+        worst = float(np.max([worst, *gated]))
         rows.append([trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], est_dev, cov_dev, ckf_dev])
     write_rows(
         Path(cfg["out"]),

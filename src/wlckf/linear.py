@@ -185,15 +185,16 @@ def _covariance(top: np.ndarray) -> np.ndarray:
     return (full + full.conj().T) / 2
 
 
-def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
-    """Filter state holding copies of the top block rows of x and p.
+def _blocks(top: np.ndarray) -> AugmentedMatrix:
+    """Copies of the blocks of a top block row [M1, M2], so a report keeps no full array."""
+    cols = top.shape[1] // 2
+    return AugmentedMatrix(top[:, :cols].copy(), top[:, cols:].copy())
 
-    Copies, not views, so that a kept report does not keep the full arrays.
-    """
+
+def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
+    """Filter state holding copies of the top block rows of x and p."""
     n = x.shape[0] // 2
-    return FilterState(
-        AugmentedVector(x[:n].copy(), x[n:].copy()), AugmentedMatrix(p[:n, :n].copy(), p[:n, n:].copy()), t
-    )
+    return FilterState(AugmentedVector(x[:n].copy(), x[n:].copy()), _blocks(p[:n]), t)
 
 
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +213,7 @@ def _update(x: np.ndarray, p: np.ndarray, t: int, y, maps: _Maps) -> tuple[StepR
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
     s = _covariance(c_top @ p @ maps.c_h + maps.r[:m])
-    s_cov = AugmentedMatrix(s[:m, :m].copy(), s[:m, m:].copy())
-    return wl_update(x, p, t, y, c_top @ x, p @ maps.c_h, s_cov, joseph=(maps.c, maps.r))
+    return wl_update(x, p, t, y, c_top @ x, p @ maps.c_h, s, joseph=(maps.c, maps.r))
 
 
 def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
@@ -231,7 +231,7 @@ def wl_update(
     y,
     y_pred: np.ndarray,
     cross: np.ndarray,
-    s_cov: AugmentedMatrix,
+    s: np.ndarray,
     joseph: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[StepReport, np.ndarray, np.ndarray]:
     """Widely linear measurement update shared by the linear and unscented filters.
@@ -239,8 +239,9 @@ def wl_update(
     Works on full augmented arrays: ``x`` and ``p`` are the predicted
     estimate [x; x*] and covariance at time ``t``, ``y_pred`` the predicted
     measurement, ``cross`` the state/measurement cross covariance P_xy and
-    ``s_cov`` the innovation covariance S. The gain solves K S = P_xy
-    (least squares when S is singular, flagged on the report). With
+    ``s`` the innovation covariance S. The gain solves K S = P_xy for the
+    top block row of K (least squares when S is singular, flagged on the
+    report), which :func:`wlckf.augmented.block_conjugate` completes. With
     ``joseph = (C, R)``, the measurement map and noise of a linear model,
     the posterior covariance is the Joseph form
     (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite
@@ -255,8 +256,8 @@ def wl_update(
     if y.shape != y_pred.shape:
         raise DimensionError("measurement dimension does not match the model")
     n, m = x.shape[0] // 2, y.shape[0]
-    gain, singular = solve_right(AugmentedMatrix(cross[:n, :m], cross[:n, m:]), s_cov)
-    k = gain.full()
+    gain, singular = solve_right(cross[:n], s)
+    k = block_conjugate(gain[:, :m], gain[:, m:])
     k_top = k[:n]
     innovation = AugmentedVector.from_complex(y - y_pred)
     top = x[:n] + k_top @ innovation.full()
@@ -271,8 +272,8 @@ def wl_update(
     report = StepReport(
         predicted=_state(x, p, t),
         innovation=innovation,
-        innovation_cov=s_cov,
-        gain=gain,
+        innovation_cov=_blocks(s[:m]),
+        gain=_blocks(k_top),
         state=_state(x_post, p_post, t),
         singular_innovation=singular,
     )

@@ -1,8 +1,9 @@
 """Unscented filtering for improper complex states and noises.
 
 The key construction: sigma points for a complex random vector are built
-in the real composite domain from the full augmented covariance and mapped
-back to complex points. The resulting weighted point set carries the mean,
+from the real composite factor of the full augmented covariance, the one
+improper Gaussian sampling uses (:func:`wlckf.stats.composite_factor`), and
+mapped back to complex points. The weighted point set carries the mean,
 the Hermitian covariance and the complementary covariance, so propagating
 it through a nonlinearity keeps the complete second-order description.
 Sigma points built from the Hermitian covariance alone (the conventional
@@ -12,11 +13,11 @@ a negative control.
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
-innovation and cross covariances in augmented form. The gain and the
-posterior then come from the WLCKF's own widely linear update,
-:func:`wlckf.linear.wl_update`, on full augmented arrays. The posterior
-covariance stays P - K P_xy^H: the Joseph form the linear filter uses
-needs a linear measurement map, which this model does not have.
+innovation and cross covariances as full augmented arrays. The gain and
+the posterior then come from the WLCKF's own widely linear update,
+:func:`wlckf.linear.wl_update`. The posterior covariance stays P - K P_xy^H:
+the Joseph form the linear filter uses needs a linear measurement map,
+which this model does not have.
 A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
@@ -27,12 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .augmented import AugmentedMatrix, AugmentedVector, block_conjugate, psd_sqrt
+from .augmented import AugmentedVector, block_conjugate, psd_sqrt
 # solve_right is unused here; bench/spans.py still rebinds it in this module.
 from .augmented import solve_right  # noqa: F401
 from .errors import DimensionError
-from .linear import FilterState, StepReport, wl_update
-from .stats import SecondOrderStats, validate
+from .linear import FilterState, StepReport, _covariance, wl_update
+from .stats import SecondOrderStats, composite_factor, validate
 
 
 @dataclass
@@ -96,12 +97,16 @@ def real_sigma_points(mu, cov, params: UTParams = UTParams()) -> SigmaPointSet:
     """
     mu = np.asarray(mu, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    dim = mu.shape[0]
-    if cov.shape != (dim, dim):
+    if cov.shape != (mu.shape[0], mu.shape[0]):
         raise DimensionError("covariance shape does not match the mean")
+    return _sigma_points(mu, psd_sqrt(cov), params)
+
+
+def _sigma_points(mu: np.ndarray, b: np.ndarray, params: UTParams) -> SigmaPointSet:
+    """The 2L+1 points mu and mu +- sqrt(L + lambda) b_i over the columns b_i of a factor."""
+    dim = mu.shape[0]
     w_mean, w_cov = params.weights(dim)
     spread = np.sqrt(dim + params.lam(dim))
-    b = psd_sqrt(cov)
     points = np.empty((2 * dim + 1, dim))
     points[0] = mu
     points[1 : dim + 1] = mu + spread * b.T
@@ -116,20 +121,17 @@ def complex_sigma_points(
 ) -> SigmaPointSet:
     """Sigma points of a complex random vector as complex points.
 
-    With ``preserve_complementary`` the points are built from the real
-    composite form of the full augmented statistics, so their weighted
-    moments match mean, Hermitian covariance and complementary covariance.
-    Without it the complementary covariance is treated as zero before the
-    construction, reproducing the conventional proper-assuming points that
-    carry the mean and Hermitian covariance only.
+    With ``preserve_complementary`` the points come from the factor of
+    :func:`wlckf.stats.composite_factor`, so their weighted moments match
+    mean, Hermitian covariance and complementary covariance. Without it the
+    statistics are validated, then their complementary covariance is treated
+    as zero, reproducing the conventional proper-assuming points that carry
+    the mean and Hermitian covariance only.
     """
-    validate(stats)
-    if preserve_complementary:
-        source = stats
-    else:
-        source = SecondOrderStats(stats.mean, stats.hermitian_cov, np.zeros_like(stats.hermitian_cov))
-    mu_z, cov_z = source.composite()
-    composite = real_sigma_points(mu_z, cov_z, params)
+    if not preserve_complementary:
+        validate(stats)
+        stats = SecondOrderStats(stats.mean, stats.hermitian_cov)
+    composite = _sigma_points(*composite_factor(stats), params)
     n = stats.n
     complex_points = composite.points[:, :n] + 1j * composite.points[:, n:]
     return SigmaPointSet(complex_points, composite.w_mean, composite.w_cov)
@@ -185,9 +187,9 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     Joint sigma points of [state; driving noise; measurement noise] are
     generated with the full augmented statistics, the state parts pass
     through the transition and then the measurement map, and predicted,
-    innovation and cross second moments are assembled in augmented form.
-    From there the update is the WLCKF's, :func:`wlckf.linear.wl_update`,
-    on full augmented arrays: the gain solves against the augmented
+    innovation and cross second moments are assembled as full augmented
+    arrays, symmetrized like the linear filter's. From there the update is
+    :func:`wlckf.linear.wl_update`: the gain solves against the augmented
     innovation covariance (least squares when singular, flagged) and the
     posterior is P - K P_xy^H, symmetrized.
     """
@@ -211,23 +213,14 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     y_pred = wm @ ys
     dx = xs_next - x_pred
     dy = ys - y_pred
-    wdx = wc[:, None] * dx
-    p_pred = wdx.T @ np.conj(dx)
-    pt_pred = wdx.T @ dx
-    s = (wc[:, None] * dy).T @ np.conj(dy)
-    st = (wc[:, None] * dy).T @ dy
-    p_xy = wdx.T @ np.conj(dy)
-    pt_xy = wdx.T @ dy
+    wdx, wdy = wc[:, None] * dx, wc[:, None] * dy
+    # Top block rows [M, M~] of the predicted and innovation covariances, and the full cross covariance.
+    p_top = np.concatenate([wdx.T @ np.conj(dx), wdx.T @ dx], axis=1)
+    s_top = np.concatenate([wdy.T @ np.conj(dy), wdy.T @ dy], axis=1)
+    cross = block_conjugate(wdx.T @ np.conj(dy), wdx.T @ dy)
 
-    report, _, _ = wl_update(
-        np.concatenate([x_pred, np.conj(x_pred)]),
-        AugmentedMatrix(p_pred, pt_pred).symmetrized().full(),
-        state.t + 1,
-        y,
-        y_pred,
-        block_conjugate(p_xy, pt_xy),
-        AugmentedMatrix(s, st).symmetrized(),
-    )
+    x = np.concatenate([x_pred, np.conj(x_pred)])
+    report, _, _ = wl_update(x, _covariance(p_top), state.t + 1, y, y_pred, cross, _covariance(s_top))
     return report
 
 

@@ -83,6 +83,32 @@ def test_equivalence_trial_matches_per_step_deviations():
     assert ckf_dev == max(per_step(ckf_run(model, meas)))
 
 
+def test_equivalence_nan_deviation_fails_gate(tmp_path, monkeypatch):
+    def nan_estimates(run):
+        def patched(model, measurements):
+            return [
+                replace(rep, state=replace(rep.state, estimate=AugmentedVector.from_complex(rep.state.estimate.top * np.nan)))
+                for rep in run(model, measurements)
+            ]
+
+        return patched
+
+    out = tmp_path / "eq.csv"
+    args = ["equivalence", "--trials", "2", "--horizon", "5", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "wlckf_run", nan_estimates(wlckf_run))
+        assert main(args) == 1
+    _, rows = read_rows(out)
+    assert [row[4] for row in rows] == ["nan", "nan"]
+
+    # ckf_dev is gated only under --proper, and a NaN there fails it too.
+    monkeypatch.setattr(cli, "ckf_run", nan_estimates(ckf_run))
+    assert main(args) == 0
+    assert main([*args, "--proper"]) == 1
+    _, rows = read_rows(out)
+    assert [row[6] for row in rows] == ["nan", "nan"]
+
+
 def test_equivalence_exit_one_on_threshold(tmp_path):
     out = tmp_path / "eq.csv"
     code = main(["equivalence", "--trials", "2", "--horizon", "10", "--max-dev", "0", "--out", str(out)])
@@ -144,6 +170,10 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("equivalence", [], {"state_dim": 1.5, "trials": 2.7}),
         ("phase-demod", [], {"runs": 2.5}),
         ("mse-sweep", [], {"max_iter": 10.0}),
+        ("phase-demod", ["--r-snr", "-4000"], None),
+        ("phase-demod", [], {"snr_list": [0.0, -4000.0]}),
+        ("phase-demod", [], {"traj_snr": -4000.0}),
+        ("mse-sweep", [], {"panels": [[4000, -20]]}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -154,6 +184,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "snr-list-text", "r-snr-text", "traj-snr-text",
         "equivalence-seed-bool", "equivalence-proper-text",
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
+        "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
-from wlckf.errors import DimensionError
+from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run, wlckf_update
-from wlckf.stats import SecondOrderStats, substream
+from wlckf.stats import SecondOrderStats, composite_factor, sample, substream
 from wlckf.unscented import (
     NonlinearModel,
     SigmaPointSet,
@@ -164,6 +164,47 @@ def test_proper_assuming_points_miss_complementary_covariance():
     assert miss >= 0.9 * norm
     # the Hermitian covariance is still carried
     assert np.max(np.abs(rec.hermitian_cov - stats.hermitian_cov)) < 1e-10
+
+
+# --- the factor route: composite_factor, sample and the complex sigma points ------
+
+FACTOR_ROUTES = {
+    "composite_factor": composite_factor,
+    "sample": lambda stats: sample(stats, 3, np.random.default_rng(0)),
+    "sigma_points": complex_sigma_points,
+    "proper_sigma_points": lambda stats: complex_sigma_points(stats, preserve_complementary=False),
+}
+
+
+@pytest.mark.parametrize("route", FACTOR_ROUTES.values(), ids=FACTOR_ROUTES.keys())
+@pytest.mark.parametrize(
+    "m1, m2, error, match",
+    [
+        ([[1.0, 0.5], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "M1 is not Hermitian"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.3], [0.0, 0.0]], ConsistencyError, "M2 is not symmetric"),
+        ([[1.0]], [[1.5]], NotPSDError, None),
+    ],
+    ids=["non-hermitian-m1", "asymmetric-m2", "excess-complementary"],
+)
+def test_factor_route_rejects_invalid_statistics(route, m1, m2, error, match):
+    stats = SecondOrderStats(np.zeros(len(m1)), m1, m2)
+    with pytest.raises(error, match=match):
+        route(stats)
+
+
+def test_factor_route_decomposes_once(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    stats = random_stats(4, 3)
+    for call in (lambda: complex_sigma_points(stats), lambda: sample(stats, 5, np.random.default_rng(0))):
+        counts.update(eigh=0, eigvalsh=0)
+        call()
+        assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
 # --- unscented widely linear filter ----------------------------------------------

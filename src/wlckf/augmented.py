@@ -24,13 +24,16 @@ CONJ_TOL = 1e-9
 
 
 def block_conjugate(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The full array [[M1, M2], [M2*, M1*]] of the block pair (M1, M2)."""
-    rows, cols = m1.shape
-    full = np.empty((2 * rows, 2 * cols), dtype=complex)
-    full[:rows, :cols] = m1
-    full[:rows, cols:] = m2
-    np.conjugate(m2, out=full[rows:, :cols])
-    np.conjugate(m1, out=full[rows:, cols:])
+    """The full array [[M1, M2], [M2*, M1*]] of the block pair (M1, M2).
+
+    Leading axes of ``m1`` and ``m2`` are batch axes: each slice is completed.
+    """
+    rows, cols = m1.shape[-2:]
+    full = np.empty((*m1.shape[:-2], 2 * rows, 2 * cols), dtype=complex)
+    full[..., :rows, :cols] = m1
+    full[..., :rows, cols:] = m2
+    np.conjugate(m2, out=full[..., rows:, :cols])
+    np.conjugate(m1, out=full[..., rows:, cols:])
     return full
 
 
@@ -80,12 +83,6 @@ class AugmentedVector:
     def conjugate_defect(self) -> float:
         """Max abs deviation of bottom from conj(top)."""
         return float(np.max(np.abs(self.bottom - np.conj(self.top)), initial=0.0))
-
-    def check(self, tol: float = CONJ_TOL) -> "AugmentedVector":
-        scale = max(1.0, float(np.max(np.abs(self.top), initial=0.0)))
-        if self.conjugate_defect() > tol * scale:
-            raise ConsistencyError("augmented vector is not conjugate symmetric")
-        return self
 
     def __add__(self, other: "AugmentedVector") -> "AugmentedVector":
         return AugmentedVector(self.top + other.top, self.bottom + other.bottom)
@@ -205,8 +202,23 @@ def real_to_augmented(z) -> AugmentedVector:
 
 def augmented_to_real(x: AugmentedVector, tol: float = CONJ_TOL) -> np.ndarray:
     """Inverse of :func:`real_to_augmented`; rejects non-conjugate-symmetric input."""
-    x.check(tol)
-    return np.concatenate([x.top.real, x.top.imag])
+    return full_to_real(x.full(), tol)
+
+
+def full_to_real(x: np.ndarray, tol: float = CONJ_TOL) -> np.ndarray:
+    """Real composite [u; v] of full augmented vectors [x; x*] along the last axis.
+
+    Leading axes are batch axes. A vector whose bottom half deviates from
+    the conjugate of its top half by more than ``tol`` (relative to
+    max(1, max |top|)) raises ConsistencyError.
+    """
+    n = x.shape[-1] // 2
+    top = x[..., :n]
+    scale = np.maximum(1.0, np.max(np.abs(top), axis=-1, initial=0.0))
+    defect = np.max(np.abs(x[..., n:] - np.conj(top)), axis=-1, initial=0.0)
+    if np.any(defect > tol * scale):
+        raise ConsistencyError("augmented vector is not conjugate symmetric")
+    return np.concatenate([top.real, top.imag], axis=-1)
 
 
 def _check_mode(mode: str) -> None:
@@ -239,12 +251,22 @@ def augmented_to_real_matrix(m: AugmentedMatrix, mode: str, tol: float = CONJ_TO
     An imaginary residue above ``tol`` (relative) means the input did not
     come from a real composite matrix and raises ConsistencyError.
     """
+    return full_to_real_matrix(m.full(), mode, tol)
+
+
+def full_to_real_matrix(full: np.ndarray, mode: str, tol: float = CONJ_TOL) -> np.ndarray:
+    """Composite-space form of full augmented arrays; leading axes are batch axes.
+
+    The array form of :func:`augmented_to_real_matrix`: each matrix's
+    imaginary residue is checked against ``tol`` relative to its own
+    largest entry.
+    """
     _check_mode(mode)
-    rows, cols = m.block_shape
-    out = build_transform(rows).conj().T @ m.full() @ build_transform(cols)
+    rows, cols = full.shape[-2] // 2, full.shape[-1] // 2
+    out = build_transform(rows).conj().T @ full @ build_transform(cols)
     out = out / 2 if mode == "system" else out / 4
-    scale = max(1.0, float(np.max(np.abs(out), initial=0.0)))
-    if np.max(np.abs(out.imag), initial=0.0) > tol * scale:
+    scale = np.maximum(1.0, np.max(np.abs(out), axis=(-2, -1), initial=0.0))
+    if np.any(np.max(np.abs(out.imag), axis=(-2, -1), initial=0.0) > tol * scale):
         raise ConsistencyError("imaginary residue too large; matrix has no real composite form")
     return out.real
 
@@ -292,7 +314,7 @@ def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, flo
     return p + mag, max(p - mag, 0.0)
 
 
-def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple[np.ndarray, bool]:
+def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
     ``b_top`` is the top block row [B1, B2] of ``b`` and ``a`` the full
@@ -300,11 +322,24 @@ def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple
     the least-squares fallback was used. Solving for the top block row
     alone keeps X on the block pattern exactly; :func:`block_conjugate`
     completes it.
+
+    Leading axes of ``b_top`` and ``a`` are batch axes, and the flag has
+    their shape. A member of the batch counts as singular when its
+    smallest singular value is at most ``rcond`` times its largest; the
+    others are solved in one LU call, and each singular member alone by
+    least squares, so every member gets the bits it would get unbatched.
     """
     sv = np.linalg.svd(a, compute_uv=False)
-    singular = sv[0] == 0 or sv[-1] <= rcond * sv[0]
-    if singular:
-        xt, *_ = np.linalg.lstsq(a.T, b_top.T, rcond=None)
-    else:
-        xt = np.linalg.solve(a.T, b_top.T)
-    return xt.T, bool(singular)
+    singular = (sv[..., 0] == 0) | (sv[..., -1] <= rcond * sv[..., 0])
+    a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b_top, -1, -2)
+    if not singular.any():
+        return np.swapaxes(np.linalg.solve(a_t, b_t), -1, -2), singular
+    a_t = a_t.reshape(-1, *a_t.shape[-2:])
+    b_t = b_t.reshape(-1, *b_t.shape[-2:])
+    flags = singular.reshape(-1)
+    xt = np.empty(b_t.shape, dtype=np.result_type(a_t, b_t))
+    if not flags.all():
+        xt[~flags] = np.linalg.solve(a_t[~flags], b_t[~flags])
+    for i in np.flatnonzero(flags):
+        xt[i] = np.linalg.lstsq(a_t[i], b_t[i], rcond=None)[0]
+    return np.swapaxes(xt, -1, -2).reshape(b_top.shape), singular

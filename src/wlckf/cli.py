@@ -21,11 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import mse, phase
-from .augmented import AugmentedMatrix, augmented_to_real, augmented_to_real_matrix
-from .linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
+from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real, full_to_real_matrix
+from .errors import WlckfError
+from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear, wlckf_batch
+# ckf_run, real_kf_run and wlckf_run are unused here; bench/spans.py still rebinds them in this module.
+from .linear import ckf_run, real_kf_run, wlckf_run  # noqa: F401
 from .stats import substream
 
 _COMMON_DEFAULTS = {"seed": 0, "format": "csv"}
+
+# Trials of `equivalence` that run as one batch; bounds memory for any --trials.
+TRIAL_BATCH = 64
 
 _DEFAULTS = {
     "equivalence": {
@@ -221,45 +227,86 @@ def random_real_model(rng: np.random.Generator, n: int, m: int, proper: bool = F
     return e, f, g, q, r, pi
 
 
-def equivalence_trial(seed: int, trial: int, n: int, m: int, horizon: int, proper: bool):
-    """Run one randomized agreement trial; returns max relative deviations."""
-    rng = substream(seed, trial)
-    e, f, g, q, r, pi = random_real_model(rng, n, m, proper)
-    model = model_from_real(e, f, g, q, r, pi)
-    _, measurements = simulate_linear(model, horizon, substream(seed, trial, 1))
-    meas_real = [np.concatenate([y.real, y.imag]) for y in measurements]
-    real_steps = real_kf_run(e, f, g, q, r, pi, meas_real)
-    ref_mean = np.array([ref.mean for ref in real_steps])
-    ref_cov = np.array([ref.cov for ref in real_steps])
-    scale_e = np.maximum(1.0, np.abs(ref_mean).max(axis=1))
-    scale_c = np.maximum(1.0, np.abs(ref_cov).max(axis=(1, 2)))
+def _stack(arrays) -> np.ndarray:
+    """Stack one composite matrix of each trial in the layout the trials hold it in.
 
-    def deviations(reports):
-        """Worst deviation over the steps, each relative to max(1, largest oracle entry)."""
-        est = np.array([augmented_to_real(rep.state.estimate) for rep in reports])
-        cov = np.array([augmented_to_real_matrix(rep.state.cov, "covariance") for rep in reports])
-        est_dev = np.abs(est - ref_mean).max(axis=1) / scale_e
-        cov_dev = np.abs(cov - ref_cov).max(axis=(1, 2)) / scale_c
-        return float(est_dev.max()), float(cov_dev.max())
+    ``random_real_model`` returns some matrices as strided ``.real`` views
+    of complex arrays. numpy's matmul takes a non-BLAS loop on those, and
+    it rounds apart from the BLAS loop a contiguous stack would take, so
+    such matrices are stacked as the real part of a complex stack.
+    """
+    stacked = np.stack(arrays)
+    return stacked if arrays[0].flags.c_contiguous else stacked.astype(complex).real
 
-    est_dev, cov_dev = deviations(wlckf_run(model, measurements))
+
+def _batch_deviations(models, reals, measurements, proper: bool) -> np.ndarray:
+    """Per-trial (est_dev, cov_dev, ckf_dev) of trials whose matrices share one memory layout.
+
+    The filters run one step at a time, side by side, and only running
+    per-trial maxima are kept.
+    """
+    meas_real = np.concatenate([measurements.real, measurements.imag], axis=-1)
+    real = real_kf_batch(*(_stack(arrays) for arrays in zip(*reals)), meas_real)
+    filters = [wlckf_batch(models, measurements)]
+    if proper:
+        filters.append(ckf_batch(models, measurements))
+    worst = np.zeros((len(filters), 2, len(models)))
+    for (ref_mean, ref_cov), *posteriors in zip(real, *filters):
+        # Each deviation is relative to max(1, largest oracle entry) at its step.
+        scale_e = np.maximum(1.0, np.abs(ref_mean).max(axis=-1))
+        scale_c = np.maximum(1.0, np.abs(ref_cov).max(axis=(-2, -1)))
+        for i, (x, p) in enumerate(posteriors):
+            est_dev = np.abs(full_to_real(x) - ref_mean).max(axis=-1) / scale_e
+            cov_dev = np.abs(full_to_real_matrix(p, "covariance") - ref_cov).max(axis=(-2, -1)) / scale_c
+            np.maximum(worst[i], [est_dev, cov_dev], out=worst[i])
     # The strictly linear filter is checked against the same real oracle,
     # in estimate and covariance.
-    ckf_dev = max(deviations(ckf_run(model, measurements))) if proper else float("nan")
-    return est_dev, cov_dev, ckf_dev
+    ckf_dev = np.maximum(*worst[1]) if proper else np.full(len(models), np.nan)
+    return np.stack([*worst[0], ckf_dev], axis=-1)
+
+
+def equivalence_trial(seed: int, trials, n: int, m: int, horizon: int, proper: bool):
+    """Run randomized agreement trials as one batch; returns per-trial max relative deviations.
+
+    Trial k draws its model from ``substream(seed, k)`` and its trajectory
+    from ``substream(seed, k, 1)``. Returns three arrays over ``trials``:
+    the widely linear filter's deviation from the real oracle in estimate
+    and in covariance, and, with ``proper``, the strictly linear filter's
+    worse deviation of the two (NaN otherwise). Each trial's numbers do
+    not depend on which other trials share its batch.
+    """
+    models, reals, measurements = [], [], []
+    for trial in trials:
+        real = random_real_model(substream(seed, trial), n, m, proper)
+        model = model_from_real(*real)
+        _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
+        models.append(model)
+        reals.append(real)
+        measurements.append(meas)
+    devs = np.empty((len(models), 3))
+    # Trials whose matrices differ in memory layout run as separate batches (see _stack).
+    layouts: dict[tuple, list[int]] = {}
+    for i, real in enumerate(reals):
+        layouts.setdefault(tuple(a.flags.c_contiguous for a in real), []).append(i)
+    for members in layouts.values():
+        devs[members] = _batch_deviations(
+            [models[i] for i in members],
+            [reals[i] for i in members],
+            np.stack([measurements[i] for i in members]),
+            proper,
+        )
+    return devs[:, 0], devs[:, 1], devs[:, 2]
 
 
 def cmd_equivalence(cfg: dict) -> int:
-    rows = []
-    worst = 0.0
-    for trial in range(int(cfg["trials"])):
-        est_dev, cov_dev, ckf_dev = equivalence_trial(
-            cfg["seed"], trial, int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"]), cfg["proper"]
-        )
-        gated = (est_dev, cov_dev, ckf_dev) if cfg["proper"] else (est_dev, cov_dev)
-        # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
-        worst = float(np.max([worst, *gated]))
-        rows.append([trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], est_dev, cov_dev, ckf_dev])
+    trials = int(cfg["trials"])
+    dims = int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"])
+    chunks = [range(start, min(start + TRIAL_BATCH, trials)) for start in range(0, trials, TRIAL_BATCH)]
+    devs = np.concatenate([np.column_stack(equivalence_trial(cfg["seed"], chunk, *dims, cfg["proper"])) for chunk in chunks])
+    gated = devs if cfg["proper"] else devs[:, :2]
+    # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
+    worst = float(np.max(gated, initial=0.0))
+    rows = [[trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], *dev] for trial, dev in enumerate(devs)]
     write_rows(
         Path(cfg["out"]),
         ["trial", "n", "m", "horizon", "estimate_dev", "cov_dev", "ckf_dev"],
@@ -281,9 +328,13 @@ def cmd_mse_sweep(cfg: dict) -> int:
         surface = {}
         for rho_w in cfg["rho_w"]:
             for rho_n in cfg["rho_n"]:
-                res = mse.noise_impropriety_gain(
-                    rho_w * w_dir, rho_n * n_dir, n1_db, n2_db, horizon=int(cfg["max_iter"]), tol=float(cfg["tol"])
-                )
+                try:
+                    res = mse.noise_impropriety_gain(
+                        rho_w * w_dir, rho_n * n_dir, n1_db, n2_db, horizon=int(cfg["max_iter"]), tol=float(cfg["tol"])
+                    )
+                except WlckfError as exc:
+                    print(f"config error: panel {[n1_db, n2_db]}: {exc}", file=sys.stderr)
+                    return 2
                 surface[(rho_w, rho_n)] = res.ratio
                 rows.append([rho_w, rho_n, n1_db, n2_db, res.ratio, res.iterations])
                 if res.ratio < 1 - 1e-9:
@@ -368,7 +419,8 @@ def cmd_phase_demod(cfg: dict) -> int:
         [t + 1, theta[t + 1], track.estimates[t], float(np.sqrt(max(track.variances[t], 0.0)))]
         for t in range(horizon)
     ]
-    write_rows(_with_suffix(out, "trajectory"), ["t", "theta", "theta_hat", "sqrt_p"], traj_rows, fmt)
+    traj_path, xi_path, r_path = (_with_suffix(out, tag) for tag in ("trajectory", "xi_snr", "r_rho"))
+    write_rows(traj_path, ["t", "theta", "theta_hat", "sqrt_p"], traj_rows, fmt)
 
     header = ["snr_db", "rho_abs", "runs", "xi_uwlckf", "xi_ukf", "r", "r_stderr", "seed"]
     max_imag = track.max_imag
@@ -377,20 +429,24 @@ def cmd_phase_demod(cfg: dict) -> int:
         res = phase.improvement_ratio(float(snr), float(cfg["xi_rho"]), runs, horizon, seed + 20_000 + i)
         max_imag = max(max_imag, res.max_imag)
         xi_rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
-    write_rows(_with_suffix(out, "xi_snr"), header, xi_rows, fmt)
+    write_rows(xi_path, header, xi_rows, fmt)
 
     r_rows = []
     for i, rho in enumerate(cfg["rho_list"]):
         res = phase.improvement_ratio(float(cfg["r_snr"]), float(rho), runs, horizon, seed + 30_000 + i)
         max_imag = max(max_imag, res.max_imag)
         r_rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
-    write_rows(_with_suffix(out, "r_rho"), header, r_rows, fmt)
+    write_rows(r_path, header, r_rows, fmt)
 
     ok = max_imag < 1e-9
     print(
         f"phase-demod: runs {runs}, horizon {horizon}, max |Im(estimate)| {max_imag:.3e}, "
         f"realness {'ok' if ok else 'VIOLATED'}"
     )
+    for path, rows in ((traj_path, traj_rows), (xi_path, xi_rows), (r_path, r_rows)):
+        if not np.isfinite(np.asarray(rows, dtype=float)).all():
+            print(f"phase-demod: non-finite values in {path}")
+            ok = False
     return 0 if ok else 1
 
 

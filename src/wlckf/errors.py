@@ -1,21 +1,25 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
+class WlckfError(ValueError):
+    """Base of the package's errors: each means an input the computation cannot take."""
+
+
+class DimensionError(WlckfError):
     """Inputs have inconsistent or invalid dimensions."""
 
 
-class ConsistencyError(ValueError):
+class ConsistencyError(WlckfError):
     """A structural invariant (conjugate symmetry, block pattern, symmetry) is violated."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(WlckfError):
     """A matrix required to be positive semidefinite is not."""
 
 
-class DegenerateError(ValueError):
+class DegenerateError(WlckfError):
     """A quantity is degenerate (zero variance, zero denominator)."""
 
 
-class UnsupportedModelError(ValueError):
+class UnsupportedModelError(WlckfError):
     """The model is outside what the requested filter supports."""

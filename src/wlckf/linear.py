@@ -27,6 +27,13 @@ P - K P_xy^H. ``real_kf_run`` uses the Joseph form too, in its own code.
 Every covariance is symmetrized, and the reports hold the top block rows
 of the arrays, so the block-conjugate pattern holds exactly.
 
+Every kernel accepts leading batch axes. Each filter has one
+predict/update loop, a generator over steps: ``wlckf_run`` runs it on one
+model and builds step reports from it, and ``wlckf_batch`` runs it on
+models of one size stacked along a batch axis and yields the posterior at
+each step, as do ``ckf_batch`` and ``real_kf_batch``. A batch member gets
+the same bits as its single run.
+
 Conventions: the innovation is measurement minus prediction, the run
 starts from a posterior at t = 0 (zero mean, initial covariance), and each
 measurement triggers predict-then-update. Passing ``initial_update=True``
@@ -37,17 +44,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import augmented
 from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
     block_conjugate,
     real_matrix_to_augmented,
-    solve_right,
 )
+# solve_right is called through the module: a batched update returns one
+# flag per member, which bench/spans.py's tracer, rebinding this name,
+# cannot read. The name stays bound here for the tracer.
+from .augmented import solve_right  # noqa: F401
 from .errors import DimensionError, UnsupportedModelError
 from .stats import SecondOrderStats, sample
 
@@ -158,8 +169,18 @@ def model_from_real(e, f, g, q_real, r_real, pi_real) -> WidelyLinearModel:
     )
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for stacks of matrices and vectors; the same BLAS call per member as a 2-d @ 1-d product."""
+    return (a @ x[..., None])[..., 0]
+
+
 class _Maps(NamedTuple):
-    """A linear model's full augmented arrays, formed once per run."""
+    """A linear model's full augmented arrays, formed once per run; leading axes are batch axes."""
 
     a: np.ndarray
     a_h: np.ndarray
@@ -170,8 +191,19 @@ class _Maps(NamedTuple):
 
     @classmethod
     def of(cls, model: WidelyLinearModel) -> "_Maps":
-        a, b, c = model.A.full(), model.B.full(), model.C.full()
-        return cls(a, a.conj().T, b @ model.Q.full() @ b.conj().T, c, c.conj().T, model.R.full())
+        return cls._build(lambda name: getattr(model, name).full())
+
+    @classmethod
+    def stack(cls, models) -> "_Maps":
+        """The arrays of models of one size, stacked along a leading batch axis."""
+        if len({(model.n, model.m, model.B.block_shape[1]) for model in models}) != 1:
+            raise DimensionError("batched models must all have the same dimensions")
+        return cls._build(lambda name: np.stack([getattr(model, name).full() for model in models]))
+
+    @classmethod
+    def _build(cls, full) -> "_Maps":
+        a, b, c = full("A"), full("B"), full("C")
+        return cls(a, _h(a), b @ full("Q") @ _h(b), c, _h(c), full("R"))
 
 
 def _covariance(top: np.ndarray) -> np.ndarray:
@@ -179,10 +211,11 @@ def _covariance(top: np.ndarray) -> np.ndarray:
 
     The Hermitian part of the block-conjugate completion: M1 becomes
     (M1 + M1^H) / 2 and M2 becomes (M2 + M2^T) / 2, and the pattern holds.
+    Leading axes are batch axes.
     """
-    n = top.shape[0]
-    full = block_conjugate(top[:, :n], top[:, n:])
-    return (full + full.conj().T) / 2
+    n = top.shape[-2]
+    full = block_conjugate(top[..., :n], top[..., n:])
+    return (full + _h(full)) / 2
 
 
 def _blocks(top: np.ndarray) -> AugmentedMatrix:
@@ -199,21 +232,21 @@ def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
 
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
     """Time update on full arrays: A x and A P A^H + B Q B^H, symmetrized."""
-    n = x.shape[0] // 2
-    a_top = maps.a[:n]
-    top = a_top @ x
-    cov = _covariance(a_top @ p @ maps.a_h + maps.bqb_h[:n])
-    return np.concatenate([top, np.conj(top)]), cov
+    n = x.shape[-1] // 2
+    a_top = maps.a[..., :n, :]
+    top = _matvec(a_top, x)
+    cov = _covariance(a_top @ p @ maps.a_h + maps.bqb_h[..., :n, :])
+    return np.concatenate([top, np.conj(top)], axis=-1), cov
 
 
-def _update(x: np.ndarray, p: np.ndarray, t: int, y, maps: _Maps) -> tuple[StepReport, np.ndarray, np.ndarray]:
+def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps) -> "WLUpdate":
     """Measurement update on full arrays: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
-    m = maps.c.shape[0] // 2
-    c_top = maps.c[:m]
+    m = maps.c.shape[-2] // 2
+    c_top = maps.c[..., :m, :]
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
-    s = _covariance(c_top @ p @ maps.c_h + maps.r[:m])
-    return wl_update(x, p, t, y, c_top @ x, p @ maps.c_h, s, joseph=(maps.c, maps.r))
+    s = _covariance(c_top @ p @ maps.c_h + maps.r[..., :m, :])
+    return wl_update(x, p, y, _matvec(c_top, x), p @ maps.c_h, s, joseph=(maps.c, maps.r))
 
 
 def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
@@ -224,60 +257,86 @@ def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
     return _state(x, p, state.t + 1)
 
 
+class WLUpdate(NamedTuple):
+    """The arrays of one widely linear measurement update (leading axes are batch axes).
+
+    ``x``, ``p``: predicted estimate and covariance; ``innovation``: the
+    top half of the augmented innovation; ``s``: innovation covariance;
+    ``gain``: top block row of the gain; ``x_post``, ``p_post``: posterior;
+    ``singular``: whether the gain took the least-squares fallback.
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+    innovation: np.ndarray
+    s: np.ndarray
+    gain: np.ndarray
+    x_post: np.ndarray
+    p_post: np.ndarray
+    singular: np.ndarray
+
+    def report(self, t: int) -> StepReport:
+        """The step report of an unbatched update at time ``t``.
+
+        It holds copies of the top block rows of the arrays, so the
+        block-conjugate pattern holds exactly.
+        """
+        m = self.innovation.shape[0]
+        return StepReport(
+            predicted=_state(self.x, self.p, t),
+            innovation=AugmentedVector.from_complex(self.innovation),
+            innovation_cov=_blocks(self.s[:m]),
+            gain=_blocks(self.gain),
+            state=_state(self.x_post, self.p_post, t),
+            singular_innovation=bool(self.singular),
+        )
+
+
 def wl_update(
     x: np.ndarray,
     p: np.ndarray,
-    t: int,
     y,
     y_pred: np.ndarray,
     cross: np.ndarray,
     s: np.ndarray,
     joseph: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[StepReport, np.ndarray, np.ndarray]:
+) -> WLUpdate:
     """Widely linear measurement update shared by the linear and unscented filters.
 
     Works on full augmented arrays: ``x`` and ``p`` are the predicted
-    estimate [x; x*] and covariance at time ``t``, ``y_pred`` the predicted
+    estimate [x; x*] and covariance, ``y_pred`` the predicted
     measurement, ``cross`` the state/measurement cross covariance P_xy and
     ``s`` the innovation covariance S. The gain solves K S = P_xy for the
-    top block row of K (least squares when S is singular, flagged on the
-    report), which :func:`wlckf.augmented.block_conjugate` completes. With
+    top block row of K (least squares when S is singular, flagged),
+    which :func:`wlckf.augmented.block_conjugate` completes. With
     ``joseph = (C, R)``, the measurement map and noise of a linear model,
     the posterior covariance is the Joseph form
     (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite
     under rounding; without it (the unscented filter, whose measurement map
     is not linear) it is P - K P_xy^H. Either is symmetrized.
 
-    Returns the step report and the posterior estimate and covariance as
-    full arrays. The report holds copies of their top block rows, so the
-    block-conjugate pattern holds exactly.
+    Leading axes of every array are batch axes: a batch of models runs
+    through the same arithmetic, and each member gets the bits it would
+    get alone. Returns the arrays only; :meth:`WLUpdate.report` builds the
+    step report of an unbatched update.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape != y_pred.shape:
         raise DimensionError("measurement dimension does not match the model")
-    n, m = x.shape[0] // 2, y.shape[0]
-    gain, singular = solve_right(cross[:n], s)
-    k = block_conjugate(gain[:, :m], gain[:, m:])
-    k_top = k[:n]
-    innovation = AugmentedVector.from_complex(y - y_pred)
-    top = x[:n] + k_top @ innovation.full()
+    n, m = x.shape[-1] // 2, y.shape[-1]
+    gain, singular = augmented.solve_right(cross[..., :n, :], s)
+    k = block_conjugate(gain[..., :m], gain[..., m:])
+    k_top = k[..., :n, :]
+    innovation = y - y_pred
+    top = x[..., :n] + _matvec(k_top, np.concatenate([innovation, np.conj(innovation)], axis=-1))
     if joseph is None:
-        cov_top = p[:n] - k_top @ cross.conj().T
+        cov_top = p[..., :n, :] - k_top @ _h(cross)
     else:
         c, r = joseph
         i_kc = np.eye(2 * n) - k @ c
-        cov_top = i_kc[:n] @ p @ i_kc.conj().T + k_top @ r @ k.conj().T
-    x_post = np.concatenate([top, np.conj(top)])
-    p_post = _covariance(cov_top)
-    report = StepReport(
-        predicted=_state(x, p, t),
-        innovation=innovation,
-        innovation_cov=_blocks(s[:m]),
-        gain=_blocks(k_top),
-        state=_state(x_post, p_post, t),
-        singular_innovation=singular,
-    )
-    return report, x_post, p_post
+        cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
+    x_post = np.concatenate([top, np.conj(top)], axis=-1)
+    return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
 
 
 def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepReport:
@@ -290,7 +349,8 @@ def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepRep
     measurements) is handled by a least-squares solve and flagged on the
     report.
     """
-    return _update(predicted.estimate.full(), predicted.cov.full(), predicted.t, y, _Maps.of(model))[0]
+    update = _update(predicted.estimate.full(), predicted.cov.full(), y, _Maps.of(model))
+    return update.report(predicted.t)
 
 
 def default_init(model: WidelyLinearModel) -> FilterState:
@@ -299,6 +359,20 @@ def default_init(model: WidelyLinearModel) -> FilterState:
         model.Pi0,
         t=0,
     )
+
+
+def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, initial_update: bool) -> Iterator[WLUpdate]:
+    """The widely linear filter's predict/update loop; yields every step's update.
+
+    ``measurements`` iterates over steps; each item, like ``x`` and ``p``,
+    may carry leading batch axes, which the arithmetic keeps.
+    """
+    for k, y in enumerate(measurements):
+        if not (k == 0 and initial_update):
+            x, p = _predict(x, p, maps)
+        update = _update(x, p, y, maps)
+        yield update
+        x, p = update.x_post, update.p_post
 
 
 def wlckf_run(
@@ -316,16 +390,30 @@ def wlckf_run(
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    maps = _Maps.of(model)
-    x, p, t = state.estimate.full(), state.cov.full(), state.t
-    reports: list[StepReport] = []
-    for k, y in enumerate(measurements):
-        if not (k == 0 and initial_update):
-            x, p = _predict(x, p, maps)
-            t += 1
-        report, x, p = _update(x, p, t, y, maps)
-        reports.append(report)
-    return reports
+    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), measurements, initial_update)
+    t0 = state.t if initial_update else state.t + 1
+    return [update.report(t0 + k) for k, update in enumerate(steps)]
+
+
+def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The widely linear filter on a batch of models of one size, from their default initial states.
+
+    ``measurements`` has shape (batch, steps, m): row i is the sequence
+    ``wlckf_run`` would take for ``models[i]``. Yields, at each step, the
+    posterior estimates [x; x*] of shape (batch, 2n) and covariances of
+    shape (batch, 2n, 2n). It runs ``wlckf_run``'s loop, and member i
+    equals ``wlckf_run(models[i], measurements[i])`` bit for bit.
+    """
+    maps = _Maps.stack(models)
+    x = np.zeros((len(models), 2 * models[0].n), complex)
+    p = np.stack([model.Pi0.full() for model in models])
+    for update in _wl_filter(maps, x, p, np.moveaxis(np.asarray(measurements), -2, 0), False):
+        yield update.x_post, update.p_post
+
+
+def _check_strictly_linear(model: WidelyLinearModel) -> None:
+    if not model.is_strictly_linear():
+        raise UnsupportedModelError("strictly linear filtering needs zero conjugate blocks A2, B2, C2")
 
 
 def ckf_run(
@@ -340,11 +428,20 @@ def ckf_run(
     filtering is undefined. Complementary covariances of the model and of
     ``init`` are ignored.
     """
-    if not model.is_strictly_linear():
-        raise UnsupportedModelError("strictly linear filtering needs zero conjugate blocks A2, B2, C2")
+    _check_strictly_linear(model)
     if init is not None:
         init = replace(init, cov=_hermitian_part(init.cov))
     return wlckf_run(model.proper_part(), measurements, init, initial_update)
+
+
+def ckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`ckf_run` on a batch of models of one size: :func:`wlckf_batch` on their proper parts.
+
+    Every model must be strictly linear.
+    """
+    for model in models:
+        _check_strictly_linear(model)
+    return wlckf_batch([model.proper_part() for model in models], measurements)
 
 
 @dataclass
@@ -359,6 +456,62 @@ class RealKFStep:
     mean: np.ndarray
     cov: np.ndarray
     t: int
+
+
+def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update: bool) -> Iterator[RealKFStep]:
+    """The real filter's predict/update loop; leading axes of every array are batch axes.
+
+    A member whose innovation covariance is singular (smallest singular
+    value at most 1e-12 times the largest) gets its gain by least squares,
+    alone; the others share one LU solve.
+    """
+
+    def tr(a):
+        return np.swapaxes(a, -1, -2)
+
+    def mv(a, v):
+        return (a @ v[..., None])[..., 0]
+
+    e = np.asarray(e, float)
+    f = np.asarray(f, float)
+    g = np.asarray(g, float)
+    q = np.asarray(q_real, float)
+    r = np.asarray(r_real, float)
+    dim = e.shape[-1]
+    if e.shape[-2] != dim or g.shape[-1] != dim or f.shape[-2] != dim:
+        raise DimensionError("inconsistent composite model dimensions")
+    t = 0
+    fqf = f @ q @ tr(f)
+    eye = np.eye(dim)
+    for k, psi in enumerate(measurements_real):
+        psi = np.asarray(psi, float)
+        if not (k == 0 and initial_update):
+            x = mv(e, x)
+            p = e @ p @ tr(e) + fqf
+            p = (p + tr(p)) / 2
+            t += 1
+        x_pred, p_pred = x, p
+        s = g @ p @ tr(g) + r
+        s = (s + tr(s)) / 2
+        sv = np.linalg.svd(s, compute_uv=False)
+        singular = (sv[..., 0] == 0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
+        s_t, pg_t = tr(s), tr(p @ tr(g))
+        if singular.any():
+            kt = np.empty(pg_t.shape)
+            if not singular.all():
+                kt[~singular] = np.linalg.solve(s_t[~singular], pg_t[~singular])
+            for i in np.ndindex(singular.shape):
+                if singular[i]:
+                    kt[i] = np.linalg.lstsq(s_t[i], pg_t[i], rcond=None)[0]
+        else:
+            kt = np.linalg.solve(s_t, pg_t)
+        gain = tr(kt)
+        nu = psi - mv(g, x)
+        x = x + mv(gain, nu)
+        i_kg = eye - gain @ g
+        p = i_kg @ p @ tr(i_kg) + gain @ r @ tr(gain)
+        p = (p + tr(p)) / 2
+        yield RealKFStep(x_pred, p_pred, nu, s, gain, x, p, t)
 
 
 def real_kf_run(
@@ -377,45 +530,30 @@ def real_kf_run(
 
     Written directly in real arithmetic with no shared code with the
     augmented filter, so the two can check each other. The posterior
-    covariance is in Joseph form, (I - K G) P (I - K G)^T + K R K^T.
+    covariance is in Joseph form, (I - K G) P (I - K G)^T + K R K^T. A
+    singular innovation covariance gets its gain by least squares. The
+    loop is the one :func:`real_kf_batch` runs on a stack of models.
     """
-    e = np.asarray(e, float)
-    f = np.asarray(f, float)
-    g = np.asarray(g, float)
-    q = np.asarray(q_real, float)
-    r = np.asarray(r_real, float)
-    dim = e.shape[0]
-    if e.shape != (dim, dim) or g.shape[1] != dim or f.shape[0] != dim:
-        raise DimensionError("inconsistent composite model dimensions")
+    dim = np.shape(e)[0]
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
-    p = np.asarray(pi_real, float).copy() if init_cov is None else np.asarray(init_cov, float).copy()
-    t = 0
-    fqf = f @ q @ f.T
-    eye = np.eye(dim)
-    steps: list[RealKFStep] = []
-    for k, psi in enumerate(measurements_real):
-        psi = np.asarray(psi, float)
-        if not (k == 0 and initial_update):
-            x = e @ x
-            p = e @ p @ e.T + fqf
-            p = (p + p.T) / 2
-            t += 1
-        x_pred, p_pred = x, p
-        s = g @ p @ g.T + r
-        s = (s + s.T) / 2
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[0] == 0 or sv[-1] <= 1e-12 * sv[0]:
-            kt, *_ = np.linalg.lstsq(s.T, (p @ g.T).T, rcond=None)
-            gain = kt.T
-        else:
-            gain = np.linalg.solve(s.T, (p @ g.T).T).T
-        nu = psi - g @ x
-        x = x + gain @ nu
-        i_kg = eye - gain @ g
-        p = i_kg @ p @ i_kg.T + gain @ r @ gain.T
-        p = (p + p.T) / 2
-        steps.append(RealKFStep(x_pred, p_pred, nu, s, gain, x, p, t))
-    return steps
+    p = np.asarray(pi_real if init_cov is None else init_cov, float).copy()
+    return list(_real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update))
+
+
+def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`real_kf_run` on a batch of composite models of one size, stacked along a leading axis.
+
+    ``measurements_real`` has shape (batch, steps, 2m). Yields, at each
+    step, the posterior means (batch, 2n) and covariances (batch, 2n, 2n).
+    It runs ``real_kf_run``'s loop, and member i equals ``real_kf_run`` on
+    the i-th slices bit for bit when those slices have the same memory
+    layout as the arrays ``real_kf_run`` was given: numpy's matmul takes a
+    different loop on a strided view than on a contiguous array.
+    """
+    p = np.asarray(pi_real, float).copy()
+    x = np.zeros(p.shape[:-1])
+    for step in _real_kf(e, f, g, q_real, r_real, x, p, np.moveaxis(np.asarray(measurements_real), -2, 0), False):
+        yield step.mean, step.cov
 
 
 def simulate_linear(

@@ -178,9 +178,13 @@ def scalar_posterior_cov_seq(params: ScalarModelParams, t_max: int) -> list[tupl
 
 def _inv2(m: np.ndarray) -> np.ndarray:
     """Adjugate inverse of a 2x2; pseudo-inverse when singular."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     scale = float(np.max(np.abs(m), initial=0.0))
-    if abs(det) <= 1e-14 * max(scale, 1e-300) ** 2:
+    try:
+        limit = 1e-14 * max(scale, 1e-300) ** 2
+    except OverflowError:
+        raise DegenerateError(f"2x2 entries of magnitude {scale:.3g} overflow when squared") from None
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(det) <= limit:
         return np.linalg.pinv(m)
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
 
@@ -237,11 +241,18 @@ def noise_impropriety_gain(
     invertible, and well defined when it is singular at |rho_n| = 1); the
     strictly linear one runs on the Hermitian variance alone. Both iterate
     until the MSE change drops below ``tol`` or the horizon caps the run.
+
+    Noise powers too far apart for double precision raise DegenerateError:
+    a measurement noise power that underflows to zero, matrix entries whose
+    squares overflow, or a widely linear MSE that rounding drives to zero
+    or below.
     """
     if abs(rho_w) > 1 or abs(rho_n) > 1:
         raise NotPSDError("correlation coefficient magnitudes must be <= 1")
     n1 = db_to_linear(n1_db)
     n2 = db_to_linear(n2_db)
+    if n2 == 0:
+        raise DegenerateError(f"measurement noise power of {n2_db} dB underflows to zero")
     q_bar = n1 * np.array([[1.0, rho_w], [np.conj(rho_w), 1.0]], dtype=complex)
     r_bar = n2 * np.array([[1.0, rho_n], [np.conj(rho_n), 1.0]], dtype=complex)
     p_bar = np.eye(2, dtype=complex)
@@ -255,6 +266,11 @@ def noise_impropriety_gain(
         p_bar = predicted - gain @ predicted
         p_bar = (p_bar + p_bar.conj().T) / 2
         wl_new = 0.5 * float(np.trace(p_bar).real)
+        if not wl_new > 0:
+            raise DegenerateError(
+                f"widely linear MSE is {wl_new!r} at iteration {iterations}: noise powers of "
+                f"{n1_db} dB and {n2_db} dB are too far apart for double precision"
+            )
         p_sl_pred = p_sl + n1
         p_sl_new = 1.0 / (1.0 / p_sl_pred + 1.0 / n2)
         done = abs(wl_new - wl_mse) < tol and abs(p_sl_new - p_sl) < tol

@@ -220,8 +220,7 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     cross = block_conjugate(wdx.T @ np.conj(dy), wdx.T @ dy)
 
     x = np.concatenate([x_pred, np.conj(x_pred)])
-    report, _, _ = wl_update(x, _covariance(p_top), state.t + 1, y, y_pred, cross, _covariance(s_top))
-    return report
+    return wl_update(x, _covariance(p_top), y, y_pred, cross, _covariance(s_top)).report(state.t + 1)
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:

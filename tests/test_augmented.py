@@ -277,3 +277,77 @@ def test_solve_right_solves_and_keeps_pattern(seed):
     assert np.max(np.abs(residual)) <= 1e-9 * max(1.0, b.max_abs())
     assert np.array_equal(full[3:, 2:], np.conj(full[:3, :2]))
     assert np.array_equal(full[3:, :2], np.conj(full[:3, 2:]))
+
+
+def _batch_with_one_singular_s(singular_member=2, size=5, n=2, m=2):
+    """Top block rows of P C^H and full S = C P C^H + R for a batch of random models.
+
+    The singular member measures the same composite channel twice, with R = 0.
+    """
+    rng = np.random.default_rng(11)
+    b_top, s = [], []
+    for i in range(size):
+        g = rng.standard_normal((2 * m, 2 * n))
+        r = 0.5 * np.eye(2 * m)
+        if i == singular_member:
+            g[1] = g[0]
+            r = np.zeros((2 * m, 2 * m))
+        z = rng.standard_normal((2 * n, 2 * n))
+        p = real_matrix_to_augmented(z @ z.T + 0.1 * np.eye(2 * n), "covariance").full()
+        c = real_matrix_to_augmented(g, "system").full()
+        s.append(c @ p @ c.conj().T + real_matrix_to_augmented(r, "covariance").full())
+        b_top.append((p @ c.conj().T)[:n])
+    return np.stack(b_top), np.stack(s)
+
+
+def test_solve_right_batch_takes_lstsq_only_for_the_singular_member(monkeypatch):
+    from wlckf.augmented import solve_right
+
+    b_top, s = _batch_with_one_singular_s()
+    calls = {"solve": 0, "lstsq": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    x_top, singular = solve_right(b_top, s)
+    assert calls == {"solve": 1, "lstsq": 1}
+    monkeypatch.undo()
+    assert singular.tolist() == [False, False, True, False, False]
+    for i in range(len(s)):
+        alone, flag = solve_right(b_top[i], s[i])
+        assert flag == singular[i]
+        assert np.array_equal(alone, x_top[i])
+
+
+def test_block_conjugate_and_covariance_act_per_slice():
+    from wlckf.augmented import block_conjugate
+    from wlckf.linear import _covariance
+
+    rng = np.random.default_rng(12)
+
+    def cmat(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m1, m2, top = cmat(2, 4, 3, 2), cmat(2, 4, 3, 2), cmat(2, 4, 3, 6)
+    full, cov = block_conjugate(m1, m2), _covariance(top)
+    for i in np.ndindex(2, 4):
+        assert np.array_equal(full[i], block_conjugate(m1[i], m2[i]))
+        assert np.array_equal(cov[i], _covariance(top[i]))
+
+
+def test_batched_conversions_check_each_member_on_its_own_scale():
+    from wlckf.augmented import full_to_real, full_to_real_matrix
+
+    big = real_matrix_to_augmented(1e6 * np.eye(2), "covariance").full()
+    small = real_matrix_to_augmented(np.eye(2), "covariance").full()
+    assert np.array_equal(full_to_real_matrix(np.stack([big, small]), "covariance")[1], np.eye(2))
+    # A residue of 1e-6 passes against the big member's scale, not against the small one's.
+    with pytest.raises(ConsistencyError):
+        full_to_real_matrix(np.stack([big, small + 1e-6j * np.eye(2)]), "covariance")
+    vectors = np.array([[1e6 + 0j, 1e6 + 0j], [1 + 1j, 1 - 1j]])
+    assert np.array_equal(full_to_real(vectors), [[1e6, 0.0], [1.0, 1.0]])
+    vectors[1, 1] += 1e-6
+    with pytest.raises(ConsistencyError):
+        full_to_real(vectors)

@@ -1,12 +1,11 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wlckf import cli
-from wlckf.augmented import AugmentedVector, augmented_to_real, augmented_to_real_matrix
+from wlckf.augmented import augmented_to_real, augmented_to_real_matrix
 from wlckf.cli import main
 from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
 from wlckf.stats import substream
@@ -43,18 +42,18 @@ def test_equivalence_proper_mode_checks_ckf(tmp_path, monkeypatch):
 
     # ckf_dev compares the strictly linear filter with the real oracle, so a
     # filter off by 1e-6 in its estimate or in its covariance fails the gate.
-    def corrupt_estimate(state):
-        return replace(state, estimate=AugmentedVector.from_complex(state.estimate.top * (1 + 1e-6)))
+    def corrupt_estimate(x, p):
+        return x * (1 + 1e-6), p
 
-    def corrupt_cov(state):
-        return replace(state, cov=state.cov * (1 + 1e-6))
+    def corrupt_cov(x, p):
+        return x, p * (1 + 1e-6)
 
-    ckf_run = cli.ckf_run
+    ckf_batch = cli.ckf_batch
     for corrupt in (corrupt_estimate, corrupt_cov):
-        def corrupted(model, measurements, corrupt=corrupt):
-            return [replace(rep, state=corrupt(rep.state)) for rep in ckf_run(model, measurements)]
+        def corrupted(models, measurements, corrupt=corrupt):
+            return (corrupt(x, p) for x, p in ckf_batch(models, measurements))
 
-        monkeypatch.setattr(cli, "ckf_run", corrupted)
+        monkeypatch.setattr(cli, "ckf_batch", corrupted)
         assert main(args) == 1
         _, rows = read_rows(out)
         for row in rows:
@@ -63,46 +62,56 @@ def test_equivalence_proper_mode_checks_ckf(tmp_path, monkeypatch):
 
 
 def test_equivalence_trial_matches_per_step_deviations():
-    seed, trial, n, horizon = 3, 1, 2, 15
-    e, f, g, q, r, pi = cli.random_real_model(substream(seed, trial), n, n, proper=True)
-    model = model_from_real(e, f, g, q, r, pi)
-    _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
-    refs = real_kf_run(e, f, g, q, r, pi, [np.concatenate([y.real, y.imag]) for y in meas])
+    # All 20 default trials of proper n = 2, whose composite matrices are
+    # strided views: the batch must keep their layout to keep their bits.
+    seed, n, horizon = 3, 2, 50
+    est_devs, cov_devs, ckf_devs = cli.equivalence_trial(seed, range(20), n, n, horizon, proper=True)
+    for trial in range(20):
+        e, f, g, q, r, pi = cli.random_real_model(substream(seed, trial), n, n, proper=True)
+        model = model_from_real(e, f, g, q, r, pi)
+        _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
+        refs = real_kf_run(e, f, g, q, r, pi, [np.concatenate([y.real, y.imag]) for y in meas])
 
-    def per_step(reports):
-        est_dev = cov_dev = 0.0
-        for rep, ref in zip(reports, refs, strict=True):
-            est = augmented_to_real(rep.state.estimate)
-            cov = augmented_to_real_matrix(rep.state.cov, "covariance")
-            est_dev = max(est_dev, float(np.max(np.abs(est - ref.mean))) / max(1.0, float(np.max(np.abs(ref.mean)))))
-            cov_dev = max(cov_dev, float(np.max(np.abs(cov - ref.cov))) / max(1.0, float(np.max(np.abs(ref.cov)))))
-        return est_dev, cov_dev
+        def per_step(reports):
+            est_dev = cov_dev = 0.0
+            for rep, ref in zip(reports, refs, strict=True):
+                est = augmented_to_real(rep.state.estimate)
+                cov = augmented_to_real_matrix(rep.state.cov, "covariance")
+                est_dev = max(est_dev, float(np.max(np.abs(est - ref.mean))) / max(1.0, float(np.max(np.abs(ref.mean)))))
+                cov_dev = max(cov_dev, float(np.max(np.abs(cov - ref.cov))) / max(1.0, float(np.max(np.abs(ref.cov)))))
+            return est_dev, cov_dev
 
-    est_dev, cov_dev, ckf_dev = cli.equivalence_trial(seed, trial, n, n, horizon, proper=True)
-    assert (est_dev, cov_dev) == per_step(wlckf_run(model, meas))
-    assert ckf_dev == max(per_step(ckf_run(model, meas)))
+        assert (est_devs[trial], cov_devs[trial]) == per_step(wlckf_run(model, meas))
+        assert ckf_devs[trial] == max(per_step(ckf_run(model, meas)))
+
+
+@pytest.mark.parametrize("n, proper", [(1, False), (1, True), (8, False)])
+def test_equivalence_trial_alone_equals_its_row_in_a_batch(n, proper):
+    # Proper n = 1 mixes layouts: some trials' state maps are rescaled copies.
+    seed, horizon = 1, 20
+    batch = np.stack(cli.equivalence_trial(seed, range(20), n, n, horizon, proper), axis=-1)
+    for trial in range(20):
+        alone = np.stack(cli.equivalence_trial(seed, [trial], n, n, horizon, proper), axis=-1)
+        assert np.array_equal(alone[0], batch[trial], equal_nan=True)
 
 
 def test_equivalence_nan_deviation_fails_gate(tmp_path, monkeypatch):
     def nan_estimates(run):
-        def patched(model, measurements):
-            return [
-                replace(rep, state=replace(rep.state, estimate=AugmentedVector.from_complex(rep.state.estimate.top * np.nan)))
-                for rep in run(model, measurements)
-            ]
+        def patched(models, measurements):
+            return ((x * np.nan, p) for x, p in run(models, measurements))
 
         return patched
 
     out = tmp_path / "eq.csv"
     args = ["equivalence", "--trials", "2", "--horizon", "5", "--out", str(out)]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "wlckf_run", nan_estimates(wlckf_run))
+        patch.setattr(cli, "wlckf_batch", nan_estimates(cli.wlckf_batch))
         assert main(args) == 1
     _, rows = read_rows(out)
     assert [row[4] for row in rows] == ["nan", "nan"]
 
     # ckf_dev is gated only under --proper, and a NaN there fails it too.
-    monkeypatch.setattr(cli, "ckf_run", nan_estimates(ckf_run))
+    monkeypatch.setattr(cli, "ckf_batch", nan_estimates(cli.ckf_batch))
     assert main(args) == 0
     assert main([*args, "--proper"]) == 1
     _, rows = read_rows(out)
@@ -174,6 +183,9 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("phase-demod", [], {"snr_list": [0.0, -4000.0]}),
         ("phase-demod", [], {"traj_snr": -4000.0}),
         ("mse-sweep", [], {"panels": [[4000, -20]]}),
+        ("mse-sweep", [], {"panels": [[200, -20]]}),
+        ("mse-sweep", [], {"panels": [[3000, -20]]}),
+        ("mse-sweep", [], {"panels": [[-20, -4000]]}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -185,6 +197,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "equivalence-seed-bool", "equivalence-proper-text",
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
+        "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):
@@ -199,6 +212,17 @@ def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, comma
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_demod_non_finite_table_fails_gate(tmp_path, capsys):
+    # A noise variance of 1e300 overflows the tracker's gain for rho > 0.
+    out = tmp_path / "pd.csv"
+    assert main(["phase-demod", "--runs", "2", "--horizon", "5", "--r-snr", "-3000", "--out", str(out)]) == 1
+    _, rows = read_rows(tmp_path / "pd_r_rho.csv")
+    assert any(value == "nan" for row in rows for value in row)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"phase-demod: non-finite values in {tmp_path / 'pd_r_rho.csv'}"]
 
 
 def test_mse_sweep_zero_grid_gives_ones(tmp_path):

@@ -11,19 +11,22 @@ from wlckf.augmented import (
     augmented_to_real_matrix,
     real_matrix_to_augmented,
 )
-from wlckf.errors import UnsupportedModelError
+from wlckf.errors import DimensionError, UnsupportedModelError
 from wlckf.linear import (
     FilterState,
     WidelyLinearModel,
+    ckf_batch,
     ckf_run,
     default_init,
     load_model,
     model_from_dict,
     model_from_real,
     model_to_dict,
+    real_kf_batch,
     real_kf_run,
     save_model,
     simulate_linear,
+    wlckf_batch,
     wlckf_predict,
     wlckf_run,
     wlckf_update,
@@ -528,3 +531,45 @@ def test_covariance_check_rejects_indefinite_model_blocks():
             R=AugmentedMatrix.eye(1),
             Pi0=AugmentedMatrix.eye(1),
         )
+
+
+def test_batches_equal_single_runs_member_by_member():
+    # Member 1 measures one composite channel twice with R = 0, so its
+    # innovation covariance is singular at every step and its gain comes
+    # from least squares in both filters; the other members solve.
+    reals = []
+    for seed in range(4):
+        e, f, g, q, r, pi = random_composite(seed)
+        if seed == 1:
+            g[1] = g[0]
+            r = np.zeros_like(r)
+        reals.append((e, f, g, q, r, pi))
+    models = [model_from_real(*real) for real in reals]
+    meas = np.stack([simulate_linear(model, 12, substream(7, i))[1] for i, model in enumerate(models)])
+    meas_real = np.concatenate([meas.real, meas.imag], axis=-1)
+    wl = list(wlckf_batch(models, meas))
+    real = list(real_kf_batch(*(np.stack(arrays) for arrays in zip(*reals)), meas_real))
+    for i, (model, real_i) in enumerate(zip(models, reals)):
+        reports = wlckf_run(model, meas[i])
+        steps = real_kf_run(*real_i, meas_real[i])
+        assert [rep.singular_innovation for rep in reports] == [i == 1] * 12
+        for rep, step, (x, p), (mean, cov) in zip(reports, steps, wl, real, strict=True):
+            assert np.array_equal(rep.state.estimate.full(), x[i])
+            assert np.array_equal(rep.state.cov.full(), p[i])
+            assert np.array_equal(step.mean, mean[i])
+            assert np.array_equal(step.cov, cov[i])
+
+
+def test_ckf_batch_equals_ckf_run_and_checks_every_model():
+    models = [proper_model(seed) for seed in range(3)]
+    meas = np.stack([simulate_linear(model, 10, substream(8, i))[1] for i, model in enumerate(models)])
+    for step, (x, p) in enumerate(ckf_batch(models, meas)):
+        for i, model in enumerate(models):
+            rep = ckf_run(model, meas[i])[step]
+            assert np.array_equal(rep.state.estimate.full(), x[i])
+            assert np.array_equal(rep.state.cov.full(), p[i])
+    widely_linear = model_from_real(*random_composite(0))
+    with pytest.raises(UnsupportedModelError):
+        ckf_batch([models[0], widely_linear], meas[:2])
+    with pytest.raises(DimensionError):
+        next(wlckf_batch([models[0], model_from_real(*random_composite(0, n=1, m=2))], meas[:2]))

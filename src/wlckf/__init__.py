@@ -36,10 +36,12 @@ from .linear import (
 )
 from .mse import (
     ImproprietyGain,
+    ImproprietyGains,
     ScalarModelParams,
     min_mmse_ratio,
     min_wl_mmse,
     noise_impropriety_gain,
+    noise_impropriety_gains,
     sl_mmse,
     split_minimum_scan,
     variance_after,

@@ -102,6 +102,8 @@ def _is_number_list(value) -> bool:
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -117,15 +119,28 @@ def _native(value):
     return value
 
 
-def write_rows(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
+def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
+    """Write ``rows`` (any iterable of sequences) to ``path`` as CSV or JSON.
+
+    CSV has a header line and one line per row; JSON is a list of objects
+    keyed by ``header``, indented by one space. Each value keeps its own
+    type: floats print as their shortest round-trip decimal, integers as
+    integers. Rows are formatted and written one at a time, so neither the
+    lines nor the whole text are ever held in memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    else:
-        payload = [{key: _native(v) for key, v in zip(header, row)} for row in rows]
-        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        if fmt == "csv":
+            out.write(",".join(header) + "\n")
+            out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            return
+        # The bytes of json.dumps(list_of_rows, indent=1), one row at a time.
+        separator = "[\n "
+        for row in rows:
+            out.write(separator)
+            out.write(json.dumps({key: _native(v) for key, v in zip(header, row)}, indent=1).replace("\n", "\n "))
+            separator = ",\n "
+        out.write("[]\n" if separator == "[\n " else "\n]\n")
 
 
 def load_config(args: argparse.Namespace, command: str) -> dict:
@@ -320,37 +335,40 @@ def cmd_equivalence(cfg: dict) -> int:
 # --- mse-sweep ---------------------------------------------------------------
 
 def cmd_mse_sweep(cfg: dict) -> int:
-    rows = []
-    ok = True
+    panels, ws, ns = cfg["panels"], list(cfg["rho_w"]), list(cfg["rho_n"])
     w_dir = np.exp(1j * float(cfg["rho_w_phase"]))
     n_dir = np.exp(1j * float(cfg["rho_n_phase"]))
-    for n1_db, n2_db in cfg["panels"]:
-        surface = {}
-        for rho_w in cfg["rho_w"]:
-            for rho_n in cfg["rho_n"]:
-                try:
-                    res = mse.noise_impropriety_gain(
-                        rho_w * w_dir, rho_n * n_dir, n1_db, n2_db, horizon=int(cfg["max_iter"]), tol=float(cfg["tol"])
-                    )
-                except WlckfError as exc:
-                    print(f"config error: panel {[n1_db, n2_db]}: {exc}", file=sys.stderr)
-                    return 2
-                surface[(rho_w, rho_n)] = res.ratio
-                rows.append([rho_w, rho_n, n1_db, n2_db, res.ratio, res.iterations])
-                if res.ratio < 1 - 1e-9:
-                    ok = False
-                if rho_w == 0 and rho_n == 0 and abs(res.ratio - 1) > 1e-9:
-                    ok = False
-        # Monotone along each impropriety axis.
-        ws, ns = list(cfg["rho_w"]), list(cfg["rho_n"])
-        for rho_n in ns:
-            vals = [surface[(w, rho_n)] for w in ws]
-            if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
-                ok = False
-        for rho_w in ws:
-            vals = [surface[(rho_w, n)] for n in ns]
-            if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
-                ok = False
+    # One batch over (panel, rho_w, rho_n), in the order of the table's rows.
+    try:
+        res = mse.noise_impropriety_gains(
+            np.array([w * w_dir for w in ws])[None, :, None],
+            np.array([n * n_dir for n in ns])[None, None, :],
+            np.array([n1_db for n1_db, _ in panels])[:, None, None],
+            np.array([n2_db for _, n2_db in panels])[:, None, None],
+            horizon=int(cfg["max_iter"]),
+            tol=float(cfg["tol"]),
+        )
+    except WlckfError as exc:
+        print(f"config error: panel {panels[exc.index[0]]}: {exc}", file=sys.stderr)
+        return 2
+    ratios, iterations = res.ratio.tolist(), res.iterations.tolist()
+    rows = [
+        [rho_w, rho_n, n1_db, n2_db, ratios[p][i][j], iterations[p][i][j]]
+        for p, (n1_db, n2_db) in enumerate(panels)
+        for i, rho_w in enumerate(ws)
+        for j, rho_n in enumerate(ns)
+    ]
+    # The surface is at least 1, exactly 1 at the proper origin, and monotone
+    # along each impropriety axis in order of increasing |rho|, whatever the
+    # order of the grid.
+    origin = np.logical_and.outer(np.equal(ws, 0), np.equal(ns, 0))
+    surface = res.ratio[:, np.argsort(np.abs(ws), kind="stable")][:, :, np.argsort(np.abs(ns), kind="stable")]
+    ok = not (
+        (res.ratio < 1 - 1e-9).any()
+        or (np.abs(res.ratio[:, origin] - 1) > 1e-9).any()
+        or (surface[:, 1:] < surface[:, :-1] - 1e-9).any()
+        or (surface[:, :, 1:] < surface[:, :, :-1] - 1e-9).any()
+    )
     write_rows(
         Path(cfg["out"]),
         ["rho_w_abs", "rho_n_abs", "N1_db", "N2_db", "ratio", "converged_iters"],
@@ -376,10 +394,7 @@ def cmd_theta_bound(cfg: dict) -> int:
     ratios = mse.min_mmse_ratio_sweep(a_abs, b_abs, c_abs, n1, n2, p0, t_max)
     lo = ratios.min(axis=1)
     hi = ratios.max(axis=1)
-    rows = [
-        [i, a_abs[i], b_abs[i], c_abs[i], n1[i], n2[i], p0[i], lo[i], hi[i]]
-        for i in range(draws)
-    ]
+    rows = zip(range(draws), *(column.tolist() for column in (a_abs, b_abs, c_abs, n1, n2, p0, lo, hi)))
     write_rows(
         Path(cfg["out"]),
         ["draw", "a_abs", "b_abs", "c_abs", "N1", "N2", "P00", "theta_min", "theta_max"],

@@ -2,7 +2,15 @@
 
 
 class WlckfError(ValueError):
-    """Base of the package's errors: each means an input the computation cannot take."""
+    """Base of the package's errors: each means an input the computation cannot take.
+
+    ``index``, when not None, is the position of the offending member in a
+    batched call, as a tuple over the batch axes.
+    """
+
+    def __init__(self, *args, index: tuple | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class DimensionError(WlckfError):

@@ -11,7 +11,8 @@ so the widely linear MMSE at time t is the half-sum of the t-fold composed
 map applied to the initial eigenvalues, while the strictly linear MMSE is
 the composed map applied to the initial Hermitian variance alone. The
 module also computes the convergent-MSE improvement of the widely linear
-filter when the two noises are improper.
+filter when the two noises are improper, for one noise setting or for a
+batch of them in one fixed-point loop.
 """
 from __future__ import annotations
 
@@ -176,17 +177,61 @@ def scalar_posterior_cov_seq(params: ScalarModelParams, t_max: int) -> list[tupl
     return out
 
 
+# A 2x2 [[a, b], [c, d]] as the real parts (ar, ai, br, bi, cr, ci, dr, di):
+# products of _DET_LEFT and _DET_RIGHT rows, with _DET_SIGN turning each
+# difference into a sum, pair up into Re(ad), Im(ad), Re(bc), Im(bc).
+_DET_LEFT = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+_DET_RIGHT = np.array([6, 7, 7, 6, 4, 5, 5, 4])
+_DET_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
+# Entries in the order of the adjugate [[d, -b], [-c, a]], before the signs.
+_ADJ = np.array([3, 1, 2, 0])
+# Entries below this magnitude cannot overflow when squared.
+_SQUARE_SAFE = 1e154
+
+
 def _inv2(m: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of a 2x2; pseudo-inverse when singular."""
-    scale = float(np.max(np.abs(m), initial=0.0))
-    try:
-        limit = 1e-14 * max(scale, 1e-300) ** 2
-    except OverflowError:
-        raise DegenerateError(f"2x2 entries of magnitude {scale:.3g} overflow when squared") from None
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= limit:
-        return np.linalg.pinv(m)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    """Inverse of each 2x2 in ``m[..., 2, 2]``: adjugate over determinant,
+    pseudo-inverse for a matrix whose determinant is negligible on the
+    scale of its entries.
+
+    The determinant is formed from real and imaginary parts, each product
+    rounded on its own as in scalar complex arithmetic (numpy's complex
+    array multiply may fuse them), so every matrix of a stack gets the bits
+    a lone 2x2 gets. Raises DegenerateError, with ``index`` the position in
+    the stack of the first such matrix, when the entries of a matrix
+    overflow when squared.
+    """
+    batch = np.shape(m)[:-2]
+    m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
+    k = len(m)
+    magnitude = np.abs(m).T
+    scale = np.maximum(magnitude[:2], magnitude[2:])
+    scale = np.maximum(scale[0], scale[1])
+    if np.count_nonzero(scale < _SQUARE_SAFE) < k:
+        with np.errstate(over="ignore"):
+            overflow = np.isinf(np.maximum(scale, 1e-300) ** 2) & np.isfinite(scale)
+        if np.count_nonzero(overflow):
+            first = int(np.argmax(overflow))
+            raise DegenerateError(
+                f"2x2 entries of magnitude {scale[first]:.3g} overflow when squared", index=np.unravel_index(first, batch)
+            )
+    limit = np.square(np.maximum(scale, 1e-300))
+    limit *= 1e-14
+    parts = m.view(float).T
+    products = parts[_DET_LEFT] * parts[_DET_RIGHT] * _DET_SIGN
+    sums = products[0::2] + products[1::2]
+    det = np.empty((k, 1), dtype=complex)
+    np.subtract(sums[:2], sums[2:], out=det.view(float).T)
+    singular = np.abs(det[:, 0]) <= limit
+    adjugate = m[:, _ADJ]
+    np.negative(adjugate[:, 1:3], out=adjugate[:, 1:3])
+    if np.count_nonzero(singular):
+        det[singular] = 1.0
+        inverse = adjugate / det
+        inverse[singular] = np.linalg.pinv(m[singular].reshape(-1, 2, 2)).reshape(-1, 4)
+    else:
+        inverse = adjugate / det
+    return inverse.reshape(batch + (2, 2))
 
 
 def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int) -> np.ndarray:
@@ -223,6 +268,17 @@ class ImproprietyGain:
     converged: bool
 
 
+@dataclass
+class ImproprietyGains:
+    """:class:`ImproprietyGain` fields as arrays over a batch of noise settings."""
+
+    ratio: np.ndarray
+    wl_mse: np.ndarray
+    sl_mse: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
 def noise_impropriety_gain(
     rho_w: complex,
     rho_n: complex,
@@ -241,47 +297,137 @@ def noise_impropriety_gain(
     invertible, and well defined when it is singular at |rho_n| = 1); the
     strictly linear one runs on the Hermitian variance alone. Both iterate
     until the MSE change drops below ``tol`` or the horizon caps the run.
+    This is the one-member call of :func:`noise_impropriety_gains`.
 
     Noise powers too far apart for double precision raise DegenerateError:
     a measurement noise power that underflows to zero, matrix entries whose
     squares overflow, or a widely linear MSE that rounding drives to zero
     or below.
+
+    Valid dB range: when the driving noise is the stronger one, the update
+    P - K P cancels to rounding as P grows large against the measurement
+    noise. On the default ``mse-sweep`` grid (|rho| up to 0.95, orientations
+    90 degrees apart) the ratios keep their proven properties for
+    n1_db - n2_db up to 68 dB; from 69-71 dB on (measured at n2_db = -60,
+    -20 and 0) some fall below 1, and far beyond that this function raises.
+    A stronger measurement noise costs nothing: n2_db - n1_db up to 140 dB,
+    the largest difference tried, keeps every property.
     """
-    if abs(rho_w) > 1 or abs(rho_n) > 1:
-        raise NotPSDError("correlation coefficient magnitudes must be <= 1")
-    n1 = db_to_linear(n1_db)
-    n2 = db_to_linear(n2_db)
-    if n2 == 0:
-        raise DegenerateError(f"measurement noise power of {n2_db} dB underflows to zero")
-    q_bar = n1 * np.array([[1.0, rho_w], [np.conj(rho_w), 1.0]], dtype=complex)
-    r_bar = n2 * np.array([[1.0, rho_n], [np.conj(rho_n), 1.0]], dtype=complex)
-    p_bar = np.eye(2, dtype=complex)
-    p_sl = 1.0
-    wl_mse = 1.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, horizon + 1):
-        predicted = p_bar + q_bar
-        gain = predicted @ _inv2(predicted + r_bar)
-        p_bar = predicted - gain @ predicted
-        p_bar = (p_bar + p_bar.conj().T) / 2
-        wl_new = 0.5 * float(np.trace(p_bar).real)
-        if not wl_new > 0:
-            raise DegenerateError(
-                f"widely linear MSE is {wl_new!r} at iteration {iterations}: noise powers of "
-                f"{n1_db} dB and {n2_db} dB are too far apart for double precision"
-            )
-        p_sl_pred = p_sl + n1
-        p_sl_new = 1.0 / (1.0 / p_sl_pred + 1.0 / n2)
-        done = abs(wl_new - wl_mse) < tol and abs(p_sl_new - p_sl) < tol
-        wl_mse, p_sl = wl_new, p_sl_new
-        if done:
-            converged = True
-            break
+    res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
     return ImproprietyGain(
-        ratio=p_sl / wl_mse,
-        wl_mse=wl_mse,
-        sl_mse=p_sl,
-        iterations=iterations,
-        converged=converged,
+        ratio=float(res.ratio),
+        wl_mse=float(res.wl_mse),
+        sl_mse=float(res.sl_mse),
+        iterations=int(res.iterations),
+        converged=bool(res.converged),
+    )
+
+
+def _noise_covariances(power: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Augmented covariances power * [[1, rho], [conj(rho), 1]], one per member."""
+    cov = np.empty((len(power), 2, 2), dtype=complex)
+    cov[:, 0, 0] = cov[:, 1, 1] = 1.0
+    cov[:, 0, 1], cov[:, 1, 0] = rho, np.conj(rho)
+    cov *= power[:, None, None]
+    return cov
+
+
+def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, tol: float = 1e-12) -> ImproprietyGains:
+    """:func:`noise_impropriety_gain` over a batch of noise settings at once.
+
+    The four settings broadcast against each other, and each member of the
+    broadcast shape gets the bits its one-member call gets: the members run
+    the same covariance-form update on one ``(k, 2, 2)`` stack, each stops
+    on its own iteration, and the stack shrinks only on iterations where
+    some member stops. If any member fails, the call raises the error of
+    the first failing member in order, with ``index`` naming it, once every
+    member before it has finished.
+    """
+    rho_w, rho_n, n1_db, n2_db = np.broadcast_arrays(
+        np.asarray(rho_w, dtype=complex), np.asarray(rho_n, dtype=complex), np.asarray(n1_db), np.asarray(n2_db)
+    )
+    shape = rho_w.shape
+    rho_w, rho_n = rho_w.ravel(), rho_n.ravel()
+    n1_db, n2_db = n1_db.ravel().tolist(), n2_db.ravel().tolist()
+    n1 = np.array([db_to_linear(db) for db in n1_db])
+    n2 = np.array([db_to_linear(db) for db in n2_db])
+    k = len(n1)
+    q, r = _noise_covariances(n1, rho_w), _noise_covariances(n2, rho_n)
+
+    # The first member known to fail, as (member, error class, message).
+    # Members after it no longer run: the call raises whatever they do.
+    failure = None
+    invalid = (np.abs(rho_w) > 1) | (np.abs(rho_n) > 1)
+    unusable = invalid | (n2 == 0)
+    if np.count_nonzero(unusable):
+        i = int(np.argmax(unusable))
+        if invalid[i]:
+            failure = (i, NotPSDError, "correlation coefficient magnitudes must be <= 1")
+        else:
+            failure = (i, DegenerateError, f"measurement noise power of {n2_db[i]} dB underflows to zero")
+    stop = k if failure is None else failure[0]
+    # Widely and strictly linear MSE of every member, filled in as each one stops.
+    result = np.ones((2, k))
+    iterations = np.full(k, max(horizon, 0))
+    converged = np.zeros(k, dtype=bool)
+    # The working set: the members still iterating, their states and their MSE pairs.
+    member = np.arange(stop)
+    p_bar = np.broadcast_to(np.eye(2, dtype=complex), (stop, 2, 2)).copy()
+    q, r, n1 = q[:stop], r[:stop], n1[:stop]
+    inv_n2 = 1.0 / n2[:stop]
+    mse = result[:, :stop].copy()
+    it = 0
+    while it < horizon and len(member):
+        predicted = p_bar + q
+        try:
+            gain = predicted @ _inv2(predicted + r)
+        except DegenerateError as exc:
+            # Drop the member and all after it, and redo the iteration.
+            j = exc.index[0]
+            failure = (int(member[j]), DegenerateError, str(exc))
+            member, p_bar, q, r, n1, inv_n2 = (a[:j] for a in (member, p_bar, q, r, n1, inv_n2))
+            mse = mse[:, :j]
+            continue
+        it += 1
+        p_bar = predicted - gain @ predicted
+        p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
+        new = np.empty_like(mse)
+        wl, sl = new
+        np.add(p_bar[:, 0, 0].real, p_bar[:, 1, 1].real, out=wl)
+        wl *= 0.5
+        np.add(mse[1], n1, out=sl)
+        np.divide(1.0, sl, out=sl)
+        sl += inv_n2
+        np.divide(1.0, sl, out=sl)
+        small = np.abs(new - mse) < tol
+        done = small[0] & small[1]
+        mse = new
+        if np.count_nonzero(wl > 0) < len(member):
+            j = int(np.argmin(wl > 0))
+            i = int(member[j])
+            failure = (
+                i, DegenerateError,
+                f"widely linear MSE is {float(wl[j])!r} at iteration {it}: noise powers of "
+                f"{n1_db[i]} dB and {n2_db[i]} dB are too far apart for double precision",
+            )
+            done[j:] = True
+        if np.count_nonzero(done):
+            finished = member[done]
+            result[:, finished] = mse[:, done]
+            iterations[finished] = it
+            converged[finished] = True
+            keep = ~done
+            member, p_bar, q, r, n1, inv_n2 = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2))
+            mse = mse[:, keep]
+    if failure is not None:
+        i, error, message = failure
+        raise error(message, index=np.unravel_index(i, shape))
+    result[:, member] = mse
+    wl_mse, sl_mse = result
+    return ImproprietyGains(
+        ratio=(sl_mse / wl_mse).reshape(shape),
+        wl_mse=wl_mse.reshape(shape),
+        sl_mse=sl_mse.reshape(shape),
+        iterations=iterations.reshape(shape),
+        converged=converged.reshape(shape),
     )

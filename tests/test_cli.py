@@ -251,6 +251,105 @@ def test_mse_sweep_golden_regression(tmp_path):
     assert out.read_bytes() == (DATA / "mse_sweep_golden.csv").read_bytes()
 
 
+def test_mse_sweep_unsorted_grid_keeps_row_order_and_passes(tmp_path, capsys):
+    out = tmp_path / "ms.csv"
+    code = main(["mse-sweep", "--rho-w", "0.8,0.4", "--rho-n", "0", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "mse-sweep: 6 points, invariants ok\n"
+    _, rows = read_rows(out)
+    assert [row[0] for row in rows] == ["0.8", "0.4"] * 3
+    # The surface itself is monotone: the larger |rho_w| gains more.
+    assert float(rows[0][4]) > float(rows[1][4])
+
+
+def test_mse_sweep_unsorted_grid_still_catches_a_dip(tmp_path, monkeypatch, capsys):
+    gains = cli.mse.noise_impropriety_gains
+
+    def dipped(*args, **kwargs):
+        res = gains(*args, **kwargs)
+        res.ratio[:, 0, :] = res.ratio[:, 1, :] - 1e-6  # |rho_w| = 0.8 now gains less than 0.4
+        return res
+
+    monkeypatch.setattr(cli.mse, "noise_impropriety_gains", dipped)
+    code = main(["mse-sweep", "--rho-w", "0.8,0.4", "--rho-n", "0.5", "--out", str(tmp_path / "ms.csv")])
+    assert code == 1
+    assert "invariants VIOLATED" in capsys.readouterr().out
+
+
+def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"panels": [[-20, -20], [200, -20], [3000, -20]]}))
+    out = tmp_path / "out" / "ms.csv"
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert capsys.readouterr().err == (
+        "config error: panel [200, -20]: widely linear MSE is 0.0 at iteration 1: noise powers of "
+        "200 dB and -20 dB are too far apart for double precision\n"
+    )
+
+
+def test_theta_bound_golden_regression(tmp_path):
+    out = tmp_path / "theta.csv"
+    assert main(["theta-bound", "--draws", "200", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "theta_bound_golden.csv").read_bytes()
+
+
+def test_mse_sweep_keeps_json_config_integers(tmp_path):
+    config = tmp_path / "ints.json"
+    config.write_text(json.dumps({"rho_w": [0, 0.5], "rho_n": [0], "panels": [[-20, -20], [-20.0, -40]]}))
+    out = tmp_path / "ints.csv"
+    assert main(["mse-sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "rho_w_abs,rho_n_abs,N1_db,N2_db,ratio,converged_iters\n"
+        "0,0,-20,-20,0.9999999999999996,14\n"
+        "0.5,0,-20,-20,1.0420922386844722,18\n"
+        "0,0,-20.0,-40,1.0000000000000053,4\n"
+        "0.5,0,-20.0,-40,1.0031442834029227,4\n"
+    )
+    out_json = tmp_path / "ints.json.out"
+    assert main(["mse-sweep", "--config", str(config), "--format", "json", "--out", str(out_json)]) == 0
+    records = json.loads(out_json.read_text())
+    assert [(r["rho_w_abs"], r["N1_db"], r["N2_db"]) for r in records] == [(0, -20, -20), (0.5, -20, -20), (0, -20.0, -40), (0.5, -20.0, -40)]
+    assert '"N1_db": -20,' in out_json.read_text() and '"N1_db": -20.0,' in out_json.read_text()
+
+
+_WRITER_ROWS = [
+    [0, np.float64(0.1), float("nan"), np.int64(3), np.float32(0.25), -0.0, True, "x", 1e-300, float("inf")],
+    [np.int32(-7), 2.5e17, np.nan, 0.0, np.float64(-1e22), 7, False, "y", 123456789012345678901234567890, -float("inf")],
+]
+
+
+def _joined_text(header, rows, fmt):
+    """Reference: the table as one string, formatted value by value."""
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    return json.dumps([{k: cli._native(v) for k, v in zip(header, row)} for row in rows], indent=1) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [_WRITER_ROWS, _WRITER_ROWS[:1], []], ids=["two", "one", "empty"])
+def test_write_rows_streams_the_joined_text(tmp_path, fmt, rows):
+    header = list("abcdefghij")
+    path = tmp_path / "sub" / f"table.{fmt}"
+    cli.write_rows(path, header, iter(rows), fmt)
+    assert path.read_text(encoding="utf-8") == _joined_text(header, rows, fmt)
+
+
+def test_write_rows_formats_each_type_as_before(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.write_rows(path, list("abcdefghij"), _WRITER_ROWS, "csv")
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f,g,h,i,j\n"
+        b"0,0.1,nan,3,0.25,-0.0,1,x,1e-300,inf\n"
+        b"-7,2.5e+17,nan,0.0,-1e+22,7,0,y,123456789012345678901234567890,-inf\n"
+    )
+    cli.write_rows(path, ["a", "b"], [[np.float64(0.5), 2]], "json")
+    assert path.read_bytes() == b'[\n {\n  "a": 0.5,\n  "b": 2\n }\n]\n'
+    cli.write_rows(path, ["a"], [[float("nan")]], "json")
+    assert path.read_bytes() == b'[\n {\n  "a": NaN\n }\n]\n'
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

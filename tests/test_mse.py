@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from wlckf.errors import DegenerateError, NotPSDError
 from wlckf.mse import (
     ScalarModelParams,
+    _inv2,
     db_to_linear,
     min_mmse_ratio,
     min_mmse_ratio_sweep,
     min_wl_mmse,
     noise_impropriety_gain,
+    noise_impropriety_gains,
     scalar_posterior_cov_seq,
     sl_mmse,
     split_minimum_scan,
@@ -281,3 +283,129 @@ def test_wl_mmse_between_extreme_split_and_strictly_linear(p0, cvar_dir, t):
     value = wl_mmse(params, t)
     assert value >= min_wl_mmse(params, t) - 1e-12
     assert value <= sl_mmse(params, t) * (1 + 1e-12) + 1e-15
+
+
+# --- batched impropriety gain ---------------------------------------------------
+
+
+def _scalar_inv2(m):
+    """Reference: the adjugate inverse of one 2x2 in numpy scalar arithmetic."""
+    limit = 1e-14 * max(float(np.max(np.abs(m))), 1e-300) ** 2
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(det) <= limit:
+        return np.linalg.pinv(m)
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+
+
+def _reference_gain(rho_w, rho_n, n1_db, n2_db, horizon):
+    """Reference: one member's recursion as a loop over 2x2 matrices and floats."""
+    n1, n2 = db_to_linear(n1_db), db_to_linear(n2_db)
+    q_bar = n1 * np.array([[1.0, rho_w], [np.conj(rho_w), 1.0]], dtype=complex)
+    r_bar = n2 * np.array([[1.0, rho_n], [np.conj(rho_n), 1.0]], dtype=complex)
+    p_bar, p_sl, wl_mse, converged, iterations = np.eye(2, dtype=complex), 1.0, 1.0, False, 0
+    for iterations in range(1, horizon + 1):
+        predicted = p_bar + q_bar
+        gain = predicted @ _scalar_inv2(predicted + r_bar)
+        p_bar = predicted - gain @ predicted
+        p_bar = (p_bar + p_bar.conj().T) / 2
+        wl_new = 0.5 * float(np.trace(p_bar).real)
+        p_sl_new = 1.0 / (1.0 / (p_sl + n1) + 1.0 / n2)
+        done = abs(wl_new - wl_mse) < 1e-12 and abs(p_sl_new - p_sl) < 1e-12
+        wl_mse, p_sl = wl_new, p_sl_new
+        if done:
+            converged = True
+            break
+    return p_sl / wl_mse, wl_mse, p_sl, iterations, converged
+
+
+def _single_calls(rho_w, rho_n, n1_db, n2_db, horizon):
+    rho_w, rho_n, n1_db, n2_db = np.broadcast_arrays(rho_w, rho_n, n1_db, n2_db)
+    singles = [
+        noise_impropriety_gain(complex(w), complex(n), float(a), float(b), horizon=horizon)
+        for w, n, a, b in zip(rho_w.ravel(), rho_n.ravel(), n1_db.ravel(), n2_db.ravel())
+    ]
+    return {
+        field: np.array([getattr(res, field) for res in singles]).reshape(rho_w.shape)
+        for field in ("ratio", "wl_mse", "sl_mse", "iterations", "converged")
+    }
+
+
+def test_gains_batch_equals_single_calls_bit_for_bit():
+    grid = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
+    panels = np.array([[-20.0, -20.0], [-20.0, -40.0], [-40.0, -20.0]])
+    cases = [
+        # The three default panels at the default orientations, 90 degrees apart.
+        (grid[None, :, None], 1j * grid[None, None, :], panels[:, 0, None, None], panels[:, 1, None, None]),
+        # rho_n = 1 with rho_w = 1 in the same orientation makes the 2x2 singular
+        # (pseudo-inverse); rho_w = 1 alone never converges and stops at the horizon.
+        (np.array([1.0, 1.0, 0.5, 1.0]), np.array([1.0, 0.0, 1.0, 1j]), -20.0, -20.0),
+    ]
+    for rho_w, rho_n, n1_db, n2_db in cases:
+        batch = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=600)
+        single = _single_calls(rho_w, rho_n, n1_db, n2_db, horizon=600)
+        for field, expected in single.items():
+            assert np.array_equal(getattr(batch, field), expected), field
+        # And the bits of the matrix-by-matrix loop in scalar arithmetic.
+        members = zip(*(a.ravel() for a in np.broadcast_arrays(rho_w, rho_n, n1_db, n2_db)))
+        reference = np.array([_reference_gain(*member, horizon=600) for member in members]).T
+        for field, expected in zip(("ratio", "wl_mse", "sl_mse", "iterations", "converged"), reference):
+            assert np.array_equal(getattr(batch, field).ravel(), expected), field
+    # Members stop on iterations of their own, and some run to the horizon.
+    first = noise_impropriety_gains(*cases[0], horizon=600)
+    assert len(np.unique(first.iterations)) > 5
+    last = noise_impropriety_gains(*cases[1], horizon=600)
+    assert last.converged.tolist() == [True, False, True, False]
+    assert last.iterations[1] == 600
+
+
+def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        calls.append(np.shape(a)[:-2])
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    res = noise_impropriety_gains(np.array([0.5, 1.0]), np.array([1.0j, 1.0]), -20.0, -20.0)
+    assert calls and all(shape == (1,) for shape in calls)
+    assert res.converged.all()
+
+
+def test_gains_batch_raises_for_its_degenerate_member():
+    with pytest.raises(DegenerateError) as info:
+        noise_impropriety_gains(np.array([0.0, 0.5, 0.9]), 0.5j, np.array([-20.0, 200.0, -20.0]), -20.0)
+    assert info.value.index == (1,)
+    with pytest.raises(DegenerateError) as single:
+        noise_impropriety_gain(0.5, 0.5j, 200.0, -20.0)
+    assert str(info.value) == str(single.value)
+
+
+def test_gains_batch_reports_first_failing_member_in_order():
+    # Member 2 overflows at the first iteration, member 1 fails at its own.
+    with pytest.raises(DegenerateError) as info:
+        noise_impropriety_gains(0.5, 0.5j, np.array([-20.0, 200.0, 3000.0]), -20.0)
+    assert info.value.index == (1,)
+    assert "widely linear MSE" in str(info.value)
+    with pytest.raises(DegenerateError) as info:
+        noise_impropriety_gains(0.5, 0.5j, -20.0, np.array([-20.0, -4000.0, -20.0]))
+    assert info.value.index == (1,)
+    with pytest.raises(NotPSDError) as info:
+        noise_impropriety_gains(np.array([[0.5, 1.2]]), 0.0, -20.0, -20.0)
+    assert info.value.index == (0, 1)
+
+
+def test_inv2_acts_per_matrix_of_a_stack():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    stack[1, 2] = [[1.0, 2.0], [2.0, 4.0]]  # singular: pseudo-inverse
+    inverse = _inv2(stack)
+    assert inverse.shape == stack.shape
+    for i in np.ndindex(stack.shape[:-2]):
+        assert np.array_equal(inverse[i], _inv2(stack[i]))
+    assert np.allclose(inverse[1, 2], np.linalg.pinv(stack[1, 2]))
+    assert np.allclose(inverse[0, 0] @ stack[0, 0], np.eye(2))
+    stack[2, 1, 0, 0] = 1e200
+    with pytest.raises(DegenerateError) as info:
+        _inv2(stack)
+    assert info.value.index == (2, 1)

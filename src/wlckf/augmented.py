@@ -6,9 +6,10 @@ filters rely on (PSD matrix square root, scalar augmented eigenvalues).
 
 A complex vector x = u + jv has the augmented form [x; x*], related to the
 real composite [u; v] by the transform returned by :func:`build_transform`.
-Augmented matrices carry the block-conjugate pattern [[M1, M2], [M2*, M1*]]
-and are stored as the (M1, M2) pair so the pattern holds by construction;
-:func:`block_conjugate` fills the full array of a pair.
+It is stored as x alone, and augmented matrices, which carry the
+block-conjugate pattern [[M1, M2], [M2*, M1*]], as the (M1, M2) pair, so
+both patterns hold by construction; :func:`block_conjugate` fills the full
+array of a pair. Composite-space results are C-contiguous real arrays.
 """
 from __future__ import annotations
 
@@ -21,6 +22,10 @@ from .errors import ConsistencyError, DimensionError, NotPSDError
 
 # Relative tolerance for conjugate-symmetry and realness consistency checks.
 CONJ_TOL = 1e-9
+# Relative tolerance of psd_sqrt's symmetry and negative-eigenvalue checks.
+PSD_TOL = 1e-10
+# Smallest-to-largest singular value ratio at or below which a matrix is singular.
+RCOND = 1e-12
 
 
 def block_conjugate(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -57,21 +62,18 @@ def build_transform(n: int) -> np.ndarray:
 
 @dataclass
 class AugmentedVector:
-    """Stack [x; x*] with the conjugate pair stored explicitly."""
+    """Stack [x; x*] stored as x, so the bottom half is conj(x) by construction."""
 
     top: np.ndarray
-    bottom: np.ndarray
 
     def __post_init__(self):
         self.top = np.asarray(self.top, dtype=complex)
-        self.bottom = np.asarray(self.bottom, dtype=complex)
-        if self.top.shape != self.bottom.shape or self.top.ndim != 1:
-            raise DimensionError("augmented vector halves must be 1-d and equal length")
+        if self.top.ndim != 1:
+            raise DimensionError("augmented vector must be built from a 1-d complex vector")
 
-    @classmethod
-    def from_complex(cls, x) -> "AugmentedVector":
-        x = np.asarray(x, dtype=complex)
-        return cls(top=x, bottom=np.conj(x))
+    @property
+    def bottom(self) -> np.ndarray:
+        return np.conj(self.top)
 
     @property
     def n(self) -> int:
@@ -80,15 +82,11 @@ class AugmentedVector:
     def full(self) -> np.ndarray:
         return np.concatenate([self.top, self.bottom])
 
-    def conjugate_defect(self) -> float:
-        """Max abs deviation of bottom from conj(top)."""
-        return float(np.max(np.abs(self.bottom - np.conj(self.top)), initial=0.0))
-
     def __add__(self, other: "AugmentedVector") -> "AugmentedVector":
-        return AugmentedVector(self.top + other.top, self.bottom + other.bottom)
+        return AugmentedVector(self.top + other.top)
 
     def __sub__(self, other: "AugmentedVector") -> "AugmentedVector":
-        return AugmentedVector(self.top - other.top, self.bottom - other.bottom)
+        return AugmentedVector(self.top - other.top)
 
 
 @dataclass
@@ -119,7 +117,7 @@ class AugmentedMatrix:
         return cls(np.array([[scalar1]], complex), np.array([[scalar2]], complex))
 
     @classmethod
-    def from_full(cls, full: np.ndarray, tol: float = CONJ_TOL) -> "AugmentedMatrix":
+    def from_full(cls, full: np.ndarray) -> "AugmentedMatrix":
         full = np.asarray(full, dtype=complex)
         r, c = full.shape
         if r % 2 or c % 2:
@@ -131,7 +129,7 @@ class AugmentedMatrix:
             float(np.max(np.abs(full[n:, :m] - np.conj(m2)), initial=0.0)),
             float(np.max(np.abs(full[n:, m:] - np.conj(m1)), initial=0.0)),
         )
-        if defect > tol * scale:
+        if defect > CONJ_TOL * scale:
             raise ConsistencyError("matrix does not satisfy the block-conjugate pattern")
         return cls(m1, m2)
 
@@ -167,26 +165,25 @@ class AugmentedMatrix:
                 self.m1 @ other.m2 + self.m2 @ np.conj(other.m1),
             )
         if isinstance(other, AugmentedVector):
-            top = self.m1 @ other.top + self.m2 @ other.bottom
-            return AugmentedVector(top, np.conj(top))
+            return AugmentedVector(self.m1 @ other.top + self.m2 @ other.bottom)
         return NotImplemented
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.m1), initial=0.0), np.max(np.abs(self.m2), initial=0.0)))
 
-    def check_blocks(self, tol: float = CONJ_TOL) -> "AugmentedMatrix":
-        """Require the covariance block symmetries: Hermitian M1 and symmetric M2."""
+    def check_blocks(self) -> "AugmentedMatrix":
+        """Require the covariance block symmetries, Hermitian M1 and symmetric M2, within ``CONJ_TOL``."""
         scale = max(1.0, self.max_abs())
-        if np.max(np.abs(self.m1 - self.m1.conj().T), initial=0.0) > tol * scale:
+        if np.max(np.abs(self.m1 - self.m1.conj().T), initial=0.0) > CONJ_TOL * scale:
             raise ConsistencyError("covariance block M1 is not Hermitian")
-        if np.max(np.abs(self.m2 - self.m2.T), initial=0.0) > tol * scale:
+        if np.max(np.abs(self.m2 - self.m2.T), initial=0.0) > CONJ_TOL * scale:
             raise ConsistencyError("covariance block M2 is not symmetric")
         return self
 
-    def check_covariance(self, tol: float = CONJ_TOL) -> "AugmentedMatrix":
-        """Require Hermitian M1, symmetric M2, and a PSD full matrix."""
-        w = np.linalg.eigvalsh(self.check_blocks(tol).full())
-        if w[0] < -tol * max(1.0, float(abs(w[-1]))):
+    def check_covariance(self) -> "AugmentedMatrix":
+        """Require Hermitian M1, symmetric M2, and a PSD full matrix, all within ``CONJ_TOL``."""
+        w = np.linalg.eigvalsh(self.check_blocks().full())
+        if w[0] < -CONJ_TOL * max(1.0, float(abs(w[-1]))):
             raise NotPSDError("augmented covariance is not positive semidefinite")
         return self
 
@@ -197,26 +194,26 @@ def real_to_augmented(z) -> AugmentedVector:
     if z.ndim != 1 or z.shape[0] % 2:
         raise DimensionError("composite vector must be 1-d with even length")
     n = z.shape[0] // 2
-    return AugmentedVector.from_complex(z[:n] + 1j * z[n:])
+    return AugmentedVector(z[:n] + 1j * z[n:])
 
 
-def augmented_to_real(x: AugmentedVector, tol: float = CONJ_TOL) -> np.ndarray:
-    """Inverse of :func:`real_to_augmented`; rejects non-conjugate-symmetric input."""
-    return full_to_real(x.full(), tol)
+def augmented_to_real(x: AugmentedVector) -> np.ndarray:
+    """Inverse of :func:`real_to_augmented`: the composite [Re x; Im x]."""
+    return np.concatenate([x.top.real, x.top.imag])
 
 
-def full_to_real(x: np.ndarray, tol: float = CONJ_TOL) -> np.ndarray:
+def full_to_real(x: np.ndarray) -> np.ndarray:
     """Real composite [u; v] of full augmented vectors [x; x*] along the last axis.
 
     Leading axes are batch axes. A vector whose bottom half deviates from
-    the conjugate of its top half by more than ``tol`` (relative to
+    the conjugate of its top half by more than ``CONJ_TOL`` (relative to
     max(1, max |top|)) raises ConsistencyError.
     """
     n = x.shape[-1] // 2
     top = x[..., :n]
     scale = np.maximum(1.0, np.max(np.abs(top), axis=-1, initial=0.0))
     defect = np.max(np.abs(x[..., n:] - np.conj(top)), axis=-1, initial=0.0)
-    if np.any(defect > tol * scale):
+    if np.any(defect > CONJ_TOL * scale):
         raise ConsistencyError("augmented vector is not conjugate symmetric")
     return np.concatenate([top.real, top.imag], axis=-1)
 
@@ -245,45 +242,46 @@ def real_matrix_to_augmented(m, mode: str) -> AugmentedMatrix:
     return AugmentedMatrix(full[:rows, :cols], full[:rows, cols:])
 
 
-def augmented_to_real_matrix(m: AugmentedMatrix, mode: str, tol: float = CONJ_TOL) -> np.ndarray:
+def augmented_to_real_matrix(m: AugmentedMatrix, mode: str) -> np.ndarray:
     """Drop an augmented matrix back to composite space; result must be real.
 
-    An imaginary residue above ``tol`` (relative) means the input did not
-    come from a real composite matrix and raises ConsistencyError.
+    An imaginary residue above ``CONJ_TOL`` (relative) means the input did
+    not come from a real composite matrix and raises ConsistencyError. The
+    result is a C-contiguous real array.
     """
-    return full_to_real_matrix(m.full(), mode, tol)
+    return full_to_real_matrix(m.full(), mode)
 
 
-def full_to_real_matrix(full: np.ndarray, mode: str, tol: float = CONJ_TOL) -> np.ndarray:
+def full_to_real_matrix(full: np.ndarray, mode: str) -> np.ndarray:
     """Composite-space form of full augmented arrays; leading axes are batch axes.
 
     The array form of :func:`augmented_to_real_matrix`: each matrix's
-    imaginary residue is checked against ``tol`` relative to its own
-    largest entry.
+    imaginary residue is checked against ``CONJ_TOL`` relative to its own
+    largest entry. The result is C-contiguous, not a strided view of the
+    complex product, so every consumer's matmul takes the same loop on it.
     """
     _check_mode(mode)
     rows, cols = full.shape[-2] // 2, full.shape[-1] // 2
     out = build_transform(rows).conj().T @ full @ build_transform(cols)
     out = out / 2 if mode == "system" else out / 4
     scale = np.maximum(1.0, np.max(np.abs(out), axis=(-2, -1), initial=0.0))
-    if np.any(np.max(np.abs(out.imag), axis=(-2, -1), initial=0.0) > tol * scale):
+    if np.any(np.max(np.abs(out.imag), axis=(-2, -1), initial=0.0) > CONJ_TOL * scale):
         raise ConsistencyError("imaginary residue too large; matrix has no real composite form")
-    return out.real
+    return np.ascontiguousarray(out.real)
 
 
-def psd_sqrt(m, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Factor a real symmetric PSD matrix as B @ B.T == m.
 
     Uses a symmetric eigendecomposition with eigenvalues floored at zero,
     so rank-deficient inputs (maximally improper noise gives these) succeed
-    where a strict Cholesky would fail. Eigenvalues below -tol * norm raise
-    NotPSDError. Tiny positive eigenvalues (below 1e-13 relative) are
+    where a strict Cholesky would fail. Eigenvalues below -PSD_TOL * norm
+    raise NotPSDError. Tiny positive eigenvalues (below 1e-13 relative) are
     flushed to zero so near-null directions produce exactly zero columns.
 
     Parameters
     ----------
-    m : array_like, real symmetric within ``tol``
-    tol : relative tolerance for the negative-eigenvalue rejection
+    m : array_like, real symmetric within ``PSD_TOL``
 
     Returns
     -------
@@ -293,10 +291,10 @@ def psd_sqrt(m, tol: float = 1e-10) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("psd_sqrt needs a square matrix")
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    if np.max(np.abs(m - m.T), initial=0.0) > tol * scale:
+    if np.max(np.abs(m - m.T), initial=0.0) > PSD_TOL * scale:
         raise ConsistencyError("psd_sqrt needs a symmetric matrix")
     w, v = np.linalg.eigh((m + m.T) / 2)
-    bound = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    bound = PSD_TOL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if w[0] < -bound:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{bound:.3e}")
     floor = 1e-13 * max(w[-1], 0.0)
@@ -314,7 +312,7 @@ def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, flo
     return p + mag, max(p - mag, 0.0)
 
 
-def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
     ``b_top`` is the top block row [B1, B2] of ``b`` and ``a`` the full
@@ -325,12 +323,12 @@ def solve_right(b_top: np.ndarray, a: np.ndarray, rcond: float = 1e-12) -> tuple
 
     Leading axes of ``b_top`` and ``a`` are batch axes, and the flag has
     their shape. A member of the batch counts as singular when its
-    smallest singular value is at most ``rcond`` times its largest; the
+    smallest singular value is at most ``RCOND`` times its largest; the
     others are solved in one LU call, and each singular member alone by
     least squares, so every member gets the bits it would get unbatched.
     """
     sv = np.linalg.svd(a, compute_uv=False)
-    singular = (sv[..., 0] == 0) | (sv[..., -1] <= rcond * sv[..., 0])
+    singular = (sv[..., 0] == 0) | (sv[..., -1] <= RCOND * sv[..., 0])
     a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b_top, -1, -2)
     if not singular.any():
         return np.swapaxes(np.linalg.solve(a_t, b_t), -1, -2), singular

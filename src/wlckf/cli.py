@@ -32,6 +32,8 @@ _COMMON_DEFAULTS = {"seed": 0, "format": "csv"}
 
 # Trials of `equivalence` that run as one batch; bounds memory for any --trials.
 TRIAL_BATCH = 64
+# Draws of `theta-bound` whose ratio sweep is held at once; bounds memory for any --draws.
+DRAW_BATCH = 8192
 
 _DEFAULTS = {
     "equivalence": {
@@ -242,26 +244,29 @@ def random_real_model(rng: np.random.Generator, n: int, m: int, proper: bool = F
     return e, f, g, q, r, pi
 
 
-def _stack(arrays) -> np.ndarray:
-    """Stack one composite matrix of each trial in the layout the trials hold it in.
+def equivalence_trial(seed: int, trials, n: int, m: int, horizon: int, proper: bool) -> np.ndarray:
+    """Run randomized agreement trials as one batch; returns per-trial max relative deviations.
 
-    ``random_real_model`` returns some matrices as strided ``.real`` views
-    of complex arrays. numpy's matmul takes a non-BLAS loop on those, and
-    it rounds apart from the BLAS loop a contiguous stack would take, so
-    such matrices are stacked as the real part of a complex stack.
+    Trial k draws its model from ``substream(seed, k)`` and its trajectory
+    from ``substream(seed, k, 1)``. Returns a (len(trials), 3) array whose
+    columns are the widely linear filter's deviation from the real oracle
+    in estimate and in covariance, and, with ``proper``, the strictly
+    linear filter's worse deviation of the two (NaN otherwise). The
+    filters run one step at a time, side by side, and only running
+    per-trial maxima are kept. Each trial's numbers do not depend on which
+    other trials share its batch.
     """
-    stacked = np.stack(arrays)
-    return stacked if arrays[0].flags.c_contiguous else stacked.astype(complex).real
-
-
-def _batch_deviations(models, reals, measurements, proper: bool) -> np.ndarray:
-    """Per-trial (est_dev, cov_dev, ckf_dev) of trials whose matrices share one memory layout.
-
-    The filters run one step at a time, side by side, and only running
-    per-trial maxima are kept.
-    """
+    models, reals, measurements = [], [], []
+    for trial in trials:
+        real = random_real_model(substream(seed, trial), n, m, proper)
+        model = model_from_real(*real)
+        _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
+        models.append(model)
+        reals.append(real)
+        measurements.append(meas)
+    measurements = np.stack(measurements)
     meas_real = np.concatenate([measurements.real, measurements.imag], axis=-1)
-    real = real_kf_batch(*(_stack(arrays) for arrays in zip(*reals)), meas_real)
+    real = real_kf_batch(*(np.stack(arrays) for arrays in zip(*reals)), meas_real)
     filters = [wlckf_batch(models, measurements)]
     if proper:
         filters.append(ckf_batch(models, measurements))
@@ -280,44 +285,11 @@ def _batch_deviations(models, reals, measurements, proper: bool) -> np.ndarray:
     return np.stack([*worst[0], ckf_dev], axis=-1)
 
 
-def equivalence_trial(seed: int, trials, n: int, m: int, horizon: int, proper: bool):
-    """Run randomized agreement trials as one batch; returns per-trial max relative deviations.
-
-    Trial k draws its model from ``substream(seed, k)`` and its trajectory
-    from ``substream(seed, k, 1)``. Returns three arrays over ``trials``:
-    the widely linear filter's deviation from the real oracle in estimate
-    and in covariance, and, with ``proper``, the strictly linear filter's
-    worse deviation of the two (NaN otherwise). Each trial's numbers do
-    not depend on which other trials share its batch.
-    """
-    models, reals, measurements = [], [], []
-    for trial in trials:
-        real = random_real_model(substream(seed, trial), n, m, proper)
-        model = model_from_real(*real)
-        _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
-        models.append(model)
-        reals.append(real)
-        measurements.append(meas)
-    devs = np.empty((len(models), 3))
-    # Trials whose matrices differ in memory layout run as separate batches (see _stack).
-    layouts: dict[tuple, list[int]] = {}
-    for i, real in enumerate(reals):
-        layouts.setdefault(tuple(a.flags.c_contiguous for a in real), []).append(i)
-    for members in layouts.values():
-        devs[members] = _batch_deviations(
-            [models[i] for i in members],
-            [reals[i] for i in members],
-            np.stack([measurements[i] for i in members]),
-            proper,
-        )
-    return devs[:, 0], devs[:, 1], devs[:, 2]
-
-
 def cmd_equivalence(cfg: dict) -> int:
     trials = int(cfg["trials"])
     dims = int(cfg["state_dim"]), int(cfg["meas_dim"]), int(cfg["horizon"])
     chunks = [range(start, min(start + TRIAL_BATCH, trials)) for start in range(0, trials, TRIAL_BATCH)]
-    devs = np.concatenate([np.column_stack(equivalence_trial(cfg["seed"], chunk, *dims, cfg["proper"])) for chunk in chunks])
+    devs = np.concatenate([equivalence_trial(cfg["seed"], chunk, *dims, cfg["proper"]) for chunk in chunks])
     gated = devs if cfg["proper"] else devs[:, :2]
     # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
     worst = float(np.max(gated, initial=0.0))
@@ -391,10 +363,18 @@ def cmd_theta_bound(cfg: dict) -> int:
     n1 = 10.0 ** rng.uniform(-6, 2, draws)
     n2 = 10.0 ** rng.uniform(-6, 2, draws)
     p0 = 10.0 ** rng.uniform(-2, 2, draws)
-    ratios = mse.min_mmse_ratio_sweep(a_abs, b_abs, c_abs, n1, n2, p0, t_max)
-    lo = ratios.min(axis=1)
-    hi = ratios.max(axis=1)
-    rows = zip(range(draws), *(column.tolist() for column in (a_abs, b_abs, c_abs, n1, n2, p0, lo, hi)))
+    params = (a_abs, b_abs, c_abs, n1, n2, p0)
+    # Each draw keeps only the min and max of its ratios over the steps.
+    lo, hi = np.empty(draws), np.empty(draws)
+    chunks = [slice(start, start + DRAW_BATCH) for start in range(0, draws, DRAW_BATCH)]
+    for part in chunks:
+        ratios = mse.min_mmse_ratio_sweep(*(column[part] for column in params), t_max)
+        lo[part], hi[part] = ratios.min(axis=1), ratios.max(axis=1)
+    rows = (
+        row
+        for part in chunks
+        for row in zip(range(draws)[part], *(column[part].tolist() for column in (*params, lo, hi)))
+    )
     write_rows(
         Path(cfg["out"]),
         ["draw", "a_abs", "b_abs", "c_abs", "N1", "N2", "P00", "theta_min", "theta_max"],
@@ -439,18 +419,17 @@ def cmd_phase_demod(cfg: dict) -> int:
 
     header = ["snr_db", "rho_abs", "runs", "xi_uwlckf", "xi_ukf", "r", "r_stderr", "seed"]
     max_imag = track.max_imag
-    xi_rows = []
-    for i, snr in enumerate(cfg["snr_list"]):
-        res = phase.improvement_ratio(float(snr), float(cfg["xi_rho"]), runs, horizon, seed + 20_000 + i)
+    xi_rows, r_rows = [], []
+    # (table, snr, rho, seed offset) of every Monte Carlo operating point.
+    points = [
+        *((xi_rows, snr, cfg["xi_rho"], 20_000 + i) for i, snr in enumerate(cfg["snr_list"])),
+        *((r_rows, cfg["r_snr"], rho, 30_000 + i) for i, rho in enumerate(cfg["rho_list"])),
+    ]
+    for rows, snr, rho, offset in points:
+        res = phase.improvement_ratio(float(snr), float(rho), runs, horizon, seed + offset)
         max_imag = max(max_imag, res.max_imag)
-        xi_rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
+        rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
     write_rows(xi_path, header, xi_rows, fmt)
-
-    r_rows = []
-    for i, rho in enumerate(cfg["rho_list"]):
-        res = phase.improvement_ratio(float(cfg["r_snr"]), float(rho), runs, horizon, seed + 30_000 + i)
-        max_imag = max(max_imag, res.max_imag)
-        r_rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
     write_rows(r_path, header, r_rows, fmt)
 
     ok = max_imag < 1e-9

@@ -225,9 +225,9 @@ def _blocks(top: np.ndarray) -> AugmentedMatrix:
 
 
 def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
-    """Filter state holding copies of the top block rows of x and p."""
+    """Filter state holding copies of the top half of x and the top block row of p."""
     n = x.shape[0] // 2
-    return FilterState(AugmentedVector(x[:n].copy(), x[n:].copy()), _blocks(p[:n]), t)
+    return FilterState(AugmentedVector(x[:n].copy()), _blocks(p[:n]), t)
 
 
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +284,7 @@ class WLUpdate(NamedTuple):
         m = self.innovation.shape[0]
         return StepReport(
             predicted=_state(self.x, self.p, t),
-            innovation=AugmentedVector.from_complex(self.innovation),
+            innovation=AugmentedVector(self.innovation),
             innovation_cov=_blocks(self.s[:m]),
             gain=_blocks(self.gain),
             state=_state(self.x_post, self.p_post, t),
@@ -355,7 +355,7 @@ def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepRep
 
 def default_init(model: WidelyLinearModel) -> FilterState:
     return FilterState(
-        AugmentedVector.from_complex(np.zeros(model.n, complex)),
+        AugmentedVector(np.zeros(model.n, complex)),
         model.Pi0,
         t=0,
     )
@@ -523,7 +523,6 @@ def real_kf_run(
     pi_real,
     measurements_real,
     init_mean=None,
-    init_cov=None,
     initial_update: bool = False,
 ) -> list[RealKFStep]:
     """Textbook real-valued Kalman filter on the composite dual-channel model.
@@ -536,7 +535,7 @@ def real_kf_run(
     """
     dim = np.shape(e)[0]
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
-    p = np.asarray(pi_real if init_cov is None else init_cov, float).copy()
+    p = np.asarray(pi_real, float).copy()
     return list(_real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update))
 
 
@@ -546,9 +545,7 @@ def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterat
     ``measurements_real`` has shape (batch, steps, 2m). Yields, at each
     step, the posterior means (batch, 2n) and covariances (batch, 2n, 2n).
     It runs ``real_kf_run``'s loop, and member i equals ``real_kf_run`` on
-    the i-th slices bit for bit when those slices have the same memory
-    layout as the arrays ``real_kf_run`` was given: numpy's matmul takes a
-    different loop on a strided view than on a contiguous array.
+    the i-th slices bit for bit.
     """
     p = np.asarray(pi_real, float).copy()
     x = np.zeros(p.shape[:-1])

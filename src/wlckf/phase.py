@@ -120,17 +120,22 @@ def simulate_phase(model: PhaseModel, horizon: int, rng: np.random.Generator):
     return theta[0], y[0]
 
 
-def normalized_error(theta, theta_hat) -> float:
-    """Squared error norm over squared phase norm."""
+def normalized_error(theta, theta_hat):
+    """Squared error norm over squared phase norm along the last axis.
+
+    Leading axes are batch axes, one sequence per row; a pair of 1-d
+    sequences gives a float.
+    """
     theta = np.asarray(theta, float)
     theta_hat = np.asarray(theta_hat, float)
     if theta.shape != theta_hat.shape:
         raise DimensionError("sequences must have equal length")
-    denom = float(theta @ theta)
-    if denom == 0:
+    denom = np.sum(theta * theta, axis=-1)
+    if np.any(denom == 0):
         raise DegenerateError("zero phase sequence")
     err = theta_hat - theta
-    return float(err @ err) / denom
+    xi = np.sum(err * err, axis=-1) / denom
+    return float(xi) if xi.ndim == 0 else xi
 
 
 def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
@@ -339,9 +344,8 @@ def improvement_ratio(snr_db: float, rho_abs: float, mc_runs: int, horizon: int,
     proper = replace(model, rho_abs=0.0)
     cvars = [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]
     estimates, _, max_imag = _track(model, ys, cvars)
-    denom = np.sum(truth * truth, axis=1)
-    xi_u = np.sum((estimates[:mc_runs] - truth) ** 2, axis=1) / denom
-    xi_k = np.sum((estimates[-mc_runs:] - truth) ** 2, axis=1) / denom
+    xi_u = normalized_error(truth, estimates[:mc_runs])
+    xi_k = normalized_error(truth, estimates[-mc_runs:])
     ratio = xi_k / xi_u
 
     def se(x):

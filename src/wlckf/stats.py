@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmented import (
+    CONJ_TOL,
     AugmentedMatrix,
     AugmentedVector,
     augmented_to_real,
@@ -55,7 +56,7 @@ class SecondOrderStats:
         return self.mean.shape[0]
 
     def augmented_mean(self) -> AugmentedVector:
-        return AugmentedVector.from_complex(self.mean)
+        return AugmentedVector(self.mean)
 
     def augmented_cov(self) -> AugmentedMatrix:
         return AugmentedMatrix(self.hermitian_cov, self.complementary_cov)
@@ -75,21 +76,21 @@ class SecondOrderStats:
         return cls(vec.top, aug.m1, aug.m2)
 
 
-def validate(stats: SecondOrderStats, tol: float = 1e-9) -> SecondOrderStats:
+def validate(stats: SecondOrderStats) -> SecondOrderStats:
     """Check the covariance invariants, naming the one that fails.
 
     Raises ConsistencyError for a non-Hermitian Hermitian covariance or a
     non-symmetric complementary covariance, NotPSDError when the assembled
     augmented covariance is indefinite (see ``AugmentedMatrix.check_covariance``).
     """
-    stats.augmented_cov().check_covariance(tol)
+    stats.augmented_cov().check_covariance()
     return stats
 
 
-def is_proper(stats: SecondOrderStats, tol: float = 1e-9) -> bool:
-    """True when the complementary covariance vanishes (relative max norm)."""
+def is_proper(stats: SecondOrderStats) -> bool:
+    """True when the complementary covariance vanishes within ``CONJ_TOL`` (relative max norm)."""
     r_scale = max(1.0, float(np.max(np.abs(stats.hermitian_cov), initial=0.0)))
-    return float(np.max(np.abs(stats.complementary_cov), initial=0.0)) <= tol * r_scale
+    return float(np.max(np.abs(stats.complementary_cov), initial=0.0)) <= CONJ_TOL * r_scale
 
 
 def correlation_coefficient(stats: SecondOrderStats) -> complex:

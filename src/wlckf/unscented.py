@@ -225,7 +225,7 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
     """Run the unscented widely linear filter from ``model.init`` over a measurement sequence."""
-    state = FilterState(AugmentedVector.from_complex(model.init.mean), model.init.augmented_cov(), t=0)
+    state = FilterState(AugmentedVector(model.init.mean), model.init.augmented_cov(), t=0)
     reports: list[StepReport] = []
     for y in measurements:
         report = uwlckf_step(state, np.atleast_1d(np.asarray(y, complex)), model)

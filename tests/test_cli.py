@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wlckf import cli
-from wlckf.augmented import augmented_to_real, augmented_to_real_matrix
+from wlckf.augmented import AugmentedMatrix, augmented_to_real, augmented_to_real_matrix, full_to_real_matrix
 from wlckf.cli import main
 from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
 from wlckf.stats import substream
@@ -62,10 +62,8 @@ def test_equivalence_proper_mode_checks_ckf(tmp_path, monkeypatch):
 
 
 def test_equivalence_trial_matches_per_step_deviations():
-    # All 20 default trials of proper n = 2, whose composite matrices are
-    # strided views: the batch must keep their layout to keep their bits.
     seed, n, horizon = 3, 2, 50
-    est_devs, cov_devs, ckf_devs = cli.equivalence_trial(seed, range(20), n, n, horizon, proper=True)
+    est_devs, cov_devs, ckf_devs = cli.equivalence_trial(seed, range(20), n, n, horizon, proper=True).T
     for trial in range(20):
         e, f, g, q, r, pi = cli.random_real_model(substream(seed, trial), n, n, proper=True)
         model = model_from_real(e, f, g, q, r, pi)
@@ -87,12 +85,24 @@ def test_equivalence_trial_matches_per_step_deviations():
 
 @pytest.mark.parametrize("n, proper", [(1, False), (1, True), (8, False)])
 def test_equivalence_trial_alone_equals_its_row_in_a_batch(n, proper):
-    # Proper n = 1 mixes layouts: some trials' state maps are rescaled copies.
     seed, horizon = 1, 20
-    batch = np.stack(cli.equivalence_trial(seed, range(20), n, n, horizon, proper), axis=-1)
+    batch = cli.equivalence_trial(seed, range(20), n, n, horizon, proper)
+    assert batch.shape == (20, 3)
     for trial in range(20):
-        alone = np.stack(cli.equivalence_trial(seed, [trial], n, n, horizon, proper), axis=-1)
+        alone = cli.equivalence_trial(seed, [trial], n, n, horizon, proper)
         assert np.array_equal(alone[0], batch[trial], equal_nan=True)
+
+
+def test_composite_matrices_are_c_contiguous():
+    # numpy's matmul rounds a strided view apart from a contiguous array, so
+    # every composite matrix, and so the oracle's input in every trial, has one layout.
+    aug = AugmentedMatrix(np.array([[1 + 2j, 0.5]]), np.array([[0.5j, -1.0]]))
+    assert augmented_to_real_matrix(aug, "system").flags.c_contiguous
+    assert full_to_real_matrix(np.stack([aug.full()] * 3), "system").flags.c_contiguous
+    for n in (1, 2):
+        for seed in range(20):
+            for matrix in cli.random_real_model(np.random.default_rng(seed), n, n, proper=True):
+                assert matrix.flags.c_contiguous
 
 
 def test_equivalence_nan_deviation_fails_gate(tmp_path, monkeypatch):

@@ -132,7 +132,7 @@ def test_model_from_real_round_trip():
 
 def test_predict_identity_no_noise():
     model = scalar_model(a=1.0, q=0.0)
-    state = FilterState(AugmentedVector.from_complex([1 + 1j]), AugmentedMatrix([[2.0]], [[0.5]]), 0)
+    state = FilterState(AugmentedVector([1 + 1j]), AugmentedMatrix([[2.0]], [[0.5]]), 0)
     pred = wlckf_predict(state, model)
     assert np.allclose(pred.estimate.top, [1 + 1j])
     assert np.allclose(pred.cov.m1, [[2.0]])
@@ -141,7 +141,7 @@ def test_predict_identity_no_noise():
 
 def test_predict_scalar_doubling():
     model = scalar_model()
-    state = FilterState(AugmentedVector.from_complex([0j]), AugmentedMatrix.eye(1), 0)
+    state = FilterState(AugmentedVector([0j]), AugmentedMatrix.eye(1), 0)
     pred = wlckf_predict(state, model)
     assert np.allclose(pred.cov.m1, [[2.0]])
 
@@ -269,7 +269,7 @@ def test_run_is_the_public_predict_update_loop(initial_update):
     e, f, g, q, r, pi = random_composite(20, n=3, m=2)
     model = model_from_real(e, f, g, q, r, pi)
     _, meas = simulate_linear(model, 12, substream(20, 0))
-    init = FilterState(AugmentedVector.from_complex(np.array([1 - 1j, 0.5j, 2.0])), model.Pi0, 3)
+    init = FilterState(AugmentedVector(np.array([1 - 1j, 0.5j, 2.0])), model.Pi0, 3)
     reports = wlckf_run(model, meas, init=init, initial_update=initial_update)
     state = init
     for k, (rep, y) in enumerate(zip(reports, meas, strict=True)):
@@ -354,7 +354,7 @@ def test_ckf_is_real_kf_on_hermitian_blocks_with_improper_noise():
     meas_real = [np.concatenate([y.real, y.imag]) for y in meas]
     x0 = np.array([0.5 - 1j, 2j])
     # The initial complementary covariance is ignored as well.
-    init = FilterState(AugmentedVector.from_complex(x0), AugmentedMatrix(model.Pi0.m1, model.Pi0.m2), 0)
+    init = FilterState(AugmentedVector(x0), AugmentedMatrix(model.Pi0.m1, model.Pi0.m2), 0)
     runs = [
         (ckf_run(model, meas), real_kf_run(e, f, g, q, r, pi, meas_real)),
         (
@@ -509,7 +509,7 @@ def test_nonzero_initial_mean_is_supported():
     e, f, g, q, r, pi = random_composite(19)
     model = model_from_real(e, f, g, q, r, pi)
     x0 = np.array([1 + 2j, -0.5j])
-    init = FilterState(AugmentedVector.from_complex(x0), model.Pi0, 0)
+    init = FilterState(AugmentedVector(x0), model.Pi0, 0)
     _, meas = simulate_linear(model, 20, substream(19, 0))
     reports = wlckf_run(model, meas, init=init)
     meas_real = [np.concatenate([y.real, y.imag]) for y in meas]

@@ -60,11 +60,15 @@ def test_normalized_error_examples():
     assert normalized_error([1.0, 1.0], [1.0, 1.0]) == 0.0
     assert normalized_error([1.0, 1.0], [0.0, 0.0]) == 1.0
     assert normalized_error([1.0, 1.0], [0.0, 1.0]) == pytest.approx(0.5)
+    # Rows of a batch are sequences of their own.
+    assert normalized_error([[1.0, 1.0], [2.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]).tolist() == [0.5, 0.25]
 
 
 def test_normalized_error_rejects_zero_phase():
     with pytest.raises(DegenerateError):
         normalized_error([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(DegenerateError):
+        normalized_error([[1.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_normalized_error_rejects_length_mismatch():
@@ -110,7 +114,7 @@ def test_batch_tracker_matches_reference_steps_uwlckf(tracker, rho_abs, rho_phas
     res = run_tracker(model, y, tracker)
     nl = nonlinear_phase_model(model if tracker == "uwlckf" else replace(model, rho_abs=0.0))
     state = FilterState(
-        AugmentedVector.from_complex([complex(model.init_mean)]),
+        AugmentedVector([complex(model.init_mean)]),
         AugmentedMatrix([[model.init_var]], [[model.init_var]]),
         0,
     )

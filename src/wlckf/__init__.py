@@ -23,12 +23,8 @@ from .linear import (
     StepReport,
     WidelyLinearModel,
     ckf_run,
-    load_model,
-    model_from_dict,
     model_from_real,
-    model_to_dict,
     real_kf_run,
-    save_model,
     simulate_linear,
     wlckf_predict,
     wlckf_run,

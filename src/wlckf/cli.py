@@ -419,16 +419,16 @@ def cmd_phase_demod(cfg: dict) -> int:
 
     header = ["snr_db", "rho_abs", "runs", "xi_uwlckf", "xi_ukf", "r", "r_stderr", "seed"]
     max_imag = track.max_imag
-    xi_rows, r_rows = [], []
-    # (table, snr, rho, seed offset) of every Monte Carlo operating point.
+    # (snr, rho, seed) of every Monte Carlo operating point: the xi table's, then the r table's.
     points = [
-        *((xi_rows, snr, cfg["xi_rho"], 20_000 + i) for i, snr in enumerate(cfg["snr_list"])),
-        *((r_rows, cfg["r_snr"], rho, 30_000 + i) for i, rho in enumerate(cfg["rho_list"])),
+        *((float(snr), float(cfg["xi_rho"]), seed + 20_000 + i) for i, snr in enumerate(cfg["snr_list"])),
+        *((float(cfg["r_snr"]), float(rho), seed + 30_000 + i) for i, rho in enumerate(cfg["rho_list"])),
     ]
-    for rows, snr, rho, offset in points:
-        res = phase.improvement_ratio(float(snr), float(rho), runs, horizon, seed + offset)
+    table = []
+    for res in phase.improvement_ratios(points, runs, horizon):
         max_imag = max(max_imag, res.max_imag)
-        rows.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
+        table.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
+    xi_rows, r_rows = table[: len(cfg["snr_list"])], table[len(cfg["snr_list"]) :]
     write_rows(xi_path, header, xi_rows, fmt)
     write_rows(r_path, header, r_rows, fmt)
 

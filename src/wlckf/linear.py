@@ -42,7 +42,6 @@ before any prediction, for models whose measurements start at time zero.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -591,56 +590,3 @@ def simulate_linear(
         measurements[t - 1] = c1 @ states[t] + c2 @ np.conj(states[t]) + ns[t - 1]
     return states, measurements
 
-
-# --- model (de)serialization -------------------------------------------------
-
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
-
-
-def _decode_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
-def model_to_dict(model: WidelyLinearModel) -> dict:
-    """JSON-ready dict with complex entries as [re, im] pairs, row-major."""
-    return {
-        "n": model.n,
-        "m": model.m,
-        "A1": _encode_matrix(model.A.m1),
-        "A2": _encode_matrix(model.A.m2),
-        "B1": _encode_matrix(model.B.m1),
-        "B2": _encode_matrix(model.B.m2),
-        "C1": _encode_matrix(model.C.m1),
-        "C2": _encode_matrix(model.C.m2),
-        "Q": _encode_matrix(model.Q.m1),
-        "Qtilde": _encode_matrix(model.Q.m2),
-        "R": _encode_matrix(model.R.m1),
-        "Rtilde": _encode_matrix(model.R.m2),
-        "Pi0": _encode_matrix(model.Pi0.m1),
-        "Pi0tilde": _encode_matrix(model.Pi0.m2),
-    }
-
-
-def model_from_dict(data: dict) -> WidelyLinearModel:
-    model = WidelyLinearModel(
-        A=AugmentedMatrix(_decode_matrix(data["A1"]), _decode_matrix(data["A2"])),
-        B=AugmentedMatrix(_decode_matrix(data["B1"]), _decode_matrix(data["B2"])),
-        C=AugmentedMatrix(_decode_matrix(data["C1"]), _decode_matrix(data["C2"])),
-        Q=AugmentedMatrix(_decode_matrix(data["Q"]), _decode_matrix(data["Qtilde"])),
-        R=AugmentedMatrix(_decode_matrix(data["R"]), _decode_matrix(data["Rtilde"])),
-        Pi0=AugmentedMatrix(_decode_matrix(data["Pi0"]), _decode_matrix(data["Pi0tilde"])),
-    )
-    if model.n != int(data["n"]) or model.m != int(data["m"]):
-        raise DimensionError("declared dimensions do not match the matrices")
-    return model
-
-
-def save_model(model: WidelyLinearModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, indent=2)
-
-
-def load_model(path) -> WidelyLinearModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))

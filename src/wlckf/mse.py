@@ -157,26 +157,6 @@ def split_minimum_scan(params: ScalarModelParams, t: int, grid_points: int = 101
     )
 
 
-def scalar_posterior_cov_seq(params: ScalarModelParams, t_max: int) -> list[tuple[float, complex]]:
-    """Posterior (Hermitian, complementary) variance for t = 1..t_max.
-
-    Runs the 2x2 augmented information-form recursion
-    P_post = [(|a|^2 P + |b|^2 Q)^-1 + |c|^2 R^-1]^-1 with proper noises.
-    """
-    p_bar = np.array(
-        [[params.init_var, params.init_cvar], [np.conj(params.init_cvar), params.init_var]], dtype=complex
-    )
-    out: list[tuple[float, complex]] = []
-    r_inv = _inv2(np.eye(2, dtype=complex) * params.meas_var)
-    for t in range(1, t_max + 1):
-        a, b, c = params.coeff_at(t)
-        a_bar = np.array([[a, 0], [0, np.conj(a)]], dtype=complex)
-        predicted = a_bar @ p_bar @ a_bar.conj().T + abs(b) ** 2 * params.drive_var * np.eye(2)
-        p_bar = _inv2(_inv2(predicted) + abs(c) ** 2 * r_inv)
-        out.append((float(p_bar[0, 0].real), complex(p_bar[0, 1])))
-    return out
-
-
 # A 2x2 [[a, b], [c, d]] as the real parts (ar, ai, br, bi, cr, ci, dr, di):
 # products of _DET_LEFT and _DET_RIGHT rows, with _DET_SIGN turning each
 # difference into a sum, pair up into Re(ad), Im(ad), Re(bc), Im(bc).

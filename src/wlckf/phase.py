@@ -7,16 +7,23 @@ statistics, and the proper-assuming baseline ``"ukf"`` runs it on the
 same model with the noise's complementary variance set to zero. The phase
 is real, so the state statistics are maximally improper in both.
 
-The Monte Carlo helpers run the tracker vectorized over runs, and
-:func:`improvement_ratio` runs both trackers as one batch whose rows differ
-only in the noise complementary variance they assume. The joint [phase,
-drive noise, measurement noise] covariance is block diagonal over three
-scalar variables, so the step builds its sigma points in closed form
-instead of by an eigendecomposition, with the constant noise blocks
-factored once. The measurement noise is additive, so only the 9 points
-that move the phase or the drive pass through the carrier. The points carry
-the moments of :func:`wlckf.unscented.complex_sigma_points` of the same
-statistics, and the step is cross-checked against
+The Monte Carlo helpers run the tracker vectorized over rows:
+:func:`improvement_ratios` tracks consecutive operating points, both
+trackers of each, in one engine of at most ``_BLOCK_ROWS`` rows, each row
+with its own measurement-noise variances. Memory sets the cap, as every
+point in flight holds its trajectories and measurements, which its
+estimates overwrite. A point keeps the bits it has alone, since OpenBLAS
+computes the rows past the last multiple of 4 of a matrix-vector product in
+another kernel: a point whose row count is no multiple of 4 ends its block,
+and the trajectory keeps its one-row engine.
+
+The joint [phase, drive noise, measurement noise] covariance is block
+diagonal over three scalar variables, so the step builds its sigma points
+in closed form instead of by an eigendecomposition, with the constant noise
+blocks factored once. The measurement noise is additive, so only the 9
+points that move the phase or the drive pass through the carrier. The
+points carry the moments of :func:`wlckf.unscented.complex_sigma_points` of
+the same statistics, and the step is cross-checked against
 :func:`wlckf.unscented.uwlckf_step` in the test suite. Simulation draws
 each run from its own generator, in the order of a single-run simulation,
 and runs the phase recursion across runs.
@@ -90,28 +97,34 @@ def nonlinear_phase_model(model: PhaseModel):
     )
 
 
-def _simulate(model: PhaseModel, horizon: int, rngs: list[np.random.Generator]):
-    """Trajectories (rows, horizon + 1) and measurements (rows, horizon).
+def _simulate_into(model: PhaseModel, rngs: list[np.random.Generator], theta: np.ndarray, y: np.ndarray) -> None:
+    """Fill trajectories ``theta`` (rows, horizon + 1) and measurements ``y`` (rows, horizon).
 
-    Row r is drawn from ``rngs[r]``: the initial phase, then the drive
-    sequence, then the measurement noise. The noise factor is computed once
-    and the phase recursion runs across rows.
+    Row r is drawn from ``rngs[r]``: the initial phase, the drive sequence
+    into theta[r, 1:], then the measurement noise into y[r]. The recursion
+    and the carrier then work in place, with no temporary of the full size.
     """
-    if horizon < 1:
-        raise DimensionError("horizon must be >= 1")
+    horizon = y.shape[1]
     mu_z, factor = composite_factor(model.noise_stats())
-    rows = len(rngs)
-    theta = np.empty((rows, horizon + 1))
-    w = np.empty((rows, horizon))
-    noise = np.empty((rows, horizon), complex)
     for r, rng in enumerate(rngs):
         theta[r, 0] = model.init_mean + np.sqrt(model.init_var) * rng.standard_normal()
-        w[r] = rng.standard_normal(horizon)
+        rng.standard_normal(out=theta[r, 1:])
         z = mu_z + rng.standard_normal((horizon, 2)) @ factor.T
-        noise[r] = z[:, 0] + 1j * z[:, 1]
+        y[r] = z[:, 0] + 1j * z[:, 1]
     for t in range(1, horizon + 1):
-        theta[:, t] = model.a * theta[:, t - 1] + model.b * w[:, t - 1]
-    return theta, np.exp(1j * theta[:, 1:]) + noise
+        theta[:, t] = model.a * theta[:, t - 1] + model.b * theta[:, t]
+    for r in range(len(rngs)):
+        y[r] += np.exp(1j * theta[r, 1:])
+
+
+def _simulate(model: PhaseModel, horizon: int, rngs: list[np.random.Generator]):
+    """Trajectories (rows, horizon + 1) and measurements (rows, horizon), row r from ``rngs[r]``."""
+    if horizon < 1:
+        raise DimensionError("horizon must be >= 1")
+    theta = np.empty((len(rngs), horizon + 1))
+    y = np.empty((len(rngs), horizon), complex)
+    _simulate_into(model, rngs, theta, y)
+    return theta, y
 
 
 def simulate_phase(model: PhaseModel, horizon: int, rng: np.random.Generator):
@@ -170,9 +183,11 @@ class _BatchUWLCKF:
     """Widely linear phase tracker vectorized over rows.
 
     State per row: complex estimate, Hermitian variance, complementary
-    variance. ``noise_cvar`` gives the measurement-noise complementary
-    variance each row assumes, so rows with the model's value and rows
-    with zero run the two trackers side by side.
+    variance. ``noise_var`` and ``noise_cvar`` give the measurement-noise
+    Hermitian and complementary variance each row assumes, so rows of
+    several operating points, and rows with the model's complementary
+    variance beside rows with zero, run side by side. The model supplies
+    the transition and the initial statistics.
 
     The joint [phase, drive noise, meas noise] covariance is block diagonal
     over scalar variables, so its sigma points are built in closed form:
@@ -183,9 +198,13 @@ class _BatchUWLCKF:
     centre's transition output and enter the measurement additively, so
     only the other 9 points pass through the carrier exp(j x); a +/- pair of
     noise points adds exactly its eigenvalue's share of the noise moments.
+
+    Rows are independent bit for bit, except that OpenBLAS computes the
+    ``@ _W_*`` products of the rows past the last multiple of 4 in another
+    kernel; no other operation of the step depends on the batch size.
     """
 
-    def __init__(self, model: PhaseModel, noise_cvar: np.ndarray):
+    def __init__(self, model: PhaseModel, noise_var: np.ndarray, noise_cvar: np.ndarray):
         self.model = model
         rows = len(noise_cvar)
         self.est = np.full(rows, model.init_mean, dtype=complex)
@@ -193,7 +212,7 @@ class _BatchUWLCKF:
         self.pt = np.full(rows, complex(model.init_var))
         self.max_imag = np.zeros(rows)
         # Unit, maximally improper drive noise; per-row measurement noise.
-        var = np.array([1.0, model.noise_var])
+        var = np.stack([np.ones(rows), np.asarray(noise_var, float)], axis=1)
         cvar = np.stack([np.ones(rows, complex), np.asarray(noise_cvar, complex)], axis=1)
         self._noise_lam, rot = _scalar_eigenpairs(var, cvar)
         self._noise_top = np.clip(self._noise_lam[:, :, 0].max(axis=1), 0.0, None)
@@ -229,7 +248,10 @@ class _BatchUWLCKF:
         pt_pred = (dx * dx) @ _W_COV
         s = (dy.real**2 + dy.imag**2) @ _W_COV + r
         st = (dy * dy) @ _W_COV + rt
-        p_xy = (dx * np.conj(dy)) @ _W_COV
+        # Bound to a name, the conjugate is no temporary that numpy may
+        # overwrite with dy* dx, whose bits differ from dx dy*.
+        dy_conj = np.conj(dy)
+        p_xy = (dx * dy_conj) @ _W_COV
         pt_xy = (dx * dy) @ _W_COV
 
         det = s * s - np.abs(st) ** 2
@@ -250,25 +272,6 @@ class _BatchUWLCKF:
         self.p = p_pred - ksk
         self.pt = pt_pred - ksk_t
         np.maximum(self.max_imag, np.abs(self.est.imag), out=self.max_imag)
-
-
-def _track(model: PhaseModel, ys: np.ndarray, noise_cvars: list[complex]):
-    """Track every row of ``ys`` once per assumed noise complementary variance.
-
-    Row block i of the returned (len(noise_cvars) * runs, steps) estimates
-    and variances assumes ``noise_cvars[i]``; the third value is each
-    row's largest |Im(estimate)|.
-    """
-    runs, steps = ys.shape
-    copies = len(noise_cvars)
-    engine = _BatchUWLCKF(model, np.repeat(noise_cvars, runs))
-    estimates = np.empty((copies * runs, steps))
-    variances = np.empty((copies * runs, steps))
-    for t in range(steps):
-        engine.step(np.tile(ys[:, t], copies))
-        estimates[:, t] = engine.est.real
-        variances[:, t] = engine.p
-    return estimates, variances, engine.max_imag
 
 
 @dataclass
@@ -294,9 +297,16 @@ def track_batch(model: PhaseModel, measurements: np.ndarray, tracker: str) -> Tr
     if tracker not in TRACKERS:
         raise ValueError(f"tracker must be one of {TRACKERS}, got {tracker!r}")
     ys = np.atleast_2d(np.asarray(measurements, dtype=complex))
+    runs, steps = ys.shape
     assumed = model if tracker == "uwlckf" else replace(model, rho_abs=0.0)
-    estimates, variances, max_imag = _track(model, ys, [assumed.noise_cvar])
-    return TrackResult(estimates, variances, float(max_imag.max()))
+    engine = _BatchUWLCKF(model, np.full(runs, model.noise_var), np.full(runs, assumed.noise_cvar))
+    estimates = np.empty((runs, steps))
+    variances = np.empty((runs, steps))
+    for t in range(steps):
+        engine.step(ys[:, t])
+        estimates[:, t] = engine.est.real
+        variances[:, t] = engine.p
+    return TrackResult(estimates, variances, float(engine.max_imag.max()))
 
 
 def run_tracker(model: PhaseModel, measurements, tracker: str) -> TrackResult:
@@ -327,40 +337,106 @@ class RatioResult:
     seed: int
 
 
+# Rows of one engine of Monte Carlo operating points. Each point in flight
+# holds its trajectories and measurements, about 2.4 MB at 200 runs x 500
+# steps, so memory sets the cap; larger engines gain little per row-step.
+_BLOCK_ROWS = 800
+
+
+def _blocks(sizes: list[int]) -> list[list[int]]:
+    """Consecutive point indices, one list per engine; a larger point gets its own."""
+    blocks, rows = [], _BLOCK_ROWS
+    for i, size in enumerate(sizes):
+        if rows + size > _BLOCK_ROWS:
+            blocks.append([])
+            rows = 0
+        blocks[-1].append(i)
+        # Rows past the last multiple of 4 take another OpenBLAS kernel, so
+        # such a point keeps its tail rows at the end of the engine.
+        rows = rows + size if size % 4 == 0 else _BLOCK_ROWS
+    return blocks
+
+
+def _se(x):
+    return float(np.std(x, ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
+
+
+def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
+    """Simulate and track (model, seed, cvars) operating points in one engine.
+
+    Point j owns measurement rows j * mc_runs onward, tracked once per
+    assumed noise complementary variance in its ``cvars``: copy k of a row
+    is engine row k * mc_runs past the point's first. A measurement is not
+    read again once its step has run, so its two floats take that step's
+    estimates, copy k in float k.
+    """
+    theta = np.empty((len(block) * mc_runs, horizon + 1))
+    ys = np.empty((len(block) * mc_runs, horizon), complex)
+    for j, (model, seed, _) in enumerate(block):
+        rows = slice(j * mc_runs, (j + 1) * mc_runs)
+        _simulate_into(model, [substream(seed, r) for r in range(mc_runs)], theta[rows], ys[rows])
+    tracked = [(j, k, cvar) for j, (_, _, cvars) in enumerate(block) for k, cvar in enumerate(cvars)]
+    source = np.concatenate([j * mc_runs + np.arange(mc_runs) for j, _, _ in tracked])
+    copy = np.repeat([k for _, k, _ in tracked], mc_runs)
+    noise_var = np.repeat([block[j][0].noise_var for j, _, _ in tracked], mc_runs)
+    # Every model shares the transition and the initial statistics.
+    engine = _BatchUWLCKF(block[0][0], noise_var, np.repeat([cvar for _, _, cvar in tracked], mc_runs))
+    estimates = ys.view(float).reshape(ys.shape + (2,))
+    for t in range(horizon):
+        engine.step(ys[source, t])
+        estimates[source, t, copy] = engine.est.real
+
+    results, first = [], 0
+    for j, (model, seed, cvars) in enumerate(block):
+        rows = slice(j * mc_runs, (j + 1) * mc_runs)
+        xi_u = normalized_error(theta[rows, 1:], estimates[rows, :, 0])
+        xi_k = normalized_error(theta[rows, 1:], estimates[rows, :, len(cvars) - 1])
+        ratio = xi_k / xi_u
+        results.append(RatioResult(
+            snr_db=model.snr_db,
+            rho_abs=model.rho_abs,
+            runs=mc_runs,
+            r_mean=float(ratio.mean()),
+            r_stderr=_se(ratio),
+            xi_uwlckf=float(xi_u.mean()),
+            xi_uwlckf_se=_se(xi_u),
+            xi_ukf=float(xi_k.mean()),
+            xi_ukf_se=_se(xi_k),
+            max_imag=float(engine.max_imag[first:first + mc_runs].max()),
+            seed=seed,
+        ))
+        first += len(cvars) * mc_runs
+    return results
+
+
+def improvement_ratios(points, mc_runs: int, horizon: int) -> list[RatioResult]:
+    """:func:`improvement_ratio` at each (snr_db, rho_abs, seed) of ``points``.
+
+    Consecutive points share an engine of at most ``_BLOCK_ROWS`` rows, and
+    a block is freed before the next is simulated. Every result has the bits
+    it has when its point runs alone.
+    """
+    if mc_runs < 1:
+        raise DimensionError("mc_runs must be >= 1")
+    if horizon < 1:
+        raise DimensionError("horizon must be >= 1")
+    specs = []
+    for snr_db, rho_abs, seed in points:
+        model = PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
+        # Rows assume the model's noise, then proper noise. On proper noise
+        # the two are one computation, so it is tracked once.
+        proper = replace(model, rho_abs=0.0)
+        specs.append((model, seed, [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]))
+    results = []
+    for block in _blocks([len(cvars) * mc_runs for _, _, cvars in specs]):
+        results += _ratio_block([specs[i] for i in block], mc_runs, horizon)
+    return results
+
+
 def improvement_ratio(snr_db: float, rho_abs: float, mc_runs: int, horizon: int, seed: int) -> RatioResult:
     """Mean per-run error ratio of the baseline UKF over the widely linear tracker.
 
     Both trackers consume the same simulated measurements in every run, so
     the per-run ratio is paired; the reported standard errors are over runs.
     """
-    if mc_runs < 1:
-        raise DimensionError("mc_runs must be >= 1")
-    model = PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
-    thetas, ys = simulate_phase_batch(model, horizon, mc_runs, seed)
-    truth = thetas[:, 1:]
-    # Both trackers run as one batch on the same measurements: the first
-    # mc_runs rows assume the model's noise, the last mc_runs proper noise.
-    # On proper noise the two are one computation, so it is tracked once.
-    proper = replace(model, rho_abs=0.0)
-    cvars = [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]
-    estimates, _, max_imag = _track(model, ys, cvars)
-    xi_u = normalized_error(truth, estimates[:mc_runs])
-    xi_k = normalized_error(truth, estimates[-mc_runs:])
-    ratio = xi_k / xi_u
-
-    def se(x):
-        return float(np.std(x, ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
-
-    return RatioResult(
-        snr_db=snr_db,
-        rho_abs=rho_abs,
-        runs=mc_runs,
-        r_mean=float(ratio.mean()),
-        r_stderr=se(ratio),
-        xi_uwlckf=float(xi_u.mean()),
-        xi_uwlckf_se=se(xi_u),
-        xi_ukf=float(xi_k.mean()),
-        xi_ukf_se=se(xi_k),
-        max_imag=float(max_imag[:mc_runs].max()),
-        seed=seed,
-    )
+    return improvement_ratios([(snr_db, rho_abs, seed)], mc_runs, horizon)[0]

@@ -298,6 +298,40 @@ def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
     )
 
 
+# Tables written at the commit before phase-demod shared its tracking
+# engines between operating points. At 11 runs a point's engine row count
+# is no multiple of 4, which grouping must respect to keep the bits.
+PHASE_GOLDENS = {
+    "default": ["--runs", "200", "--horizon", "40"],
+    "runs11": ["--runs", "11", "--horizon", "40", "--snr-list", "0,10,25", "--rho-list", "0.5,0,0.9,0,1", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_GOLDENS))
+def test_phase_demod_golden_regression(tmp_path, name):
+    out = tmp_path / "pd.csv"
+    assert main(["phase-demod", *PHASE_GOLDENS[name], "--out", str(out)]) == 0
+    for table in ("trajectory", "xi_snr", "r_rho"):
+        got = (tmp_path / f"pd_{table}.csv").read_bytes()
+        assert got == (DATA / f"phase_demod_{name}_{table}.csv").read_bytes(), table
+
+
+def test_phase_demod_default_lists_share_bounded_engines(tmp_path, monkeypatch):
+    built = []
+
+    class Recording(cli.phase._BatchUWLCKF):
+        def __init__(self, model, noise_var, noise_cvar):
+            built.append(len(noise_cvar))
+            super().__init__(model, noise_var, noise_cvar)
+
+    monkeypatch.setattr(cli.phase, "_BatchUWLCKF", Recording)
+    assert main(["phase-demod", "--horizon", "3", "--out", str(tmp_path / "pd.csv")]) == 0
+    points = len(cli._DEFAULTS["phase-demod"]["snr_list"]) + len(cli._DEFAULTS["phase-demod"]["rho_list"])
+    # The trajectory's one-row engine counts too.
+    assert max(built) <= cli.phase._BLOCK_ROWS
+    assert len(built) < points
+
+
 def test_theta_bound_golden_regression(tmp_path):
     out = tmp_path / "theta.csv"
     assert main(["theta-bound", "--draws", "200", "--seed", "0", "--out", str(out)]) == 0

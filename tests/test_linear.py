@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +17,9 @@ from wlckf.linear import (
     ckf_batch,
     ckf_run,
     default_init,
-    load_model,
-    model_from_dict,
     model_from_real,
-    model_to_dict,
     real_kf_batch,
     real_kf_run,
-    save_model,
     simulate_linear,
     wlckf_batch,
     wlckf_predict,
@@ -452,37 +447,6 @@ def test_simulate_maximally_improper_measurement_noise_is_real():
     states, meas = simulate_linear(model, 50, substream(16, 0))
     noise = meas[:, 0] - states[1:, 0]
     assert np.max(np.abs(noise.imag)) < 1e-12
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def test_model_json_round_trip(tmp_path):
-    e, f, g, q, r, pi = random_composite(17)
-    model = model_from_real(e, f, g, q, r, pi)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    again = load_model(path)
-    for name in ("A", "B", "C", "Q", "R", "Pi0"):
-        lhs, rhs = getattr(model, name), getattr(again, name)
-        assert np.array_equal(lhs.m1, rhs.m1)
-        assert np.array_equal(lhs.m2, rhs.m2)
-
-
-def test_model_json_schema_keys(tmp_path):
-    model = scalar_model()
-    data = model_to_dict(model)
-    assert set(data) == {
-        "n", "m", "A1", "A2", "B1", "B2", "C1", "C2",
-        "Q", "Qtilde", "R", "Rtilde", "Pi0", "Pi0tilde",
-    }
-    assert data["n"] == 1 and data["m"] == 1
-    assert data["A1"] == [[[1.0, 0.0]]]
-    path = tmp_path / "m.json"
-    save_model(model, path)
-    parsed = json.loads(path.read_text())
-    assert parsed["Q"] == [[[1.0, 0.0]]]
-    assert model_from_dict(parsed).n == 1
 
 
 def test_singular_innovation_flagged_and_handled():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlckf.augmented import AugmentedMatrix
 from wlckf.errors import DegenerateError, NotPSDError
+from wlckf.linear import WidelyLinearModel, wlckf_run
 from wlckf.mse import (
     ScalarModelParams,
     _inv2,
@@ -13,7 +15,6 @@ from wlckf.mse import (
     min_wl_mmse,
     noise_impropriety_gain,
     noise_impropriety_gains,
-    scalar_posterior_cov_seq,
     sl_mmse,
     split_minimum_scan,
     variance_after,
@@ -149,8 +150,18 @@ def test_posterior_cov_seq_eigenvalues_follow_variance_map():
     params = ScalarModelParams(a=0.8 + 0.4j, b=1.2, c=0.9 - 0.1j, drive_var=0.5,
                                meas_var=2.0, init_var=1.0, init_cvar=0.7j)
     lam_hi, lam_lo = params.init_eigenvalues()
-    seq = scalar_posterior_cov_seq(params, 30)
-    for t, (p, pt) in enumerate(seq, start=1):
+    model = WidelyLinearModel(
+        A=AugmentedMatrix.diagonal(params.a),
+        B=AugmentedMatrix.diagonal(params.b),
+        C=AugmentedMatrix.diagonal(params.c),
+        Q=AugmentedMatrix([[params.drive_var]], [[0.0]]),
+        R=AugmentedMatrix([[params.meas_var]], [[0.0]]),
+        Pi0=AugmentedMatrix([[params.init_var]], [[params.init_cvar]]),
+    )
+    # The posterior covariances do not depend on the measurements.
+    reports = wlckf_run(model, np.zeros((30, 1), complex))
+    for t, rep in enumerate(reports, start=1):
+        p, pt = rep.state.cov.m1[0, 0].real, complex(rep.state.cov.m2[0, 0])
         assert p + abs(pt) == pytest.approx(float(variance_after(lam_hi, t, params)), rel=1e-10)
         assert p - abs(pt) == pytest.approx(float(variance_after(lam_lo, t, params)), rel=1e-10)
 
@@ -247,28 +258,6 @@ def test_gain_agrees_with_general_filter_covariance_path():
 def test_gain_property_never_loses(rho_w, rho_n):
     res = noise_impropriety_gain(rho_w, 1j * rho_n, -20.0, -20.0)
     assert res.ratio >= 1 - 1e-9
-
-
-def test_posterior_cov_seq_matches_running_filter():
-    from wlckf.augmented import AugmentedMatrix
-    from wlckf.linear import WidelyLinearModel, simulate_linear, wlckf_run
-    from wlckf.stats import substream
-
-    params = ScalarModelParams(a=0.9 + 0.3j, b=0.7, c=1.1, drive_var=0.8,
-                               meas_var=1.3, init_var=1.0, init_cvar=0.6 + 0.3j)
-    model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(params.a),
-        B=AugmentedMatrix.diagonal(params.b),
-        C=AugmentedMatrix.diagonal(params.c),
-        Q=AugmentedMatrix([[params.drive_var]], [[0.0]]),
-        R=AugmentedMatrix([[params.meas_var]], [[0.0]]),
-        Pi0=AugmentedMatrix([[params.init_var]], [[params.init_cvar]]),
-    )
-    _, meas = simulate_linear(model, 50, substream(3, 0))
-    reports = wlckf_run(model, meas)
-    for (p, pt), rep in zip(scalar_posterior_cov_seq(params, 50), reports):
-        assert p == pytest.approx(rep.state.cov.m1[0, 0].real, rel=1e-11)
-        assert pt == pytest.approx(complex(rep.state.cov.m2[0, 0]), rel=1e-9, abs=1e-12)
 
 
 @given(

@@ -12,8 +12,11 @@ from wlckf.phase import (
     TRACKERS,
     PhaseModel,
     _scalar_eigenpairs,
-    _track,
+    _BLOCK_ROWS,
+    _BatchUWLCKF,
+    _ratio_block,
     improvement_ratio,
+    improvement_ratios,
     nonlinear_phase_model,
     normalized_error,
     run_tracker,
@@ -218,20 +221,59 @@ def test_simulate_batch_rows_are_independent_substreams():
 
 @pytest.mark.parametrize("rho_abs, rho_phase", [(0.7, 0.0), (1.0, 0.7)])
 def test_paired_engine_matches_separate_trackers(rho_abs, rho_phase):
-    # improvement_ratio runs both trackers as one batch of 2 * runs rows.
+    # improvement_ratio runs both trackers in one engine of 2 * runs rows.
     model = PhaseModel(snr_db=10.0, rho_abs=rho_abs, rho_phase=rho_phase)
-    _, ys = simulate_phase_batch(model, 200, 6, 29)
     proper = replace(model, rho_abs=0.0)
-    estimates, variances, max_imag = _track(model, ys, [model.noise_cvar, proper.noise_cvar])
-    for block, tracker in enumerate(TRACKERS):
-        alone = track_batch(model, ys, tracker)
-        rows = slice(6 * block, 6 * (block + 1))
-        for got, ref in ((estimates[rows], alone.estimates), (variances[rows], alone.variances)):
-            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
-        assert max_imag[rows].max() == pytest.approx(alone.max_imag, abs=1e-15)
+    (res,) = _ratio_block([(model, 29, [model.noise_cvar, proper.noise_cvar])], 6, 200)
+    thetas, ys = simulate_phase_batch(model, 200, 6, 29)
+    alone = {tracker: track_batch(model, ys, tracker) for tracker in TRACKERS}
+    xi = {tracker: normalized_error(thetas[:, 1:], track.estimates) for tracker, track in alone.items()}
+    assert res.xi_uwlckf == pytest.approx(xi["uwlckf"].mean(), rel=1e-12)
+    assert res.xi_ukf == pytest.approx(xi["ukf"].mean(), rel=1e-12)
+    assert res.r_mean == pytest.approx((xi["ukf"] / xi["uwlckf"]).mean(), rel=1e-12)
+    assert res.max_imag == pytest.approx(alone["uwlckf"].max_imag, abs=1e-15)
 
 
 def test_improvement_ratio_never_loses_within_noise():
     for snr, rho in [(10.0, 0.5), (20.0, 0.7)]:
         res = improvement_ratio(snr, rho, 60, 300, 23)
         assert res.r_mean >= 1 - 2 * res.r_stderr
+
+
+def test_track_batch_bits_do_not_depend_on_batch_size():
+    # From 1,821 rows on, a (rows, 9) complex temporary is large enough for
+    # numpy to reuse it in place; a product formed that way swaps its operands.
+    model = PhaseModel(snr_db=10.0, rho_abs=0.7)
+    _, ys = simulate_phase_batch(model, 20, 1900, 31)
+    whole = track_batch(model, ys, "uwlckf")
+    for start in range(0, 1900, 380):
+        chunk = track_batch(model, ys[start:start + 380], "uwlckf")
+        assert np.array_equal(whole.estimates[start:start + 380], chunk.estimates)
+        assert np.array_equal(whole.variances[start:start + 380], chunk.variances)
+
+
+@pytest.mark.parametrize("runs", [1, 3, 11, 200])
+def test_improvement_ratios_match_points_run_alone(runs):
+    # Mixed proper and improper points, so engines mix 1- and 2-copy points;
+    # at 3 and 11 runs their row counts are not multiples of 4.
+    points = [(0.0, 0.7, 5), (20.0, 0.0, 6), (10.0, 0.9, 7), (25.0, 0.0, 8), (5.0, 1.0, 9), (15.0, 0.3, 10)]
+    alone = [improvement_ratio(snr, rho, runs, 30, seed) for snr, rho, seed in points]
+    assert improvement_ratios(points, runs, 30) == alone
+
+
+def test_improvement_ratios_share_engines_under_the_row_cap(monkeypatch):
+    built = []
+
+    class Recording(_BatchUWLCKF):
+        def __init__(self, model, noise_var, noise_cvar):
+            built.append(len(noise_cvar))
+            super().__init__(model, noise_var, noise_cvar)
+
+    monkeypatch.setattr("wlckf.phase._BatchUWLCKF", Recording)
+    points = [(snr, 0.7, i) for i, snr in enumerate([0.0, 5.0, 10.0])] + [(20.0, 0.0, 3), (20.0, 0.5, 4)]
+    improvement_ratios(points, 200, 5)
+    # Engine rows per point: 400, 400, 400, 200 (proper noise is tracked
+    # once) and 400; a block ends before it would pass the cap.
+    assert built == [800, 600, 400]
+    improvement_ratios([(20.0, 0.5, 0)], 450, 5)
+    assert built[-1] == 900 > _BLOCK_ROWS

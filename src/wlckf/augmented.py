@@ -116,33 +116,12 @@ class AugmentedMatrix:
         """1x1-block matrix diag pattern [[s1, s2], [s2*, s1*]]."""
         return cls(np.array([[scalar1]], complex), np.array([[scalar2]], complex))
 
-    @classmethod
-    def from_full(cls, full: np.ndarray) -> "AugmentedMatrix":
-        full = np.asarray(full, dtype=complex)
-        r, c = full.shape
-        if r % 2 or c % 2:
-            raise DimensionError("full augmented matrix must have even dimensions")
-        n, m = r // 2, c // 2
-        m1, m2 = full[:n, :m], full[:n, m:]
-        scale = max(1.0, float(np.max(np.abs(full), initial=0.0)))
-        defect = max(
-            float(np.max(np.abs(full[n:, :m] - np.conj(m2)), initial=0.0)),
-            float(np.max(np.abs(full[n:, m:] - np.conj(m1)), initial=0.0)),
-        )
-        if defect > CONJ_TOL * scale:
-            raise ConsistencyError("matrix does not satisfy the block-conjugate pattern")
-        return cls(m1, m2)
-
     @property
     def block_shape(self) -> tuple[int, int]:
         return self.m1.shape
 
     def full(self) -> np.ndarray:
         return block_conjugate(self.m1, self.m2)
-
-    def conj_t(self) -> "AugmentedMatrix":
-        """Hermitian transpose; stays inside the block pattern."""
-        return AugmentedMatrix(self.m1.conj().T, self.m2.T)
 
     def __add__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
         return AugmentedMatrix(self.m1 + other.m1, self.m2 + other.m2)

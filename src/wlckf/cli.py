@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,14 @@ _COMMON_DEFAULTS = {"seed": 0, "format": "csv"}
 
 # Trials of `equivalence` that run as one batch; bounds memory for any --trials.
 TRIAL_BATCH = 64
-# Draws of `theta-bound` whose ratio sweep is held at once; bounds memory for any --draws.
+# Draws of `theta-bound` swept at once. Their (DRAW_BATCH, t_max) ratio array
+# is the command's largest allocation beyond its columns, whatever --draws.
 DRAW_BATCH = 8192
+# CSV rows formatted and written at once by `write_rows`; `theta-bound` also
+# makes its table's Python values this many rows at a time.
+WRITE_CHUNK = 256
+# Value types whose `repr` is their `_fmt` text.
+_REPR_TYPES = {float, int}
 
 _DEFAULTS = {
     "equivalence": {
@@ -104,8 +111,6 @@ def _is_number_list(value) -> bool:
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -127,14 +132,22 @@ def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
     CSV has a header line and one line per row; JSON is a list of objects
     keyed by ``header``, indented by one space. Each value keeps its own
     type: floats print as their shortest round-trip decimal, integers as
-    integers. Rows are formatted and written one at a time, so neither the
-    lines nor the whole text are ever held in memory.
+    integers. CSV rows are taken ``WRITE_CHUNK`` at a time and each chunk
+    goes out in one write. A chunk whose values are all exact ``float`` or
+    ``int`` is formatted by ``repr`` alone, which is what ``_fmt`` returns
+    for those types; any other chunk (numpy scalars, ``bool``, ``str``)
+    goes through ``_fmt`` value by value. JSON rows are written one at a
+    time. At most one chunk and its text are held in memory, never the
+    whole table.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         if fmt == "csv":
             out.write(",".join(header) + "\n")
-            out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            rows = iter(rows)
+            while chunk := list(islice(rows, WRITE_CHUNK)):
+                to_text = repr if set(map(type, chain.from_iterable(chunk))) <= _REPR_TYPES else _fmt
+                out.write("".join([",".join(map(to_text, row)) + "\n" for row in chunk]))
             return
         # The bytes of json.dumps(list_of_rows, indent=1), one row at a time.
         separator = "[\n "
@@ -293,7 +306,7 @@ def cmd_equivalence(cfg: dict) -> int:
     gated = devs if cfg["proper"] else devs[:, :2]
     # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
     worst = float(np.max(gated, initial=0.0))
-    rows = [[trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], *dev] for trial, dev in enumerate(devs)]
+    rows = [[trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], *dev] for trial, dev in enumerate(devs.tolist())]
     write_rows(
         Path(cfg["out"]),
         ["trial", "n", "m", "horizon", "estimate_dev", "cov_dev", "ckf_dev"],
@@ -370,10 +383,12 @@ def cmd_theta_bound(cfg: dict) -> int:
     for part in chunks:
         ratios = mse.min_mmse_ratio_sweep(*(column[part] for column in params), t_max)
         lo[part], hi[part] = ratios.min(axis=1), ratios.max(axis=1)
+    # The table's Python values exist one writer chunk of rows at a time.
+    pieces = (slice(start, start + WRITE_CHUNK) for start in range(0, draws, WRITE_CHUNK))
     rows = (
         row
-        for part in chunks
-        for row in zip(range(draws)[part], *(column[part].tolist() for column in (*params, lo, hi)))
+        for piece in pieces
+        for row in zip(range(draws)[piece], *(column[piece].tolist() for column in (*params, lo, hi)))
     )
     write_rows(
         Path(cfg["out"]),
@@ -411,8 +426,10 @@ def cmd_phase_demod(cfg: dict) -> int:
     theta, y = phase.simulate_phase(traj_model, horizon, substream(seed, 10_000))
     track = phase.run_tracker(traj_model, y, "uwlckf")
     traj_rows = [
-        [t + 1, theta[t + 1], track.estimates[t], float(np.sqrt(max(track.variances[t], 0.0)))]
-        for t in range(horizon)
+        [t, theta_t, estimate, math.sqrt(max(variance, 0.0))]
+        for t, theta_t, estimate, variance in zip(
+            range(1, horizon + 1), theta[1:].tolist(), track.estimates.tolist(), track.variances.tolist()
+        )
     ]
     traj_path, xi_path, r_path = (_with_suffix(out, tag) for tag in ("trajectory", "xi_snr", "r_rho"))
     write_rows(traj_path, ["t", "theta", "theta_hat", "sqrt_p"], traj_rows, fmt)

@@ -219,6 +219,14 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
 
     All parameter arguments broadcast against each other; the result has
     shape (draws, t_max) with entry [i, t-1] the ratio for draw i at step t.
+    Three eigenvalue branches start at the extreme split 2·p0 and 0 (the
+    widely linear filter) and at p0 (the strictly linear one). Each step
+    maps every branch through ``n2·pred / (c2·pred + n2)`` with
+    ``pred = a2·lam + b2·n1``, then takes ``(hi + lo) / (2·mid)``. The
+    updates run in place, through two work arrays allocated once, with the
+    same elementwise operations in the same order as those expressions, so
+    the bits are theirs. Beyond the result, memory is a few arrays of the
+    broadcast shape, whatever ``t_max``.
     """
     a2, b2, c2 = (np.abs(np.asarray(v, float)) ** 2 for v in (a_abs, b_abs, c_abs))
     n1 = np.asarray(drive_var, float)
@@ -228,12 +236,20 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
     lam_hi = np.broadcast_to(2.0 * p0, shape).astype(float).copy()
     lam_lo = np.zeros(shape)
     lam_mid = np.broadcast_to(p0, shape).astype(float).copy()
+    drive = b2 * n1
+    pred, den = np.empty(shape), np.empty(shape)
     out = np.empty(shape + (t_max,))
     for t in range(t_max):
         for lam in (lam_hi, lam_lo, lam_mid):
-            predicted = a2 * lam + b2 * n1
-            np.copyto(lam, n2 * predicted / (c2 * predicted + n2))
-        out[..., t] = (lam_hi + lam_lo) / (2.0 * lam_mid)
+            np.multiply(a2, lam, out=pred)
+            np.add(pred, drive, out=pred)
+            np.multiply(c2, pred, out=den)
+            np.add(den, n2, out=den)
+            np.multiply(n2, pred, out=lam)
+            np.divide(lam, den, out=lam)
+        np.add(lam_hi, lam_lo, out=pred)
+        np.multiply(2.0, lam_mid, out=den)
+        np.divide(pred, den, out=out[..., t])
     return out
 
 

@@ -233,8 +233,6 @@ def test_augmented_matrix_product_keeps_pattern():
                         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     prod = a @ b
     assert np.max(np.abs(prod.full() - a.full() @ b.full())) < 1e-12
-    herm = a.conj_t()
-    assert np.max(np.abs(herm.full() - a.full().conj().T)) == 0.0
 
 
 def test_augmented_matrix_vector_product_is_conjugate_symmetric():
@@ -244,12 +242,6 @@ def test_augmented_matrix_vector_product_is_conjugate_symmetric():
     v = AugmentedVector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     out = a @ v
     assert np.max(np.abs(out.full() - a.full() @ v.full())) < 1e-12
-
-
-def test_from_full_rejects_pattern_violation():
-    full = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
-    with pytest.raises(ConsistencyError):
-        AugmentedMatrix.from_full(full)
 
 
 @given(st.integers(0, 10_000))

@@ -394,6 +394,29 @@ def test_write_rows_formats_each_type_as_before(tmp_path):
     assert path.read_bytes() == b'[\n {\n  "a": NaN\n }\n]\n'
 
 
+def test_write_rows_formats_each_chunk_by_its_own_types(tmp_path):
+    # Over three chunks of exact ints and floats, then a later chunk that also
+    # holds a numpy scalar, a bool and a str, whose repr is not their text.
+    rows = [[i, i / 7.0, -1e-300 * i] for i in range(3 * cli.WRITE_CHUNK + 5)]
+    rows += [[np.float64(0.1), True, "x"], [1, 2.0, -0.0]]
+    path = tmp_path / "table.csv"
+    cli.write_rows(path, ["a", "b", "c"], iter(rows), "csv")
+    assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], rows, "csv")
+
+
+def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path):
+    draws = 8300
+    assert draws > cli.DRAW_BATCH and draws > 4 * cli.WRITE_CHUNK
+    csv_path, json_path = tmp_path / "tb.csv", tmp_path / "tb.json"
+    assert main(["theta-bound", "--draws", str(draws), "--out", str(csv_path)]) == 0
+    assert main(["theta-bound", "--draws", str(draws), "--format", "json", "--out", str(json_path)]) == 0
+    # JSON floats round-trip exactly, so their _fmt text is the CSV's.
+    records = json.loads(json_path.read_text())
+    assert [r["draw"] for r in records] == list(range(draws))
+    expected = _joined_text(list(records[0]), [list(r.values()) for r in records], "csv")
+    assert csv_path.read_bytes() == expected.encode()
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -278,9 +278,11 @@ def test_gain_normal_equation_residual():
     e, f, g, q, r, pi = random_composite(8)
     model = model_from_real(e, f, g, q, r, pi)
     _, meas = simulate_linear(model, 20, substream(8, 0))
+    # C^H in blocks: [[M1, M2], [M2*, M1*]]^H has blocks M1^H and M2^T.
+    c_h = AugmentedMatrix(model.C.m1.conj().T, model.C.m2.T)
     for rep in wlckf_run(model, meas):
         lhs = (rep.gain @ rep.innovation_cov).full()
-        rhs = (rep.predicted.cov @ model.C.conj_t()).full()
+        rhs = (rep.predicted.cov @ c_h).full()
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -426,10 +428,13 @@ def test_simulate_deterministic_when_noiseless():
 def test_simulate_long_run_matches_lyapunov_fixed_point():
     model = scalar_model(a=0.7, b=1.0, q=0.5, p0=0.3, p0t=0.1)
     states, _ = simulate_linear(model, 20_000, substream(15, 0))
+    # A^H and B^H in blocks: M1^H and M2^T.
+    a_h = AugmentedMatrix(model.A.m1.conj().T, model.A.m2.T)
+    b_h = AugmentedMatrix(model.B.m1.conj().T, model.B.m2.T)
     # fixed point by iteration (the oracle)
     pbar = model.Pi0
     for _ in range(200):
-        pbar = model.A @ pbar @ model.A.conj_t() + model.B @ model.Q @ model.B.conj_t()
+        pbar = model.A @ pbar @ a_h + model.B @ model.Q @ b_h
     x = states[1000:, 0]
     assert np.mean(np.abs(x) ** 2) == pytest.approx(pbar.m1[0, 0].real, rel=0.1)
     assert np.mean(x * x) == pytest.approx(pbar.m2[0, 0], abs=0.1 * abs(pbar.m1[0, 0]))

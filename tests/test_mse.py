@@ -121,6 +121,36 @@ def test_min_mmse_ratio_sweep_matches_scalar_path():
         assert float(ratios[..., t - 1]) == pytest.approx(min_mmse_ratio(UNIT, t), rel=1e-12)
 
 
+def _ratio_sweep_plain(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max):
+    """The ratio sweep as plain expressions, one temporary per operation."""
+    a2, b2, c2 = (np.abs(np.asarray(v, float)) ** 2 for v in (a_abs, b_abs, c_abs))
+    n1, n2, p0 = (np.asarray(v, float) for v in (drive_var, meas_var, init_var))
+    shape = np.broadcast_shapes(a2.shape, b2.shape, c2.shape, n1.shape, n2.shape, p0.shape)
+    lam_hi = np.broadcast_to(2.0 * p0, shape).astype(float).copy()
+    lam_lo = np.zeros(shape)
+    lam_mid = np.broadcast_to(p0, shape).astype(float).copy()
+    out = np.empty(shape + (t_max,))
+    for t in range(t_max):
+        for lam in (lam_hi, lam_lo, lam_mid):
+            predicted = a2 * lam + b2 * n1
+            np.copyto(lam, n2 * predicted / (c2 * predicted + n2))
+        out[..., t] = (lam_hi + lam_lo) / (2.0 * lam_mid)
+    return out
+
+
+def test_min_mmse_ratio_sweep_has_the_bits_of_plain_expressions():
+    rng = np.random.default_rng(41)
+    draws = 300
+    a, b, c = (rng.uniform(0.2, 1.5, draws) for _ in range(3))
+    n1, n2 = 10.0 ** rng.uniform(-6, 2, draws), 10.0 ** rng.uniform(-6, 2, draws)
+    p0 = 10.0 ** rng.uniform(-2, 2, draws)
+    # Draws as theta-bound makes them, a mix of scalars and draws, and its all-scalar narrow call.
+    for args in ((a, b, c, n1, n2, p0, 50), (0.9, b, 1.1, n1, 1e-3, p0, 30), (1.0, 1.0, 1.0, 1e-6, 1e-3, 1.0, 50)):
+        got, want = min_mmse_ratio_sweep(*args), _ratio_sweep_plain(*args)
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
 def test_params_validation():
     with pytest.raises(NotPSDError):
         ScalarModelParams(init_var=1.0, init_cvar=1.5)

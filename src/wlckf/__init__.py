@@ -64,7 +64,6 @@ from .stats import (
 from .unscented import (
     NonlinearModel,
     SigmaPointSet,
-    UTParams,
     complex_sigma_points,
     real_sigma_points,
     reconstruct_stats,

@@ -112,9 +112,9 @@ class AugmentedMatrix:
         return cls(np.eye(n, dtype=complex), np.zeros((n, n), complex))
 
     @classmethod
-    def diagonal(cls, scalar1: complex, scalar2: complex = 0.0) -> "AugmentedMatrix":
-        """1x1-block matrix diag pattern [[s1, s2], [s2*, s1*]]."""
-        return cls(np.array([[scalar1]], complex), np.array([[scalar2]], complex))
+    def diagonal(cls, scalar: complex) -> "AugmentedMatrix":
+        """The 1x1-block strictly linear map [[s, 0], [0, s*]]."""
+        return cls(np.array([[scalar]], complex), np.zeros((1, 1), complex))
 
     @property
     def block_shape(self) -> tuple[int, int]:

@@ -8,7 +8,8 @@ augmented filter and the dual-channel real filter), ``mse-sweep``
 deterministic functions of the configuration, including the seed; running
 a command twice produces byte-identical files.
 
-Exit codes: 0 success, 1 assertion failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 assertion failure, 2 usage or configuration error,
+an output path that cannot be written included.
 """
 from __future__ import annotations
 
@@ -36,11 +37,13 @@ TRIAL_BATCH = 64
 # Draws of `theta-bound` swept at once. Their (DRAW_BATCH, t_max) ratio array
 # is the command's largest allocation beyond its columns, whatever --draws.
 DRAW_BATCH = 8192
-# CSV rows formatted and written at once by `write_rows`; `theta-bound` also
+# Rows formatted and written at once by `write_rows`; `theta-bound` also
 # makes its table's Python values this many rows at a time.
 WRITE_CHUNK = 256
-# Value types whose `repr` is their `_fmt` text.
-_REPR_TYPES = {float, int}
+# The value types a table may hold, each written as its `repr`.
+_VALUE_TYPES = {float, int}
+# JSON's spelling of the float reprs that are no JSON.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _DEFAULTS = {
     "equivalence": {
@@ -109,51 +112,44 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _native(value):
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _chunks(rows):
+    """``rows`` as lists of ``WRITE_CHUNK`` rows, each checked to hold exact ``float`` and ``int`` values only."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, WRITE_CHUNK)):
+        types = set(map(type, chain.from_iterable(chunk)))
+        if not types <= _VALUE_TYPES:
+            raise TypeError(f"table values must be float or int, not {types - _VALUE_TYPES}")
+        yield chunk
 
 
 def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
     """Write ``rows`` (any iterable of sequences) to ``path`` as CSV or JSON.
 
     CSV has a header line and one line per row; JSON is a list of objects
-    keyed by ``header``, indented by one space. Each value keeps its own
-    type: floats print as their shortest round-trip decimal, integers as
-    integers. CSV rows are taken ``WRITE_CHUNK`` at a time and each chunk
-    goes out in one write. A chunk whose values are all exact ``float`` or
-    ``int`` is formatted by ``repr`` alone, which is what ``_fmt`` returns
-    for those types; any other chunk (numpy scalars, ``bool``, ``str``)
-    goes through ``_fmt`` value by value. JSON rows are written one at a
-    time. At most one chunk and its text are held in memory, never the
-    whole table.
+    keyed by ``header``, indented by one space. Every value must be an
+    exact ``float`` or ``int`` (``TypeError`` otherwise) and is written as
+    its ``repr``: floats as their shortest round-trip decimal, integers as
+    integers. JSON, like ``json.dumps``, spells non-finite floats ``NaN``,
+    ``Infinity`` and ``-Infinity``; its bytes are those of
+    ``json.dumps(records, indent=1)``. Rows are taken ``WRITE_CHUNK`` at a
+    time and each chunk goes out in one write, so at most one chunk and
+    its text are held in memory, never the whole table.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         if fmt == "csv":
             out.write(",".join(header) + "\n")
-            rows = iter(rows)
-            while chunk := list(islice(rows, WRITE_CHUNK)):
-                to_text = repr if set(map(type, chain.from_iterable(chunk))) <= _REPR_TYPES else _fmt
-                out.write("".join([",".join(map(to_text, row)) + "\n" for row in chunk]))
+            for chunk in _chunks(rows):
+                out.write("".join([",".join(map(repr, row)) + "\n" for row in chunk]))
             return
-        # The bytes of json.dumps(list_of_rows, indent=1), one row at a time.
+        keys = [f"\n  {json.dumps(key)}: " for key in header]
         separator = "[\n "
-        for row in rows:
-            out.write(separator)
-            out.write(json.dumps({key: _native(v) for key, v in zip(header, row)}, indent=1).replace("\n", "\n "))
+        for chunk in _chunks(rows):
+            records = []
+            for row in chunk:
+                fields = [key + _JSON_NON_FINITE.get(text, text) for key, text in zip(keys, map(repr, row))]
+                records.append("{" + ",".join(fields) + "\n }")
+            out.write(separator + ",\n ".join(records))
             separator = ",\n "
         out.write("[]\n" if separator == "[\n " else "\n]\n")
 
@@ -187,6 +183,8 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError("proper must be true or false")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    if not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError("out must be a non-empty path")
     for key in _COUNT_KEYS:
         if key in cfg and not (_is_integer(cfg[key]) and cfg[key] >= 1):
             raise ConfigError(f"{key} must be an integer >= 1")
@@ -528,7 +526,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](cfg)
+    try:
+        return _COMMANDS[args.command](cfg)
+    except OSError as exc:
+        print(f"config error: cannot write {exc.filename or cfg['out']}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -36,9 +36,8 @@ the same bits as its single run.
 
 Conventions: the innovation is measurement minus prediction, the run
 starts from a posterior at t = 0 (zero mean, initial covariance), and each
-measurement triggers predict-then-update. Passing ``initial_update=True``
-instead applies the first measurement to the initial state at t = 0
-before any prediction, for models whose measurements start at time zero.
+measurement triggers predict-then-update, so the first measurement is the
+one at t = 1.
 """
 from __future__ import annotations
 
@@ -360,38 +359,31 @@ def default_init(model: WidelyLinearModel) -> FilterState:
     )
 
 
-def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, initial_update: bool) -> Iterator[WLUpdate]:
+def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements) -> Iterator[WLUpdate]:
     """The widely linear filter's predict/update loop; yields every step's update.
 
     ``measurements`` iterates over steps; each item, like ``x`` and ``p``,
     may carry leading batch axes, which the arithmetic keeps.
     """
-    for k, y in enumerate(measurements):
-        if not (k == 0 and initial_update):
-            x, p = _predict(x, p, maps)
+    for y in measurements:
+        x, p = _predict(x, p, maps)
         update = _update(x, p, y, maps)
         yield update
         x, p = update.x_post, update.p_post
 
 
-def wlckf_run(
-    model: WidelyLinearModel,
-    measurements,
-    init: FilterState | None = None,
-    initial_update: bool = False,
-) -> list[StepReport]:
+def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None = None) -> list[StepReport]:
     """Run the widely linear filter over a measurement sequence.
 
-    ``measurements[k]`` is the measurement at time ``t0 + k + 1`` by
-    default; with ``initial_update`` the first one is absorbed into the
-    initial state at ``t0`` by an update-only step.
+    ``measurements[k]`` is the measurement at time ``t0 + k + 1``, where
+    ``t0`` is the time of ``init`` (0 by default): each is preceded by a
+    prediction.
     """
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), measurements, initial_update)
-    t0 = state.t if initial_update else state.t + 1
-    return [update.report(t0 + k) for k, update in enumerate(steps)]
+    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), measurements)
+    return [update.report(state.t + 1 + k) for k, update in enumerate(steps)]
 
 
 def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -406,7 +398,7 @@ def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]
     maps = _Maps.stack(models)
     x = np.zeros((len(models), 2 * models[0].n), complex)
     p = np.stack([model.Pi0.full() for model in models])
-    for update in _wl_filter(maps, x, p, np.moveaxis(np.asarray(measurements), -2, 0), False):
+    for update in _wl_filter(maps, x, p, np.moveaxis(np.asarray(measurements), -2, 0)):
         yield update.x_post, update.p_post
 
 
@@ -415,12 +407,7 @@ def _check_strictly_linear(model: WidelyLinearModel) -> None:
         raise UnsupportedModelError("strictly linear filtering needs zero conjugate blocks A2, B2, C2")
 
 
-def ckf_run(
-    model: WidelyLinearModel,
-    measurements,
-    init: FilterState | None = None,
-    initial_update: bool = False,
-) -> list[StepReport]:
+def ckf_run(model: WidelyLinearModel, measurements, init: FilterState | None = None) -> list[StepReport]:
     """Strictly linear complex KF: the widely linear filter on the model's proper part.
 
     Rejects models with nonzero conjugate blocks, where strictly linear
@@ -430,7 +417,7 @@ def ckf_run(
     _check_strictly_linear(model)
     if init is not None:
         init = replace(init, cov=_hermitian_part(init.cov))
-    return wlckf_run(model.proper_part(), measurements, init, initial_update)
+    return wlckf_run(model.proper_part(), measurements, init)
 
 
 def ckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -457,7 +444,7 @@ class RealKFStep:
     t: int
 
 
-def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update: bool) -> Iterator[RealKFStep]:
+def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealKFStep]:
     """The real filter's predict/update loop; leading axes of every array are batch axes.
 
     A member whose innovation covariance is singular (smallest singular
@@ -479,16 +466,13 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update: b
     dim = e.shape[-1]
     if e.shape[-2] != dim or g.shape[-1] != dim or f.shape[-2] != dim:
         raise DimensionError("inconsistent composite model dimensions")
-    t = 0
     fqf = f @ q @ tr(f)
     eye = np.eye(dim)
-    for k, psi in enumerate(measurements_real):
+    for t, psi in enumerate(measurements_real, start=1):
         psi = np.asarray(psi, float)
-        if not (k == 0 and initial_update):
-            x = mv(e, x)
-            p = e @ p @ tr(e) + fqf
-            p = (p + tr(p)) / 2
-            t += 1
+        x = mv(e, x)
+        p = e @ p @ tr(e) + fqf
+        p = (p + tr(p)) / 2
         x_pred, p_pred = x, p
         s = g @ p @ tr(g) + r
         s = (s + tr(s)) / 2
@@ -522,7 +506,6 @@ def real_kf_run(
     pi_real,
     measurements_real,
     init_mean=None,
-    initial_update: bool = False,
 ) -> list[RealKFStep]:
     """Textbook real-valued Kalman filter on the composite dual-channel model.
 
@@ -535,7 +518,7 @@ def real_kf_run(
     dim = np.shape(e)[0]
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
     p = np.asarray(pi_real, float).copy()
-    return list(_real_kf(e, f, g, q_real, r_real, x, p, measurements_real, initial_update))
+    return list(_real_kf(e, f, g, q_real, r_real, x, p, measurements_real))
 
 
 def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -548,7 +531,7 @@ def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterat
     """
     p = np.asarray(pi_real, float).copy()
     x = np.zeros(p.shape[:-1])
-    for step in _real_kf(e, f, g, q_real, r_real, x, p, np.moveaxis(np.asarray(measurements_real), -2, 0), False):
+    for step in _real_kf(e, f, g, q_real, r_real, x, p, np.moveaxis(np.asarray(measurements_real), -2, 0)):
         yield step.mean, step.cov
 
 

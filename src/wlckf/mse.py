@@ -134,14 +134,18 @@ class SplitScanResult:
     max_at_equal: bool
 
 
-def split_minimum_scan(params: ScalarModelParams, t: int, grid_points: int = 101) -> SplitScanResult:
-    """Scan eigenvalue splits (lam, 2 p0 - lam) and locate the extremes.
+# Eigenvalue splits :func:`split_minimum_scan` evaluates.
+SPLIT_GRID_POINTS = 101
+
+
+def split_minimum_scan(params: ScalarModelParams, t: int) -> SplitScanResult:
+    """Scan ``SPLIT_GRID_POINTS`` eigenvalue splits (lam, 2 p0 - lam) and locate the extremes.
 
     Exhaustive evaluation over the grid acts as the check that the extreme
     split minimizes the widely linear MMSE and the equal split maximizes it.
     """
     p0 = params.init_var
-    lam_high = np.linspace(p0, 2 * p0, grid_points)
+    lam_high = np.linspace(p0, 2 * p0, SPLIT_GRID_POINTS)
     values = np.array(
         [0.5 * (variance_after(lam, t, params) + variance_after(2 * p0 - lam, t, params)) for lam in lam_high]
     )
@@ -152,7 +156,7 @@ def split_minimum_scan(params: ScalarModelParams, t: int, grid_points: int = 101
         values=values,
         argmin_split=(float(lam_high[i_min]), float(2 * p0 - lam_high[i_min])),
         argmax_split=(float(lam_high[i_max]), float(2 * p0 - lam_high[i_max])),
-        min_at_extreme=i_min == grid_points - 1,
+        min_at_extreme=i_min == SPLIT_GRID_POINTS - 1,
         max_at_equal=i_max == 0,
     )
 

@@ -39,7 +39,7 @@ import numpy as np
 from .augmented import build_transform  # noqa: F401
 from .errors import DegenerateError, DimensionError
 from .stats import SecondOrderStats, composite_factor, sample, substream  # noqa: F401
-from .unscented import NonlinearModel, UTParams
+from .unscented import SPREAD, NonlinearModel, weights
 
 TRACKERS = ("uwlckf", "ukf")
 
@@ -173,10 +173,9 @@ def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
 # phase or the drive, ordered [centre, +phase, +drive, -phase, -drive]: the
 # measurement-noise points leave both at the centre.
 _DISTINCT_POINT = np.array([0, 1, 2, 3, 4, 0, 0, 5, 6, 7, 8, 0, 0])
-# Default unscented weights of the 6-dimensional composite joint, merged
-# onto the 9 distinct points, and the spread of its points.
-_W_MEAN, _W_COV = (np.bincount(_DISTINCT_POINT, weights=w) for w in UTParams().weights(6))
-_SPREAD = np.sqrt(6 + UTParams().lam(6))
+# Unscented weights of the 6-dimensional composite joint, merged onto the 9
+# distinct points.
+_W_MEAN, _W_COV = (np.bincount(_DISTINCT_POINT, weights=w) for w in weights(6))
 
 
 class _BatchUWLCKF:
@@ -216,14 +215,14 @@ class _BatchUWLCKF:
         cvar = np.stack([np.ones(rows, complex), np.asarray(noise_cvar, complex)], axis=1)
         self._noise_lam, rot = _scalar_eigenpairs(var, cvar)
         self._noise_top = np.clip(self._noise_lam[:, :, 0].max(axis=1), 0.0, None)
-        self._drive_axes = _SPREAD * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
+        self._drive_axes = SPREAD * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
         self._meas_dir = rot[:, 1, 0] ** 2
 
     def step(self, y: np.ndarray) -> None:
         a, b = self.model.a, self.model.b
         lam, rot = _scalar_eigenpairs(self.p, self.pt)
         threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
-        phase_axes = _SPREAD * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
+        phase_axes = SPREAD * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
         keep = self._noise_lam > threshold[:, None, None]
         drive_axes = np.where(keep[:, 0], self._drive_axes, 0.0)
         # The +/- pair along a noise eigenvector with eigenvalue l adds l to

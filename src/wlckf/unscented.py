@@ -8,7 +8,9 @@ the Hermitian covariance and the complementary covariance, so propagating
 it through a nonlinearity keeps the complete second-order description.
 Sigma points built from the Hermitian covariance alone (the conventional
 complex construction) drop the complementary part; that variant is kept as
-a negative control.
+a negative control. Every point set follows one rule, the Gaussian
+lambda = 3 - L of Julier and Uhlmann: the points sit ``SPREAD`` = sqrt(3)
+standard deviations from the mean, with the weights of :func:`weights`.
 
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
@@ -36,36 +38,25 @@ from .linear import FilterState, StepReport, _covariance, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
 
-@dataclass
-class UTParams:
-    """Spread and weighting parameters of the unscented transform.
+# sqrt(L + lambda) with lambda = 3 - L: the distance of the sigma points from
+# the mean along each factor column, whatever the dimension L.
+SPREAD = np.sqrt(3.0)
 
-    ``kappa=None`` (the default) applies the classical Gaussian heuristic
-    kappa = 3 - dim, which matches fourth moments and keeps the point
-    radius at sqrt(3) standard deviations regardless of dimension. A fixed
-    numeric kappa is honored as given.
+
+def weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance weights of the 2L+1 sigma points of dimension L = ``dim``.
+
+    The Gaussian rule lambda = 3 - L (alpha = 1, beta = 2, kappa = 3 - L),
+    which matches fourth moments: every point but the centre weighs 1/6,
+    and the centre weighs lambda/3 in the mean and lambda/3 + 2 in the
+    covariance.
     """
-
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float | None = None
-
-    def kappa_for(self, dim: int) -> float:
-        return 3.0 - dim if self.kappa is None else self.kappa
-
-    def lam(self, dim: int) -> float:
-        return self.alpha**2 * (dim + self.kappa_for(dim)) - dim
-
-    def weights(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        lam = self.lam(dim)
-        scale = dim + lam
-        if scale <= 0:
-            raise DimensionError(f"dim + lambda must be positive, got {scale}")
-        w_mean = np.full(2 * dim + 1, 1.0 / (2.0 * scale))
-        w_cov = w_mean.copy()
-        w_mean[0] = lam / scale
-        w_cov[0] = lam / scale + (1.0 - self.alpha**2 + self.beta)
-        return w_mean, w_cov
+    lam = 3.0 - dim
+    w_mean = np.full(2 * dim + 1, 1.0 / 6.0)
+    w_cov = w_mean.copy()
+    w_mean[0] = lam / 3.0
+    w_cov[0] = lam / 3.0 + 2.0
+    return w_mean, w_cov
 
 
 @dataclass
@@ -88,37 +79,31 @@ class SigmaPointSet:
         return self.points.shape[0]
 
 
-def real_sigma_points(mu, cov, params: UTParams = UTParams()) -> SigmaPointSet:
+def real_sigma_points(mu, cov) -> SigmaPointSet:
     """Standard 2L+1 sigma points of a real mean/covariance pair.
 
     Columns of the PSD square root provide the spread directions, scaled
-    by sqrt(L + lambda). For the composite representation of N complex
+    by ``SPREAD``. For the composite representation of N complex
     dimensions, L = 2N and the set has 4N + 1 points.
     """
     mu = np.asarray(mu, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (mu.shape[0], mu.shape[0]):
         raise DimensionError("covariance shape does not match the mean")
-    return _sigma_points(mu, psd_sqrt(cov), params)
+    return _sigma_points(mu, psd_sqrt(cov))
 
 
-def _sigma_points(mu: np.ndarray, b: np.ndarray, params: UTParams) -> SigmaPointSet:
-    """The 2L+1 points mu and mu +- sqrt(L + lambda) b_i over the columns b_i of a factor."""
+def _sigma_points(mu: np.ndarray, b: np.ndarray) -> SigmaPointSet:
+    """The 2L+1 points mu and mu +- SPREAD b_i over the columns b_i of a factor."""
     dim = mu.shape[0]
-    w_mean, w_cov = params.weights(dim)
-    spread = np.sqrt(dim + params.lam(dim))
     points = np.empty((2 * dim + 1, dim))
     points[0] = mu
-    points[1 : dim + 1] = mu + spread * b.T
-    points[dim + 1 :] = mu - spread * b.T
-    return SigmaPointSet(points, w_mean, w_cov)
+    points[1 : dim + 1] = mu + SPREAD * b.T
+    points[dim + 1 :] = mu - SPREAD * b.T
+    return SigmaPointSet(points, *weights(dim))
 
 
-def complex_sigma_points(
-    stats: SecondOrderStats,
-    params: UTParams = UTParams(),
-    preserve_complementary: bool = True,
-) -> SigmaPointSet:
+def complex_sigma_points(stats: SecondOrderStats, preserve_complementary: bool = True) -> SigmaPointSet:
     """Sigma points of a complex random vector as complex points.
 
     With ``preserve_complementary`` the points come from the factor of
@@ -131,7 +116,7 @@ def complex_sigma_points(
     if not preserve_complementary:
         validate(stats)
         stats = SecondOrderStats(stats.mean, stats.hermitian_cov)
-    composite = _sigma_points(*composite_factor(stats), params)
+    composite = _sigma_points(*composite_factor(stats))
     n = stats.n
     complex_points = composite.points[:, :n] + 1j * composite.points[:, n:]
     return SigmaPointSet(complex_points, composite.w_mean, composite.w_cov)

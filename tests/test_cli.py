@@ -196,6 +196,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("mse-sweep", [], {"panels": [[200, -20]]}),
         ("mse-sweep", [], {"panels": [[3000, -20]]}),
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
+        ("equivalence", [], {"out": 5}),
+        ("theta-bound", [], {"out": ""}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -208,11 +210,15 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
         "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow",
+        "out-number", "out-empty",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):
     out_dir = tmp_path / "out"
-    args = [command, *flags, "--out", str(out_dir / "out.csv")]
+    args = [command, *flags]
+    # A config's own out is validated only when no --out overrides it.
+    if "out" not in (config or {}):
+        args += ["--out", str(out_dir / "out.csv")]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -222,6 +228,16 @@ def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, comma
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["equivalence", "theta-bound"])
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
+    (tmp_path / "file").write_text("")
+    out = tmp_path if target == "directory" else tmp_path / "file" / "out.csv"
+    assert main([command, "--trials" if command == "equivalence" else "--draws", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -358,23 +374,25 @@ def test_mse_sweep_keeps_json_config_integers(tmp_path):
 
 
 _WRITER_ROWS = [
-    [0, np.float64(0.1), float("nan"), np.int64(3), np.float32(0.25), -0.0, True, "x", 1e-300, float("inf")],
-    [np.int32(-7), 2.5e17, np.nan, 0.0, np.float64(-1e22), 7, False, "y", 123456789012345678901234567890, -float("inf")],
+    [0, 0.1, float("nan"), 3, 0.25, -0.0, 1, 1e-300, float("inf")],
+    [-7, 2.5e17, np.nan, 0.0, -1e22, 7, 0, 123456789012345678901234567890, -float("inf")],
 ]
+# Values that are not exact floats or ints, which no table may hold.
+_NOT_TABLE_VALUES = [np.float64(0.5), np.int64(3), np.float32(0.25), True, "x"]
 
 
 def _joined_text(header, rows, fmt):
     """Reference: the table as one string, formatted value by value."""
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        lines = [",".join(header)] + [",".join(repr(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n"
-    return json.dumps([{k: cli._native(v) for k, v in zip(header, row)} for row in rows], indent=1) + "\n"
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [_WRITER_ROWS, _WRITER_ROWS[:1], []], ids=["two", "one", "empty"])
 def test_write_rows_streams_the_joined_text(tmp_path, fmt, rows):
-    header = list("abcdefghij")
+    header = list("abcdefghi")
     path = tmp_path / "sub" / f"table.{fmt}"
     cli.write_rows(path, header, iter(rows), fmt)
     assert path.read_text(encoding="utf-8") == _joined_text(header, rows, fmt)
@@ -382,26 +400,34 @@ def test_write_rows_streams_the_joined_text(tmp_path, fmt, rows):
 
 def test_write_rows_formats_each_type_as_before(tmp_path):
     path = tmp_path / "table.csv"
-    cli.write_rows(path, list("abcdefghij"), _WRITER_ROWS, "csv")
+    cli.write_rows(path, list("abcdefghi"), _WRITER_ROWS, "csv")
     assert path.read_bytes() == (
-        b"a,b,c,d,e,f,g,h,i,j\n"
-        b"0,0.1,nan,3,0.25,-0.0,1,x,1e-300,inf\n"
-        b"-7,2.5e+17,nan,0.0,-1e+22,7,0,y,123456789012345678901234567890,-inf\n"
+        b"a,b,c,d,e,f,g,h,i\n"
+        b"0,0.1,nan,3,0.25,-0.0,1,1e-300,inf\n"
+        b"-7,2.5e+17,nan,0.0,-1e+22,7,0,123456789012345678901234567890,-inf\n"
     )
-    cli.write_rows(path, ["a", "b"], [[np.float64(0.5), 2]], "json")
+    cli.write_rows(path, ["a", "b"], [[0.5, 2]], "json")
     assert path.read_bytes() == b'[\n {\n  "a": 0.5,\n  "b": 2\n }\n]\n'
     cli.write_rows(path, ["a"], [[float("nan")]], "json")
     assert path.read_bytes() == b'[\n {\n  "a": NaN\n }\n]\n'
+    # Numpy scalars, bools and strings are no table values, in either format.
+    for fmt in ("csv", "json"):
+        for value in _NOT_TABLE_VALUES:
+            with pytest.raises(TypeError):
+                cli.write_rows(path, ["a", "b"], [[1.0, value]], fmt)
 
 
 def test_write_rows_formats_each_chunk_by_its_own_types(tmp_path):
     # Over three chunks of exact ints and floats, then a later chunk that also
-    # holds a numpy scalar, a bool and a str, whose repr is not their text.
-    rows = [[i, i / 7.0, -1e-300 * i] for i in range(3 * cli.WRITE_CHUNK + 5)]
-    rows += [[np.float64(0.1), True, "x"], [1, 2.0, -0.0]]
-    path = tmp_path / "table.csv"
-    cli.write_rows(path, ["a", "b", "c"], iter(rows), "csv")
-    assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], rows, "csv")
+    # holds a value that is no table value: every chunk is checked.
+    rows = [[i, i / 7.0, -1e-300 * i] for i in range(3 * cli.WRITE_CHUNK + 5)] + [[1, 2.0, -0.0]]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"table.{fmt}"
+        cli.write_rows(path, ["a", "b", "c"], iter(rows), fmt)
+        assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], rows, fmt)
+        for value in _NOT_TABLE_VALUES:
+            with pytest.raises(TypeError):
+                cli.write_rows(path, ["a", "b", "c"], iter([*rows[:-1], [1, value, -0.0]]), fmt)
 
 
 def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path):
@@ -410,7 +436,7 @@ def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path)
     csv_path, json_path = tmp_path / "tb.csv", tmp_path / "tb.json"
     assert main(["theta-bound", "--draws", str(draws), "--out", str(csv_path)]) == 0
     assert main(["theta-bound", "--draws", str(draws), "--format", "json", "--out", str(json_path)]) == 0
-    # JSON floats round-trip exactly, so their _fmt text is the CSV's.
+    # JSON floats round-trip exactly, so their repr is the CSV's text.
     records = json.loads(json_path.read_text())
     assert [r["draw"] for r in records] == list(range(draws))
     expected = _joined_text(list(records[0]), [list(r.values()) for r in records], "csv")

@@ -225,19 +225,6 @@ def test_run_long_horizon_matches_real_oracle():
     assert worst < 1e-9
 
 
-def test_run_initial_update_consumes_time_zero_measurement():
-    e, f, g, q, r, pi = random_composite(7)
-    model = model_from_real(e, f, g, q, r, pi)
-    _, meas = simulate_linear(model, 5, substream(7, 0))
-    reports = wlckf_run(model, meas, initial_update=True)
-    assert reports[0].state.t == 0
-    assert reports[-1].state.t == 4
-    meas_real = [np.concatenate([y.real, y.imag]) for y in meas]
-    refs = real_kf_run(e, f, g, q, r, pi, meas_real, initial_update=True)
-    for rep, ref in zip(reports, refs):
-        assert np.max(np.abs(augmented_to_real(rep.state.estimate) - ref.mean)) < 1e-10
-
-
 def _assert_same_report(a, b):
     for x, y in (
         (a.predicted.estimate.top, b.predicted.estimate.top),
@@ -259,17 +246,15 @@ def _assert_same_report(a, b):
     assert (a.predicted.t, a.state.t, a.singular_innovation) == (b.predicted.t, b.state.t, b.singular_innovation)
 
 
-@pytest.mark.parametrize("initial_update", [False, True])
-def test_run_is_the_public_predict_update_loop(initial_update):
+def test_run_is_the_public_predict_update_loop():
     e, f, g, q, r, pi = random_composite(20, n=3, m=2)
     model = model_from_real(e, f, g, q, r, pi)
     _, meas = simulate_linear(model, 12, substream(20, 0))
     init = FilterState(AugmentedVector(np.array([1 - 1j, 0.5j, 2.0])), model.Pi0, 3)
-    reports = wlckf_run(model, meas, init=init, initial_update=initial_update)
+    reports = wlckf_run(model, meas, init=init)
     state = init
-    for k, (rep, y) in enumerate(zip(reports, meas, strict=True)):
-        predicted = state if k == 0 and initial_update else wlckf_predict(state, model)
-        step = wlckf_update(predicted, y, model)
+    for rep, y in zip(reports, meas, strict=True):
+        step = wlckf_update(wlckf_predict(state, model), y, model)
         _assert_same_report(rep, step)
         state = step.state
 

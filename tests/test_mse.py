@@ -159,20 +159,20 @@ def test_params_validation():
 
 
 def test_split_scan_minimum_at_extreme_split():
-    scan = split_minimum_scan(UNIT, 3, grid_points=101)
+    scan = split_minimum_scan(UNIT, 3)
     assert scan.min_at_extreme
     assert scan.argmin_split == pytest.approx((2.0, 0.0))
 
 
 def test_split_scan_maximum_at_equal_split():
-    scan = split_minimum_scan(UNIT, 3, grid_points=101)
+    scan = split_minimum_scan(UNIT, 3)
     assert scan.max_at_equal
     assert scan.argmax_split == pytest.approx((1.0, 1.0))
 
 
 def test_split_scan_minimizer_location_stable_in_time():
     for t in (1, 5):
-        scan = split_minimum_scan(UNIT, t, grid_points=101)
+        scan = split_minimum_scan(UNIT, t)
         assert scan.min_at_extreme
 
 

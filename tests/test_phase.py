@@ -25,7 +25,7 @@ from wlckf.phase import (
     track_batch,
 )
 from wlckf.stats import SecondOrderStats, sample, substream
-from wlckf.unscented import SigmaPointSet, UTParams, complex_sigma_points, reconstruct_stats, uwlckf_step
+from wlckf.unscented import SPREAD, SigmaPointSet, complex_sigma_points, reconstruct_stats, uwlckf_step, weights
 
 
 def test_model_noise_levels():
@@ -146,11 +146,10 @@ def test_closed_form_sigma_points_match_joint_statistics(variables, mean0):
     var = np.array([v[0] for v in variables])
     cvar = np.array([v[0] * v[1] * np.exp(1j * v[2]) for v in variables])
     mean = np.array([mean0, 0j, 0j])
-    params = UTParams()
-    w_mean, w_cov = params.weights(6)
+    w_mean, w_cov = weights(6)
     lam, rot = _scalar_eigenpairs(var, cvar)
     # Axis c of the (3, 2) factor moves variable c // 2.
-    axes = np.sqrt(6 + params.lam(6)) * np.sqrt(np.clip(lam, 0.0, None)) * rot
+    axes = SPREAD * np.sqrt(np.clip(lam, 0.0, None)) * rot
     offsets = np.zeros((6, 3), complex)
     offsets[np.arange(6), np.arange(6) // 2] = axes.reshape(6)
     points = np.concatenate([mean[None], mean + offsets, mean - offsets])

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from wlckf import phase
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run, wlckf_update
 from wlckf.stats import SecondOrderStats, composite_factor, sample, substream
 from wlckf.unscented import (
     NonlinearModel,
+    SPREAD,
     SigmaPointSet,
-    UTParams,
     complex_sigma_points,
     real_sigma_points,
     reconstruct_stats,
     uwlckf_run,
     uwlckf_step,
+    weights,
 )
 
 
@@ -55,22 +57,39 @@ def random_model(seed, n=2, m=2):
 
 
 def test_default_kappa_keeps_spread_at_sqrt3():
-    params = UTParams()
     for dim in (2, 4, 6, 10):
-        assert dim + params.lam(dim) == pytest.approx(3.0)
+        sps = real_sigma_points(np.zeros(dim), np.eye(dim))
+        assert np.allclose(np.linalg.norm(sps.points[1:], axis=1), np.sqrt(3.0))
 
 
 def test_weights_sum_to_one():
-    params = UTParams()
     for dim in (2, 4, 6):
-        w_mean, _ = params.weights(dim)
+        w_mean, _ = weights(dim)
         assert w_mean.sum() == pytest.approx(1.0)
         assert len(w_mean) == 2 * dim + 1
 
 
-def test_weights_reject_nonpositive_scale():
-    with pytest.raises(DimensionError):
-        UTParams(alpha=1.0, kappa=-5.0).weights(4)
+def _general_ut_weights(dim, alpha=1.0, beta=2.0):
+    """The general alpha/beta/kappa unscented weights, at kappa = 3 - dim."""
+    lam = alpha**2 * (dim + (3.0 - dim)) - dim
+    scale = dim + lam
+    w_mean = np.full(2 * dim + 1, 1.0 / (2.0 * scale))
+    w_cov = w_mean.copy()
+    w_mean[0] = lam / scale
+    w_cov[0] = lam / scale + (1.0 - alpha**2 + beta)
+    return w_mean, w_cov, np.sqrt(scale)
+
+
+def test_fixed_weights_are_the_general_rule_bit_for_bit():
+    for dim in range(1, 9):
+        w_mean, w_cov, spread = _general_ut_weights(dim)
+        fixed_mean, fixed_cov = weights(dim)
+        assert np.array_equal(fixed_mean, w_mean) and np.array_equal(fixed_cov, w_cov)
+        assert SPREAD == spread
+    assert SPREAD == np.sqrt(3.0)
+    # The phase tracker's weights merged onto its 9 distinct joint points.
+    for merged, w in zip((phase._W_MEAN, phase._W_COV), weights(6)):
+        assert np.array_equal(merged, np.bincount(phase._DISTINCT_POINT, weights=w))
 
 
 # --- real sigma points ----------------------------------------------------------
@@ -78,7 +97,7 @@ def test_weights_reject_nonpositive_scale():
 
 def test_real_sigma_points_explicit_example():
     # lambda = 1 at dimension 2: points {0, +-sqrt(3) e1, +-sqrt(3) e2}
-    sps = real_sigma_points(np.zeros(2), np.eye(2), UTParams(kappa=1.0))
+    sps = real_sigma_points(np.zeros(2), np.eye(2))
     s = np.sqrt(3)
     expected = np.array([[0, 0], [s, 0], [0, s], [-s, 0], [0, -s]], dtype=float)
     assert np.allclose(sps.points, expected)
@@ -89,7 +108,7 @@ def test_real_sigma_points_weighted_mean_is_input_mean():
     rng = np.random.default_rng(0)
     mu = rng.standard_normal(4)
     a = rng.standard_normal((4, 4))
-    sps = real_sigma_points(mu, a @ a.T, UTParams())
+    sps = real_sigma_points(mu, a @ a.T)
     assert np.max(np.abs(sps.w_mean @ sps.points - mu)) < 1e-12
 
 
@@ -98,7 +117,7 @@ def test_real_sigma_points_weighted_covariance_matches_input():
     a = rng.standard_normal((4, 4))
     cov = a @ a.T
     mu = rng.standard_normal(4)
-    sps = real_sigma_points(mu, cov, UTParams())
+    sps = real_sigma_points(mu, cov)
     d = sps.points - sps.w_mean @ sps.points
     rec = (sps.w_cov[:, None] * d).T @ d
     assert np.max(np.abs(rec - cov)) < 1e-12

@@ -16,7 +16,6 @@ from .augmented import (
     eigenvalues_scalar_augmented,
     psd_sqrt,
     real_matrix_to_augmented,
-    real_to_augmented,
 )
 from .linear import (
     FilterState,
@@ -26,9 +25,7 @@ from .linear import (
     model_from_real,
     real_kf_run,
     simulate_linear,
-    wlckf_predict,
     wlckf_run,
-    wlckf_update,
 )
 from .mse import (
     ImproprietyGain,
@@ -54,9 +51,7 @@ from .phase import (
 )
 from .stats import (
     SecondOrderStats,
-    correlation_coefficient,
     empirical_stats,
-    is_proper,
     sample,
     substream,
     validate,
@@ -65,7 +60,6 @@ from .unscented import (
     NonlinearModel,
     SigmaPointSet,
     complex_sigma_points,
-    real_sigma_points,
     reconstruct_stats,
     uwlckf_run,
     uwlckf_step,

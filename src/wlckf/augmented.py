@@ -82,12 +82,6 @@ class AugmentedVector:
     def full(self) -> np.ndarray:
         return np.concatenate([self.top, self.bottom])
 
-    def __add__(self, other: "AugmentedVector") -> "AugmentedVector":
-        return AugmentedVector(self.top + other.top)
-
-    def __sub__(self, other: "AugmentedVector") -> "AugmentedVector":
-        return AugmentedVector(self.top - other.top)
-
 
 @dataclass
 class AugmentedMatrix:
@@ -107,35 +101,12 @@ class AugmentedMatrix:
         if self.m1.shape != self.m2.shape or self.m1.ndim != 2:
             raise DimensionError("augmented blocks must be 2-d and equal shape")
 
-    @classmethod
-    def eye(cls, n: int) -> "AugmentedMatrix":
-        return cls(np.eye(n, dtype=complex), np.zeros((n, n), complex))
-
-    @classmethod
-    def diagonal(cls, scalar: complex) -> "AugmentedMatrix":
-        """The 1x1-block strictly linear map [[s, 0], [0, s*]]."""
-        return cls(np.array([[scalar]], complex), np.zeros((1, 1), complex))
-
     @property
     def block_shape(self) -> tuple[int, int]:
         return self.m1.shape
 
     def full(self) -> np.ndarray:
         return block_conjugate(self.m1, self.m2)
-
-    def __add__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix(self.m1 + other.m1, self.m2 + other.m2)
-
-    def __sub__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix(self.m1 - other.m1, self.m2 - other.m2)
-
-    def __mul__(self, scalar: float) -> "AugmentedMatrix":
-        # Only real scalars keep the block-conjugate pattern.
-        if isinstance(scalar, complex) and scalar.imag != 0:
-            raise ConsistencyError("complex scalar would break the block pattern")
-        return AugmentedMatrix(self.m1 * scalar, self.m2 * scalar)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, AugmentedMatrix):
@@ -167,17 +138,8 @@ class AugmentedMatrix:
         return self
 
 
-def real_to_augmented(z) -> AugmentedVector:
-    """Map a real composite vector [u; v] to the augmented stack of u + jv."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.shape[0] % 2:
-        raise DimensionError("composite vector must be 1-d with even length")
-    n = z.shape[0] // 2
-    return AugmentedVector(z[:n] + 1j * z[n:])
-
-
 def augmented_to_real(x: AugmentedVector) -> np.ndarray:
-    """Inverse of :func:`real_to_augmented`: the composite [Re x; Im x]."""
+    """The real composite [Re x; Im x] of an augmented vector."""
     return np.concatenate([x.top.real, x.top.imag])
 
 

@@ -89,7 +89,7 @@ _DEFAULTS = {
 }
 
 
-# Run counts, dimensions and horizons; each must be an integer of at least 1.
+# Run counts, dimensions and horizons; each must be an integer from 1 to sys.maxsize.
 _COUNT_KEYS = ("runs", "trials", "horizon", "state_dim", "meas_dim", "draws", "t_max", "max_iter")
 # Scalar settings and lists that must be finite numbers.
 _NUMBER_KEYS = ("r_snr", "traj_snr", "rho_w_phase", "rho_n_phase", "tol", "max_dev")
@@ -101,7 +101,13 @@ class ConfigError(Exception):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for an int or float that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_integer(value) -> bool:
@@ -186,8 +192,8 @@ def load_config(args: argparse.Namespace, command: str) -> dict:
     if not (isinstance(cfg["out"], str) and cfg["out"]):
         raise ConfigError("out must be a non-empty path")
     for key in _COUNT_KEYS:
-        if key in cfg and not (_is_integer(cfg[key]) and cfg[key] >= 1):
-            raise ConfigError(f"{key} must be an integer >= 1")
+        if key in cfg and not (_is_integer(cfg[key]) and 1 <= cfg[key] <= sys.maxsize):
+            raise ConfigError(f"{key} must be an integer from 1 to {sys.maxsize}")
     for key in _NUMBER_KEYS:
         if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a finite number")

@@ -247,14 +247,6 @@ def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps) -> "WLUpdate":
     return wl_update(x, p, y, _matvec(c_top, x), p @ maps.c_h, s, joseph=(maps.c, maps.r))
 
 
-def wlckf_predict(state: FilterState, model: WidelyLinearModel) -> FilterState:
-    """Time update: propagate estimate and covariance through the state map."""
-    if state.estimate.n != model.n:
-        raise DimensionError("state dimension does not match the model")
-    x, p = _predict(state.estimate.full(), state.cov.full(), _Maps.of(model))
-    return _state(x, p, state.t + 1)
-
-
 class WLUpdate(NamedTuple):
     """The arrays of one widely linear measurement update (leading axes are batch axes).
 
@@ -335,20 +327,6 @@ def wl_update(
         cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
     x_post = np.concatenate([top, np.conj(top)], axis=-1)
     return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
-
-
-def wlckf_update(predicted: FilterState, y, model: WidelyLinearModel) -> StepReport:
-    """Measurement update in the augmented domain.
-
-    The cross covariance is P C^H and the innovation covariance
-    C P C^H + R; :func:`wl_update` forms the gain and the posterior in
-    Joseph form, (I - K C) P (I - K C)^H + K R K^H, on full augmented
-    arrays. A singular innovation covariance (maximally improper
-    measurements) is handled by a least-squares solve and flagged on the
-    report.
-    """
-    update = _update(predicted.estimate.full(), predicted.cov.full(), y, _Maps.of(model))
-    return update.report(predicted.t)
 
 
 def default_init(model: WidelyLinearModel) -> FilterState:

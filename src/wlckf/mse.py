@@ -56,9 +56,12 @@ class ScalarModelParams:
             raise NotPSDError("initial complementary variance exceeds the Hermitian variance")
 
     def coeff_at(self, t: int) -> tuple[complex, complex, complex]:
+        """The coefficients (a, b, c) at step ``t``; a sequence coefficient needs 1 <= t <= its length."""
         def pick(value):
             if np.ndim(value) == 0:
                 return complex(value)
+            if not 1 <= t <= len(value):
+                raise DimensionError(f"step {t} is outside a coefficient sequence of length {len(value)}")
             return complex(value[t - 1])
 
         return pick(self.a), pick(self.b), pick(self.c)

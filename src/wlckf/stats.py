@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmented import (
-    CONJ_TOL,
     AugmentedMatrix,
     AugmentedVector,
     augmented_to_real,
     augmented_to_real_matrix,
     psd_sqrt,
 )
-from .errors import DegenerateError, DimensionError
+from .errors import DimensionError
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -67,14 +66,6 @@ class SecondOrderStats:
         cov = augmented_to_real_matrix(self.augmented_cov(), "covariance")
         return mu, cov
 
-    @classmethod
-    def from_composite(cls, mu_z, cov_z) -> "SecondOrderStats":
-        from .augmented import real_matrix_to_augmented, real_to_augmented
-
-        vec = real_to_augmented(mu_z)
-        aug = real_matrix_to_augmented(cov_z, "covariance")
-        return cls(vec.top, aug.m1, aug.m2)
-
 
 def validate(stats: SecondOrderStats) -> SecondOrderStats:
     """Check the covariance invariants, naming the one that fails.
@@ -85,27 +76,6 @@ def validate(stats: SecondOrderStats) -> SecondOrderStats:
     """
     stats.augmented_cov().check_covariance()
     return stats
-
-
-def is_proper(stats: SecondOrderStats) -> bool:
-    """True when the complementary covariance vanishes within ``CONJ_TOL`` (relative max norm)."""
-    r_scale = max(1.0, float(np.max(np.abs(stats.hermitian_cov), initial=0.0)))
-    return float(np.max(np.abs(stats.complementary_cov), initial=0.0)) <= CONJ_TOL * r_scale
-
-
-def correlation_coefficient(stats: SecondOrderStats) -> complex:
-    """Complex correlation between a scalar variable and its conjugate.
-
-    Defined for scalar stats as complementary variance over Hermitian
-    variance; magnitude 1 means the variable is maximally improper (a
-    unimodular multiple of its own conjugate, e.g. real-valued).
-    """
-    if stats.n != 1:
-        raise DimensionError("correlation coefficient is defined for scalar stats")
-    r = stats.hermitian_cov[0, 0].real
-    if r <= 0:
-        raise DegenerateError("zero Hermitian variance")
-    return complex(stats.complementary_cov[0, 0] / r)
 
 
 def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:

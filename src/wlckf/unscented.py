@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .augmented import AugmentedVector, block_conjugate, psd_sqrt
-# solve_right is unused here; bench/spans.py still rebinds it in this module.
-from .augmented import solve_right  # noqa: F401
+from .augmented import AugmentedVector, block_conjugate
+# psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
+from .augmented import psd_sqrt, solve_right  # noqa: F401
 from .errors import DimensionError
 from .linear import FilterState, StepReport, _covariance, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
@@ -77,20 +77,6 @@ class SigmaPointSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-
-def real_sigma_points(mu, cov) -> SigmaPointSet:
-    """Standard 2L+1 sigma points of a real mean/covariance pair.
-
-    Columns of the PSD square root provide the spread directions, scaled
-    by ``SPREAD``. For the composite representation of N complex
-    dimensions, L = 2N and the set has 4N + 1 points.
-    """
-    mu = np.asarray(mu, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (mu.shape[0], mu.shape[0]):
-        raise DimensionError("covariance shape does not match the mean")
-    return _sigma_points(mu, psd_sqrt(cov))
 
 
 def _sigma_points(mu: np.ndarray, b: np.ndarray) -> SigmaPointSet:

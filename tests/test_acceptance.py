@@ -14,6 +14,7 @@ from wlckf.augmented import (
     AugmentedVector,
     augmented_to_real,
     augmented_to_real_matrix,
+    real_matrix_to_augmented,
 )
 from wlckf.cli import main
 from wlckf.linear import (
@@ -163,9 +164,9 @@ def test_criterion_4_formula_equals_filter():
         init_var=1.0, init_cvar=0.5 + 0.4j,
     )
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(params.a),
-        B=AugmentedMatrix.diagonal(params.b),
-        C=AugmentedMatrix.diagonal(params.c),
+        A=AugmentedMatrix([[params.a]], [[0.0]]),
+        B=AugmentedMatrix([[params.b]], [[0.0]]),
+        C=AugmentedMatrix([[params.c]], [[0.0]]),
         Q=AugmentedMatrix([[params.drive_var]], [[0.0]]),
         R=AugmentedMatrix([[params.meas_var]], [[0.0]]),
         Pi0=AugmentedMatrix([[params.init_var]], [[params.init_cvar]]),
@@ -187,7 +188,9 @@ def test_criterion_5_sigma_point_moments():
         rng = substream(5000, trial)
         n = int(rng.integers(1, 5))
         a = rng.standard_normal((2 * n, 2 * n))
-        stats = SecondOrderStats.from_composite(rng.standard_normal(2 * n), a @ a.T / (2 * n))
+        mu = rng.standard_normal(2 * n)
+        cov = real_matrix_to_augmented(a @ a.T / (2 * n), "covariance")
+        stats = SecondOrderStats(mu[:n] + 1j * mu[n:], cov.m1, cov.m2)
         rec = reconstruct_stats(complex_sigma_points(stats))
         worst = max(
             worst,

@@ -198,6 +198,13 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
         ("equivalence", [], {"out": 5}),
         ("theta-bound", [], {"out": ""}),
+        ("phase-demod", [], {"r_snr": 10**400}),
+        ("mse-sweep", [], {"tol": 10**400}),
+        ("equivalence", [], {"max_dev": 10**400}),
+        ("mse-sweep", [], {"panels": [[10**400, -20]]}),
+        ("mse-sweep", [], {"rho_w": [10**400]}),
+        ("phase-demod", [], {"horizon": 10**400}),
+        ("theta-bound", [], {"t_max": 10**400}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -211,6 +218,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
         "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow",
         "out-number", "out-empty",
+        "r-snr-huge-int", "mse-sweep-tol-huge-int", "equivalence-max-dev-huge-int",
+        "mse-sweep-panel-huge-int", "mse-sweep-rho-w-huge-int", "horizon-huge-int", "theta-bound-t-max-huge-int",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):
@@ -346,6 +355,13 @@ def test_phase_demod_default_lists_share_bounded_engines(tmp_path, monkeypatch):
     # The trajectory's one-row engine counts too.
     assert max(built) <= cli.phase._BLOCK_ROWS
     assert len(built) < points
+
+
+@pytest.mark.parametrize("name, flags", [("equivalence_golden", []), ("equivalence_proper_golden", ["--proper"])])
+def test_equivalence_golden_regression(tmp_path, name, flags):
+    out = tmp_path / "eq.csv"
+    assert main(["equivalence", *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
 def test_theta_bound_golden_regression(tmp_path):

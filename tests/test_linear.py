@@ -22,9 +22,7 @@ from wlckf.linear import (
     real_kf_run,
     simulate_linear,
     wlckf_batch,
-    wlckf_predict,
     wlckf_run,
-    wlckf_update,
 )
 from wlckf.mse import ScalarModelParams, variance_after, wl_mmse
 from wlckf.stats import substream
@@ -46,9 +44,9 @@ def random_composite(seed, n=2, m=2, radius=0.9):
 
 def scalar_model(a=1.0, b=1.0, c=1.0, q=1.0, r=1.0, p0=1.0, p0t=0.0):
     return WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(a),
-        B=AugmentedMatrix.diagonal(b),
-        C=AugmentedMatrix.diagonal(c),
+        A=AugmentedMatrix([[a]], [[0.0]]),
+        B=AugmentedMatrix([[b]], [[0.0]]),
+        C=AugmentedMatrix([[c]], [[0.0]]),
         Q=AugmentedMatrix([[q]], [[0.0]]),
         R=AugmentedMatrix([[r]], [[0.0]]),
         Pi0=AugmentedMatrix([[p0]], [[p0t]]),
@@ -127,24 +125,26 @@ def test_model_from_real_round_trip():
 
 def test_predict_identity_no_noise():
     model = scalar_model(a=1.0, q=0.0)
-    state = FilterState(AugmentedVector([1 + 1j]), AugmentedMatrix([[2.0]], [[0.5]]), 0)
-    pred = wlckf_predict(state, model)
+    # A run reports its first step at the time after its initial state's.
+    state = FilterState(AugmentedVector([1 + 1j]), AugmentedMatrix([[2.0]], [[0.5]]), 3)
+    rep = wlckf_run(model, [[0j]], init=state)[0]
+    pred = rep.predicted
     assert np.allclose(pred.estimate.top, [1 + 1j])
     assert np.allclose(pred.cov.m1, [[2.0]])
-    assert pred.t == 1
+    assert (pred.t, rep.state.t) == (4, 4)
 
 
 def test_predict_scalar_doubling():
     model = scalar_model()
-    state = FilterState(AugmentedVector([0j]), AugmentedMatrix.eye(1), 0)
-    pred = wlckf_predict(state, model)
+    state = FilterState(AugmentedVector([0j]), AugmentedMatrix([[1.0]], [[0.0]]), 0)
+    pred = wlckf_run(model, [[0j]], init=state)[0].predicted
     assert np.allclose(pred.cov.m1, [[2.0]])
 
 
 def test_predict_matches_real_oracle():
     e, f, g, q, r, pi = random_composite(2)
     model = model_from_real(e, f, g, q, r, pi)
-    pred = wlckf_predict(default_init(model), model)
+    pred = wlckf_run(model, [np.zeros(model.m, complex)], init=default_init(model))[0].predicted
     ref = e @ pi @ e.T + f @ q @ f.T
     assert np.max(np.abs(augmented_to_real_matrix(pred.cov, "covariance") - ref)) < 1e-12
 
@@ -154,17 +154,17 @@ def test_predict_matches_real_oracle():
 
 def test_update_uninformative_measurement():
     model = scalar_model(r=1e12)
-    pred = wlckf_predict(default_init(model), model)
-    rep = wlckf_update(pred, np.array([3 + 1j]), model)
+    rep = wlckf_run(model, [np.array([3 + 1j])], init=default_init(model))[0]
+    pred = rep.predicted
     assert np.max(np.abs(rep.gain.m1)) < 1e-10
     assert rep.state.cov.m1 == pytest.approx(pred.cov.m1, rel=1e-9)
 
 
 def test_update_proper_gain_is_block_diagonal_usual_kf():
     model = proper_model(3)
-    pred = wlckf_predict(default_init(model), model)
     y = np.array([0.3 - 0.2j, 1.0 + 0.5j])
-    rep = wlckf_update(pred, y, model)
+    rep = wlckf_run(model, [y], init=default_init(model))[0]
+    pred = rep.predicted
     assert np.max(np.abs(rep.gain.m2)) < 1e-12
     p, c1, r1 = pred.cov.m1, model.C.m1, model.R.m1
     usual = p @ c1.conj().T @ np.linalg.inv(c1 @ p @ c1.conj().T + r1)
@@ -186,8 +186,8 @@ def test_update_matches_real_oracle():
 
 def test_run_zero_measurement_map_follows_lyapunov():
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(0.8),
-        B=AugmentedMatrix.diagonal(1.0),
+        A=AugmentedMatrix([[0.8]], [[0.0]]),
+        B=AugmentedMatrix([[1.0]], [[0.0]]),
         C=AugmentedMatrix([[0.0]], [[0.0]]),
         Q=AugmentedMatrix([[0.5]], [[0.0]]),
         R=AugmentedMatrix([[1.0]], [[0.0]]),
@@ -223,40 +223,6 @@ def test_run_long_horizon_matches_real_oracle():
         cov = augmented_to_real_matrix(rep.state.cov, "covariance")
         worst = max(worst, np.max(np.abs(est - ref.mean)), np.max(np.abs(cov - ref.cov)))
     assert worst < 1e-9
-
-
-def _assert_same_report(a, b):
-    for x, y in (
-        (a.predicted.estimate.top, b.predicted.estimate.top),
-        (a.predicted.estimate.bottom, b.predicted.estimate.bottom),
-        (a.predicted.cov.m1, b.predicted.cov.m1),
-        (a.predicted.cov.m2, b.predicted.cov.m2),
-        (a.innovation.top, b.innovation.top),
-        (a.innovation.bottom, b.innovation.bottom),
-        (a.innovation_cov.m1, b.innovation_cov.m1),
-        (a.innovation_cov.m2, b.innovation_cov.m2),
-        (a.gain.m1, b.gain.m1),
-        (a.gain.m2, b.gain.m2),
-        (a.state.estimate.top, b.state.estimate.top),
-        (a.state.estimate.bottom, b.state.estimate.bottom),
-        (a.state.cov.m1, b.state.cov.m1),
-        (a.state.cov.m2, b.state.cov.m2),
-    ):
-        assert np.array_equal(x, y)
-    assert (a.predicted.t, a.state.t, a.singular_innovation) == (b.predicted.t, b.state.t, b.singular_innovation)
-
-
-def test_run_is_the_public_predict_update_loop():
-    e, f, g, q, r, pi = random_composite(20, n=3, m=2)
-    model = model_from_real(e, f, g, q, r, pi)
-    _, meas = simulate_linear(model, 12, substream(20, 0))
-    init = FilterState(AugmentedVector(np.array([1 - 1j, 0.5j, 2.0])), model.Pi0, 3)
-    reports = wlckf_run(model, meas, init=init)
-    state = init
-    for rep, y in zip(reports, meas, strict=True):
-        step = wlckf_update(wlckf_predict(state, model), y, model)
-        _assert_same_report(rep, step)
-        state = step.state
 
 
 def test_gain_normal_equation_residual():
@@ -397,9 +363,9 @@ def test_real_kf_near_exact_measurements_recover_state():
 
 def test_simulate_deterministic_when_noiseless():
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(0.5),
-        B=AugmentedMatrix.diagonal(1.0),
-        C=AugmentedMatrix.diagonal(2.0),
+        A=AugmentedMatrix([[0.5]], [[0.0]]),
+        B=AugmentedMatrix([[1.0]], [[0.0]]),
+        C=AugmentedMatrix([[2.0]], [[0.0]]),
         Q=AugmentedMatrix([[0.0]], [[0.0]]),
         R=AugmentedMatrix([[0.0]], [[0.0]]),
         Pi0=AugmentedMatrix([[0.0]], [[0.0]]),
@@ -413,23 +379,22 @@ def test_simulate_deterministic_when_noiseless():
 def test_simulate_long_run_matches_lyapunov_fixed_point():
     model = scalar_model(a=0.7, b=1.0, q=0.5, p0=0.3, p0t=0.1)
     states, _ = simulate_linear(model, 20_000, substream(15, 0))
-    # A^H and B^H in blocks: M1^H and M2^T.
-    a_h = AugmentedMatrix(model.A.m1.conj().T, model.A.m2.T)
-    b_h = AugmentedMatrix(model.B.m1.conj().T, model.B.m2.T)
-    # fixed point by iteration (the oracle)
-    pbar = model.Pi0
+    # fixed point by iteration on full augmented arrays (the oracle)
+    a, b = model.A.full(), model.B.full()
+    bqb = b @ model.Q.full() @ b.conj().T
+    pbar = model.Pi0.full()
     for _ in range(200):
-        pbar = model.A @ pbar @ a_h + model.B @ model.Q @ b_h
+        pbar = a @ pbar @ a.conj().T + bqb
     x = states[1000:, 0]
-    assert np.mean(np.abs(x) ** 2) == pytest.approx(pbar.m1[0, 0].real, rel=0.1)
-    assert np.mean(x * x) == pytest.approx(pbar.m2[0, 0], abs=0.1 * abs(pbar.m1[0, 0]))
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(pbar[0, 0].real, rel=0.1)
+    assert np.mean(x * x) == pytest.approx(pbar[0, 1], abs=0.1 * abs(pbar[0, 0]))
 
 
 def test_simulate_maximally_improper_measurement_noise_is_real():
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(0.5),
-        B=AugmentedMatrix.diagonal(1.0),
-        C=AugmentedMatrix.diagonal(1.0),
+        A=AugmentedMatrix([[0.5]], [[0.0]]),
+        B=AugmentedMatrix([[1.0]], [[0.0]]),
+        C=AugmentedMatrix([[1.0]], [[0.0]]),
         Q=AugmentedMatrix([[0.2]], [[0.0]]),
         R=AugmentedMatrix([[1.0]], [[1.0]]),
         Pi0=AugmentedMatrix([[1.0]], [[0.0]]),
@@ -443,9 +408,9 @@ def test_singular_innovation_flagged_and_handled():
     # Maximally improper measurement noise with a maximally improper state
     # makes the augmented innovation covariance rank deficient.
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(0.9),
-        B=AugmentedMatrix.diagonal(1.0),
-        C=AugmentedMatrix.diagonal(1.0),
+        A=AugmentedMatrix([[0.9]], [[0.0]]),
+        B=AugmentedMatrix([[1.0]], [[0.0]]),
+        C=AugmentedMatrix([[1.0]], [[0.0]]),
         Q=AugmentedMatrix([[0.3]], [[0.3]]),
         R=AugmentedMatrix([[0.5]], [[0.5]]),
         Pi0=AugmentedMatrix([[1.0]], [[1.0]]),
@@ -478,12 +443,12 @@ def test_covariance_check_rejects_indefinite_model_blocks():
 
     with pytest.raises(NotPSDError):
         WidelyLinearModel(
-            A=AugmentedMatrix.eye(1),
-            B=AugmentedMatrix.eye(1),
-            C=AugmentedMatrix.eye(1),
+            A=AugmentedMatrix([[1.0]], [[0.0]]),
+            B=AugmentedMatrix([[1.0]], [[0.0]]),
+            C=AugmentedMatrix([[1.0]], [[0.0]]),
             Q=AugmentedMatrix([[1.0]], [[1.5]]),  # |complementary| > Hermitian
-            R=AugmentedMatrix.eye(1),
-            Pi0=AugmentedMatrix.eye(1),
+            R=AugmentedMatrix([[1.0]], [[0.0]]),
+            Pi0=AugmentedMatrix([[1.0]], [[0.0]]),
         )
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlckf.augmented import AugmentedMatrix
-from wlckf.errors import DegenerateError, NotPSDError
+from wlckf.errors import DegenerateError, DimensionError, NotPSDError
 from wlckf.linear import WidelyLinearModel, wlckf_run
 from wlckf.mse import (
     ScalarModelParams,
@@ -44,6 +44,16 @@ def test_variance_step_accepts_sequences():
     params = ScalarModelParams(a=[1.0, 2.0], b=[1.0, 0.5], c=[1.0, 1.0])
     assert variance_step(1.0, 1, params) == pytest.approx(2 / 3)
     assert variance_step(1.0, 2, params) == pytest.approx((4 + 0.25) / (4 + 0.25 + 1))
+
+
+def test_coefficient_sequences_reject_steps_they_do_not_hold():
+    params = ScalarModelParams(a=[1.0, 2.0], b=[1.0, 0.5], c=[1.0, 1.0])
+    for call in (lambda: variance_step(1.0, 0, params), lambda: variance_after(1.0, 3, params),
+                 lambda: wl_mmse(params, 3)):
+        with pytest.raises(DimensionError, match="coefficient sequence of length 2"):
+            call()
+    # Scalar coefficients hold at every step.
+    assert variance_step(1.0, 0, UNIT) == variance_step(1.0, 1, UNIT)
 
 
 def test_variance_after_single_step():
@@ -181,9 +191,9 @@ def test_posterior_cov_seq_eigenvalues_follow_variance_map():
                                meas_var=2.0, init_var=1.0, init_cvar=0.7j)
     lam_hi, lam_lo = params.init_eigenvalues()
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(params.a),
-        B=AugmentedMatrix.diagonal(params.b),
-        C=AugmentedMatrix.diagonal(params.c),
+        A=AugmentedMatrix([[params.a]], [[0.0]]),
+        B=AugmentedMatrix([[params.b]], [[0.0]]),
+        C=AugmentedMatrix([[params.c]], [[0.0]]),
         Q=AugmentedMatrix([[params.drive_var]], [[0.0]]),
         R=AugmentedMatrix([[params.meas_var]], [[0.0]]),
         Pi0=AugmentedMatrix([[params.init_var]], [[params.init_cvar]]),
@@ -269,9 +279,9 @@ def test_gain_agrees_with_general_filter_covariance_path():
     rho_w, rho_n = 0.6, 0.8j
     n1, n2 = db_to_linear(-10.0), db_to_linear(-15.0)
     model = WidelyLinearModel(
-        A=AugmentedMatrix.diagonal(1.0),
-        B=AugmentedMatrix.diagonal(1.0),
-        C=AugmentedMatrix.diagonal(1.0),
+        A=AugmentedMatrix([[1.0]], [[0.0]]),
+        B=AugmentedMatrix([[1.0]], [[0.0]]),
+        C=AugmentedMatrix([[1.0]], [[0.0]]),
         Q=AugmentedMatrix([[n1]], [[n1 * rho_w]]),
         R=AugmentedMatrix([[n2]], [[n2 * rho_n]]),
         Pi0=AugmentedMatrix([[1.0]], [[0.0]]),

@@ -1,35 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from wlckf.augmented import augmented_to_real_matrix
-from wlckf.errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
+from wlckf.augmented import augmented_to_real_matrix, real_matrix_to_augmented
+from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 from wlckf.stats import (
     SecondOrderStats,
-    correlation_coefficient,
     empirical_stats,
-    is_proper,
     sample,
     substream,
     validate,
 )
 
 
-
 def random_valid_stats(seed, n=2, mean_scale=1.0):
     """Valid stats by construction: mapped from a real composite covariance."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2 * n, 2 * n))
-    return SecondOrderStats.from_composite(mean_scale * rng.standard_normal(2 * n), a @ a.T / (2 * n))
-
-
-def test_is_proper_identity():
-    assert is_proper(SecondOrderStats(np.zeros(2), np.eye(2), np.zeros((2, 2))))
-
-
-def test_is_proper_scalar_improper():
-    assert not is_proper(SecondOrderStats(np.zeros(1), [[1.0]], [[0.5]]))
+    mu = mean_scale * rng.standard_normal(2 * n)
+    cov = real_matrix_to_augmented(a @ a.T / (2 * n), "covariance")
+    return SecondOrderStats(mu[:n] + 1j * mu[n:], cov.m1, cov.m2)
 
 
 def test_propriety_matches_dual_channel_condition():
@@ -41,41 +30,14 @@ def test_propriety_matches_dual_channel_condition():
         cov_z = augmented_to_real_matrix(stats.augmented_cov(), "covariance")
         ruu, rvv, ruv = cov_z[:2, :2], cov_z[2:, 2:], cov_z[:2, 2:]
         dual = np.allclose(ruu, rvv, atol=1e-9) and np.allclose(ruv, -ruv.T, atol=1e-9)
-        assert is_proper(stats) == dual
+        scale = max(1.0, np.max(np.abs(stats.hermitian_cov)))
+        assert (np.max(np.abs(stats.complementary_cov)) <= 1e-9 * scale) == dual
     # and a constructed proper case
     c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     stats = SecondOrderStats(np.zeros(2), c @ c.conj().T, np.zeros((2, 2)))
     cov_z = augmented_to_real_matrix(stats.augmented_cov(), "covariance")
     assert np.allclose(cov_z[:2, :2], cov_z[2:, 2:])
     assert np.allclose(cov_z[:2, 2:], -cov_z[:2, 2:].T)
-
-
-def test_correlation_coefficient_proper_is_zero():
-    assert correlation_coefficient(SecondOrderStats(np.zeros(1), [[1.0]], [[0.0]])) == 0
-
-
-def test_correlation_coefficient_example():
-    rho = correlation_coefficient(SecondOrderStats(np.zeros(1), [[2.0]], [[1.4j]]))
-    assert rho == pytest.approx(0.7j)
-    assert abs(rho) == pytest.approx(0.7)
-
-
-def test_correlation_coefficient_maximally_improper():
-    assert correlation_coefficient(SecondOrderStats(np.zeros(1), [[1.0]], [[1.0]])) == 1
-
-
-def test_correlation_coefficient_zero_variance():
-    with pytest.raises(DegenerateError):
-        correlation_coefficient(SecondOrderStats(np.zeros(1), [[0.0]], [[0.0]]))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_correlation_coefficient_magnitude_at_most_one(seed):
-    stats = random_valid_stats(seed, n=1)
-    if stats.hermitian_cov[0, 0].real <= 1e-12:
-        return
-    assert abs(correlation_coefficient(stats)) <= 1 + 1e-9
 
 
 def test_validate_rejects_excess_complementary():

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from wlckf import phase
-from wlckf.augmented import AugmentedMatrix, AugmentedVector
+from wlckf.augmented import AugmentedMatrix, AugmentedVector, real_matrix_to_augmented
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
-from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run, wlckf_update
+from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run
 from wlckf.stats import SecondOrderStats, composite_factor, sample, substream
 from wlckf.unscented import (
     NonlinearModel,
     SPREAD,
     SigmaPointSet,
     complex_sigma_points,
-    real_sigma_points,
     reconstruct_stats,
     uwlckf_run,
     uwlckf_step,
@@ -22,7 +21,9 @@ from wlckf.unscented import (
 def random_stats(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2 * n, 2 * n))
-    return SecondOrderStats.from_composite(rng.standard_normal(2 * n), a @ a.T / (2 * n))
+    mu = rng.standard_normal(2 * n)
+    cov = real_matrix_to_augmented(a @ a.T / (2 * n), "covariance")
+    return SecondOrderStats(mu[:n] + 1j * mu[n:], cov.m1, cov.m2)
 
 
 def linearized(model):
@@ -57,8 +58,9 @@ def random_model(seed, n=2, m=2):
 
 
 def test_default_kappa_keeps_spread_at_sqrt3():
-    for dim in (2, 4, 6, 10):
-        sps = real_sigma_points(np.zeros(dim), np.eye(dim))
+    # Proper with variance 2 per entry: the composite covariance is the identity.
+    for n in (1, 2, 3, 5):
+        sps = complex_sigma_points(SecondOrderStats(np.zeros(n), 2 * np.eye(n)))
         assert np.allclose(np.linalg.norm(sps.points[1:], axis=1), np.sqrt(3.0))
 
 
@@ -92,38 +94,15 @@ def test_fixed_weights_are_the_general_rule_bit_for_bit():
         assert np.array_equal(merged, np.bincount(phase._DISTINCT_POINT, weights=w))
 
 
-# --- real sigma points ----------------------------------------------------------
-
-
-def test_real_sigma_points_explicit_example():
-    # lambda = 1 at dimension 2: points {0, +-sqrt(3) e1, +-sqrt(3) e2}
-    sps = real_sigma_points(np.zeros(2), np.eye(2))
-    s = np.sqrt(3)
-    expected = np.array([[0, 0], [s, 0], [0, s], [-s, 0], [0, -s]], dtype=float)
-    assert np.allclose(sps.points, expected)
-    assert sps.count == 5
-
-
-def test_real_sigma_points_weighted_mean_is_input_mean():
-    rng = np.random.default_rng(0)
-    mu = rng.standard_normal(4)
-    a = rng.standard_normal((4, 4))
-    sps = real_sigma_points(mu, a @ a.T)
-    assert np.max(np.abs(sps.w_mean @ sps.points - mu)) < 1e-12
-
-
-def test_real_sigma_points_weighted_covariance_matches_input():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4))
-    cov = a @ a.T
-    mu = rng.standard_normal(4)
-    sps = real_sigma_points(mu, cov)
-    d = sps.points - sps.w_mean @ sps.points
-    rec = (sps.w_cov[:, None] * d).T @ d
-    assert np.max(np.abs(rec - cov)) < 1e-12
-
-
 # --- complex sigma points --------------------------------------------------------
+
+
+def test_sigma_points_explicit_example():
+    # lambda = 1 at composite dimension 2: points {0, +-sqrt(3), +-sqrt(3) j}
+    sps = complex_sigma_points(SecondOrderStats(np.zeros(1), [[2.0]]))
+    s = np.sqrt(3)
+    assert np.allclose(sps.points[:, 0], [0, s, 1j * s, -s, -1j * s])
+    assert sps.count == 5
 
 
 def test_complex_points_count_is_4n_plus_1():
@@ -246,15 +225,15 @@ def test_linear_collapse_trajectory():
         assert np.max(np.abs(a.state.cov.full() - b.state.cov.full())) < 1e-8
 
 
-@pytest.mark.parametrize("filter_step", ["wlckf_update", "uwlckf_step"])
+@pytest.mark.parametrize("filter_step", ["wlckf_run", "uwlckf_step"])
 def test_wrong_measurement_length_raises(filter_step):
     # Both filters reach the shared update, which checks the shape.
     model = random_model(23)
     state = default_init(model)
     for y in (np.zeros(model.m + 1, complex), np.zeros(model.m - 1, complex), np.zeros((model.m, 1), complex)):
         with pytest.raises(DimensionError):
-            if filter_step == "wlckf_update":
-                wlckf_update(state, y, model)
+            if filter_step == "wlckf_run":
+                wlckf_run(model, [y], init=state)
             else:
                 uwlckf_step(state, y, linearized(model))
 

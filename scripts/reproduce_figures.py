@@ -2,8 +2,9 @@
 """Run the four experiments at their default desk-scale settings.
 
 Writes CSVs under results/ with a fixed seed. The phase experiment is the
-slow one (about 5 s of vectorized Monte Carlo on a 2-core machine); pass
---quick to shrink run counts for a fast smoke pass.
+slow one (about 3 s of vectorized Monte Carlo on a 2-vCPU x86-64 machine,
+about 2 s with OpenBLAS limited to one thread); pass --quick to shrink run
+counts for a fast smoke pass.
 """
 import argparse
 import sys

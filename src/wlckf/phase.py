@@ -9,24 +9,30 @@ is real, so the state statistics are maximally improper in both.
 
 The Monte Carlo helpers run the tracker vectorized over rows:
 :func:`improvement_ratios` tracks consecutive operating points, both
-trackers of each, in one engine of at most ``_BLOCK_ROWS`` rows, each row
-with its own measurement-noise variances. Memory sets the cap, as every
-point in flight holds its trajectories and measurements, which its
-estimates overwrite. A point keeps the bits it has alone, since OpenBLAS
-computes the rows past the last multiple of 4 of a matrix-vector product in
-another kernel: a point whose row count is no multiple of 4 ends its block,
-and the trajectory keeps its one-row engine.
+trackers of each, in one engine of at most ``_BLOCK_ROWS`` rows (a point
+with more rows has an engine of its own), each row with its own
+measurement-noise variances. Memory sets the cap, as every point in flight
+holds its trajectories and measurements, which its estimates overwrite. A
+point keeps the bits it has alone, since OpenBLAS computes the rows past
+the last multiple of 4 of a matrix-vector product in another kernel: a
+point whose row count is no multiple of 4 ends its block, and the
+trajectory keeps its one-row engine.
 
 The joint [phase, drive noise, measurement noise] covariance is block
 diagonal over three scalar variables, so the step builds its sigma points
 in closed form instead of by an eigendecomposition, with the constant noise
 blocks factored once. The measurement noise is additive, so only the 9
-points that move the phase or the drive pass through the carrier. The
-points carry the moments of :func:`wlckf.unscented.complex_sigma_points` of
-the same statistics, and the step is cross-checked against
-:func:`wlckf.unscented.uwlckf_step` in the test suite. Simulation draws
-each run from its own generator, in the order of a single-run simulation,
-and runs the phase recursion across runs.
+points that move the phase or the drive differ at the carrier. Of these,
+the carrier is evaluated at 5: a real variable is maximally improper, so
+the second eigenvalue of its composite covariance is zero and is flushed,
+and the points along that axis are the centre. This always holds for the
+unit real drive; for the phase, a row whose second eigenvalue survives the
+flush has its 2 points evaluated too. The points carry the moments of
+:func:`wlckf.unscented.complex_sigma_points` of the same statistics, and
+the step is cross-checked against :func:`wlckf.unscented.uwlckf_step` in
+the test suite. Simulation draws each run from its own generator, in the
+order of a single-run simulation, and runs the phase recursion across
+runs.
 """
 from __future__ import annotations
 
@@ -151,6 +157,10 @@ def normalized_error(theta, theta_hat):
     return float(xi) if xi.ndim == 0 else xi
 
 
+# The eigenvector directions of a scalar variable relative to exp(j phi).
+_AXES = np.array([1.0, 1j])
+
+
 def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
     """Closed-form factor of scalar complex variables.
 
@@ -158,12 +168,18 @@ def _scalar_eigenpairs(var: np.ndarray, cvar: np.ndarray):
     complementary variance pt has eigenvalues (p + |pt|)/2 and
     (p - |pt|)/2 along the complex directions exp(j phi) and j exp(j phi),
     phi = arg(pt)/2. Returns the eigenvalues and the unit directions, each
-    of shape ``var.shape + (2,)``.
+    of shape ``var.shape + (2,)``; the pair axis is the outermost in
+    memory, so a loop over the variables runs down contiguous memory.
     """
+    half_var = 0.5 * var
     half_abs = 0.5 * np.abs(cvar)
-    lam = np.stack([0.5 * var + half_abs, 0.5 * var - half_abs], axis=-1)
-    rot = np.exp(0.5j * np.angle(cvar))[..., None] * np.array([1.0, 1j])
-    return lam, rot
+    lam = np.empty((2,) + half_var.shape)
+    np.add(half_var, half_abs, out=lam[0])
+    np.subtract(half_var, half_abs, out=lam[1])
+    turn = np.exp(0.5j * np.angle(cvar))
+    rot = turn * _AXES.reshape((2,) + (1,) * turn.ndim)
+    last = (*range(1, lam.ndim), 0)
+    return lam.transpose(last), rot.transpose(last)
 
 
 # Joint sigma points of [phase, drive noise, meas noise], in the order of
@@ -195,8 +211,15 @@ class _BatchUWLCKF:
     three variables are flushed to zero, as in
     :func:`wlckf.augmented.psd_sqrt`. The measurement-noise points share the
     centre's transition output and enter the measurement additively, so
-    only the other 9 points pass through the carrier exp(j x); a +/- pair of
+    only the other 9 points differ at the carrier exp(j x); a +/- pair of
     noise points adds exactly its eigenvalue's share of the noise moments.
+    Of the 9, the +/- points along the second axis of the drive and of the
+    phase are the centre wherever that axis's eigenvalue is flushed: always
+    for the drive, whose unit real variance has a second eigenvalue of
+    exactly 0, and for the phase in every row where it stays maximally
+    improper. The carrier is evaluated at the other 5 points, and at the
+    second phase axis of the rows where its eigenvalue survives; the
+    centre's value fills the rest.
 
     Rows are independent bit for bit, except that OpenBLAS computes the
     ``@ _W_*`` products of the rows past the last multiple of 4 in another
@@ -213,16 +236,33 @@ class _BatchUWLCKF:
         # Unit, maximally improper drive noise; per-row measurement noise.
         var = np.stack([np.ones(rows), np.asarray(noise_var, float)], axis=1)
         cvar = np.stack([np.ones(rows, complex), np.asarray(noise_cvar, complex)], axis=1)
-        self._noise_lam, rot = _scalar_eigenpairs(var, cvar)
-        self._noise_top = np.clip(self._noise_lam[:, :, 0].max(axis=1), 0.0, None)
-        self._drive_axes = SPREAD * np.sqrt(np.clip(self._noise_lam[:, 0], 0.0, None)) * rot[:, 0]
+        lam, rot = _scalar_eigenpairs(var, cvar)
+        # Rows innermost in memory, as in the step's phase eigenpairs, so
+        # the per-step flush of each eigenvalue runs down contiguous memory.
+        self._noise_lam = np.asfortranarray(lam)
+        self._noise_top = np.clip(lam[:, :, 0].max(axis=1), 0.0, None)
+        self._drive_axes = np.asfortranarray(SPREAD * np.sqrt(np.clip(lam[:, 0], 0.0, None)) * rot[:, 0])
         self._meas_dir = rot[:, 1, 0] ** 2
+        # Work arrays of the step. The 9 distinct points and their carrier
+        # are built a point per row, so that loops over the batch run down
+        # contiguous memory, then copied to (rows, 9) C-order arrays, whose
+        # layout fixes the bits of the @ _W_* products: the points, then
+        # their deviations from the predicted phase; the carrier, then its
+        # deviations from the predicted measurement; the moment products.
+        self._x_rows = np.empty((9, rows), complex)
+        self._carrier_rows = np.empty((9, rows), complex)
+        self._x = np.empty((rows, 9), complex)
+        self._carrier = np.empty((rows, 9), complex)
+        self._prod = np.empty((rows, 9), complex)
+        self._sq = np.empty((rows, 9))
+        self._sq_imag = np.empty((rows, 9))
 
     def step(self, y: np.ndarray) -> None:
         a, b = self.model.a, self.model.b
         lam, rot = _scalar_eigenpairs(self.p, self.pt)
         threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
-        phase_axes = SPREAD * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
+        live = lam > threshold[:, None]
+        phase_axes = SPREAD * np.sqrt(np.where(live, lam, 0.0)) * rot
         keep = self._noise_lam > threshold[:, None, None]
         drive_axes = np.where(keep[:, 0], self._drive_axes, 0.0)
         # The +/- pair along a noise eigenvector with eigenvalue l adds l to
@@ -232,33 +272,53 @@ class _BatchUWLCKF:
         r = meas_lam[:, 0] + meas_lam[:, 1]
         rt = (meas_lam[:, 0] - meas_lam[:, 1]) * self._meas_dir
 
-        m = self.est[:, None]
-        centre = a * m
-        x = np.concatenate(
-            [centre, a * (m + phase_axes), centre + b * drive_axes, a * (m - phase_axes), centre - b * drive_axes],
-            axis=1,
-        )
-        carrier = np.exp(1j * x)
+        x_rows, carrier_rows = self._x_rows, self._carrier_rows
+        m = self.est
+        centre = x_rows[0]
+        # Past the centre, the points split as [+/-, phase/drive, first/second axis].
+        split = x_rows[1:].reshape(2, 2, 2, -1)
+        np.multiply(a, m, out=centre)
+        np.add(m, phase_axes.T, out=split[0, 0])
+        np.subtract(m, phase_axes.T, out=split[1, 0])
+        np.multiply(a, split[:, 0], out=split[:, 0])
+        np.multiply(b, drive_axes.T, out=split[0, 1])
+        np.subtract(centre, split[0, 1], out=split[1, 1])
+        np.add(centre, split[0, 1], out=split[0, 1])
+        # The points along the second axes of the phase and the drive are
+        # the centre wherever their eigenvalue is flushed, which it always
+        # is for the drive: only the other 5 pass through the carrier, and
+        # rows whose second phase eigenvalue survives add their own 2.
+        np.multiply(1j, x_rows, out=carrier_rows)
+        np.exp(carrier_rows[:2], out=carrier_rows[:2])
+        np.exp(carrier_rows[3::2], out=carrier_rows[3::2])
+        carrier_rows[2::2] = carrier_rows[0]
+        if live[:, 1].any():
+            second_phase_axis = np.s_[2::4], np.flatnonzero(live[:, 1])
+            carrier_rows[second_phase_axis] = np.exp(1j * x_rows[second_phase_axis])
+        x, carrier, prod = self._x, self._carrier, self._prod
+        x[...] = x_rows.T
+        carrier[...] = carrier_rows.T
+
         x_pred = x @ _W_MEAN
         y_pred = carrier @ _W_MEAN
-        dx = x - x_pred[:, None]
-        dy = carrier - y_pred[:, None]
-        p_pred = (dx.real**2 + dx.imag**2) @ _W_COV
-        pt_pred = (dx * dx) @ _W_COV
-        s = (dy.real**2 + dy.imag**2) @ _W_COV + r
-        st = (dy * dy) @ _W_COV + rt
-        # Bound to a name, the conjugate is no temporary that numpy may
-        # overwrite with dy* dx, whose bits differ from dx dy*.
-        dy_conj = np.conj(dy)
-        p_xy = (dx * dy_conj) @ _W_COV
-        pt_xy = (dx * dy) @ _W_COV
+        dx = np.subtract(x, x_pred[:, None], out=x)
+        dy = np.subtract(carrier, y_pred[:, None], out=carrier)
+        sq, sq_imag = self._sq, self._sq_imag
+        p_pred = np.add(np.square(dx.real, out=sq), np.square(dx.imag, out=sq_imag), out=sq) @ _W_COV
+        pt_pred = np.multiply(dx, dx, out=prod) @ _W_COV
+        s = np.add(np.square(dy.real, out=sq), np.square(dy.imag, out=sq_imag), out=sq) @ _W_COV + r
+        st = np.multiply(dy, dy, out=prod) @ _W_COV + rt
+        # Complex products are not bitwise commutative: each keeps the
+        # operand order dx first, dy second.
+        p_xy = np.multiply(dx, np.conjugate(dy, out=prod), out=prod) @ _W_COV
+        pt_xy = np.multiply(dx, dy, out=prod) @ _W_COV
 
         det = s * s - np.abs(st) ** 2
         bad = det <= 1e-14 * np.maximum(s, 1e-300) ** 2
         det_safe = np.where(bad, 1.0, det)
         k1 = (p_xy * s - pt_xy * np.conj(st)) / det_safe
         k2 = (pt_xy * s - p_xy * st) / det_safe
-        if np.any(bad):
+        if bad.any():
             for i in np.nonzero(bad)[0]:
                 s_full = np.array([[s[i], st[i]], [np.conj(st[i]), s[i]]])
                 row = np.array([p_xy[i], pt_xy[i]]) @ np.linalg.pinv(s_full)
@@ -266,7 +326,7 @@ class _BatchUWLCKF:
 
         nu = y - y_pred
         self.est = x_pred + k1 * nu + k2 * np.conj(nu)
-        ksk = s * (np.abs(k1) ** 2 + np.abs(k2) ** 2) + 2 * np.real(k1 * np.conj(k2) * st)
+        ksk = s * (np.abs(k1) ** 2 + np.abs(k2) ** 2) + 2 * (k1 * np.conj(k2) * st).real
         ksk_t = 2 * s * k1 * k2 + st * k1 * k1 + np.conj(st) * k2 * k2
         self.p = p_pred - ksk
         self.pt = pt_pred - ksk_t
@@ -388,6 +448,8 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
     results, first = [], 0
     for j, (model, seed, cvars) in enumerate(block):
         rows = slice(j * mc_runs, (j + 1) * mc_runs)
+        # The realness check covers every tracker of the point.
+        last = first + len(cvars) * mc_runs
         xi_u = normalized_error(theta[rows, 1:], estimates[rows, :, 0])
         xi_k = normalized_error(theta[rows, 1:], estimates[rows, :, len(cvars) - 1])
         ratio = xi_k / xi_u
@@ -401,10 +463,10 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
             xi_uwlckf_se=_se(xi_u),
             xi_ukf=float(xi_k.mean()),
             xi_ukf_se=_se(xi_k),
-            max_imag=float(engine.max_imag[first:first + mc_runs].max()),
+            max_imag=float(engine.max_imag[first:last].max()),
             seed=seed,
         ))
-        first += len(cvars) * mc_runs
+        first = last
     return results
 
 

@@ -329,6 +329,9 @@ def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
 PHASE_GOLDENS = {
     "default": ["--runs", "200", "--horizon", "40"],
     "runs11": ["--runs", "11", "--horizon", "40", "--snr-list", "0,10,25", "--rho-list", "0.5,0,0.9,0,1", "--seed", "3"],
+    # Negative SNR, nearly and exactly maximally improper noise.
+    "extreme": ["--runs", "24", "--horizon", "120", "--snr-list=-20,-10,0,40,60", "--rho-list", "0,0.5,0.99,1.0",
+                "--r-snr=-5", "--seed", "9"],
 }
 
 

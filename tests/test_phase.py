@@ -13,6 +13,8 @@ from wlckf.phase import (
     PhaseModel,
     _scalar_eigenpairs,
     _BLOCK_ROWS,
+    _W_COV,
+    _W_MEAN,
     _BatchUWLCKF,
     _ratio_block,
     improvement_ratio,
@@ -230,7 +232,18 @@ def test_paired_engine_matches_separate_trackers(rho_abs, rho_phase):
     assert res.xi_uwlckf == pytest.approx(xi["uwlckf"].mean(), rel=1e-12)
     assert res.xi_ukf == pytest.approx(xi["ukf"].mean(), rel=1e-12)
     assert res.r_mean == pytest.approx((xi["ukf"] / xi["uwlckf"]).mean(), rel=1e-12)
-    assert res.max_imag == pytest.approx(alone["uwlckf"].max_imag, abs=1e-15)
+    assert res.max_imag == pytest.approx(max(track.max_imag for track in alone.values()), abs=1e-15)
+
+
+def test_improvement_ratio_realness_covers_both_trackers():
+    # At this point the baseline's estimates stray further from the real
+    # line than the widely linear tracker's. 8 runs keep the bits of the
+    # 16-row engine.
+    model = PhaseModel(snr_db=10.0, rho_abs=0.7)
+    _, ys = simulate_phase_batch(model, 100, 8, 2)
+    drift = {tracker: track_batch(model, ys, tracker).max_imag for tracker in TRACKERS}
+    assert drift["ukf"] > drift["uwlckf"]
+    assert improvement_ratio(10.0, 0.7, 8, 100, 2).max_imag == drift["ukf"]
 
 
 def test_improvement_ratio_never_loses_within_noise():
@@ -276,3 +289,83 @@ def test_improvement_ratios_share_engines_under_the_row_cap(monkeypatch):
     assert built == [800, 600, 400]
     improvement_ratios([(20.0, 0.5, 0)], 450, 5)
     assert built[-1] == 900 > _BLOCK_ROWS
+
+
+def _nine_point_step(engine, y):
+    # Reference: the step that evaluates the carrier at all 9 distinct
+    # points and forms its noise terms, points and moments as (rows, k)
+    # temporaries, all C-order: the layout of the points fixes the bits of
+    # the @ _W_* products.
+    a, b = engine.model.a, engine.model.b
+    lam, rot = map(np.ascontiguousarray, _scalar_eigenpairs(engine.p, engine.pt))
+    noise_lam, noise_axes = map(np.ascontiguousarray, (engine._noise_lam, engine._drive_axes))
+    threshold = 1e-13 * np.maximum(lam[:, 0], engine._noise_top)
+    phase_axes = SPREAD * np.sqrt(np.where(lam > threshold[:, None], lam, 0.0)) * rot
+    keep = noise_lam > threshold[:, None, None]
+    drive_axes = np.where(keep[:, 0], noise_axes, 0.0)
+    meas_lam = np.where(keep[:, 1], noise_lam[:, 1], 0.0)
+    r = meas_lam[:, 0] + meas_lam[:, 1]
+    rt = (meas_lam[:, 0] - meas_lam[:, 1]) * engine._meas_dir
+
+    m = engine.est[:, None]
+    centre = a * m
+    x = np.concatenate(
+        [centre, a * (m + phase_axes), centre + b * drive_axes, a * (m - phase_axes), centre - b * drive_axes],
+        axis=1,
+    )
+    carrier = np.exp(1j * x)
+    x_pred = x @ _W_MEAN
+    y_pred = carrier @ _W_MEAN
+    dx = x - x_pred[:, None]
+    dy = carrier - y_pred[:, None]
+    p_pred = (dx.real**2 + dx.imag**2) @ _W_COV
+    pt_pred = (dx * dx) @ _W_COV
+    s = (dy.real**2 + dy.imag**2) @ _W_COV + r
+    st = (dy * dy) @ _W_COV + rt
+    dy_conj = np.conj(dy)
+    p_xy = (dx * dy_conj) @ _W_COV
+    pt_xy = (dx * dy) @ _W_COV
+
+    det = s * s - np.abs(st) ** 2
+    bad = det <= 1e-14 * np.maximum(s, 1e-300) ** 2
+    det_safe = np.where(bad, 1.0, det)
+    k1 = (p_xy * s - pt_xy * np.conj(st)) / det_safe
+    k2 = (pt_xy * s - p_xy * st) / det_safe
+    for i in np.nonzero(bad)[0]:
+        s_full = np.array([[s[i], st[i]], [np.conj(st[i]), s[i]]])
+        k1[i], k2[i] = np.array([p_xy[i], pt_xy[i]]) @ np.linalg.pinv(s_full)
+
+    nu = y - y_pred
+    engine.est = x_pred + k1 * nu + k2 * np.conj(nu)
+    ksk = s * (np.abs(k1) ** 2 + np.abs(k2) ** 2) + 2 * np.real(k1 * np.conj(k2) * st)
+    ksk_t = 2 * s * k1 * k2 + st * k1 * k1 + np.conj(st) * k2 * k2
+    engine.p = p_pred - ksk
+    engine.pt = pt_pred - ksk_t
+    np.maximum(engine.max_imag, np.abs(engine.est.imag), out=engine.max_imag)
+
+
+@pytest.mark.parametrize("rho_abs", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("rows", [1, 3, 4, 801])
+def test_step_matches_nine_point_reference_bit_for_bit(rows, rho_abs):
+    # Rows alternate between the model's noise and proper noise. Every
+    # third row from row 1 has its complementary variance halved before
+    # each step, so its second phase eigenvalue survives the flush and its
+    # points along that axis differ from the centre; from step 20 on the
+    # last of 3 or more rows reads NaN.
+    model = PhaseModel(snr_db=10.0, rho_abs=rho_abs)
+    _, ys = simulate_phase_batch(model, 60, rows, 37)
+    if rows >= 3:
+        ys[-1, 20:] = np.nan
+    noise_cvar = np.where(np.arange(rows) % 2 == 0, model.noise_cvar, 0j)
+    engines = [_BatchUWLCKF(model, np.full(rows, model.noise_var), noise_cvar) for _ in range(2)]
+    halved = np.arange(rows) % 3 == 1
+    for t in range(60):
+        for engine in engines:
+            engine.pt[halved] = 0.5 * engine.p[halved]
+        with np.errstate(invalid="ignore"):
+            engines[0].step(ys[:, t])
+            _nine_point_step(engines[1], ys[:, t])
+        for name in ("est", "p", "pt", "max_imag"):
+            got, want = getattr(engines[0], name), getattr(engines[1], name)
+            assert np.array_equal(got, want, equal_nan=True), (name, t)
+    assert np.isfinite(engines[0].est[: rows - (rows >= 3)]).all()

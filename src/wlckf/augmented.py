@@ -118,24 +118,41 @@ class AugmentedMatrix:
             return AugmentedVector(self.m1 @ other.top + self.m2 @ other.bottom)
         return NotImplemented
 
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.m1), initial=0.0), np.max(np.abs(self.m2), initial=0.0)))
-
-    def check_blocks(self) -> "AugmentedMatrix":
-        """Require the covariance block symmetries, Hermitian M1 and symmetric M2, within ``CONJ_TOL``."""
-        scale = max(1.0, self.max_abs())
-        if np.max(np.abs(self.m1 - self.m1.conj().T), initial=0.0) > CONJ_TOL * scale:
-            raise ConsistencyError("covariance block M1 is not Hermitian")
-        if np.max(np.abs(self.m2 - self.m2.T), initial=0.0) > CONJ_TOL * scale:
-            raise ConsistencyError("covariance block M2 is not symmetric")
-        return self
-
     def check_covariance(self) -> "AugmentedMatrix":
         """Require Hermitian M1, symmetric M2, and a PSD full matrix, all within ``CONJ_TOL``."""
-        w = np.linalg.eigvalsh(self.check_blocks().full())
+        check_covariance_blocks(self.m1, self.m2)
+        w = np.linalg.eigvalsh(self.full())
         if w[0] < -CONJ_TOL * max(1.0, float(abs(w[-1]))):
             raise NotPSDError("augmented covariance is not positive semidefinite")
         return self
+
+
+def _first(bad: np.ndarray) -> tuple | None:
+    """Position over the batch axes of the first True member of ``bad``, or None if none is."""
+    if not np.count_nonzero(bad):
+        return None
+    return np.unravel_index(int(bad.argmax()), bad.shape)
+
+
+def _require(bad: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error(message)`` naming the first True member of ``bad`` in its ``index``."""
+    index = _first(bad)
+    if index is not None:
+        raise error(message, index=index)
+
+
+def check_covariance_blocks(m1: np.ndarray, m2: np.ndarray) -> None:
+    """Require Hermitian M1 and symmetric M2 within ``CONJ_TOL``, relative to max(1, largest |entry|).
+
+    Leading axes are batch axes, and each member is checked against its
+    own scale; an error names the first failing member in its ``index``.
+    """
+    scale = np.maximum(np.abs(m1).max(axis=(-2, -1), initial=1.0), np.abs(m2).max(axis=(-2, -1), initial=1.0))
+    tol = CONJ_TOL * scale
+    m1_defect = np.abs(m1 - np.swapaxes(m1.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    _require(m1_defect > tol, ConsistencyError, "covariance block M1 is not Hermitian")
+    m2_defect = np.abs(m2 - np.swapaxes(m2, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    _require(m2_defect > tol, ConsistencyError, "covariance block M2 is not symmetric")
 
 
 def augmented_to_real(x: AugmentedVector) -> np.ndarray:
@@ -205,14 +222,14 @@ def full_to_real_matrix(full: np.ndarray, mode: str) -> np.ndarray:
     rows, cols = full.shape[-2] // 2, full.shape[-1] // 2
     out = build_transform(rows).conj().T @ full @ build_transform(cols)
     out = out / 2 if mode == "system" else out / 4
-    scale = np.maximum(1.0, np.max(np.abs(out), axis=(-2, -1), initial=0.0))
-    if np.any(np.max(np.abs(out.imag), axis=(-2, -1), initial=0.0) > CONJ_TOL * scale):
+    scale = np.abs(out).max(axis=(-2, -1), initial=1.0)
+    if np.count_nonzero(np.abs(out.imag).max(axis=(-2, -1), initial=0.0) > CONJ_TOL * scale):
         raise ConsistencyError("imaginary residue too large; matrix has no real composite form")
     return np.ascontiguousarray(out.real)
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Factor a real symmetric PSD matrix as B @ B.T == m.
+    """Factor real symmetric PSD matrices as B @ B.T == m.
 
     Uses a symmetric eigendecomposition with eigenvalues floored at zero,
     so rank-deficient inputs (maximally improper noise gives these) succeed
@@ -220,27 +237,34 @@ def psd_sqrt(m) -> np.ndarray:
     raise NotPSDError. Tiny positive eigenvalues (below 1e-13 relative) are
     flushed to zero so near-null directions produce exactly zero columns.
 
+    Leading axes are batch axes: each member is checked on its own scale,
+    an error names the first failing member in its ``index``, and one
+    ``eigh`` call factors the stack, so each member gets the bits it gets
+    alone.
+
     Parameters
     ----------
-    m : array_like, real symmetric within ``PSD_TOL``
+    m : array_like (..., k, k), real symmetric within ``PSD_TOL``
 
     Returns
     -------
     B : ndarray with B @ B.T reconstructing ``m`` to relative 1e-10
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError("psd_sqrt needs a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    if np.max(np.abs(m - m.T), initial=0.0) > PSD_TOL * scale:
-        raise ConsistencyError("psd_sqrt needs a symmetric matrix")
-    w, v = np.linalg.eigh((m + m.T) / 2)
-    bound = PSD_TOL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if w[0] < -bound:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{bound:.3e}")
-    floor = 1e-13 * max(w[-1], 0.0)
+    m_t = np.swapaxes(m, -1, -2)
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    _require(np.abs(m - m_t).max(axis=(-2, -1), initial=0.0) > PSD_TOL * scale, ConsistencyError,
+             "psd_sqrt needs a symmetric matrix")
+    w, v = np.linalg.eigh((m + m_t) / 2)
+    bound = PSD_TOL * np.abs(w).max(axis=-1, initial=1.0)
+    index = _first(w[..., 0] < -bound)
+    if index is not None:
+        raise NotPSDError(f"matrix has eigenvalue {w[index][0]:.3e} below -{bound[index]:.3e}", index=index)
+    floor = 1e-13 * np.maximum(w[..., -1:], 0.0)
     w = np.where(w > floor, w, 0.0)
-    return v * np.sqrt(w)
+    return v * np.sqrt(w)[..., None, :]
 
 
 def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, float]:

@@ -25,9 +25,10 @@ import numpy as np
 from . import mse, phase
 from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real, full_to_real_matrix
 from .errors import WlckfError
-from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear, wlckf_batch
-# ckf_run, real_kf_run and wlckf_run are unused here; bench/spans.py still rebinds them in this module.
-from .linear import ckf_run, real_kf_run, wlckf_run  # noqa: F401
+from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear_batch, wlckf_batch
+# ckf_run, real_kf_run, simulate_linear and wlckf_run are unused here; bench/spans.py
+# still rebinds them in this module.
+from .linear import ckf_run, real_kf_run, simulate_linear, wlckf_run  # noqa: F401
 from .stats import substream
 
 _COMMON_DEFAULTS = {"seed": 0, "format": "csv"}
@@ -273,15 +274,9 @@ def equivalence_trial(seed: int, trials, n: int, m: int, horizon: int, proper: b
     per-trial maxima are kept. Each trial's numbers do not depend on which
     other trials share its batch.
     """
-    models, reals, measurements = [], [], []
-    for trial in trials:
-        real = random_real_model(substream(seed, trial), n, m, proper)
-        model = model_from_real(*real)
-        _, meas = simulate_linear(model, horizon, substream(seed, trial, 1))
-        models.append(model)
-        reals.append(real)
-        measurements.append(meas)
-    measurements = np.stack(measurements)
+    reals = [random_real_model(substream(seed, trial), n, m, proper) for trial in trials]
+    models = [model_from_real(*real) for real in reals]
+    _, measurements = simulate_linear_batch(models, horizon, [substream(seed, trial, 1) for trial in trials])
     meas_real = np.concatenate([measurements.real, measurements.imag], axis=-1)
     real = real_kf_batch(*(np.stack(arrays) for arrays in zip(*reals)), meas_real)
     filters = [wlckf_batch(models, measurements)]

@@ -58,7 +58,7 @@ from .augmented import (
 # cannot read. The name stays bound here for the tracer.
 from .augmented import solve_right  # noqa: F401
 from .errors import DimensionError, UnsupportedModelError
-from .stats import SecondOrderStats, sample
+from .stats import SecondOrderStats, sample, sample_batch
 
 
 @dataclass
@@ -167,6 +167,11 @@ def model_from_real(e, f, g, q_real, r_real, pi_real) -> WidelyLinearModel:
     )
 
 
+def _check_one_size(models) -> None:
+    if len({(model.n, model.m, model.B.block_shape[1]) for model in models}) != 1:
+        raise DimensionError("batched models must all have the same dimensions")
+
+
 def _h(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(a.conj(), -1, -2)
@@ -194,8 +199,7 @@ class _Maps(NamedTuple):
     @classmethod
     def stack(cls, models) -> "_Maps":
         """The arrays of models of one size, stacked along a leading batch axis."""
-        if len({(model.n, model.m, model.B.block_shape[1]) for model in models}) != 1:
-            raise DimensionError("batched models must all have the same dimensions")
+        _check_one_size(models)
         return cls._build(lambda name: np.stack([getattr(model, name).full() for model in models]))
 
     @classmethod
@@ -513,6 +517,33 @@ def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterat
         yield step.mean, step.cov
 
 
+def _trajectory(a, b, c, x0: np.ndarray, ws: np.ndarray, ns: np.ndarray):
+    """The state/measurement recursion on drawn noise; time is the first axis of the results.
+
+    ``a``, ``b`` and ``c`` are the (M1, M2) block pairs of the state, noise
+    gain and measurement maps. ``ws`` and ``ns`` hold the noise at t =
+    1..horizon along their first axis. Leading axes of the blocks and of
+    ``x0``, and the axes after time of the noise, are batch axes. Only the
+    state map's terms are recursive: the noise terms and the measurements
+    are formed for every step at once, each matvec the BLAS call a single
+    step makes, and added in the order of x_t = A1 x + A2 x* + B1 w + B2 w*
+    and y_t = C1 x_t + C2 x_t* + n.
+    """
+    (a1, a2), (b1, b2), (c1, c2) = a, b, c
+    drive_1, drive_2 = _matvec(b1, ws), _matvec(b2, np.conj(ws))
+    states = np.empty((len(ws) + 1, *x0.shape), complex)
+    states[0] = x0
+    for t in range(1, len(ws) + 1):
+        prev = states[t - 1]
+        states[t] = _matvec(a1, prev) + _matvec(a2, np.conj(prev)) + drive_1[t - 1] + drive_2[t - 1]
+    return states, _matvec(c1, states[1:]) + _matvec(c2, np.conj(states[1:])) + ns
+
+
+def _zero_mean(m1: np.ndarray, m2: np.ndarray) -> SecondOrderStats:
+    """Zero-mean statistics with covariance blocks (M1, M2); leading axes are batch axes."""
+    return SecondOrderStats(np.zeros(m1.shape[:-1]), m1, m2)
+
+
 def simulate_linear(
     model: WidelyLinearModel,
     horizon: int,
@@ -524,30 +555,42 @@ def simulate_linear(
     Returns (states, measurements) with states of shape (horizon + 1, n)
     covering t = 0..horizon and measurements of shape (horizon, m) for
     t = 1..horizon, aligned with what the default filter run consumes.
+    ``rng`` draws the initial state (unless ``x0`` is given), then the
+    driving noise, then the measurement noise. The recursion is the one
+    :func:`simulate_linear_batch` runs on a stack of models.
     """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
-    n, m = model.n, model.m
-    nw = model.B.block_shape[1]
-    w_stats = SecondOrderStats(np.zeros(nw), model.Q.m1, model.Q.m2)
-    n_stats = SecondOrderStats(np.zeros(m), model.R.m1, model.R.m2)
     if x0 is None:
-        x0_stats = SecondOrderStats(np.zeros(n), model.Pi0.m1, model.Pi0.m2)
-        x0 = sample(x0_stats, 1, rng)[0]
+        x0 = sample(_zero_mean(model.Pi0.m1, model.Pi0.m2), 1, rng)[0]
     else:
         x0 = np.asarray(x0, dtype=complex)
-    ws = sample(w_stats, horizon, rng)
-    ns = sample(n_stats, horizon, rng)
-    a1, a2 = model.A.m1, model.A.m2
-    b1, b2 = model.B.m1, model.B.m2
-    c1, c2 = model.C.m1, model.C.m2
-    states = np.empty((horizon + 1, n), complex)
-    measurements = np.empty((horizon, m), complex)
-    states[0] = x0
-    for t in range(1, horizon + 1):
-        prev = states[t - 1]
-        w = ws[t - 1]
-        states[t] = a1 @ prev + a2 @ np.conj(prev) + b1 @ w + b2 @ np.conj(w)
-        measurements[t - 1] = c1 @ states[t] + c2 @ np.conj(states[t]) + ns[t - 1]
-    return states, measurements
+    ws = sample(_zero_mean(model.Q.m1, model.Q.m2), horizon, rng)
+    ns = sample(_zero_mean(model.R.m1, model.R.m2), horizon, rng)
+    blocks = ((m.m1, m.m2) for m in (model.A, model.B, model.C))
+    return _trajectory(*blocks, x0, ws, ns)
 
+
+def simulate_linear_batch(models, horizon: int, rngs):
+    """:func:`simulate_linear` on a batch of models of one size, model i drawing from ``rngs[i]``.
+
+    Returns states of shape (batch, horizon + 1, n) and measurements of
+    shape (batch, horizon, m). Each model's statistics are factored in one
+    call per noise for the whole batch, the recursion runs once over the
+    stack, and member i equals ``simulate_linear(models[i], horizon,
+    rngs[i])`` bit for bit.
+    """
+    if horizon < 1:
+        raise DimensionError("horizon must be >= 1")
+    _check_one_size(models)
+
+    def blocks(name):
+        return tuple(np.stack([getattr(getattr(model, name), part) for model in models]) for part in ("m1", "m2"))
+
+    x0 = sample_batch(_zero_mean(*blocks("Pi0")), 1, rngs)[:, 0]
+    ws = sample_batch(_zero_mean(*blocks("Q")), horizon, rngs)
+    ns = sample_batch(_zero_mean(*blocks("R")), horizon, rngs)
+    states, measurements = _trajectory(
+        blocks("A"), blocks("B"), blocks("C"), x0, np.moveaxis(ws, 1, 0), np.moveaxis(ns, 1, 0)
+    )
+    return np.moveaxis(states, 0, 1), np.moveaxis(measurements, 0, 1)

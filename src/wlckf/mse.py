@@ -174,6 +174,15 @@ _DET_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
 _ADJ = np.array([3, 1, 2, 0])
 # Entries below this magnitude cannot overflow when squared.
 _SQUARE_SAFE = 1e154
+# A member's posterior P - K P has cancelled to rounding, and is taken as
+# K R instead, when max |K P| exceeds max |P - K P| by this factor.
+CANCEL = 1e6
+
+
+def _largest_entries(m: np.ndarray) -> np.ndarray:
+    """The largest |entry| of each 2x2 of a contiguous stack, as a flat array."""
+    magnitude = np.abs(m.reshape(-1, 4))
+    return np.maximum(np.maximum(magnitude[:, 0], magnitude[:, 1]), np.maximum(magnitude[:, 2], magnitude[:, 3]))
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
@@ -191,9 +200,7 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     batch = np.shape(m)[:-2]
     m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
     k = len(m)
-    magnitude = np.abs(m).T
-    scale = np.maximum(magnitude[:2], magnitude[2:])
-    scale = np.maximum(scale[0], scale[1])
+    scale = _largest_entries(m)
     if np.count_nonzero(scale < _SQUARE_SAFE) < k:
         with np.errstate(over="ignore"):
             overflow = np.isinf(np.maximum(scale, 1e-300) ** 2) & np.isfinite(scale)
@@ -302,19 +309,16 @@ def noise_impropriety_gain(
     until the MSE change drops below ``tol`` or the horizon caps the run.
     This is the one-member call of :func:`noise_impropriety_gains`.
 
-    Noise powers too far apart for double precision raise DegenerateError:
-    a measurement noise power that underflows to zero, matrix entries whose
+    The posterior is P - K P, except where that subtraction cancels: when
+    the driving noise is far stronger than the measurement noise, P - K P
+    is rounding left over from two nearly equal terms. So where max |K P|
+    exceeds ``CANCEL`` times max |P - K P|, the posterior is the equal
+    K R = P (P + R)^-1 R, which has no subtraction.
+
+    Noise powers beyond double precision raise DegenerateError: a
+    measurement noise power that underflows to zero, matrix entries whose
     squares overflow, or a widely linear MSE that rounding drives to zero
     or below.
-
-    Valid dB range: when the driving noise is the stronger one, the update
-    P - K P cancels to rounding as P grows large against the measurement
-    noise. On the default ``mse-sweep`` grid (|rho| up to 0.95, orientations
-    90 degrees apart) the ratios keep their proven properties for
-    n1_db - n2_db up to 68 dB; from 69-71 dB on (measured at n2_db = -60,
-    -20 and 0) some fall below 1, and far beyond that this function raises.
-    A stronger measurement noise costs nothing: n2_db - n1_db up to 140 dB,
-    the largest difference tried, keeps every property.
     """
     res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
     return ImproprietyGain(
@@ -392,7 +396,15 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
             mse = mse[:, :j]
             continue
         it += 1
-        p_bar = predicted - gain @ predicted
+        # K P and P - K P side by side, so one pass finds both scales.
+        pair = np.empty((2, *predicted.shape), dtype=complex)
+        kp, p_bar = pair
+        np.matmul(gain, predicted, out=kp)
+        np.subtract(predicted, kp, out=p_bar)
+        kp_scale, p_bar_scale = _largest_entries(pair).reshape(2, -1)
+        cancelled = kp_scale > CANCEL * p_bar_scale
+        if np.count_nonzero(cancelled):
+            p_bar[cancelled] = gain[cancelled] @ r[cancelled]
         p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
         new = np.empty_like(mse)
         wl, sl = new

@@ -209,10 +209,13 @@ class _BatchUWLCKF:
     the constant noise eigenpairs are computed here, and each step factors
     the phase only. Eigenvalues below 1e-13 of a row's largest over all
     three variables are flushed to zero, as in
-    :func:`wlckf.augmented.psd_sqrt`. The measurement-noise points share the
-    centre's transition output and enter the measurement additively, so
-    only the other 9 points differ at the carrier exp(j x); a +/- pair of
-    noise points adds exactly its eigenvalue's share of the noise moments.
+    :func:`wlckf.augmented.psd_sqrt`. The noise terms that survive the
+    flush are formed here too, and formed again only in a step where some
+    row's phase eigenvalue exceeds its noises' largest. The
+    measurement-noise points share the centre's transition output and
+    enter the measurement additively, so only the other 9 points differ at
+    the carrier exp(j x); a +/- pair of noise points adds exactly its
+    eigenvalue's share of the noise moments.
     Of the 9, the +/- points along the second axis of the drive and of the
     phase are the centre wherever that axis's eigenvalue is flushed: always
     for the drive, whose unit real variance has a second eigenvalue of
@@ -243,6 +246,10 @@ class _BatchUWLCKF:
         self._noise_top = np.clip(lam[:, :, 0].max(axis=1), 0.0, None)
         self._drive_axes = np.asfortranarray(SPREAD * np.sqrt(np.clip(lam[:, 0], 0.0, None)) * rot[:, 0])
         self._meas_dir = rot[:, 1, 0] ** 2
+        # The flush threshold, and the noise terms at it, of every step in
+        # which no row's phase has a larger eigenvalue than its noises.
+        self._threshold = 1e-13 * self._noise_top
+        self._noise = self._noise_terms(self._threshold)
         # Work arrays of the step. The 9 distinct points and their carrier
         # are built a point per row, so that loops over the batch run down
         # contiguous memory, then copied to (rows, 9) C-order arrays, whose
@@ -257,12 +264,8 @@ class _BatchUWLCKF:
         self._sq = np.empty((rows, 9))
         self._sq_imag = np.empty((rows, 9))
 
-    def step(self, y: np.ndarray) -> None:
-        a, b = self.model.a, self.model.b
-        lam, rot = _scalar_eigenpairs(self.p, self.pt)
-        threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
-        live = lam > threshold[:, None]
-        phase_axes = SPREAD * np.sqrt(np.where(live, lam, 0.0)) * rot
+    def _noise_terms(self, threshold: np.ndarray):
+        """The drive's scaled axes and the measurement noise's moments after the flush at ``threshold``."""
         keep = self._noise_lam > threshold[:, None, None]
         drive_axes = np.where(keep[:, 0], self._drive_axes, 0.0)
         # The +/- pair along a noise eigenvector with eigenvalue l adds l to
@@ -271,6 +274,22 @@ class _BatchUWLCKF:
         meas_lam = np.where(keep[:, 1], self._noise_lam[:, 1], 0.0)
         r = meas_lam[:, 0] + meas_lam[:, 1]
         rt = (meas_lam[:, 0] - meas_lam[:, 1]) * self._meas_dir
+        return drive_axes, r, rt
+
+    def step(self, y: np.ndarray) -> None:
+        a, b = self.model.a, self.model.b
+        lam, rot = _scalar_eigenpairs(self.p, self.pt)
+        # A row's threshold is 1e-13 times its largest eigenvalue over the
+        # three variables; it moves off the noises' only in a step where
+        # some row's phase eigenvalue exceeds them.
+        if np.count_nonzero(lam[:, 0] > self._noise_top):
+            threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
+            drive_axes, r, rt = self._noise_terms(threshold)
+        else:
+            threshold = self._threshold
+            drive_axes, r, rt = self._noise
+        live = lam > threshold[:, None]
+        phase_axes = SPREAD * np.sqrt(np.where(live, lam, 0.0)) * rot
 
         x_rows, carrier_rows = self._x_rows, self._carrier_rows
         m = self.est

@@ -15,10 +15,13 @@ import numpy as np
 from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
-    augmented_to_real,
-    augmented_to_real_matrix,
+    block_conjugate,
+    check_covariance_blocks,
+    full_to_real_matrix,
     psd_sqrt,
 )
+# augmented_to_real_matrix is unused here; bench/spans.py still rebinds it in this module.
+from .augmented import augmented_to_real_matrix  # noqa: F401
 from .errors import DimensionError
 
 
@@ -34,7 +37,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class SecondOrderStats:
-    """Mean, Hermitian covariance and complementary covariance of a complex vector."""
+    """Mean, Hermitian covariance and complementary covariance of a complex vector.
+
+    Leading axes of the mean and of the two covariances are batch axes: a
+    stack of statistics of one size, as :func:`composite_factor` and
+    :func:`sample_batch` take.
+    """
 
     mean: np.ndarray
     hermitian_cov: np.ndarray
@@ -46,25 +54,19 @@ class SecondOrderStats:
         if self.complementary_cov is None:
             self.complementary_cov = np.zeros_like(self.hermitian_cov)
         self.complementary_cov = np.atleast_2d(np.asarray(self.complementary_cov, dtype=complex))
-        n = self.mean.shape[0]
-        if self.hermitian_cov.shape != (n, n) or self.complementary_cov.shape != (n, n):
+        shape = self.mean.shape + self.mean.shape[-1:]
+        if self.hermitian_cov.shape != shape or self.complementary_cov.shape != shape:
             raise DimensionError("covariance shapes do not match the mean dimension")
 
     @property
     def n(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     def augmented_mean(self) -> AugmentedVector:
         return AugmentedVector(self.mean)
 
     def augmented_cov(self) -> AugmentedMatrix:
         return AugmentedMatrix(self.hermitian_cov, self.complementary_cov)
-
-    def composite(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real composite mean and covariance of [Re x; Im x]."""
-        mu = augmented_to_real(self.augmented_mean())
-        cov = augmented_to_real_matrix(self.augmented_cov(), "covariance")
-        return mu, cov
 
 
 def validate(stats: SecondOrderStats) -> SecondOrderStats:
@@ -86,10 +88,25 @@ def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
     Sampling and the complex sigma points both take this route. After the
     block checks, the one eigendecomposition in :func:`psd_sqrt` is both the
     factor and the PSD check, which is stricter than :func:`validate`'s.
+
+    Batched statistics give stacks of means and factors, one ``eigh`` call
+    for the stack, and each member's bits; an error names the first
+    failing member in its ``index``.
     """
-    stats.augmented_cov().check_blocks()
-    mu_z, cov_z = stats.composite()
+    check_covariance_blocks(stats.hermitian_cov, stats.complementary_cov)
+    mu_z = np.concatenate([stats.mean.real, stats.mean.imag], axis=-1)
+    cov_z = full_to_real_matrix(block_conjugate(stats.hermitian_cov, stats.complementary_cov), "covariance")
     return mu_z, psd_sqrt(cov_z)
+
+
+def _draws(mu_z: np.ndarray, b: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Complex vectors u + jv from z = mu_z + B xi, for standard normal ``xi`` of shape (..., count, 2n).
+
+    Leading axes of the three arrays are batch axes.
+    """
+    z = mu_z[..., None, :] + xi @ np.swapaxes(b, -1, -2)
+    n = z.shape[-1] // 2
+    return z[..., :n] + 1j * z[..., n:]
 
 
 def sample(stats: SecondOrderStats, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,9 +121,26 @@ def sample(stats: SecondOrderStats, count: int, rng: np.random.Generator) -> np.
     if count < 1:
         raise DimensionError("count must be positive")
     mu_z, b = composite_factor(stats)
-    xi = rng.standard_normal((count, 2 * stats.n))
-    z = mu_z + xi @ b.T
-    return z[:, : stats.n] + 1j * z[:, stats.n :]
+    return _draws(mu_z, b, rng.standard_normal((count, 2 * stats.n)))
+
+
+def sample_batch(stats: SecondOrderStats, count: int, rngs) -> np.ndarray:
+    """:func:`sample` over statistics with one leading batch axis, member i from ``rngs[i]``.
+
+    Returns an array of shape (batch, count, n) whose member i equals
+    ``sample`` on member i's statistics and ``rngs[i]`` bit for bit: each
+    generator draws what it draws there, and the stack is factored in one
+    call.
+    """
+    if count < 1:
+        raise DimensionError("count must be positive")
+    if stats.mean.ndim != 2 or stats.mean.shape[0] != len(rngs):
+        raise DimensionError("batched statistics need one leading axis with one generator per member")
+    mu_z, b = composite_factor(stats)
+    xi = np.empty((len(rngs), count, 2 * stats.n))
+    for rng, out in zip(rngs, xi):
+        rng.standard_normal(out=out)
+    return _draws(mu_z, b, xi)
 
 
 def empirical_stats(samples) -> SecondOrderStats:

@@ -174,6 +174,30 @@ def test_psd_sqrt_residual_on_random_psd(k):
     assert res <= 1e-10 * max(1.0, np.linalg.norm(m))
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_psd_sqrt_stack_equals_members_bit_for_bit(k):
+    # Full-rank and rank-deficient members, over two batch axes.
+    rng = np.random.default_rng(30 + k)
+    stack = np.empty((3, 2, k, k))
+    for i in np.ndindex(3, 2):
+        a = rng.standard_normal((k, max(1, k - i[0])))
+        stack[i] = a @ a.T
+    factors = psd_sqrt(stack)
+    assert factors.shape == stack.shape
+    for i in np.ndindex(3, 2):
+        assert np.array_equal(factors[i], psd_sqrt(stack[i]))
+
+
+def test_psd_sqrt_stack_names_first_failing_member():
+    good = np.eye(2)
+    with pytest.raises(NotPSDError, match="below") as info:
+        psd_sqrt(np.stack([good, np.diag([1.0, -0.5]), np.diag([-1.0, 1.0])]))
+    assert info.value.index == (1,)
+    with pytest.raises(ConsistencyError, match="symmetric matrix") as info:
+        psd_sqrt(np.stack([[good, good], [good, np.array([[1.0, 1.0], [0.0, 1.0]])]]))
+    assert info.value.index == (1, 1)
+
+
 def test_scalar_eigenvalues_proper():
     assert eigenvalues_scalar_augmented(1.0, 0.0) == (1.0, 1.0)
 
@@ -237,7 +261,7 @@ def test_solve_right_solves_and_keeps_pattern(seed):
     assert not singular
     full = block_conjugate(x_top[:, :2], x_top[:, 2:])
     residual = full @ a.full() - b.full()
-    assert np.max(np.abs(residual)) <= 1e-9 * max(1.0, b.max_abs())
+    assert np.max(np.abs(residual)) <= 1e-9 * max(1.0, np.max(np.abs(b.full())))
     assert np.array_equal(full[3:, 2:], np.conj(full[:3, :2]))
     assert np.array_equal(full[3:, :2], np.conj(full[:3, 2:]))
 

@@ -193,7 +193,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("phase-demod", [], {"snr_list": [0.0, -4000.0]}),
         ("phase-demod", [], {"traj_snr": -4000.0}),
         ("mse-sweep", [], {"panels": [[4000, -20]]}),
-        ("mse-sweep", [], {"panels": [[200, -20]]}),
+        ("mse-sweep", [], {"panels": [[200, 170]], "rho_w": [1.0], "rho_n": [1.0],
+                           "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2}),
         ("mse-sweep", [], {"panels": [[3000, -20]]}),
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
         ("equivalence", [], {"out": 5}),
@@ -312,15 +313,32 @@ def test_mse_sweep_unsorted_grid_still_catches_a_dip(tmp_path, monkeypatch, caps
 
 
 def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
+    # Both noises maximally improper, 72 degrees apart in orientation.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"panels": [[-20, -20], [200, -20], [3000, -20]]}))
+    path.write_text(json.dumps({
+        "panels": [[-20, -20], [50, -40], [3000, -20]],
+        "rho_w": [1.0], "rho_n": [1.0], "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2,
+    }))
     out = tmp_path / "out" / "ms.csv"
     assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 2
     assert not out.parent.exists()
     assert capsys.readouterr().err == (
-        "config error: panel [200, -20]: widely linear MSE is 0.0 at iteration 1: noise powers of "
-        "200 dB and -20 dB are too far apart for double precision\n"
+        "config error: panel [50, -40]: widely linear MSE is -0.08877503581607016 at iteration 4: noise powers of "
+        "50 dB and -40 dB are too far apart for double precision\n"
     )
+
+
+def test_mse_sweep_far_stronger_driving_noise_keeps_invariants(tmp_path, capsys):
+    # N1 - N2 = 120 dB: P - K P cancels, and the posterior is taken as K R.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"panels": [[100, -20]]}))
+    out = tmp_path / "ms.csv"
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "mse-sweep: 49 points, invariants ok\n"
+    _, rows = read_rows(out)
+    ratios = np.array([float(row[4]) for row in rows]).reshape(7, 7)
+    assert (ratios >= 1 - 1e-9).all() and ratios[0, 0] == 1.0
+    assert (np.diff(ratios, axis=0) >= -1e-9).all() and (np.diff(ratios, axis=1) >= -1e-9).all()
 
 
 # Tables written at the commit before phase-demod shared its tracking

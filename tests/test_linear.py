@@ -21,11 +21,12 @@ from wlckf.linear import (
     real_kf_batch,
     real_kf_run,
     simulate_linear,
+    simulate_linear_batch,
     wlckf_batch,
     wlckf_run,
 )
 from wlckf.mse import ScalarModelParams, variance_after, wl_mmse
-from wlckf.stats import substream
+from wlckf.stats import SecondOrderStats, sample, substream
 
 
 def random_composite(seed, n=2, m=2, radius=0.9):
@@ -374,6 +375,49 @@ def test_simulate_deterministic_when_noiseless():
     for t in range(6):
         assert states[t] == pytest.approx([(0.5**t) * (1 + 1j)])
     assert meas[:, 0] == pytest.approx(2 * states[1:, 0])
+
+
+def _step_by_step_simulation(model, horizon, rng, x0=None):
+    # Reference: one 2-d @ 1-d product per block and step, as the
+    # recursion is written.
+    def draw(cov, count):
+        return sample(SecondOrderStats(np.zeros(cov.m1.shape[0]), cov.m1, cov.m2), count, rng)
+
+    x0 = draw(model.Pi0, 1)[0] if x0 is None else np.asarray(x0, complex)
+    ws, ns = draw(model.Q, horizon), draw(model.R, horizon)
+    states = [x0]
+    measurements = []
+    for w, n in zip(ws, ns):
+        x = model.A.m1 @ states[-1] + model.A.m2 @ np.conj(states[-1]) + model.B.m1 @ w + model.B.m2 @ np.conj(w)
+        states.append(x)
+        measurements.append(model.C.m1 @ x + model.C.m2 @ np.conj(x) + n)
+    return np.array(states), np.array(measurements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("proper", [False, True])
+def test_simulate_batch_members_equal_single_runs_bit_for_bit(n, proper):
+    make = proper_model if proper else lambda seed, n, m: model_from_real(*random_composite(seed, n, m))
+    models = [make(seed, n=n, m=3) for seed in range(3)]
+    states, meas = simulate_linear_batch(models, 15, [substream(60, i) for i in range(3)])
+    assert states.shape == (3, 16, n) and meas.shape == (3, 15, 3)
+    x0 = np.arange(n) + 1j
+    for i, model in enumerate(models):
+        single = simulate_linear(model, 15, substream(60, i))
+        assert np.array_equal(states[i], single[0]) and np.array_equal(meas[i], single[1])
+        for given in (None, x0):
+            single = simulate_linear(model, 15, substream(61, i), x0=given)
+            reference = _step_by_step_simulation(model, 15, substream(61, i), x0=given)
+            assert np.array_equal(single[0], reference[0]) and np.array_equal(single[1], reference[1])
+
+
+def test_simulate_batch_rejects_mixed_sizes_and_short_horizons():
+    models = [proper_model(0), proper_model(1, n=1)]
+    rngs = [substream(0, i) for i in range(2)]
+    with pytest.raises(DimensionError):
+        simulate_linear_batch(models, 5, rngs)
+    with pytest.raises(DimensionError):
+        simulate_linear_batch(models[:1], 0, rngs[:1])
 
 
 def test_simulate_long_run_matches_lyapunov_fixed_point():

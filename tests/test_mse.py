@@ -401,19 +401,33 @@ def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
     assert res.converged.all()
 
 
+# Maximally improper noises of different orientations 90 dB apart: the
+# widely linear MSE of the member goes negative at its fourth iteration.
+ZERO_MSE_MEMBER = (1j, np.exp(1.2j), 50.0, -40.0)
+
+
 def test_gains_batch_raises_for_its_degenerate_member():
+    rho_w, rho_n, n1_db, n2_db = ZERO_MSE_MEMBER
     with pytest.raises(DegenerateError) as info:
-        noise_impropriety_gains(np.array([0.0, 0.5, 0.9]), 0.5j, np.array([-20.0, 200.0, -20.0]), -20.0)
+        noise_impropriety_gains(
+            np.array([0.0, rho_w, 0.9]), np.array([0.5j, rho_n, 0.5j]),
+            np.array([-20.0, n1_db, -20.0]), np.array([-20.0, n2_db, -20.0]),
+        )
     assert info.value.index == (1,)
+    assert "widely linear MSE" in str(info.value)
     with pytest.raises(DegenerateError) as single:
-        noise_impropriety_gain(0.5, 0.5j, 200.0, -20.0)
+        noise_impropriety_gain(*ZERO_MSE_MEMBER)
     assert str(info.value) == str(single.value)
 
 
 def test_gains_batch_reports_first_failing_member_in_order():
     # Member 2 overflows at the first iteration, member 1 fails at its own.
+    rho_w, rho_n, n1_db, n2_db = ZERO_MSE_MEMBER
     with pytest.raises(DegenerateError) as info:
-        noise_impropriety_gains(0.5, 0.5j, np.array([-20.0, 200.0, 3000.0]), -20.0)
+        noise_impropriety_gains(
+            np.array([0.5, rho_w, 0.5]), np.array([0.5j, rho_n, 0.5j]),
+            np.array([-20.0, n1_db, 3000.0]), np.array([-20.0, n2_db, -20.0]),
+        )
     assert info.value.index == (1,)
     assert "widely linear MSE" in str(info.value)
     with pytest.raises(DegenerateError) as info:

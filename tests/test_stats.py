@@ -5,8 +5,10 @@ from wlckf.augmented import augmented_to_real_matrix, real_matrix_to_augmented
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 from wlckf.stats import (
     SecondOrderStats,
+    composite_factor,
     empirical_stats,
     sample,
+    sample_batch,
     substream,
     validate,
 )
@@ -141,3 +143,42 @@ def test_empirical_error_shrinks_with_sample_count():
 
     # 100x more samples: error should shrink roughly 10x; allow 3x slack.
     assert err(100_000, 1) < err(1_000, 0) / 3
+
+
+def stacked_stats(members):
+    return SecondOrderStats(*(np.stack([getattr(s, name) for s in members]) for name in
+                              ("mean", "hermitian_cov", "complementary_cov")))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_factor_route_stack_equals_members_bit_for_bit(n):
+    # Improper, proper and maximally improper (singular) members.
+    members = [random_valid_stats(40 + n, n), random_valid_stats(41 + n, n)]
+    members[1] = SecondOrderStats(members[1].mean, members[1].hermitian_cov)
+    members.append(SecondOrderStats(np.ones(n), np.eye(n), np.eye(n)))
+    stats = stacked_stats(members)
+    mu_z, b = composite_factor(stats)
+    draws = sample_batch(stats, 5, [substream(9, i) for i in range(3)])
+    assert draws.shape == (3, 5, n)
+    for i, member in enumerate(members):
+        mu_i, b_i = composite_factor(member)
+        assert np.array_equal(mu_z[i], mu_i) and np.array_equal(b[i], b_i)
+        assert np.array_equal(draws[i], sample(member, 5, substream(9, i)))
+
+
+def test_factor_route_stack_names_first_failing_member():
+    good = random_valid_stats(50)
+    asymmetric = SecondOrderStats(np.zeros(2), np.eye(2), [[0.0, 0.3], [0.0, 0.0]])
+    indefinite = SecondOrderStats(np.zeros(2), np.eye(2), 1.5 * np.eye(2))
+    with pytest.raises(ConsistencyError, match="M2 is not symmetric") as info:
+        composite_factor(stacked_stats([good, asymmetric, indefinite]))
+    assert info.value.index == (1,)
+    with pytest.raises(NotPSDError) as info:
+        sample_batch(stacked_stats([good, indefinite, good]), 3, [substream(0, i) for i in range(3)])
+    assert info.value.index == (1,)
+
+
+def test_sample_batch_needs_one_generator_per_member():
+    stats = stacked_stats([random_valid_stats(51), random_valid_stats(52)])
+    with pytest.raises(DimensionError):
+        sample_batch(stats, 3, [substream(0, 0)])

@@ -31,3 +31,7 @@ class DegenerateError(WlckfError):
 
 class UnsupportedModelError(WlckfError):
     """The model is outside what the requested filter supports."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without sending its results."""

@@ -185,6 +185,31 @@ def _largest_entries(m: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(magnitude[:, 0], magnitude[:, 1]), np.maximum(magnitude[:, 2], magnitude[:, 3]))
 
 
+def _determinants(m: np.ndarray, scale: np.ndarray):
+    """Determinants, shape (k, 1), of a contiguous (k, 4) stack of 2x2s with
+    largest |entries| ``scale``, and whether each is negligible on that scale.
+    """
+    limit = np.square(np.maximum(scale, 1e-300))
+    limit *= 1e-14
+    parts = m.view(float).T
+    products = parts[_DET_LEFT] * parts[_DET_RIGHT] * _DET_SIGN
+    sums = products[0::2] + products[1::2]
+    det = np.empty((len(m), 1), dtype=complex)
+    np.subtract(sums[:2], sums[2:], out=det.view(float).T)
+    return det, np.abs(det[:, 0]) <= limit
+
+
+def _singular(m: np.ndarray) -> np.ndarray:
+    """Whether each 2x2 of ``m[k, 2, 2]`` is singular by the criterion of :func:`_inv2`.
+
+    Entries that overflow when squared give no answer of use; :func:`_inv2`
+    rejects them.
+    """
+    m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _determinants(m, _largest_entries(m))[1]
+
+
 def _inv2(m: np.ndarray) -> np.ndarray:
     """Inverse of each 2x2 in ``m[..., 2, 2]``: adjugate over determinant,
     pseudo-inverse for a matrix whose determinant is negligible on the
@@ -209,14 +234,7 @@ def _inv2(m: np.ndarray) -> np.ndarray:
             raise DegenerateError(
                 f"2x2 entries of magnitude {scale[first]:.3g} overflow when squared", index=np.unravel_index(first, batch)
             )
-    limit = np.square(np.maximum(scale, 1e-300))
-    limit *= 1e-14
-    parts = m.view(float).T
-    products = parts[_DET_LEFT] * parts[_DET_RIGHT] * _DET_SIGN
-    sums = products[0::2] + products[1::2]
-    det = np.empty((k, 1), dtype=complex)
-    np.subtract(sums[:2], sums[2:], out=det.view(float).T)
-    singular = np.abs(det[:, 0]) <= limit
+    det, singular = _determinants(m, scale)
     adjugate = m[:, _ADJ]
     np.negative(adjugate[:, 1:3], out=adjugate[:, 1:3])
     if np.count_nonzero(singular):
@@ -317,8 +335,12 @@ def noise_impropriety_gain(
 
     Noise powers beyond double precision raise DegenerateError: a
     measurement noise power that underflows to zero, matrix entries whose
-    squares overflow, or a widely linear MSE that rounding drives to zero
-    or below.
+    squares overflow, a widely linear MSE that rounding drives to zero or
+    below, or a maximally improper driving noise (|rho_w| = 1, a singular
+    augmented covariance Q) so much stronger than the posterior P that
+    P + Q rounds to a singular matrix while P is regular, where the
+    measurement noise's impropriety ties the lost part of P back into the
+    recursion.
     """
     res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
     return ImproprietyGain(
@@ -382,6 +404,17 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     p_bar = np.broadcast_to(np.eye(2, dtype=complex), (stop, 2, 2)).copy()
     q, r, n1 = q[:stop], r[:stop], n1[:stop]
     inv_n2 = 1.0 / n2[:stop]
+    # A singular driving-noise covariance Q can absorb the posterior: P + Q
+    # rounds to the singular Q while P is regular, and the recursion loses
+    # P along the null vector u of Q. That changes the fixed point only where
+    # the measurement noise couples u to the range v of Q: u^H R v is
+    # j N2 Im(conj(rho_w) rho_n), so a proper R or one of Q's orientation
+    # keeps u apart, and P along u decays to zero whatever its start. The
+    # members with a singular Q and a coupling R are checked on every
+    # iteration; a batch with none skips the check.
+    coupled = (np.conj(rho_w) * rho_n).imag != 0
+    rank_one = _singular(q) & coupled[:stop]
+    checking = bool(np.count_nonzero(rank_one))
     mse = result[:, :stop].copy()
     it = 0
     while it < horizon and len(member):
@@ -389,10 +422,24 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
         try:
             gain = predicted @ _inv2(predicted + r)
         except DegenerateError as exc:
-            # Drop the member and all after it, and redo the iteration.
             j = exc.index[0]
             failure = (int(member[j]), DegenerateError, str(exc))
-            member, p_bar, q, r, n1, inv_n2 = (a[:j] for a in (member, p_bar, q, r, n1, inv_n2))
+        else:
+            j = None
+            if checking and np.count_nonzero(rank_one):
+                absorbed = np.zeros(len(member), dtype=bool)
+                absorbed[rank_one] = _singular(predicted[rank_one]) & ~_singular(p_bar[rank_one])
+                if np.count_nonzero(absorbed):
+                    j = int(np.argmax(absorbed))
+                    i = int(member[j])
+                    failure = (
+                        i, DegenerateError,
+                        f"the singular driving-noise covariance absorbs the posterior at iteration {it + 1}: "
+                        f"noise powers of {n1_db[i]} dB and {n2_db[i]} dB are too far apart for double precision",
+                    )
+        if j is not None:
+            # Drop the member and all after it, and redo the iteration.
+            member, p_bar, q, r, n1, inv_n2, rank_one = (a[:j] for a in (member, p_bar, q, r, n1, inv_n2, rank_one))
             mse = mse[:, :j]
             continue
         it += 1
@@ -432,7 +479,7 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
             iterations[finished] = it
             converged[finished] = True
             keep = ~done
-            member, p_bar, q, r, n1, inv_n2 = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2))
+            member, p_bar, q, r, n1, inv_n2, rank_one = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2, rank_one))
             mse = mse[:, keep]
     if failure is not None:
         i, error, message = failure

@@ -18,6 +18,17 @@ the last multiple of 4 of a matrix-vector product in another kernel: a
 point whose row count is no multiple of 4 ends its block, and the
 trajectory keeps its one-row engine.
 
+The blocks are independent, as every run draws from its own substream.
+They are split by engine rows into balanced shares, the largest block
+first onto the lightest share, one share per CPU in the process's affinity
+mask and at most one per block. The calling process runs share 0, so its
+peak memory stays at one block, and a child forked through multiprocessing
+runs each other share and sends its results back over a pipe. Nothing is
+forked off Linux, with one CPU or one block, or from a process that runs
+other threads (fork is unsafe on macOS, absent on Windows and unsafe
+beside threads): a multithreaded BLAS keeps the blocks in one process, and
+``OPENBLAS_NUM_THREADS=1`` lets them spread.
+
 The joint [phase, drive noise, measurement noise] covariance is block
 diagonal over three scalar variables, so the step builds its sigma points
 in closed form instead of by an eigendecomposition, with the constant noise
@@ -36,6 +47,8 @@ runs.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +56,7 @@ import numpy as np
 # build_transform and sample are unused here; bench/spans.py still rebinds
 # both names in this module.
 from .augmented import build_transform  # noqa: F401
-from .errors import DegenerateError, DimensionError
+from .errors import DegenerateError, DimensionError, WorkerError
 from .stats import SecondOrderStats, composite_factor, sample, substream  # noqa: F401
 from .unscented import SPREAD, NonlinearModel, weights
 
@@ -489,12 +502,102 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
     return results
 
 
+def _cpu_count() -> int:
+    """CPUs the Monte Carlo blocks may run on, one process each.
+
+    This process's CPUs on Linux when it runs a single thread. Otherwise 1:
+    fork is unsafe on macOS and absent on Windows, and unsafe in a process
+    that runs other threads, such as those of a multithreaded BLAS, whose
+    copies in each process would also contend for the cores. It is 1 too
+    where /proc, which gives the thread count, cannot be read.
+    """
+    if sys.platform != "linux":
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _shares(weights: list[int], count: int) -> list[list[int]]:
+    """Indices of ``weights`` in ``count`` balanced shares, each in ascending order.
+
+    The heaviest index goes first, each onto the lightest share so far (the
+    first of equal ones).
+    """
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += weights[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(jobs, mc_runs: int, horizon: int):
+    """The results of each job in turn, and the error that stopped the share, if any."""
+    results = []
+    try:
+        for job in jobs:
+            results.append(_ratio_block(job, mc_runs, horizon))
+    except Exception as exc:  # the caller raises the error of the first failing block of all shares
+        return results, exc
+    return results, None
+
+
+def _send_share(send, jobs, mc_runs: int, horizon: int) -> None:
+    with send:
+        send.send(_run_share(jobs, mc_runs, horizon))
+
+
+def _run_shares(shares, mc_runs: int, horizon: int):
+    """:func:`_run_share` of each share, share 0 in this process and each other in a forked child.
+
+    The children are forked through multiprocessing, which flushes the
+    standard streams first, so no buffered output is written twice. Each
+    child sends its outcome back over a one-way pipe; a child that ends
+    without sending raises :class:`WorkerError`. No child outlives the call.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for jobs in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(send, jobs, mc_runs, horizon), daemon=True)
+            child.start()
+            children.append((child, receive))
+            send.close()
+        outcomes = [_run_share(shares[0], mc_runs, horizon)]
+        for child, receive in children:
+            try:
+                outcomes.append(receive.recv())
+            except EOFError:
+                child.join()
+                raise WorkerError(
+                    f"a Monte Carlo worker process ended with exit code {child.exitcode} before sending its results"
+                ) from None
+        return outcomes
+    finally:
+        for child, _ in children:
+            if child.is_alive():
+                child.terminate()
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
 def improvement_ratios(points, mc_runs: int, horizon: int) -> list[RatioResult]:
     """:func:`improvement_ratio` at each (snr_db, rho_abs, seed) of ``points``.
 
     Consecutive points share an engine of at most ``_BLOCK_ROWS`` rows, and
-    a block is freed before the next is simulated. Every result has the bits
-    it has when its point runs alone.
+    a block is freed before the next is simulated. The blocks are split by
+    rows into balanced shares, one per CPU this process may run on (see the
+    module docstring): this process runs share 0, and a forked child each
+    other. Every result has the bits it has when its point runs alone. If
+    blocks fail, the error of the first in order is raised, as it is when
+    the blocks run one after another.
     """
     if mc_runs < 1:
         raise DimensionError("mc_runs must be >= 1")
@@ -507,10 +610,22 @@ def improvement_ratios(points, mc_runs: int, horizon: int) -> list[RatioResult]:
         # the two are one computation, so it is tracked once.
         proper = replace(model, rho_abs=0.0)
         specs.append((model, seed, [model.noise_cvar] if proper == model else [model.noise_cvar, proper.noise_cvar]))
-    results = []
-    for block in _blocks([len(cvars) * mc_runs for _, _, cvars in specs]):
-        results += _ratio_block([specs[i] for i in block], mc_runs, horizon)
-    return results
+    sizes = [len(cvars) * mc_runs for _, _, cvars in specs]
+    blocks = _blocks(sizes)
+    jobs = [[specs[i] for i in block] for block in blocks]
+    processes = min(len(jobs), _cpu_count())
+    if processes < 2:
+        return [result for job in jobs for result in _ratio_block(job, mc_runs, horizon)]
+    shares = _shares([sum(sizes[i] for i in block) for block in blocks], processes)
+    outcomes = _run_shares([[jobs[b] for b in share] for share in shares], mc_runs, horizon)
+    done, failures = {}, []
+    for share, (results, error) in zip(shares, outcomes):
+        done.update(zip(share, results))
+        if error is not None:
+            failures.append((share[len(results)], error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [result for b in range(len(jobs)) for result in done[b]]
 
 
 def improvement_ratio(snr_db: float, rho_abs: float, mc_runs: int, horizon: int, seed: int) -> RatioResult:

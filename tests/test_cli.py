@@ -328,6 +328,23 @@ def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
     )
 
 
+def test_mse_sweep_names_a_panel_whose_driving_noise_absorbs_the_posterior(tmp_path, capsys):
+    # |rho_w| = 1 gives the driving noise a singular covariance Q; at 200 dB,
+    # P + Q rounds to Q and the recursion would report a wrong converged ratio.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "panels": [[200, -20]], "rho_w": [0, 1], "rho_n": [0, 1],
+        "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2,
+    }))
+    out = tmp_path / "out" / "ms.csv"
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert capsys.readouterr().err == (
+        "config error: panel [200, -20]: the singular driving-noise covariance absorbs the posterior at "
+        "iteration 1: noise powers of 200 dB and -20 dB are too far apart for double precision\n"
+    )
+
+
 def test_mse_sweep_far_stronger_driving_noise_keeps_invariants(tmp_path, capsys):
     # N1 - N2 = 120 dB: P - K P cancels, and the posterior is taken as K R.
     path = tmp_path / "config.json"
@@ -371,6 +388,8 @@ def test_phase_demod_default_lists_share_bounded_engines(tmp_path, monkeypatch):
             super().__init__(model, noise_var, noise_cvar)
 
     monkeypatch.setattr(cli.phase, "_BatchUWLCKF", Recording)
+    # Engines built in a forked child are not recorded here.
+    monkeypatch.setattr(cli.phase, "_cpu_count", lambda: 1)
     assert main(["phase-demod", "--horizon", "3", "--out", str(tmp_path / "pd.csv")]) == 0
     points = len(cli._DEFAULTS["phase-demod"]["snr_list"]) + len(cli._DEFAULTS["phase-demod"]["rho_list"])
     # The trajectory's one-row engine counts too.

@@ -420,6 +420,28 @@ def test_gains_batch_raises_for_its_degenerate_member():
     assert str(info.value) == str(single.value)
 
 
+def test_gain_raises_when_a_singular_driving_noise_absorbs_the_posterior():
+    # rho_w = j gives Q rank 1; at 220 dB above the measurement noise,
+    # P + Q rounds to Q at the first iteration, and the recursion loses P.
+    with pytest.raises(DegenerateError, match="absorbs the posterior at iteration 1: noise powers of 200 dB"):
+        noise_impropriety_gain(1j, 0.999 * np.exp(1.2j), 200, -20)
+    with pytest.raises(DegenerateError, match="absorbs the posterior") as info:
+        noise_impropriety_gains(np.array([0.9j, 1j, 1j]), 0.999 * np.exp(1.2j), 200.0, -20.0)
+    assert info.value.index == (1,)
+
+
+def test_gains_keep_an_absorbed_posterior_that_the_measurement_noise_keeps_apart():
+    # A proper R, or one of Q's orientation, leaves P along the null vector
+    # of Q to decay on its own, so its rounding loss changes no fixed point:
+    # equal orientations give exactly 1, and 80-digit arithmetic takes the
+    # other two to 4/3 and 2.
+    res = noise_impropriety_gains(1j, np.array([1j, 0.5j, 0.0]), np.array([-20.0, 110.0, 200.0]), -40.0)
+    assert res.converged.all()
+    assert abs(res.ratio[0] - 1) < 1e-9
+    assert abs(res.ratio[1] - 4 / 3) < 1e-3
+    assert abs(res.ratio[2] - 2) < 1e-3
+
+
 def test_gains_batch_reports_first_failing_member_in_order():
     # Member 2 overflows at the first iteration, member 1 fails at its own.
     rho_w, rho_n, n1_db, n2_db = ZERO_MSE_MEMBER

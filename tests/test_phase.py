@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wlckf.errors import DegenerateError, DimensionError
+from wlckf.errors import DegenerateError, DimensionError, WorkerError
 from wlckf.linear import FilterState
 from wlckf.augmented import AugmentedMatrix, AugmentedVector
 from wlckf.phase import (
@@ -16,7 +20,9 @@ from wlckf.phase import (
     _W_COV,
     _W_MEAN,
     _BatchUWLCKF,
+    _cpu_count,
     _ratio_block,
+    _shares,
     improvement_ratio,
     improvement_ratios,
     nonlinear_phase_model,
@@ -282,6 +288,8 @@ def test_improvement_ratios_share_engines_under_the_row_cap(monkeypatch):
             super().__init__(model, noise_var, noise_cvar)
 
     monkeypatch.setattr("wlckf.phase._BatchUWLCKF", Recording)
+    # Engines built in a forked child are not recorded here.
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 1)
     points = [(snr, 0.7, i) for i, snr in enumerate([0.0, 5.0, 10.0])] + [(20.0, 0.0, 3), (20.0, 0.5, 4)]
     improvement_ratios(points, 200, 5)
     # Engine rows per point: 400, 400, 400, 200 (proper noise is tracked
@@ -290,6 +298,103 @@ def test_improvement_ratios_share_engines_under_the_row_cap(monkeypatch):
     improvement_ratios([(20.0, 0.5, 0)], 450, 5)
     assert built[-1] == 900 > _BLOCK_ROWS
 
+
+# Row counts of 11 and 22 are no multiples of 4, so each point has a block
+# of its own: 6 blocks, in shares [0, 5], [1, 2] and [3, 4] at 3 processes.
+_SPLIT_POINTS = [(0.0, 0.7, 5), (20.0, 0.0, 6), (10.0, 0.9, 7), (25.0, 0.0, 8), (5.0, 1.0, 9), (15.0, 0.3, 10)]
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_improvement_ratios_equal_one_process_result_at_any_process_count(monkeypatch, processes):
+    alone = [improvement_ratio(snr, rho, 11, 30, seed) for snr, rho, seed in _SPLIT_POINTS]
+    planned = []
+
+    def recording_shares(weights, count):
+        planned.append(count)
+        return _shares(weights, count)
+
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: processes)
+    monkeypatch.setattr("wlckf.phase._shares", recording_shares)
+    assert improvement_ratios(_SPLIT_POINTS, 11, 30) == alone
+    assert planned == ([] if processes == 1 else [processes])
+    assert multiprocessing.active_children() == []
+
+
+def test_shares_place_the_largest_block_on_the_lightest_share():
+    assert _shares([800, 800, 800, 600, 800, 800, 400], 2) == [[0, 2, 5], [1, 3, 4, 6]]
+    assert _shares([1, 1, 1, 1, 1, 1], 3) == [[0, 3], [1, 4], [2, 5]]
+    assert _shares([22, 11, 22, 11, 22, 22], 3) == [[0, 5], [1, 2], [3, 4]]
+    assert _shares([5, 1, 1], 3) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_improvement_ratios_raise_the_first_failing_block_from_a_child(monkeypatch, processes):
+    # Blocks 1, 4 and 5 fail. At 3 processes, this process runs blocks 0
+    # and 5, one child blocks 1 and 2, the other blocks 3 and 4: block 1's
+    # error is raised, as it is when the blocks run one after another.
+    def failing(block, mc_runs, horizon):
+        seed = block[0][1]
+        if seed in (6, 9, 10):
+            raise DegenerateError(f"block of seed {seed} failed", index=(seed, 1))
+        return _ratio_block(block, mc_runs, horizon)
+
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: processes)
+    monkeypatch.setattr("wlckf.phase._ratio_block", failing)
+    with pytest.raises(DegenerateError, match="^block of seed 6 failed$") as info:
+        improvement_ratios(_SPLIT_POINTS, 11, 30)
+    assert type(info.value) is DegenerateError
+    assert info.value.index == (6, 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_improvement_ratios_name_a_child_that_dies(monkeypatch):
+    parent = os.getpid()
+
+    def dying(block, mc_runs, horizon):
+        if os.getpid() != parent:
+            os._exit(3)
+        return _ratio_block(block, mc_runs, horizon)
+
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 3)
+    monkeypatch.setattr("wlckf.phase._ratio_block", dying)
+    with pytest.raises(WorkerError, match="exit code 3"):
+        improvement_ratios(_SPLIT_POINTS, 11, 30)
+    assert multiprocessing.active_children() == []
+
+
+def test_cpu_count_is_the_affinity_of_a_single_threaded_linux_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _cpu_count() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(os, "listdir", lambda path: [str(os.getpid())])
+    assert _cpu_count() == 3
+
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert _cpu_count() == 1
+    monkeypatch.setattr(os, "listdir", lambda path: [str(os.getpid())])
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert _cpu_count() == 1
+
+
+def test_improvement_ratios_fork_nothing_for_one_block_or_one_cpu(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr("wlckf.phase._run_shares", no_fork)
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 4)
+    improvement_ratios(_SPLIT_POINTS[:1], 11, 30)
+    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 1)
+    improvement_ratios(_SPLIT_POINTS, 11, 30)
 
 def _nine_point_step(engine, y):
     # Reference: the step that evaluates the carrier at all 9 distinct

@@ -21,7 +21,11 @@ def test_equivalence_demo_filters_agree():
 
 
 def test_reproduce_figures_quick_writes_every_table(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # One BLAS thread keeps the process single-threaded, so phase-demod runs
+    # its 2 blocks in two processes. The output is piped and buffered, and no
+    # line may be written twice.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"), "--quick", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
@@ -33,3 +37,7 @@ def test_reproduce_figures_quick_writes_every_table(tmp_path):
     ]
     for name in tables:
         assert (tmp_path / name).stat().st_size > 0, name
+    commands = [line for line in proc.stdout.splitlines() if line.startswith("+ wlckf ")]
+    assert [line.split()[2] for line in commands] == ["equivalence", "mse-sweep", "theta-bound", "phase-demod"]
+    for line in commands:
+        assert proc.stdout.count(line + "\n") == 1, line

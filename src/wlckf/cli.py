@@ -8,6 +8,14 @@ augmented filter and the dual-channel real filter), ``mse-sweep``
 deterministic functions of the configuration, including the seed; running
 a command twice produces byte-identical files.
 
+Tables are written ``WRITE_CHUNK`` rows at a time. A table of at least
+``FORK_CHUNKS`` chunks per extra process is formatted on up to one process
+per CPU that :func:`wlckf.parallel.cpu_count` gives, through
+:func:`wlckf.parallel.shared`: chunk i goes to process i mod P, the caller
+formats its own chunks, and each forked child sends the text of each of
+its chunks over a pipe as soon as it is made. The caller writes every
+chunk in order, so the file has the bytes one process writes.
+
 Exit codes: 0 success, 1 assertion failure, 2 usage or configuration error,
 an output path that cannot be written included.
 """
@@ -17,12 +25,12 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import mse, phase
+from . import mse, parallel, phase
 from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real, full_to_real_matrix
 from .errors import WlckfError
 from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear_batch, wlckf_batch
@@ -39,8 +47,13 @@ TRIAL_BATCH = 64
 # is the command's largest allocation beyond its columns, whatever --draws.
 DRAW_BATCH = 8192
 # Rows formatted and written at once by `write_rows`; `theta-bound` also
-# makes its table's Python values this many rows at a time.
+# makes its table's Python values this many rows at a time. Chunk i of a
+# table is formatted by process i mod P, the caller being process 0.
 WRITE_CHUNK = 256
+# Chunks per extra process a table needs before `write_rows` forks one:
+# P = min(1 + chunks // FORK_CHUNKS, CPUs), so a forked child formats at
+# least about this many chunks, far more time than its fork takes.
+FORK_CHUNKS = 16
 # The value types a table may hold, each written as its `repr`.
 _VALUE_TYPES = {float, int}
 # JSON's spelling of the float reprs that are no JSON.
@@ -119,18 +132,28 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _chunks(rows):
-    """``rows`` as lists of ``WRITE_CHUNK`` rows, each checked to hold exact ``float`` and ``int`` values only."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, WRITE_CHUNK)):
+def _table_text(header: list[str], rows, fmt: str):
+    """Text of chunk ``i`` of ``rows`` as a function of ``i``; the chunk is checked to hold exact ``float`` and ``int`` values only."""
+    keys = [f"\n  {json.dumps(key)}: " for key in header]
+
+    def chunk_text(i: int) -> str:
+        chunk = rows[i * WRITE_CHUNK : (i + 1) * WRITE_CHUNK]
         types = set(map(type, chain.from_iterable(chunk)))
         if not types <= _VALUE_TYPES:
             raise TypeError(f"table values must be float or int, not {types - _VALUE_TYPES}")
-        yield chunk
+        if fmt == "csv":
+            return "".join([",".join(map(repr, row)) + "\n" for row in chunk])
+        records = []
+        for row in chunk:
+            fields = [key + _JSON_NON_FINITE.get(text, text) for key, text in zip(keys, map(repr, row))]
+            records.append("{" + ",".join(fields) + "\n }")
+        return ("[\n " if i == 0 else ",\n ") + ",\n ".join(records)
+
+    return chunk_text
 
 
 def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
-    """Write ``rows`` (any iterable of sequences) to ``path`` as CSV or JSON.
+    """Write ``rows`` (a sliceable sequence of sequences) to ``path`` as CSV or JSON.
 
     CSV has a header line and one line per row; JSON is a list of objects
     keyed by ``header``, indented by one space. Every value must be an
@@ -138,27 +161,39 @@ def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
     its ``repr``: floats as their shortest round-trip decimal, integers as
     integers. JSON, like ``json.dumps``, spells non-finite floats ``NaN``,
     ``Infinity`` and ``-Infinity``; its bytes are those of
-    ``json.dumps(records, indent=1)``. Rows are taken ``WRITE_CHUNK`` at a
-    time and each chunk goes out in one write, so at most one chunk and
-    its text are held in memory, never the whole table.
+    ``json.dumps(records, indent=1)``. Rows are sliced ``WRITE_CHUNK`` at a
+    time, and each chunk is formatted and goes out in one write. A table of
+    ``FORK_CHUNKS`` chunks or more per extra process has its chunks dealt
+    between processes (see the module docstring); either way the file has
+    the same bytes. Beyond ``rows`` itself, only a chunk or two per process
+    and their text are held in memory, never the whole table's text.
     """
+    chunks = -(-len(rows) // WRITE_CHUNK)
+    processes = min(1 + chunks // FORK_CHUNKS, parallel.cpu_count())
+    shares = [range(k, chunks, processes) for k in range(processes)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as out:
+    chunk_text = _table_text(header, rows, fmt)
+    # The children are forked before the file is opened, so none holds it.
+    with parallel.shared(chunk_text, shares) as texts, path.open("w", encoding="utf-8", newline="\n") as out:
         if fmt == "csv":
             out.write(",".join(header) + "\n")
-            for chunk in _chunks(rows):
-                out.write("".join([",".join(map(repr, row)) + "\n" for row in chunk]))
-            return
-        keys = [f"\n  {json.dumps(key)}: " for key in header]
-        separator = "[\n "
-        for chunk in _chunks(rows):
-            records = []
-            for row in chunk:
-                fields = [key + _JSON_NON_FINITE.get(text, text) for key, text in zip(keys, map(repr, row))]
-                records.append("{" + ",".join(fields) + "\n }")
-            out.write(separator + ",\n ".join(records))
-            separator = ",\n "
-        out.write("[]\n" if separator == "[\n " else "\n]\n")
+        for text in texts:
+            out.write(text)
+        if fmt == "json":
+            out.write("\n]\n" if chunks else "[]\n")
+
+
+class _Columns:
+    """Rows over equal-length numpy columns, made as Python values only for the slice taken."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, part: slice) -> list[tuple]:
+        return list(zip(*(column[part].tolist() for column in self.columns)))
 
 
 def load_config(args: argparse.Namespace, command: str) -> dict:
@@ -383,12 +418,7 @@ def cmd_theta_bound(cfg: dict) -> int:
         ratios = mse.min_mmse_ratio_sweep(*(column[part] for column in params), t_max)
         lo[part], hi[part] = ratios.min(axis=1), ratios.max(axis=1)
     # The table's Python values exist one writer chunk of rows at a time.
-    pieces = (slice(start, start + WRITE_CHUNK) for start in range(0, draws, WRITE_CHUNK))
-    rows = (
-        row
-        for piece in pieces
-        for row in zip(range(draws)[piece], *(column[piece].tolist() for column in (*params, lo, hi)))
-    )
+    rows = _Columns(np.arange(draws), *params, lo, hi)
     write_rows(
         Path(cfg["out"]),
         ["draw", "a_abs", "b_abs", "c_abs", "N1", "N2", "P00", "theta_min", "theta_max"],

@@ -334,13 +334,13 @@ def noise_impropriety_gain(
     K R = P (P + R)^-1 R, which has no subtraction.
 
     Noise powers beyond double precision raise DegenerateError: a
-    measurement noise power that underflows to zero, matrix entries whose
-    squares overflow, a widely linear MSE that rounding drives to zero or
-    below, or a maximally improper driving noise (|rho_w| = 1, a singular
-    augmented covariance Q) so much stronger than the posterior P that
-    P + Q rounds to a singular matrix while P is regular, where the
-    measurement noise's impropriety ties the lost part of P back into the
-    recursion.
+    measurement noise power whose reciprocal overflows (zero, or subnormal
+    below about 5.6e-309), matrix entries whose squares overflow, a widely
+    linear MSE that rounding drives to zero or below, or a maximally
+    improper driving noise (|rho_w| = 1, a singular augmented covariance Q)
+    so much stronger than the posterior P that P + Q rounds to a singular
+    matrix while P is regular, where the measurement noise's impropriety
+    ties the lost part of P back into the recursion.
     """
     res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
     return ImproprietyGain(
@@ -387,13 +387,14 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     # Members after it no longer run: the call raises whatever they do.
     failure = None
     invalid = (np.abs(rho_w) > 1) | (np.abs(rho_n) > 1)
-    unusable = invalid | (n2 == 0)
+    # The recursion takes 1 / N2, which overflows below 1 / (largest double).
+    unusable = invalid | (n2 < 1.0 / np.finfo(float).max)
     if np.count_nonzero(unusable):
         i = int(np.argmax(unusable))
         if invalid[i]:
             failure = (i, NotPSDError, "correlation coefficient magnitudes must be <= 1")
         else:
-            failure = (i, DegenerateError, f"measurement noise power of {n2_db[i]} dB underflows to zero")
+            failure = (i, DegenerateError, f"measurement noise power of {n2_db[i]} dB underflows: its reciprocal overflows")
     stop = k if failure is None else failure[0]
     # Widely and strictly linear MSE of every member, filled in as each one stops.
     result = np.ones((2, k))

@@ -20,14 +20,13 @@ trajectory keeps its one-row engine.
 
 The blocks are independent, as every run draws from its own substream.
 They are split by engine rows into balanced shares, the largest block
-first onto the lightest share, one share per CPU in the process's affinity
-mask and at most one per block. The calling process runs share 0, so its
-peak memory stays at one block, and a child forked through multiprocessing
-runs each other share and sends its results back over a pipe. Nothing is
-forked off Linux, with one CPU or one block, or from a process that runs
-other threads (fork is unsafe on macOS, absent on Windows and unsafe
-beside threads): a multithreaded BLAS keeps the blocks in one process, and
-``OPENBLAS_NUM_THREADS=1`` lets them spread.
+first onto the lightest share, one share per CPU that
+:func:`wlckf.parallel.cpu_count` gives and at most one per block, and run
+through :func:`wlckf.parallel.shared`. The calling process runs share 0
+before it reads any child's results, so its peak memory stays at one
+block, and a forked child runs each other share. Nothing is forked with
+one CPU or one block: a multithreaded BLAS keeps the blocks in one
+process, and ``OPENBLAS_NUM_THREADS=1`` lets them spread.
 
 The joint [phase, drive noise, measurement noise] covariance is block
 diagonal over three scalar variables, so the step builds its sigma points
@@ -47,16 +46,16 @@ runs.
 """
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import parallel
+
 # build_transform and sample are unused here; bench/spans.py still rebinds
 # both names in this module.
 from .augmented import build_transform  # noqa: F401
-from .errors import DegenerateError, DimensionError, WorkerError
+from .errors import DegenerateError, DimensionError
 from .stats import SecondOrderStats, composite_factor, sample, substream  # noqa: F401
 from .unscented import SPREAD, NonlinearModel, weights
 
@@ -502,24 +501,6 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
     return results
 
 
-def _cpu_count() -> int:
-    """CPUs the Monte Carlo blocks may run on, one process each.
-
-    This process's CPUs on Linux when it runs a single thread. Otherwise 1:
-    fork is unsafe on macOS and absent on Windows, and unsafe in a process
-    that runs other threads, such as those of a multithreaded BLAS, whose
-    copies in each process would also contend for the cores. It is 1 too
-    where /proc, which gives the thread count, cannot be read.
-    """
-    if sys.platform != "linux":
-        return 1
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 1
-    return len(os.sched_getaffinity(0)) if threads == 1 else 1
-
-
 def _shares(weights: list[int], count: int) -> list[list[int]]:
     """Indices of ``weights`` in ``count`` balanced shares, each in ascending order.
 
@@ -532,60 +513,6 @@ def _shares(weights: list[int], count: int) -> list[list[int]]:
         shares[lightest].append(i)
         loads[lightest] += weights[i]
     return [sorted(share) for share in shares]
-
-
-def _run_share(jobs, mc_runs: int, horizon: int):
-    """The results of each job in turn, and the error that stopped the share, if any."""
-    results = []
-    try:
-        for job in jobs:
-            results.append(_ratio_block(job, mc_runs, horizon))
-    except Exception as exc:  # the caller raises the error of the first failing block of all shares
-        return results, exc
-    return results, None
-
-
-def _send_share(send, jobs, mc_runs: int, horizon: int) -> None:
-    with send:
-        send.send(_run_share(jobs, mc_runs, horizon))
-
-
-def _run_shares(shares, mc_runs: int, horizon: int):
-    """:func:`_run_share` of each share, share 0 in this process and each other in a forked child.
-
-    The children are forked through multiprocessing, which flushes the
-    standard streams first, so no buffered output is written twice. Each
-    child sends its outcome back over a one-way pipe; a child that ends
-    without sending raises :class:`WorkerError`. No child outlives the call.
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for jobs in shares[1:]:
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_send_share, args=(send, jobs, mc_runs, horizon), daemon=True)
-            child.start()
-            children.append((child, receive))
-            send.close()
-        outcomes = [_run_share(shares[0], mc_runs, horizon)]
-        for child, receive in children:
-            try:
-                outcomes.append(receive.recv())
-            except EOFError:
-                child.join()
-                raise WorkerError(
-                    f"a Monte Carlo worker process ended with exit code {child.exitcode} before sending its results"
-                ) from None
-        return outcomes
-    finally:
-        for child, _ in children:
-            if child.is_alive():
-                child.terminate()
-        for child, receive in children:
-            child.join()
-            receive.close()
 
 
 def improvement_ratios(points, mc_runs: int, horizon: int) -> list[RatioResult]:
@@ -613,19 +540,10 @@ def improvement_ratios(points, mc_runs: int, horizon: int) -> list[RatioResult]:
     sizes = [len(cvars) * mc_runs for _, _, cvars in specs]
     blocks = _blocks(sizes)
     jobs = [[specs[i] for i in block] for block in blocks]
-    processes = min(len(jobs), _cpu_count())
-    if processes < 2:
-        return [result for job in jobs for result in _ratio_block(job, mc_runs, horizon)]
-    shares = _shares([sum(sizes[i] for i in block) for block in blocks], processes)
-    outcomes = _run_shares([[jobs[b] for b in share] for share in shares], mc_runs, horizon)
-    done, failures = {}, []
-    for share, (results, error) in zip(shares, outcomes):
-        done.update(zip(share, results))
-        if error is not None:
-            failures.append((share[len(results)], error))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [result for b in range(len(jobs)) for result in done[b]]
+    processes = min(len(jobs), parallel.cpu_count())
+    shares = [range(len(jobs))] if processes < 2 else _shares([sum(sizes[i] for i in block) for block in blocks], processes)
+    with parallel.shared(lambda b: _ratio_block(jobs[b], mc_runs, horizon), shares, ahead=True) as results:
+        return [result for block in results for result in block]
 
 
 def improvement_ratio(snr_db: float, rho_abs: float, mc_runs: int, horizon: int, seed: int) -> RatioResult:

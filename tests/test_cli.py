@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from wlckf import cli
 from wlckf.augmented import AugmentedMatrix, augmented_to_real, augmented_to_real_matrix, full_to_real_matrix
 from wlckf.cli import main
+from wlckf.errors import WorkerError
 from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
 from wlckf.stats import substream
 
@@ -197,6 +200,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
                            "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2}),
         ("mse-sweep", [], {"panels": [[3000, -20]]}),
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
+        ("mse-sweep", [], {"panels": [[-3200, -3210]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
         ("equivalence", [], {"out": 5}),
         ("theta-bound", [], {"out": ""}),
         ("phase-demod", [], {"r_snr": 10**400}),
@@ -217,7 +221,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "equivalence-seed-bool", "equivalence-proper-text",
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
-        "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow",
+        "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow", "mse-sweep-panel-subnormal",
         "out-number", "out-empty",
         "r-snr-huge-int", "mse-sweep-tol-huge-int", "equivalence-max-dev-huge-int",
         "mse-sweep-panel-huge-int", "mse-sweep-rho-w-huge-int", "horizon-huge-int", "theta-bound-t-max-huge-int",
@@ -389,7 +393,7 @@ def test_phase_demod_default_lists_share_bounded_engines(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.phase, "_BatchUWLCKF", Recording)
     # Engines built in a forked child are not recorded here.
-    monkeypatch.setattr(cli.phase, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 1)
     assert main(["phase-demod", "--horizon", "3", "--out", str(tmp_path / "pd.csv")]) == 0
     points = len(cli._DEFAULTS["phase-demod"]["snr_list"]) + len(cli._DEFAULTS["phase-demod"]["rho_list"])
     # The trajectory's one-row engine counts too.
@@ -450,7 +454,7 @@ def _joined_text(header, rows, fmt):
 def test_write_rows_streams_the_joined_text(tmp_path, fmt, rows):
     header = list("abcdefghi")
     path = tmp_path / "sub" / f"table.{fmt}"
-    cli.write_rows(path, header, iter(rows), fmt)
+    cli.write_rows(path, header, rows, fmt)
     assert path.read_text(encoding="utf-8") == _joined_text(header, rows, fmt)
 
 
@@ -479,24 +483,82 @@ def test_write_rows_formats_each_chunk_by_its_own_types(tmp_path):
     rows = [[i, i / 7.0, -1e-300 * i] for i in range(3 * cli.WRITE_CHUNK + 5)] + [[1, 2.0, -0.0]]
     for fmt in ("csv", "json"):
         path = tmp_path / f"table.{fmt}"
-        cli.write_rows(path, ["a", "b", "c"], iter(rows), fmt)
+        cli.write_rows(path, ["a", "b", "c"], rows, fmt)
         assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], rows, fmt)
         for value in _NOT_TABLE_VALUES:
             with pytest.raises(TypeError):
-                cli.write_rows(path, ["a", "b", "c"], iter([*rows[:-1], [1, value, -0.0]]), fmt)
+                cli.write_rows(path, ["a", "b", "c"], [*rows[:-1], [1, value, -0.0]], fmt)
 
 
-def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path):
+def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path, monkeypatch):
     draws = 8300
     assert draws > cli.DRAW_BATCH and draws > 4 * cli.WRITE_CHUNK
-    csv_path, json_path = tmp_path / "tb.csv", tmp_path / "tb.json"
-    assert main(["theta-bound", "--draws", str(draws), "--out", str(csv_path)]) == 0
-    assert main(["theta-bound", "--draws", str(draws), "--format", "json", "--out", str(json_path)]) == 0
+    # 33 chunks are enough for 3 processes, so each forced count is used.
+    assert draws > 2 * cli.FORK_CHUNKS * cli.WRITE_CHUNK
+    alone = {}
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(cli.parallel, "cpu_count", lambda: processes)
+        csv_path, json_path = tmp_path / f"tb{processes}.csv", tmp_path / f"tb{processes}.json"
+        assert main(["theta-bound", "--draws", str(draws), "--out", str(csv_path)]) == 0
+        assert main(["theta-bound", "--draws", str(draws), "--format", "json", "--out", str(json_path)]) == 0
+        assert multiprocessing.active_children() == []
+        for path in (csv_path, json_path):
+            assert path.read_bytes() == alone.setdefault(path.suffix, path.read_bytes()), (processes, path.suffix)
     # JSON floats round-trip exactly, so their repr is the CSV's text.
     records = json.loads(json_path.read_text())
     assert [r["draw"] for r in records] == list(range(draws))
     expected = _joined_text(list(records[0]), [list(r.values()) for r in records], "csv")
     assert csv_path.read_bytes() == expected.encode()
+
+
+# Enough rows for a table dealt between 2 processes, chunk 1 a child's.
+_DEALT_ROWS = [[i, i / 7.0, -1e-300 * i] for i in range(cli.FORK_CHUNKS * cli.WRITE_CHUNK)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_rows_raises_the_type_error_of_a_chunk_a_child_formats(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
+    rows = list(_DEALT_ROWS)
+    rows[cli.WRITE_CHUNK + 3] = [1, np.float64(0.5), 0.0]
+    with pytest.raises(TypeError, match="float64"):
+        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], rows, fmt)
+    assert multiprocessing.active_children() == []
+
+
+def test_write_rows_names_a_child_that_dies(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    class Dying(list):
+        def __getitem__(self, part):
+            if os.getpid() != parent:
+                os._exit(3)
+            return super().__getitem__(part)
+
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
+    with pytest.raises(WorkerError, match="exit code 3"):
+        cli.write_rows(tmp_path / "table.csv", ["a", "b", "c"], Dying(_DEALT_ROWS), "csv")
+    assert multiprocessing.active_children() == []
+
+
+def test_write_rows_forks_nothing_for_a_small_table_or_one_cpu(tmp_path, monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", no_fork)
+    path = tmp_path / "table.csv"
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 4)
+    cli.write_rows(path, ["a", "b", "c"], _DEALT_ROWS[: (cli.FORK_CHUNKS - 1) * cli.WRITE_CHUNK], "csv")
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 1)
+    cli.write_rows(path, ["a", "b", "c"], _DEALT_ROWS, "csv")
+    assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], _DEALT_ROWS, "csv")
+
+
+def test_unwritable_out_of_a_dealt_table_exits_two_and_ends_every_child(tmp_path, monkeypatch, capsys):
+    # The children are forked before the directory fails to open as a file.
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 3)
+    assert main(["theta-bound", "--draws", str(3 * cli.FORK_CHUNKS * cli.WRITE_CHUNK), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write ")
+    assert multiprocessing.active_children() == []
 
 
 def test_outputs_are_byte_deterministic(tmp_path):

@@ -1,7 +1,5 @@
 import multiprocessing
 import os
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +18,6 @@ from wlckf.phase import (
     _W_COV,
     _W_MEAN,
     _BatchUWLCKF,
-    _cpu_count,
     _ratio_block,
     _shares,
     improvement_ratio,
@@ -289,7 +286,7 @@ def test_improvement_ratios_share_engines_under_the_row_cap(monkeypatch):
 
     monkeypatch.setattr("wlckf.phase._BatchUWLCKF", Recording)
     # Engines built in a forked child are not recorded here.
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 1)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: 1)
     points = [(snr, 0.7, i) for i, snr in enumerate([0.0, 5.0, 10.0])] + [(20.0, 0.0, 3), (20.0, 0.5, 4)]
     improvement_ratios(points, 200, 5)
     # Engine rows per point: 400, 400, 400, 200 (proper noise is tracked
@@ -313,7 +310,7 @@ def test_improvement_ratios_equal_one_process_result_at_any_process_count(monkey
         planned.append(count)
         return _shares(weights, count)
 
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: processes)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: processes)
     monkeypatch.setattr("wlckf.phase._shares", recording_shares)
     assert improvement_ratios(_SPLIT_POINTS, 11, 30) == alone
     assert planned == ([] if processes == 1 else [processes])
@@ -338,7 +335,7 @@ def test_improvement_ratios_raise_the_first_failing_block_from_a_child(monkeypat
             raise DegenerateError(f"block of seed {seed} failed", index=(seed, 1))
         return _ratio_block(block, mc_runs, horizon)
 
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: processes)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: processes)
     monkeypatch.setattr("wlckf.phase._ratio_block", failing)
     with pytest.raises(DegenerateError, match="^block of seed 6 failed$") as info:
         improvement_ratios(_SPLIT_POINTS, 11, 30)
@@ -355,45 +352,21 @@ def test_improvement_ratios_name_a_child_that_dies(monkeypatch):
             os._exit(3)
         return _ratio_block(block, mc_runs, horizon)
 
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 3)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: 3)
     monkeypatch.setattr("wlckf.phase._ratio_block", dying)
     with pytest.raises(WorkerError, match="exit code 3"):
         improvement_ratios(_SPLIT_POINTS, 11, 30)
     assert multiprocessing.active_children() == []
 
 
-def test_cpu_count_is_the_affinity_of_a_single_threaded_linux_process(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert _cpu_count() == 1
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    monkeypatch.setattr(os, "listdir", lambda path: [str(os.getpid())])
-    assert _cpu_count() == 3
-
-    def no_proc(path):
-        raise FileNotFoundError(path)
-
-    monkeypatch.setattr(os, "listdir", no_proc)
-    assert _cpu_count() == 1
-    monkeypatch.setattr(os, "listdir", lambda path: [str(os.getpid())])
-    monkeypatch.setattr(sys, "platform", "darwin")
-    assert _cpu_count() == 1
-
-
 def test_improvement_ratios_fork_nothing_for_one_block_or_one_cpu(monkeypatch):
     def no_fork(*args):
         raise AssertionError("forked")
 
-    monkeypatch.setattr("wlckf.phase._run_shares", no_fork)
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 4)
+    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", no_fork)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: 4)
     improvement_ratios(_SPLIT_POINTS[:1], 11, 30)
-    monkeypatch.setattr("wlckf.phase._cpu_count", lambda: 1)
+    monkeypatch.setattr("wlckf.parallel.cpu_count", lambda: 1)
     improvement_ratios(_SPLIT_POINTS, 11, 30)
 
 def _nine_point_step(engine, y):

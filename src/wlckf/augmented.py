@@ -149,9 +149,9 @@ def check_covariance_blocks(m1: np.ndarray, m2: np.ndarray) -> None:
     """
     scale = np.maximum(np.abs(m1).max(axis=(-2, -1), initial=1.0), np.abs(m2).max(axis=(-2, -1), initial=1.0))
     tol = CONJ_TOL * scale
-    m1_defect = np.abs(m1 - np.swapaxes(m1.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    m1_defect = np.abs(m1 - m1.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     _require(m1_defect > tol, ConsistencyError, "covariance block M1 is not Hermitian")
-    m2_defect = np.abs(m2 - np.swapaxes(m2, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    m2_defect = np.abs(m2 - m2.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     _require(m2_defect > tol, ConsistencyError, "covariance block M2 is not symmetric")
 
 
@@ -253,7 +253,7 @@ def psd_sqrt(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError("psd_sqrt needs a square matrix")
-    m_t = np.swapaxes(m, -1, -2)
+    m_t = m.swapaxes(-1, -2)
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
     _require(np.abs(m - m_t).max(axis=(-2, -1), initial=0.0) > PSD_TOL * scale, ConsistencyError,
              "psd_sqrt needs a symmetric matrix")
@@ -281,22 +281,26 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
     ``b_top`` is the top block row [B1, B2] of ``b`` and ``a`` the full
-    augmented array. Returns the top block row [X1, X2] of X and whether
-    the least-squares fallback was used. Solving for the top block row
-    alone keeps X on the block pattern exactly; :func:`block_conjugate`
+    augmented array, which must be exactly Hermitian (an innovation
+    covariance, symmetrized). Returns the top block row [X1, X2] of X and
+    whether the least-squares fallback was used. Solving for the top block
+    row alone keeps X on the block pattern exactly; :func:`block_conjugate`
     completes it.
 
     Leading axes of ``b_top`` and ``a`` are batch axes, and the flag has
     their shape. A member of the batch counts as singular when its
-    smallest singular value is at most ``RCOND`` times its largest; the
-    others are solved in one LU call, and each singular member alone by
-    least squares, so every member gets the bits it would get unbatched.
+    smallest singular value is at most ``RCOND`` times its largest; for a
+    Hermitian matrix these are its smallest and largest eigenvalue
+    magnitudes, which ``eigvalsh`` gives. The others are solved in one LU
+    call, and each singular member alone by least squares, so every member
+    gets the bits it would get unbatched.
     """
-    sv = np.linalg.svd(a, compute_uv=False)
-    singular = (sv[..., 0] == 0) | (sv[..., -1] <= RCOND * sv[..., 0])
-    a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b_top, -1, -2)
+    sv = np.abs(np.linalg.eigvalsh(a))
+    largest = sv.max(axis=-1)
+    singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
+    a_t, b_t = a.swapaxes(-1, -2), b_top.swapaxes(-1, -2)
     if not singular.any():
-        return np.swapaxes(np.linalg.solve(a_t, b_t), -1, -2), singular
+        return np.linalg.solve(a_t, b_t).swapaxes(-1, -2), singular
     a_t = a_t.reshape(-1, *a_t.shape[-2:])
     b_t = b_t.reshape(-1, *b_t.shape[-2:])
     flags = singular.reshape(-1)
@@ -305,4 +309,4 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
         xt[~flags] = np.linalg.solve(a_t[~flags], b_t[~flags])
     for i in np.flatnonzero(flags):
         xt[i] = np.linalg.lstsq(a_t[i], b_t[i], rcond=None)[0]
-    return np.swapaxes(xt, -1, -2).reshape(b_top.shape), singular
+    return xt.swapaxes(-1, -2).reshape(b_top.shape), singular

@@ -174,7 +174,7 @@ def _check_one_size(models) -> None:
 
 def _h(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -300,14 +300,15 @@ def wl_update(
     Works on full augmented arrays: ``x`` and ``p`` are the predicted
     estimate [x; x*] and covariance, ``y_pred`` the predicted
     measurement, ``cross`` the state/measurement cross covariance P_xy and
-    ``s`` the innovation covariance S. The gain solves K S = P_xy for the
-    top block row of K (least squares when S is singular, flagged),
-    which :func:`wlckf.augmented.block_conjugate` completes. With
-    ``joseph = (C, R)``, the measurement map and noise of a linear model,
-    the posterior covariance is the Joseph form
-    (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite
-    under rounding; without it (the unscented filter, whose measurement map
-    is not linear) it is P - K P_xy^H. Either is symmetrized.
+    ``s`` the innovation covariance S, which must be exactly Hermitian.
+    The gain solves K S = P_xy for the top block row of K (least squares
+    when S is singular, flagged). With ``joseph = (C, R)``, the
+    measurement map and noise of a linear model, the posterior covariance
+    is the Joseph form (I - K C) P (I - K C)^H + K R K^H, which stays
+    positive semidefinite under rounding and needs the full K that
+    :func:`wlckf.augmented.block_conjugate` completes; without it (the
+    unscented filter, whose measurement map is not linear) it is
+    P - K P_xy^H, from the top block row alone. Either is symmetrized.
 
     Leading axes of every array are batch axes: a batch of models runs
     through the same arithmetic, and each member gets the bits it would
@@ -319,16 +320,18 @@ def wl_update(
         raise DimensionError("measurement dimension does not match the model")
     n, m = x.shape[-1] // 2, y.shape[-1]
     gain, singular = augmented.solve_right(cross[..., :n, :], s)
-    k = block_conjugate(gain[..., :m], gain[..., m:])
-    k_top = k[..., :n, :]
-    innovation = y - y_pred
-    top = x[..., :n] + _matvec(k_top, np.concatenate([innovation, np.conj(innovation)], axis=-1))
     if joseph is None:
+        # C-contiguous like the full gain's top rows, so the products keep their bits.
+        k_top = np.ascontiguousarray(gain)
         cov_top = p[..., :n, :] - k_top @ _h(cross)
     else:
         c, r = joseph
+        k = block_conjugate(gain[..., :m], gain[..., m:])
+        k_top = k[..., :n, :]
         i_kc = np.eye(2 * n) - k @ c
         cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
+    innovation = y - y_pred
+    top = x[..., :n] + _matvec(k_top, np.concatenate([innovation, np.conj(innovation)], axis=-1))
     x_post = np.concatenate([top, np.conj(top)], axis=-1)
     return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
 
@@ -431,11 +434,13 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
 
     A member whose innovation covariance is singular (smallest singular
     value at most 1e-12 times the largest) gets its gain by least squares,
-    alone; the others share one LU solve.
+    alone; the others share one LU solve. The covariance is symmetrized
+    before the test, so it is exactly symmetric and its singular values
+    are its eigenvalue magnitudes, which ``eigvalsh`` gives.
     """
 
     def tr(a):
-        return np.swapaxes(a, -1, -2)
+        return a.swapaxes(-1, -2)
 
     def mv(a, v):
         return (a @ v[..., None])[..., 0]
@@ -458,8 +463,9 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
         x_pred, p_pred = x, p
         s = g @ p @ tr(g) + r
         s = (s + tr(s)) / 2
-        sv = np.linalg.svd(s, compute_uv=False)
-        singular = (sv[..., 0] == 0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
+        sv = np.abs(np.linalg.eigvalsh(s))
+        largest = sv.max(axis=-1)
+        singular = (largest == 0) | (sv.min(axis=-1) <= 1e-12 * largest)
         s_t, pg_t = tr(s), tr(p @ tr(g))
         if singular.any():
             kt = np.empty(pg_t.shape)

@@ -174,6 +174,8 @@ _DET_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
 _ADJ = np.array([3, 1, 2, 0])
 # Entries below this magnitude cannot overflow when squared.
 _SQUARE_SAFE = 1e154
+# Below this magnitude, a number's reciprocal overflows.
+_RECIPROCAL_SAFE = 1.0 / np.finfo(float).max
 # A member's posterior P - K P has cancelled to rounding, and is taken as
 # K R instead, when max |K P| exceeds max |P - K P| by this factor.
 CANCEL = 1e6
@@ -220,7 +222,9 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     array multiply may fuse them), so every matrix of a stack gets the bits
     a lone 2x2 gets. Raises DegenerateError, with ``index`` the position in
     the stack of the first such matrix, when the entries of a matrix
-    overflow when squared.
+    overflow when squared, or when its determinant is not negligible but
+    too small to divide by (entries near 1e-150 and below, whose products
+    underflow).
     """
     batch = np.shape(m)[:-2]
     m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
@@ -235,6 +239,13 @@ def _inv2(m: np.ndarray) -> np.ndarray:
                 f"2x2 entries of magnitude {scale[first]:.3g} overflow when squared", index=np.unravel_index(first, batch)
             )
     det, singular = _determinants(m, scale)
+    underflow = (np.abs(det[:, 0]) < _RECIPROCAL_SAFE) & ~singular
+    if np.count_nonzero(underflow):
+        first = int(np.argmax(underflow))
+        raise DegenerateError(
+            f"2x2 entries of magnitude {scale[first]:.3g} underflow: their determinant is too small to divide by",
+            index=np.unravel_index(first, batch),
+        )
     adjugate = m[:, _ADJ]
     np.negative(adjugate[:, 1:3], out=adjugate[:, 1:3])
     if np.count_nonzero(singular):
@@ -335,12 +346,14 @@ def noise_impropriety_gain(
 
     Noise powers beyond double precision raise DegenerateError: a
     measurement noise power whose reciprocal overflows (zero, or subnormal
-    below about 5.6e-309), matrix entries whose squares overflow, a widely
-    linear MSE that rounding drives to zero or below, or a maximally
-    improper driving noise (|rho_w| = 1, a singular augmented covariance Q)
-    so much stronger than the posterior P that P + Q rounds to a singular
-    matrix while P is regular, where the measurement noise's impropriety
-    ties the lost part of P back into the recursion.
+    below about 5.6e-309), a driving noise power that underflows (zero, or
+    subnormal below about 2.2e-308), matrix entries whose squares overflow
+    or whose determinant underflows, a widely linear MSE that rounding
+    drives to zero or below, or a maximally improper driving noise
+    (|rho_w| = 1, a singular augmented covariance Q) so much stronger than
+    the posterior P that P + Q rounds to a singular matrix while P is
+    regular, where the measurement noise's impropriety ties the lost part
+    of P back into the recursion.
     """
     res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
     return ImproprietyGain(
@@ -388,13 +401,21 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     failure = None
     invalid = (np.abs(rho_w) > 1) | (np.abs(rho_n) > 1)
     # The recursion takes 1 / N2, which overflows below 1 / (largest double).
-    unusable = invalid | (n2 < 1.0 / np.finfo(float).max)
+    no_meas = n2 < _RECIPROCAL_SAFE
+    # A driving noise power below the smallest normal double has lost its
+    # precision, and at zero both MSEs tend to zero and the ratio is undefined.
+    no_drive = n1 < np.finfo(float).tiny
+    unusable = invalid | no_meas | no_drive
     if np.count_nonzero(unusable):
         i = int(np.argmax(unusable))
         if invalid[i]:
             failure = (i, NotPSDError, "correlation coefficient magnitudes must be <= 1")
-        else:
+        elif no_meas[i]:
             failure = (i, DegenerateError, f"measurement noise power of {n2_db[i]} dB underflows: its reciprocal overflows")
+        else:
+            failure = (
+                i, DegenerateError, f"driving noise power of {n1_db[i]} dB underflows below the smallest normal double"
+            )
     stop = k if failure is None else failure[0]
     # Widely and strictly linear MSE of every member, filled in as each one stops.
     result = np.ones((2, k))

@@ -104,7 +104,7 @@ def _draws(mu_z: np.ndarray, b: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Leading axes of the three arrays are batch axes.
     """
-    z = mu_z[..., None, :] + xi @ np.swapaxes(b, -1, -2)
+    z = mu_z[..., None, :] + xi @ b.swapaxes(-1, -2)
     n = z.shape[-1] // 2
     return z[..., :n] + 1j * z[..., n:]
 

@@ -79,14 +79,14 @@ class SigmaPointSet:
         return self.points.shape[0]
 
 
-def _sigma_points(mu: np.ndarray, b: np.ndarray) -> SigmaPointSet:
+def _sigma_points(mu: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2L+1 points mu and mu +- SPREAD b_i over the columns b_i of a factor."""
     dim = mu.shape[0]
     points = np.empty((2 * dim + 1, dim))
     points[0] = mu
     points[1 : dim + 1] = mu + SPREAD * b.T
     points[dim + 1 :] = mu - SPREAD * b.T
-    return SigmaPointSet(points, *weights(dim))
+    return points
 
 
 def complex_sigma_points(stats: SecondOrderStats, preserve_complementary: bool = True) -> SigmaPointSet:
@@ -102,10 +102,9 @@ def complex_sigma_points(stats: SecondOrderStats, preserve_complementary: bool =
     if not preserve_complementary:
         validate(stats)
         stats = SecondOrderStats(stats.mean, stats.hermitian_cov)
-    composite = _sigma_points(*composite_factor(stats))
+    points = _sigma_points(*composite_factor(stats))
     n = stats.n
-    complex_points = composite.points[:, :n] + 1j * composite.points[:, n:]
-    return SigmaPointSet(complex_points, composite.w_mean, composite.w_cov)
+    return SigmaPointSet(points[:, :n] + 1j * points[:, n:], *weights(2 * n))
 
 
 def reconstruct_stats(sps: SigmaPointSet) -> SecondOrderStats:
@@ -152,6 +151,17 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _joint(model: NonlinearModel) -> SecondOrderStats:
+    """Joint statistics of [state; driving noise; measurement noise], with zero state blocks for :func:`_step`."""
+    zeros = np.zeros((model.n, model.n))
+    drive, meas = model.drive_noise, model.meas_noise
+    return SecondOrderStats(
+        np.concatenate([np.zeros(model.n), drive.mean, meas.mean]),
+        _block_diag(zeros, drive.hermitian_cov, meas.hermitian_cov),
+        _block_diag(zeros, drive.complementary_cov, meas.complementary_cov),
+    )
+
+
 def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     """One cycle of the unscented widely linear filter.
 
@@ -164,12 +174,16 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     innovation covariance (least squares when singular, flagged) and the
     posterior is P - K P_xy^H, symmetrized.
     """
+    return _step(_joint(model), state, y, model)
+
+
+def _step(joint: SecondOrderStats, state: FilterState, y, model: NonlinearModel) -> StepReport:
+    """:func:`uwlckf_step` on the joint statistics of :func:`_joint`, whose state blocks it overwrites."""
     n = model.n
     nw = model.drive_noise.n
-    joint_mean = np.concatenate([state.estimate.top, model.drive_noise.mean, model.meas_noise.mean])
-    joint_r = _block_diag(state.cov.m1, model.drive_noise.hermitian_cov, model.meas_noise.hermitian_cov)
-    joint_rt = _block_diag(state.cov.m2, model.drive_noise.complementary_cov, model.meas_noise.complementary_cov)
-    joint = SecondOrderStats(joint_mean, joint_r, joint_rt)
+    joint.mean[:n] = state.estimate.top
+    joint.hermitian_cov[:n, :n] = state.cov.m1
+    joint.complementary_cov[:n, :n] = state.cov.m2
     sps = complex_sigma_points(joint)
     xs = sps.points[:, :n]
     ws = sps.points[:, n : n + nw]
@@ -195,11 +209,12 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
-    """Run the unscented widely linear filter from ``model.init`` over a measurement sequence."""
+    """Run the unscented widely linear filter from ``model.init`` over a measurement sequence, on one joint."""
+    joint = _joint(model)
     state = FilterState(AugmentedVector(model.init.mean), model.init.augmented_cov(), t=0)
     reports: list[StepReport] = []
     for y in measurements:
-        report = uwlckf_step(state, np.atleast_1d(np.asarray(y, complex)), model)
+        report = _step(joint, state, np.atleast_1d(np.asarray(y, complex)), model)
         reports.append(report)
         state = report.state
     return reports

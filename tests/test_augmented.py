@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wlckf.augmented import (
+    RCOND,
     AugmentedMatrix,
     AugmentedVector,
     augmented_to_real,
@@ -252,9 +253,10 @@ def test_solve_right_solves_and_keeps_pattern(seed):
     from wlckf.augmented import block_conjugate, solve_right
 
     rng = np.random.default_rng(seed)
-    # 3 I keeps it well conditioned.
-    a = AugmentedMatrix(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 3.0 * np.eye(2),
-                        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    # A Hermitian a, as solve_right requires: a random augmented covariance plus 3 I, which keeps it well conditioned.
+    z = rng.standard_normal((4, 4))
+    cov = real_matrix_to_augmented(z @ z.T, "covariance")
+    a = AugmentedMatrix(cov.m1 + 3.0 * np.eye(2), cov.m2)
     b = AugmentedMatrix(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
                         rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
     x_top, singular = solve_right(b.full()[:3], a.full())
@@ -287,10 +289,38 @@ def _batch_with_one_singular_s(singular_member=2, size=5, n=2, m=2):
     return np.stack(b_top), np.stack(s)
 
 
+def _svd_singular(a):
+    """The singular-value form of solve_right's rule."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    return (sv[..., 0] == 0) | (sv[..., -1] <= RCOND * sv[..., 0])
+
+
+def _hermitian_with_condition(rng, n, cond):
+    """A random 2n x 2n Hermitian augmented array, PSD or indefinite, with condition number ``cond``."""
+    q = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
+    magnitudes = np.geomspace(1.0, 1.0 / cond, 2 * n)
+    signs = np.where(rng.random(2 * n) < 0.25, -1.0, 1.0)
+    full = real_matrix_to_augmented(q @ np.diag(signs * magnitudes) @ q.T, "covariance").full()
+    return (full + full.conj().T) / 2
+
+
+def _hermitian_stacks():
+    """(b_top, a) stacks of Hermitian a with condition numbers from 1e4 to 1e18, for n = 1, 2 and 4.
+
+    The members within 1% of 1 / RCOND, where rounding may decide the rule, are left out.
+    """
+    rng = np.random.default_rng(13)
+    conds = np.geomspace(1e4, 1e18, 57)
+    conds = conds[np.abs(conds * RCOND - 1) > 0.01]
+    for n in (1, 2, 4):
+        a = np.stack([_hermitian_with_condition(rng, n, cond) for cond in conds])
+        b_top = rng.standard_normal((len(conds), n, 2 * n)) + 1j * rng.standard_normal((len(conds), n, 2 * n))
+        yield b_top, a
+
+
 def test_solve_right_batch_takes_lstsq_only_for_the_singular_member(monkeypatch):
     from wlckf.augmented import solve_right
 
-    b_top, s = _batch_with_one_singular_s()
     calls = {"solve": 0, "lstsq": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -298,14 +328,25 @@ def test_solve_right_batch_takes_lstsq_only_for_the_singular_member(monkeypatch)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    b_top, s = _batch_with_one_singular_s()
     x_top, singular = solve_right(b_top, s)
     assert calls == {"solve": 1, "lstsq": 1}
-    monkeypatch.undo()
     assert singular.tolist() == [False, False, True, False, False]
     for i in range(len(s)):
         alone, flag = solve_right(b_top[i], s[i])
         assert flag == singular[i]
         assert np.array_equal(alone, x_top[i])
+    # The eigenvalue test flags exactly what the singular-value rule flags.
+    for b_top, a in _hermitian_stacks():
+        calls.update(solve=0, lstsq=0)
+        x_top, singular = solve_right(b_top, a)
+        assert np.array_equal(singular, _svd_singular(a))
+        assert 0 < np.count_nonzero(singular) < len(a)
+        assert calls == {"solve": 1, "lstsq": np.count_nonzero(singular)}
+        for i in range(len(a)):
+            alone, flag = solve_right(b_top[i], a[i])
+            assert flag == singular[i]
+            assert np.array_equal(alone, x_top[i])
 
 
 def test_block_conjugate_and_covariance_act_per_slice():

@@ -201,6 +201,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("mse-sweep", [], {"panels": [[3000, -20]]}),
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
         ("mse-sweep", [], {"panels": [[-3200, -3210]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
+        ("mse-sweep", [], {"panels": [[-3300, -1600]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
+        ("mse-sweep", [], {"panels": [[-3300, -3080]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
         ("equivalence", [], {"out": 5}),
         ("theta-bound", [], {"out": ""}),
         ("phase-demod", [], {"r_snr": 10**400}),
@@ -222,6 +224,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
         "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow", "mse-sweep-panel-subnormal",
+        "mse-sweep-drive-underflow", "mse-sweep-drive-underflow-writes-rows",
         "out-number", "out-empty",
         "r-snr-huge-int", "mse-sweep-tol-huge-int", "equivalence-max-dev-huge-int",
         "mse-sweep-panel-huge-int", "mse-sweep-rho-w-huge-int", "horizon-huge-int", "theta-bound-t-max-huge-int",
@@ -401,7 +404,11 @@ def test_phase_demod_default_lists_share_bounded_engines(tmp_path, monkeypatch):
     assert len(built) < points
 
 
-@pytest.mark.parametrize("name, flags", [("equivalence_golden", []), ("equivalence_proper_golden", ["--proper"])])
+@pytest.mark.parametrize("name, flags", [
+    ("equivalence_golden", []),
+    ("equivalence_proper_golden", ["--proper"]),
+    ("equivalence_n8_golden", ["--state-dim", "8", "--meas-dim", "8", "--trials", "20"]),
+])
 def test_equivalence_golden_regression(tmp_path, name, flags):
     out = tmp_path / "eq.csv"
     assert main(["equivalence", *flags, "--out", str(out)]) == 0

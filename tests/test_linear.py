@@ -536,3 +536,48 @@ def test_ckf_batch_equals_ckf_run_and_checks_every_model():
         ckf_batch([models[0], widely_linear], meas[:2])
     with pytest.raises(DimensionError):
         next(wlckf_batch([models[0], model_from_real(*random_composite(0, n=1, m=2))], meas[:2]))
+
+
+def _shift_model(rows_equal):
+    """A composite model whose innovation covariance is singular at known steps.
+
+    The state x2 takes x1's value and the noise drives x1 alone, from a known
+    initial state. With ``rows_equal``, both measurement channels read x1
+    with noise of variance 1e-15, so S is singular by the 1e-12 rule at
+    every step without being exactly singular. Otherwise channel 2 reads x2
+    with no noise: at step 1, x2 is still known and S is exactly singular;
+    from step 2 on, x2 carries x1's posterior variance and S is regular.
+    """
+    e = np.array([[0.0, 0.0], [1.0, 0.0]])
+    g = np.array([[1.0, 0.0], [1.0, 0.0]]) if rows_equal else np.eye(2)
+    r = 1e-15 * np.eye(2) if rows_equal else np.diag([0.5, 0.0])
+    return e, np.eye(2), g, np.diag([1.0, 0.0]), r, np.zeros((2, 2))
+
+
+def test_real_kf_takes_lstsq_exactly_at_the_singular_steps(monkeypatch):
+    horizon = 6
+    models = [_shift_model(True), _shift_model(False), random_composite(3, n=1, m=1)]
+    meas = np.random.default_rng(9).standard_normal((len(models), horizon, 2))
+    expected = [[True] * horizon, [True] + [False] * (horizon - 1), [False] * horizon]
+    lstsq = {"calls": 0}
+
+    def counted(*args, _fn=np.linalg.lstsq, **kwargs):
+        lstsq["calls"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    singles = []
+    for model, ys, flags in zip(models, meas, expected):
+        lstsq["calls"] = 0
+        steps = real_kf_run(*model, ys)
+        sv = np.linalg.svd(np.stack([step.innovation_cov for step in steps]), compute_uv=False)
+        assert ((sv[:, 0] == 0) | (sv[:, -1] <= 1e-12 * sv[:, 0])).tolist() == flags
+        assert lstsq["calls"] == sum(flags)
+        singles.append(steps)
+    lstsq["calls"] = 0
+    batch = list(real_kf_batch(*(np.stack(arrays) for arrays in zip(*models)), meas))
+    assert lstsq["calls"] == sum(map(sum, expected))
+    for i, steps in enumerate(singles):
+        for step, (mean, cov) in zip(steps, batch, strict=True):
+            assert np.array_equal(step.mean, mean[i])
+            assert np.array_equal(step.cov, cov[i])

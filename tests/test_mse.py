@@ -460,6 +460,22 @@ def test_gains_batch_reports_first_failing_member_in_order():
     assert info.value.index == (0, 1)
 
 
+def test_gains_fail_powers_too_small_for_double_precision_without_warnings():
+    # -3300 dB is exactly zero and -3150 dB subnormal: the driving noise power fails up front.
+    for n1_db in (-3300.0, -3150.0):
+        with pytest.raises(DegenerateError, match=f"driving noise power of {n1_db} dB underflows") as info:
+            noise_impropriety_gains(0.5, 0.5, np.array([-20.0, n1_db]), np.array([-20.0, -3080.0]))
+        assert info.value.index == (1,)
+    # Entries near 1e-160 have products that underflow, so the determinant is too small to divide by.
+    with pytest.raises(DegenerateError, match="2x2 entries of magnitude .* underflow"):
+        noise_impropriety_gain(0.0, 0.0, -1600.0, -1600.0)
+    # A determinant that underflows to zero is singular, and takes the pseudo-inverse.
+    assert np.array_equal(_inv2(np.full((2, 2), 1e-160)), np.linalg.pinv(np.full((2, 2), 1e-160)))
+    with pytest.raises(DegenerateError, match="underflow") as info:
+        _inv2(np.stack([np.eye(2), 1e-160 * np.eye(2)]))
+    assert info.value.index == (1,)
+
+
 def test_inv2_acts_per_matrix_of_a_stack():
     rng = np.random.default_rng(4)
     stack = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))

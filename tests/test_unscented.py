@@ -271,3 +271,41 @@ def test_phase_step_keeps_estimate_real():
     )
     rep = uwlckf_step(init, np.array([np.exp(0.3j) + 0.01]), nl)
     assert abs(rep.state.estimate.top[0].imag) < 1e-9
+
+
+def _report_arrays(rep):
+    return [
+        rep.predicted.estimate.top, rep.predicted.cov.m1, rep.predicted.cov.m2,
+        rep.innovation.top, rep.innovation_cov.m1, rep.innovation_cov.m2,
+        rep.gain.m1, rep.gain.m2, rep.state.estimate.top, rep.state.cov.m1, rep.state.cov.m2,
+    ]
+
+
+def _phase_track(horizon):
+    pm = phase.PhaseModel(snr_db=20.0, rho_abs=0.7)
+    _, y = phase.simulate_phase(pm, horizon, substream(4, 60_000))
+    return phase.nonlinear_phase_model(pm), y
+
+
+def _linearized_track(horizon):
+    model = random_model(21)
+    _, meas = simulate_linear(model, horizon, substream(21, 0))
+    return linearized(model), meas
+
+
+@pytest.mark.parametrize(
+    "track", [lambda: _phase_track(500), lambda: _linearized_track(50)], ids=["phase", "linearized"]
+)
+def test_run_equals_a_loop_of_steps_bit_for_bit(track):
+    # The run forms the joint statistics once and overwrites the state blocks; each step builds its own.
+    nl, meas = track()
+    reports = uwlckf_run(nl, meas)
+    state = FilterState(AugmentedVector(nl.init.mean), nl.init.augmented_cov(), t=0)
+    for rep, y in zip(reports, meas):
+        alone = uwlckf_step(state, np.atleast_1d(np.asarray(y, complex)), nl)
+        assert alone.state.t == rep.state.t
+        assert alone.singular_innovation == rep.singular_innovation
+        for a, b in zip(_report_arrays(alone), _report_arrays(rep)):
+            assert np.array_equal(a, b)
+        state = alone.state
+    assert len(reports) == len(meas)

@@ -76,8 +76,10 @@ _DEFAULTS = {
         # Impropriety orientations of the two noises. With equal phases the
         # ratio is exactly 1 whenever |rho_w| == |rho_n| (the augmented
         # recursion diagonalizes in a common basis and the unit-coefficient
-        # eigenvalue map is scale homogeneous), so the surface is monotone
-        # along the magnitude axes only when the orientations differ.
+        # eigenvalue map is scale homogeneous). The surface need not be
+        # monotone along either magnitude axis, whatever the phases: at
+        # [38.6, 25.1] with phases 2.524 and 2.640 and |rho_n| = 0.821, it
+        # falls from 1.0253 to 1.0178 as |rho_w| goes from 0 to 0.142.
         "rho_w_phase": 0.0,
         "rho_n_phase": 1.5707963267948966,
         "tol": 1e-12,
@@ -377,17 +379,9 @@ def cmd_mse_sweep(cfg: dict) -> int:
         for i, rho_w in enumerate(ws)
         for j, rho_n in enumerate(ns)
     ]
-    # The surface is at least 1, exactly 1 at the proper origin, and monotone
-    # along each impropriety axis in order of increasing |rho|, whatever the
-    # order of the grid.
+    # The surface is at least 1, and exactly 1 at the proper origin.
     origin = np.logical_and.outer(np.equal(ws, 0), np.equal(ns, 0))
-    surface = res.ratio[:, np.argsort(np.abs(ws), kind="stable")][:, :, np.argsort(np.abs(ns), kind="stable")]
-    ok = not (
-        (res.ratio < 1 - 1e-9).any()
-        or (np.abs(res.ratio[:, origin] - 1) > 1e-9).any()
-        or (surface[:, 1:] < surface[:, :-1] - 1e-9).any()
-        or (surface[:, :, 1:] < surface[:, :, :-1] - 1e-9).any()
-    )
+    ok = not ((res.ratio < 1 - 1e-9).any() or (np.abs(res.ratio[:, origin] - 1) > 1e-9).any())
     write_rows(
         Path(cfg["out"]),
         ["rho_w_abs", "rho_n_abs", "N1_db", "N2_db", "ratio", "converged_iters"],

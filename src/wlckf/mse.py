@@ -11,8 +11,10 @@ so the widely linear MMSE at time t is the half-sum of the t-fold composed
 map applied to the initial eigenvalues, while the strictly linear MMSE is
 the composed map applied to the initial Hermitian variance alone. The
 module also computes the convergent-MSE improvement of the widely linear
-filter when the two noises are improper, for one noise setting or for a
-batch of them in one fixed-point loop.
+filter when the two noises are improper: in closed form, where a
+congruence splits the steady-state equation into two such scalar channels,
+and by a fixed-point loop over a batch of noise settings, whose value
+stands where it converges to the closed form.
 """
 from __future__ import annotations
 
@@ -201,17 +203,6 @@ def _determinants(m: np.ndarray, scale: np.ndarray):
     return det, np.abs(det[:, 0]) <= limit
 
 
-def _singular(m: np.ndarray) -> np.ndarray:
-    """Whether each 2x2 of ``m[k, 2, 2]`` is singular by the criterion of :func:`_inv2`.
-
-    Entries that overflow when squared give no answer of use; :func:`_inv2`
-    rejects them.
-    """
-    m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _determinants(m, _largest_entries(m))[1]
-
-
 def _inv2(m: np.ndarray) -> np.ndarray:
     """Inverse of each 2x2 in ``m[..., 2, 2]``: adjugate over determinant,
     pseudo-inverse for a matrix whose determinant is negligible on the
@@ -220,11 +211,9 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     The determinant is formed from real and imaginary parts, each product
     rounded on its own as in scalar complex arithmetic (numpy's complex
     array multiply may fuse them), so every matrix of a stack gets the bits
-    a lone 2x2 gets. Raises DegenerateError, with ``index`` the position in
-    the stack of the first such matrix, when the entries of a matrix
-    overflow when squared, or when its determinant is not negligible but
-    too small to divide by (entries near 1e-150 and below, whose products
-    underflow).
+    a lone 2x2 gets. Raises DegenerateError, with ``index`` the first such
+    matrix of the stack, for entries that overflow when squared or a
+    determinant too small to divide by (entries near 1e-150 and below).
     """
     batch = np.shape(m)[:-2]
     m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
@@ -298,13 +287,15 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
 
 @dataclass
 class ImproprietyGain:
-    """Convergent-MSE ratio of the strictly linear filter over the widely linear one."""
+    """Convergent-MSE ratio of the strictly linear filter over the widely linear one.
+
+    ``iterations`` is where the recursion converged, or 0 for the closed form.
+    """
 
     ratio: float
     wl_mse: float
     sl_mse: float
     iterations: int
-    converged: bool
 
 
 @dataclass
@@ -315,16 +306,105 @@ class ImproprietyGains:
     wl_mse: np.ndarray
     sl_mse: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
+
+
+# A correlation magnitude within this distance of 1 is maximally improper:
+# it absorbs the rounding of a unit |rho| e^{j phase}.
+ON_CIRCLE = 4 * np.finfo(float).eps
+# A converged member keeps the recursion's value only within this relative
+# distance of the closed form.
+AGREE = 1e-6
+
+
+def _posterior(q, r):
+    """Steady posterior variance of a scalar channel with driving power q and measurement power r.
+
+    The predicted variance m solves m - q = m r / (m + r), and the posterior
+    m r / (m + r) = 2 r sqrt(q) / (sqrt(q) + sqrt(q + 4 r)) subtracts
+    nothing. It is 0 where q or r is; the maximum keeps 0 / 0 at 0.
+    """
+    root = np.sqrt(q)
+    return 2 * r * root / np.maximum(root + np.sqrt(q + 4 * r), np.finfo(float).tiny)
+
+
+def _chord_shares(rho, on_circle, axis):
+    """Shares (c+, c-), summing to 2, of the two ends of the chord through ``rho`` along ``axis``.
+
+    With x the position of rho from the chord's midpoint and l its
+    half-length, they are (l + x) / l and (l - x) / l; the smaller is taken
+    as (1 - |rho|^2) / ((l + |x|) l), since l^2 = 1 - |rho|^2 + x^2.
+    """
+    x = (np.conj(axis) * rho).real
+    mag = np.abs(rho)
+    inside = np.where(on_circle, 0.0, (1 - mag) * (1 + mag))
+    half = np.sqrt(inside + x * x)
+    near, far = (half + np.abs(x)) / half, inside / (half + np.abs(x)) / half
+    return np.where(x >= 0, near, far), np.where(x >= 0, far, near)
+
+
+def steady_state_gains(rho_w, rho_n, n1_db, n2_db) -> ImproprietyGains:
+    """Closed-form limit of :func:`noise_impropriety_gains`, with ``iterations`` 0.
+
+    The steady predicted covariance M solves M - Q = M (M + R)^-1 R
+    (Anderson & Moore, *Optimal Filtering*, 1979) for the augmented noise
+    covariances Q = N1 [[1, rho_w], [conj(rho_w), 1]] and R likewise. Up to
+    one unitary change of basis, a covariance N [[1, rho], [conj(rho), 1]]
+    over its trace 2N is the point rho of the unit disk, and the rank-one
+    ones lie on the unit circle (Schreier & Scharf, 2010). So Q and R are
+    nonnegative combinations of the two rank-one covariances at the ends of
+    the chord through rho_w and rho_n (:func:`_chord_shares`; equal rho take
+    the diameter). Congruence to that pair splits the equation into two
+    scalar channels, q_i = N1 c_i(rho_w) and r_i = N2 c_i(rho_n), and the
+    widely linear MSE is half the sum of their posteriors; the strictly
+    linear MSE is the channel q = N1, r = N2.
+
+    Both are homogeneous of degree 1 in (N1, N2): they are computed with the
+    larger power at 1, so the ratio depends only on N1 - N2 and the two rho,
+    and ``wl_mse`` and ``sl_mse`` are then scaled by the larger power. A
+    magnitude within ``ON_CIRCLE`` of 1 counts as 1. The settings broadcast
+    against each other, and the call raises for the first failing member in
+    order, with ``index`` naming it: NotPSDError for |rho| > 1;
+    DegenerateError for powers whose linear ratio leaves the normal doubles,
+    and for an unbounded ratio, where both noises are maximally improper in
+    different orientations (one channel has q = 0 and the other r = 0).
+    """
+    rho_w, rho_n, n1_db, n2_db = np.broadcast_arrays(
+        np.asarray(rho_w, dtype=complex), np.asarray(rho_n, dtype=complex),
+        np.asarray(n1_db, dtype=float), np.asarray(n2_db, dtype=float),
+    )
+    mag_w, mag_n = np.abs(rho_w), np.abs(rho_n)
+    on_w, on_n = mag_w >= 1 - ON_CIRCLE, mag_n >= 1 - ON_CIRCLE
+    rho_w = np.where(on_w, rho_w / np.maximum(mag_w, 1 - ON_CIRCLE), rho_w)
+    rho_n = np.where(on_n, rho_n / np.maximum(mag_n, 1 - ON_CIRCLE), rho_n)
+    gap = n1_db - n2_db
+    weaker = 10.0 ** (-np.abs(gap) / 10.0)
+    chord = rho_n - rho_w
+    invalid = (mag_w > 1 + ON_CIRCLE) | (mag_n > 1 + ON_CIRCLE)
+    too_far = ~(weaker >= np.finfo(float).tiny)
+    unbounded = on_w & on_n & (chord != 0)
+    failing = invalid | too_far | unbounded
+    if np.count_nonzero(failing):
+        i = int(np.argmax(failing.ravel()))
+        index = np.unravel_index(i, failing.shape)
+        if invalid.flat[i]:
+            raise NotPSDError("correlation coefficient magnitudes must be <= 1", index=index)
+        if too_far.flat[i]:
+            raise DegenerateError(f"noise powers {gap.flat[i]:g} dB apart leave the normal doubles", index=index)
+        raise DegenerateError(
+            "both noises are maximally improper, in different orientations: the MSE ratio is unbounded", index=index
+        )
+    axis = np.exp(1j * np.angle(np.where(chord != 0, chord, rho_w)))
+    n1, n2 = np.where(gap >= 0, 1.0, weaker), np.where(gap >= 0, weaker, 1.0)
+    (w_plus, w_minus), (n_plus, n_minus) = _chord_shares(rho_w, on_w, axis), _chord_shares(rho_n, on_n, axis)
+    wl = 0.5 * (_posterior(n1 * w_plus, n2 * n_plus) + _posterior(n1 * w_minus, n2 * n_minus))
+    sl = _posterior(n1, n2)
+    with np.errstate(over="ignore"):
+        scale = 10.0 ** (np.maximum(n1_db, n2_db) / 10.0)
+    return ImproprietyGains(sl / wl, wl * scale, sl * scale, np.zeros(sl.shape, dtype=int))
 
 
 def noise_impropriety_gain(
-    rho_w: complex,
-    rho_n: complex,
-    n1_db: float,
-    n2_db: float,
-    horizon: int = 10_000,
-    tol: float = 1e-12,
+    rho_w: complex, rho_n: complex, n1_db: float, n2_db: float, horizon: int = 10_000, tol: float = 1e-12
 ) -> ImproprietyGain:
     """Steady-state MSE ratio when driving and measurement noise are improper.
 
@@ -336,33 +416,13 @@ def noise_impropriety_gain(
     invertible, and well defined when it is singular at |rho_n| = 1); the
     strictly linear one runs on the Hermitian variance alone. Both iterate
     until the MSE change drops below ``tol`` or the horizon caps the run.
-    This is the one-member call of :func:`noise_impropriety_gains`.
-
-    The posterior is P - K P, except where that subtraction cancels: when
-    the driving noise is far stronger than the measurement noise, P - K P
-    is rounding left over from two nearly equal terms. So where max |K P|
-    exceeds ``CANCEL`` times max |P - K P|, the posterior is the equal
-    K R = P (P + R)^-1 R, which has no subtraction.
-
-    Noise powers beyond double precision raise DegenerateError: a
-    measurement noise power whose reciprocal overflows (zero, or subnormal
-    below about 5.6e-309), a driving noise power that underflows (zero, or
-    subnormal below about 2.2e-308), matrix entries whose squares overflow
-    or whose determinant underflows, a widely linear MSE that rounding
-    drives to zero or below, or a maximally improper driving noise
-    (|rho_w| = 1, a singular augmented covariance Q) so much stronger than
-    the posterior P that P + Q rounds to a singular matrix while P is
-    regular, where the measurement noise's impropriety ties the lost part
-    of P back into the recursion.
+    The posterior P - K P is taken as the equal K R where it cancels (see
+    ``CANCEL``). The result stands where it converged within ``AGREE`` of
+    :func:`steady_state_gains`, and is that closed form anywhere else. This
+    is the one-member call of :func:`noise_impropriety_gains`.
     """
     res = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=horizon, tol=tol)
-    return ImproprietyGain(
-        ratio=float(res.ratio),
-        wl_mse=float(res.wl_mse),
-        sl_mse=float(res.sl_mse),
-        iterations=int(res.iterations),
-        converged=bool(res.converged),
-    )
+    return ImproprietyGain(float(res.ratio), float(res.wl_mse), float(res.sl_mse), int(res.iterations))
 
 
 def _noise_covariances(power: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -377,141 +437,76 @@ def _noise_covariances(power: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, tol: float = 1e-12) -> ImproprietyGains:
     """:func:`noise_impropriety_gain` over a batch of noise settings at once.
 
-    The four settings broadcast against each other, and each member of the
-    broadcast shape gets the bits its one-member call gets: the members run
-    the same covariance-form update on one ``(k, 2, 2)`` stack, each stops
-    on its own iteration, and the stack shrinks only on iterations where
-    some member stops. If any member fails, the call raises the error of
-    the first failing member in order, with ``index`` naming it, once every
-    member before it has finished.
+    The four settings broadcast against each other, and the closed form
+    raises its errors first. The members run the same update on one
+    ``(k, 2, 2)`` stack, each stops on its own iteration, and the stack
+    shrinks only on iterations where some member stops, so each member gets
+    the bits its one-member call gets. A member leaves for the closed form
+    when it reaches the horizon, when :func:`_inv2` raises for its 2x2, when
+    its widely linear MSE is not a positive number, or when it converges
+    farther than ``AGREE`` from the closed form; so the loop runs with
+    numpy's floating-point warnings off.
     """
-    rho_w, rho_n, n1_db, n2_db = np.broadcast_arrays(
-        np.asarray(rho_w, dtype=complex), np.asarray(rho_n, dtype=complex), np.asarray(n1_db), np.asarray(n2_db)
+    closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
+    shape = closed.ratio.shape
+    rho_w, rho_n, n1_db, n2_db = (
+        np.broadcast_to(np.asarray(a, dtype=dtype), shape).ravel()
+        for a, dtype in ((rho_w, complex), (rho_n, complex), (n1_db, float), (n2_db, float))
     )
-    shape = rho_w.shape
-    rho_w, rho_n = rho_w.ravel(), rho_n.ravel()
-    n1_db, n2_db = n1_db.ravel().tolist(), n2_db.ravel().tolist()
-    n1 = np.array([db_to_linear(db) for db in n1_db])
-    n2 = np.array([db_to_linear(db) for db in n2_db])
-    k = len(n1)
+    n1, n2 = (np.array([db_to_linear(db) for db in dbs.tolist()]) for dbs in (n1_db, n2_db))
     q, r = _noise_covariances(n1, rho_w), _noise_covariances(n2, rho_n)
-
-    # The first member known to fail, as (member, error class, message).
-    # Members after it no longer run: the call raises whatever they do.
-    failure = None
-    invalid = (np.abs(rho_w) > 1) | (np.abs(rho_n) > 1)
-    # The recursion takes 1 / N2, which overflows below 1 / (largest double).
-    no_meas = n2 < _RECIPROCAL_SAFE
-    # A driving noise power below the smallest normal double has lost its
-    # precision, and at zero both MSEs tend to zero and the ratio is undefined.
-    no_drive = n1 < np.finfo(float).tiny
-    unusable = invalid | no_meas | no_drive
-    if np.count_nonzero(unusable):
-        i = int(np.argmax(unusable))
-        if invalid[i]:
-            failure = (i, NotPSDError, "correlation coefficient magnitudes must be <= 1")
-        elif no_meas[i]:
-            failure = (i, DegenerateError, f"measurement noise power of {n2_db[i]} dB underflows: its reciprocal overflows")
-        else:
-            failure = (
-                i, DegenerateError, f"driving noise power of {n1_db[i]} dB underflows below the smallest normal double"
-            )
-    stop = k if failure is None else failure[0]
-    # Widely and strictly linear MSE of every member, filled in as each one stops.
-    result = np.ones((2, k))
-    iterations = np.full(k, max(horizon, 0))
-    converged = np.zeros(k, dtype=bool)
+    # Widely and strictly linear MSE of every member, and the iteration where it converged.
+    result = np.ones((2, len(n1)))
+    iterations = np.zeros(len(n1), dtype=int)
     # The working set: the members still iterating, their states and their MSE pairs.
-    member = np.arange(stop)
-    p_bar = np.broadcast_to(np.eye(2, dtype=complex), (stop, 2, 2)).copy()
-    q, r, n1 = q[:stop], r[:stop], n1[:stop]
-    inv_n2 = 1.0 / n2[:stop]
-    # A singular driving-noise covariance Q can absorb the posterior: P + Q
-    # rounds to the singular Q while P is regular, and the recursion loses
-    # P along the null vector u of Q. That changes the fixed point only where
-    # the measurement noise couples u to the range v of Q: u^H R v is
-    # j N2 Im(conj(rho_w) rho_n), so a proper R or one of Q's orientation
-    # keeps u apart, and P along u decays to zero whatever its start. The
-    # members with a singular Q and a coupling R are checked on every
-    # iteration; a batch with none skips the check.
-    coupled = (np.conj(rho_w) * rho_n).imag != 0
-    rank_one = _singular(q) & coupled[:stop]
-    checking = bool(np.count_nonzero(rank_one))
-    mse = result[:, :stop].copy()
+    member = np.arange(len(n1))
+    p_bar = np.broadcast_to(np.eye(2, dtype=complex), (len(n1), 2, 2)).copy()
+    mse = np.ones((2, len(n1)))
     it = 0
-    while it < horizon and len(member):
-        predicted = p_bar + q
-        try:
-            gain = predicted @ _inv2(predicted + r)
-        except DegenerateError as exc:
-            j = exc.index[0]
-            failure = (int(member[j]), DegenerateError, str(exc))
-        else:
-            j = None
-            if checking and np.count_nonzero(rank_one):
-                absorbed = np.zeros(len(member), dtype=bool)
-                absorbed[rank_one] = _singular(predicted[rank_one]) & ~_singular(p_bar[rank_one])
-                if np.count_nonzero(absorbed):
-                    j = int(np.argmax(absorbed))
-                    i = int(member[j])
-                    failure = (
-                        i, DegenerateError,
-                        f"the singular driving-noise covariance absorbs the posterior at iteration {it + 1}: "
-                        f"noise powers of {n1_db[i]} dB and {n2_db[i]} dB are too far apart for double precision",
-                    )
-        if j is not None:
-            # Drop the member and all after it, and redo the iteration.
-            member, p_bar, q, r, n1, inv_n2, rank_one = (a[:j] for a in (member, p_bar, q, r, n1, inv_n2, rank_one))
-            mse = mse[:, :j]
-            continue
-        it += 1
-        # K P and P - K P side by side, so one pass finds both scales.
-        pair = np.empty((2, *predicted.shape), dtype=complex)
-        kp, p_bar = pair
-        np.matmul(gain, predicted, out=kp)
-        np.subtract(predicted, kp, out=p_bar)
-        kp_scale, p_bar_scale = _largest_entries(pair).reshape(2, -1)
-        cancelled = kp_scale > CANCEL * p_bar_scale
-        if np.count_nonzero(cancelled):
-            p_bar[cancelled] = gain[cancelled] @ r[cancelled]
-        p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
-        new = np.empty_like(mse)
-        wl, sl = new
-        np.add(p_bar[:, 0, 0].real, p_bar[:, 1, 1].real, out=wl)
-        wl *= 0.5
-        np.add(mse[1], n1, out=sl)
-        np.divide(1.0, sl, out=sl)
-        sl += inv_n2
-        np.divide(1.0, sl, out=sl)
-        small = np.abs(new - mse) < tol
-        done = small[0] & small[1]
-        mse = new
-        if np.count_nonzero(wl > 0) < len(member):
-            j = int(np.argmin(wl > 0))
-            i = int(member[j])
-            failure = (
-                i, DegenerateError,
-                f"widely linear MSE is {float(wl[j])!r} at iteration {it}: noise powers of "
-                f"{n1_db[i]} dB and {n2_db[i]} dB are too far apart for double precision",
-            )
-            done[j:] = True
-        if np.count_nonzero(done):
-            finished = member[done]
-            result[:, finished] = mse[:, done]
-            iterations[finished] = it
-            converged[finished] = True
-            keep = ~done
-            member, p_bar, q, r, n1, inv_n2, rank_one = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2, rank_one))
-            mse = mse[:, keep]
-    if failure is not None:
-        i, error, message = failure
-        raise error(message, index=np.unravel_index(i, shape))
-    result[:, member] = mse
-    wl_mse, sl_mse = result
-    return ImproprietyGains(
-        ratio=(sl_mse / wl_mse).reshape(shape),
-        wl_mse=wl_mse.reshape(shape),
-        sl_mse=sl_mse.reshape(shape),
-        iterations=iterations.reshape(shape),
-        converged=converged.reshape(shape),
-    )
+    with np.errstate(all="ignore"):
+        inv_n2 = 1.0 / n2
+        while it < horizon and len(member):
+            predicted = p_bar + q
+            try:
+                gain = predicted @ _inv2(predicted + r)
+            except DegenerateError as exc:
+                # The member leaves, and the others redo the iteration.
+                leave = np.arange(len(member)) == exc.index[0]
+            else:
+                it += 1
+                # K P and P - K P side by side, so one pass finds both scales.
+                pair = np.empty((2, *predicted.shape), dtype=complex)
+                kp, p_bar = pair
+                np.matmul(gain, predicted, out=kp)
+                np.subtract(predicted, kp, out=p_bar)
+                kp_scale, p_bar_scale = _largest_entries(pair).reshape(2, -1)
+                cancelled = kp_scale > CANCEL * p_bar_scale
+                if np.count_nonzero(cancelled):
+                    p_bar[cancelled] = gain[cancelled] @ r[cancelled]
+                p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
+                new = np.empty_like(mse)
+                wl, sl = new
+                np.add(p_bar[:, 0, 0].real, p_bar[:, 1, 1].real, out=wl)
+                wl *= 0.5
+                np.add(mse[1], n1, out=sl)
+                np.divide(1.0, sl, out=sl)
+                sl += inv_n2
+                np.divide(1.0, sl, out=sl)
+                small = np.abs(new - mse) < tol
+                done = small[0] & small[1]
+                mse = new
+                leave = done | ~(wl > 0)
+                if np.count_nonzero(done):
+                    result[:, member[done]] = mse[:, done]
+                    iterations[member[done]] = it
+            if np.count_nonzero(leave):
+                keep = ~leave
+                member, p_bar, q, r, n1, inv_n2 = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2))
+                mse = mse[:, keep]
+        wl_mse, sl_mse = result
+        ratio = sl_mse / wl_mse
+    # The recursion's value stands only where it converged within AGREE of the closed form.
+    target = closed.ratio.ravel()
+    stands = (iterations > 0) & (np.abs(ratio - target) <= AGREE * target)
+    pairs = ((ratio, closed.ratio), (wl_mse, closed.wl_mse), (sl_mse, closed.sl_mse), (iterations, 0))
+    return ImproprietyGains(*(np.where(stands, looped, np.ravel(exact)).reshape(shape) for looped, exact in pairs))

@@ -198,11 +198,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("mse-sweep", [], {"panels": [[4000, -20]]}),
         ("mse-sweep", [], {"panels": [[200, 170]], "rho_w": [1.0], "rho_n": [1.0],
                            "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2}),
-        ("mse-sweep", [], {"panels": [[3000, -20]]}),
         ("mse-sweep", [], {"panels": [[-20, -4000]]}),
-        ("mse-sweep", [], {"panels": [[-3200, -3210]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
-        ("mse-sweep", [], {"panels": [[-3300, -1600]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
-        ("mse-sweep", [], {"panels": [[-3300, -3080]], "rho_w": [0, 0.5], "rho_n": [0, 0.5]}),
         ("equivalence", [], {"out": 5}),
         ("theta-bound", [], {"out": ""}),
         ("phase-demod", [], {"r_snr": 10**400}),
@@ -223,8 +219,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "equivalence-seed-bool", "equivalence-proper-text",
         "equivalence-fractional-counts", "fractional-runs", "mse-sweep-float-max-iter",
         "r-snr-overflow", "snr-list-overflow", "traj-snr-overflow", "mse-sweep-panel-overflow",
-        "mse-sweep-panel-200db", "mse-sweep-panel-3000db", "mse-sweep-panel-underflow", "mse-sweep-panel-subnormal",
-        "mse-sweep-drive-underflow", "mse-sweep-drive-underflow-writes-rows",
+        "mse-sweep-panel-200db", "mse-sweep-panel-underflow",
         "out-number", "out-empty",
         "r-snr-huge-int", "mse-sweep-tol-huge-int", "equivalence-max-dev-huge-int",
         "mse-sweep-panel-huge-int", "mse-sweep-rho-w-huge-int", "horizon-huge-int", "theta-bound-t-max-huge-int",
@@ -305,22 +300,9 @@ def test_mse_sweep_unsorted_grid_keeps_row_order_and_passes(tmp_path, capsys):
     assert float(rows[0][4]) > float(rows[1][4])
 
 
-def test_mse_sweep_unsorted_grid_still_catches_a_dip(tmp_path, monkeypatch, capsys):
-    gains = cli.mse.noise_impropriety_gains
-
-    def dipped(*args, **kwargs):
-        res = gains(*args, **kwargs)
-        res.ratio[:, 0, :] = res.ratio[:, 1, :] - 1e-6  # |rho_w| = 0.8 now gains less than 0.4
-        return res
-
-    monkeypatch.setattr(cli.mse, "noise_impropriety_gains", dipped)
-    code = main(["mse-sweep", "--rho-w", "0.8,0.4", "--rho-n", "0.5", "--out", str(tmp_path / "ms.csv")])
-    assert code == 1
-    assert "invariants VIOLATED" in capsys.readouterr().out
-
-
 def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
-    # Both noises maximally improper, 72 degrees apart in orientation.
+    # Both noises maximally improper, 72 degrees apart in orientation: the
+    # ratio is unbounded at every N1 - N2, so the first panel fails.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "panels": [[-20, -20], [50, -40], [3000, -20]],
@@ -330,26 +312,38 @@ def test_mse_sweep_names_first_failing_panel(tmp_path, capsys):
     assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 2
     assert not out.parent.exists()
     assert capsys.readouterr().err == (
-        "config error: panel [50, -40]: widely linear MSE is -0.08877503581607016 at iteration 4: noise powers of "
-        "50 dB and -40 dB are too far apart for double precision\n"
+        "config error: panel [-20, -20]: both noises are maximally improper, in different orientations: "
+        "the MSE ratio is unbounded\n"
     )
 
 
 def test_mse_sweep_names_a_panel_whose_driving_noise_absorbs_the_posterior(tmp_path, capsys):
     # |rho_w| = 1 gives the driving noise a singular covariance Q; at 200 dB,
-    # P + Q rounds to Q and the recursion would report a wrong converged ratio.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
+    # P + Q rounds to Q and the recursion loses P. With |rho_n| = 1 in another
+    # orientation the ratio is unbounded, and the panel is named.
+    config = {
         "panels": [[200, -20]], "rho_w": [0, 1], "rho_n": [0, 1],
         "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.2,
-    }))
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "out" / "ms.csv"
     assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 2
     assert not out.parent.exists()
     assert capsys.readouterr().err == (
-        "config error: panel [200, -20]: the singular driving-noise covariance absorbs the posterior at "
-        "iteration 1: noise powers of 200 dB and -20 dB are too far apart for double precision\n"
+        "config error: panel [200, -20]: both noises are maximally improper, in different orientations: "
+        "the MSE ratio is unbounded\n"
     )
+    # With |rho_n| = 0.999 every row has a value: the closed form's (60-digit
+    # values 1, 2 and 68.92741682715) where the lost part of P changes the
+    # recursion's limit.
+    path.write_text(json.dumps({**config, "rho_n": [0, 0.999]}))
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    ratios = [float(row[4]) for row in rows]
+    assert ratios[0] == 1.0 and abs(ratios[1] - 1) < 1e-9
+    assert abs(ratios[2] - 2) < 2e-6 and abs(ratios[3] - 68.9274168271548) < 1e-9
+    assert rows[3][5] == "0"
 
 
 def test_mse_sweep_far_stronger_driving_noise_keeps_invariants(tmp_path, capsys):
@@ -363,6 +357,71 @@ def test_mse_sweep_far_stronger_driving_noise_keeps_invariants(tmp_path, capsys)
     ratios = np.array([float(row[4]) for row in rows]).reshape(7, 7)
     assert (ratios >= 1 - 1e-9).all() and ratios[0, 0] == 1.0
     assert (np.diff(ratios, axis=0) >= -1e-9).all() and (np.diff(ratios, axis=1) >= -1e-9).all()
+
+
+@pytest.mark.parametrize(
+    "panel, grid",
+    [
+        ([3000, -20], None),
+        ([-3200, -3210], [0, 0.5]),
+        ([-3300, -1600], [0, 0.5]),
+        ([-3300, -3080], [0, 0.5]),
+    ],
+    ids=[
+        "mse-sweep-panel-3000db", "mse-sweep-panel-subnormal",
+        "mse-sweep-drive-underflow", "mse-sweep-drive-underflow-writes-rows",
+    ],
+)
+def test_mse_sweep_powers_beyond_the_recursion_take_the_closed_form(tmp_path, capsys, panel, grid):
+    # Powers whose 2x2 squares overflow, or that are zero or subnormal as
+    # doubles, but lie within the normal doubles of each other: each row is
+    # the closed form of the same N1 - N2 at 0 dB, with converged_iters 0.
+    config = {"panels": [panel]} if grid is None else {"panels": [panel], "rho_w": grid, "rho_n": grid}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "ms.csv"
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(out)
+    ws = np.array([float(row[0]) for row in rows])
+    ns = np.array([float(row[1]) for row in rows]) * 1j
+    shifted = cli.mse.steady_state_gains(ws, ns, panel[0] - panel[1], 0.0).ratio
+    ratios = np.array([float(row[4]) for row in rows])
+    assert (np.abs(ratios - shifted) <= 1e-12 * shifted).all()
+    assert {row[5] for row in rows} == {"0"}
+
+
+def test_mse_sweep_writes_the_closed_form_where_the_recursion_does_not_converge(tmp_path, capsys):
+    # With N1 80 dB below N2 the recursion relaxes over about 10^4 steps, and
+    # no member converges by max_iter: every row is the closed form.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"panels": [[-100, -20]]}))
+    out = tmp_path / "ms.csv"
+    assert main(["mse-sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "mse-sweep: 49 points, invariants ok\n"
+    _, rows = read_rows(out)
+    ws = np.array([float(row[0]) for row in rows])
+    ns = np.array([float(row[1]) for row in rows]) * 1j
+    closed = cli.mse.steady_state_gains(ws, ns, -100.0, -20.0).ratio
+    ratios = np.array([float(row[4]) for row in rows])
+    assert (np.abs(ratios - closed) <= 1e-6 * closed).all()
+    assert {row[5] for row in rows} == {"0"}
+    (row,) = [row for row in rows if row[:2] == ["0.4", "0.8"]]
+    assert abs(float(row[4]) - 1.16098031097) < 1e-9 and row[5] == "0"
+
+
+def test_mse_sweep_equal_orientations_pass_the_gate(tmp_path, capsys):
+    # The surface dips to exactly 1 wherever |rho_w| = |rho_n|: it is not
+    # monotone, and the gate checks only ratio >= 1 and the origin.
+    out = tmp_path / "ms.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rho_n_phase": 0.0}))
+    assert main(["mse-sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "mse-sweep: 147 points, invariants ok\n"
+    _, rows = read_rows(out)
+    diagonal = [float(row[4]) for row in rows if row[0] == row[1]]
+    assert len(diagonal) == 21 and all(abs(ratio - 1) < 1e-9 for ratio in diagonal)
+    assert any(float(row[4]) > 1.01 for row in rows)
 
 
 # Tables written at the commit before phase-demod shared its tracking

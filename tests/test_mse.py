@@ -7,6 +7,8 @@ from wlckf.augmented import AugmentedMatrix
 from wlckf.errors import DegenerateError, DimensionError, NotPSDError
 from wlckf.linear import WidelyLinearModel, wlckf_run
 from wlckf.mse import (
+    AGREE,
+    ON_CIRCLE,
     ScalarModelParams,
     _inv2,
     db_to_linear,
@@ -17,6 +19,7 @@ from wlckf.mse import (
     noise_impropriety_gains,
     sl_mmse,
     split_minimum_scan,
+    steady_state_gains,
     variance_after,
     variance_step,
     wl_mmse,
@@ -216,7 +219,7 @@ def test_db_conversion():
 
 def test_gain_proper_noise_is_one():
     res = noise_impropriety_gain(0.0, 0.0, -20.0, -20.0)
-    assert res.converged
+    assert res.iterations > 0
     assert res.ratio == pytest.approx(1.0, abs=1e-9)
 
 
@@ -256,7 +259,7 @@ def test_gain_equal_orientations_collapse_on_diagonal():
 
 def test_gain_golden_fixture():
     res = noise_impropriety_gain(0.95, 0.95j, -20.0, -40.0)
-    assert res.converged
+    assert res.iterations > 0
     assert res.ratio == pytest.approx(1.1534220494910998, rel=1e-9)
 
 
@@ -347,16 +350,18 @@ def _reference_gain(rho_w, rho_n, n1_db, n2_db, horizon):
     return p_sl / wl_mse, wl_mse, p_sl, iterations, converged
 
 
+
+
+FIELDS = ("ratio", "wl_mse", "sl_mse", "iterations")
+
+
 def _single_calls(rho_w, rho_n, n1_db, n2_db, horizon):
     rho_w, rho_n, n1_db, n2_db = np.broadcast_arrays(rho_w, rho_n, n1_db, n2_db)
     singles = [
         noise_impropriety_gain(complex(w), complex(n), float(a), float(b), horizon=horizon)
         for w, n, a, b in zip(rho_w.ravel(), rho_n.ravel(), n1_db.ravel(), n2_db.ravel())
     ]
-    return {
-        field: np.array([getattr(res, field) for res in singles]).reshape(rho_w.shape)
-        for field in ("ratio", "wl_mse", "sl_mse", "iterations", "converged")
-    }
+    return {field: np.array([getattr(res, field) for res in singles]).reshape(rho_w.shape) for field in FIELDS}
 
 
 def test_gains_batch_equals_single_calls_bit_for_bit():
@@ -366,25 +371,28 @@ def test_gains_batch_equals_single_calls_bit_for_bit():
         # The three default panels at the default orientations, 90 degrees apart.
         (grid[None, :, None], 1j * grid[None, None, :], panels[:, 0, None, None], panels[:, 1, None, None]),
         # rho_n = 1 with rho_w = 1 in the same orientation makes the 2x2 singular
-        # (pseudo-inverse); rho_w = 1 alone never converges and stops at the horizon.
-        (np.array([1.0, 1.0, 0.5, 1.0]), np.array([1.0, 0.0, 1.0, 1j]), -20.0, -20.0),
+        # (pseudo-inverse); rho_w = 1 with a proper or a 90-degree rho_n does not
+        # converge by the horizon, and takes the closed form.
+        (np.array([1.0, 1.0, 0.5, 1.0]), np.array([1.0, 0.0, 1.0, 0.5j]), -20.0, -20.0),
     ]
     for rho_w, rho_n, n1_db, n2_db in cases:
         batch = noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon=600)
         single = _single_calls(rho_w, rho_n, n1_db, n2_db, horizon=600)
         for field, expected in single.items():
             assert np.array_equal(getattr(batch, field), expected), field
-        # And the bits of the matrix-by-matrix loop in scalar arithmetic.
+        # And the bits of the matrix-by-matrix loop in scalar arithmetic where
+        # it converged, and those of the closed form where it did not.
+        closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
         members = zip(*(a.ravel() for a in np.broadcast_arrays(rho_w, rho_n, n1_db, n2_db)))
-        reference = np.array([_reference_gain(*member, horizon=600) for member in members]).T
-        for field, expected in zip(("ratio", "wl_mse", "sl_mse", "iterations", "converged"), reference):
-            assert np.array_equal(getattr(batch, field).ravel(), expected), field
-    # Members stop on iterations of their own, and some run to the horizon.
+        for i, member in enumerate(members):
+            *looped, converged = _reference_gain(*member, horizon=600)
+            expected = looped if converged else [getattr(closed, field).ravel()[i] for field in FIELDS]
+            assert [getattr(batch, field).ravel()[i] for field in FIELDS] == expected, member
+    # Members stop on iterations of their own, and some take the closed form.
     first = noise_impropriety_gains(*cases[0], horizon=600)
     assert len(np.unique(first.iterations)) > 5
     last = noise_impropriety_gains(*cases[1], horizon=600)
-    assert last.converged.tolist() == [True, False, True, False]
-    assert last.iterations[1] == 600
+    assert last.iterations.tolist() == [14, 0, 15, 0]
 
 
 def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
@@ -398,77 +406,106 @@ def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     res = noise_impropriety_gains(np.array([0.5, 1.0]), np.array([1.0j, 1.0]), -20.0, -20.0)
     assert calls and all(shape == (1,) for shape in calls)
-    assert res.converged.all()
+    assert (res.iterations > 0).all()
 
 
-# Maximally improper noises of different orientations 90 dB apart: the
-# widely linear MSE of the member goes negative at its fourth iteration.
-ZERO_MSE_MEMBER = (1j, np.exp(1.2j), 50.0, -40.0)
+# Both noises maximally improper, in orientations 72 degrees apart: one
+# channel of the steady state has no driving noise and the other no
+# measurement noise, so the ratio is unbounded at every N1 - N2.
+UNBOUNDED_MEMBER = (1j, np.exp(1.2j), 50.0, -40.0)
 
 
 def test_gains_batch_raises_for_its_degenerate_member():
-    rho_w, rho_n, n1_db, n2_db = ZERO_MSE_MEMBER
+    rho_w, rho_n, n1_db, n2_db = UNBOUNDED_MEMBER
     with pytest.raises(DegenerateError) as info:
         noise_impropriety_gains(
             np.array([0.0, rho_w, 0.9]), np.array([0.5j, rho_n, 0.5j]),
             np.array([-20.0, n1_db, -20.0]), np.array([-20.0, n2_db, -20.0]),
         )
     assert info.value.index == (1,)
-    assert "widely linear MSE" in str(info.value)
+    assert str(info.value) == (
+        "both noises are maximally improper, in different orientations: the MSE ratio is unbounded"
+    )
     with pytest.raises(DegenerateError) as single:
-        noise_impropriety_gain(*ZERO_MSE_MEMBER)
+        noise_impropriety_gain(*UNBOUNDED_MEMBER)
     assert str(info.value) == str(single.value)
+    for n1_db in (-300.0, -20.0, -40.0, 90.0, 300.0):
+        with pytest.raises(DegenerateError, match="unbounded"):
+            steady_state_gains(rho_w, rho_n, n1_db, n2_db)
 
 
-def test_gain_raises_when_a_singular_driving_noise_absorbs_the_posterior():
+def test_gain_of_a_singular_driving_noise_far_above_the_measurement_noise_is_the_closed_form():
     # rho_w = j gives Q rank 1; at 220 dB above the measurement noise,
-    # P + Q rounds to Q at the first iteration, and the recursion loses P.
-    with pytest.raises(DegenerateError, match="absorbs the posterior at iteration 1: noise powers of 200 dB"):
-        noise_impropriety_gain(1j, 0.999 * np.exp(1.2j), 200, -20)
-    with pytest.raises(DegenerateError, match="absorbs the posterior") as info:
-        noise_impropriety_gains(np.array([0.9j, 1j, 1j]), 0.999 * np.exp(1.2j), 200.0, -20.0)
-    assert info.value.index == (1,)
+    # P + Q rounds to Q at the first iteration and the recursion loses P, so
+    # its value does not stand and the member takes the closed form (here its
+    # 60-digit value).
+    res = noise_impropriety_gain(1j, 0.999 * np.exp(1.2j), 200, -20)
+    assert res.iterations == 0
+    assert abs(res.ratio - 68.9274168271548) < 1e-9
+    res = noise_impropriety_gains(np.array([0.9j, 1j, 1j]), 0.999 * np.exp(1.2j), 200.0, -20.0)
+    assert res.iterations.tolist() == [2, 0, 0]
+    assert abs(res.ratio[0] - 1) < 1e-9 and res.ratio[1] == res.ratio[2] == noise_impropriety_gain(
+        1j, 0.999 * np.exp(1.2j), 200, -20
+    ).ratio
+    with pytest.raises(DegenerateError, match="unbounded"):
+        noise_impropriety_gain(1j, np.exp(1.2j), 200, -20)
 
 
 def test_gains_keep_an_absorbed_posterior_that_the_measurement_noise_keeps_apart():
     # A proper R, or one of Q's orientation, leaves P along the null vector
     # of Q to decay on its own, so its rounding loss changes no fixed point:
-    # equal orientations give exactly 1, and 80-digit arithmetic takes the
-    # other two to 4/3 and 2.
+    # equal orientations give exactly 1, and the closed form gives 4/3 and 2.
     res = noise_impropriety_gains(1j, np.array([1j, 0.5j, 0.0]), np.array([-20.0, 110.0, 200.0]), -40.0)
-    assert res.converged.all()
+    assert (res.iterations > 0).all()
     assert abs(res.ratio[0] - 1) < 1e-9
-    assert abs(res.ratio[1] - 4 / 3) < 1e-3
-    assert abs(res.ratio[2] - 2) < 1e-3
+    assert abs(res.ratio[1] - 4 / 3) <= AGREE * 4 / 3
+    assert abs(res.ratio[2] - 2) <= AGREE * 2
 
 
 def test_gains_batch_reports_first_failing_member_in_order():
-    # Member 2 overflows at the first iteration, member 1 fails at its own.
-    rho_w, rho_n, n1_db, n2_db = ZERO_MSE_MEMBER
-    with pytest.raises(DegenerateError) as info:
+    # Every error comes from the closed form, before the recursion runs, for
+    # the first failing member in order.
+    rho_w, rho_n, n1_db, n2_db = UNBOUNDED_MEMBER
+    with pytest.raises(DegenerateError, match="unbounded") as info:
         noise_impropriety_gains(
             np.array([0.5, rho_w, 0.5]), np.array([0.5j, rho_n, 0.5j]),
-            np.array([-20.0, n1_db, 3000.0]), np.array([-20.0, n2_db, -20.0]),
+            np.array([-20.0, n1_db, -20.0]), np.array([-20.0, n2_db, -4000.0]),
         )
     assert info.value.index == (1,)
-    assert "widely linear MSE" in str(info.value)
-    with pytest.raises(DegenerateError) as info:
-        noise_impropriety_gains(0.5, 0.5j, -20.0, np.array([-20.0, -4000.0, -20.0]))
+    with pytest.raises(DegenerateError, match="3980 dB apart") as info:
+        noise_impropriety_gains(
+            np.array([0.5, 0.5, rho_w]), np.array([0.5j, 0.5j, rho_n]), -20.0, np.array([-20.0, -4000.0, -20.0])
+        )
     assert info.value.index == (1,)
     with pytest.raises(NotPSDError) as info:
         noise_impropriety_gains(np.array([[0.5, 1.2]]), 0.0, -20.0, -20.0)
     assert info.value.index == (0, 1)
+    # 3000 dB overflows the recursion's 2x2 and fails that member alone; it
+    # takes the closed form of the same gap at 0 dB.
+    res = noise_impropriety_gains(0.5, 0.5j, np.array([-20.0, 3000.0]), -20.0)
+    assert res.iterations[0] > 0 and res.iterations[1] == 0
+    shifted = float(steady_state_gains(0.5, 0.5j, 3020.0, 0.0).ratio)
+    assert abs(res.ratio[1] - shifted) <= 1e-12 * shifted
 
 
 def test_gains_fail_powers_too_small_for_double_precision_without_warnings():
-    # -3300 dB is exactly zero and -3150 dB subnormal: the driving noise power fails up front.
+    # Powers further apart than the normal doubles reach still fail.
+    with pytest.raises(DegenerateError, match="3280 dB apart") as info:
+        noise_impropriety_gains(0.5, 0.5, np.array([-20.0, -3300.0]), -20.0)
+    assert info.value.index == (1,)
+    # -3300 dB is exactly zero and -3150 dB subnormal: the recursion cannot
+    # use them, and the members take the closed form of the same gap at
+    # 0 dB, which is 1 for equal orientations.
     for n1_db in (-3300.0, -3150.0):
-        with pytest.raises(DegenerateError, match=f"driving noise power of {n1_db} dB underflows") as info:
-            noise_impropriety_gains(0.5, 0.5, np.array([-20.0, n1_db]), np.array([-20.0, -3080.0]))
-        assert info.value.index == (1,)
-    # Entries near 1e-160 have products that underflow, so the determinant is too small to divide by.
-    with pytest.raises(DegenerateError, match="2x2 entries of magnitude .* underflow"):
-        noise_impropriety_gain(0.0, 0.0, -1600.0, -1600.0)
+        res = noise_impropriety_gains(0.5, np.array([0.5, 0.5j]), n1_db, -3080.0)
+        assert res.iterations.tolist() == [0, 0]
+        shifted = steady_state_gains(0.5, np.array([0.5, 0.5j]), n1_db + 3080.0, 0.0).ratio
+        assert (np.abs(res.ratio - shifted) <= 1e-12 * shifted).all()
+        assert abs(res.ratio[0] - 1) < 1e-12 and res.ratio[1] > 1
+    # Entries near 1e-160 have products that underflow, so the determinant is
+    # too small to divide by: the member takes the closed form.
+    res = noise_impropriety_gain(0.0, 0.0, -1600.0, -1600.0)
+    assert res.iterations == 0 and abs(res.ratio - 1) < 1e-12
     # A determinant that underflows to zero is singular, and takes the pseudo-inverse.
     assert np.array_equal(_inv2(np.full((2, 2), 1e-160)), np.linalg.pinv(np.full((2, 2), 1e-160)))
     with pytest.raises(DegenerateError, match="underflow") as info:
@@ -490,3 +527,77 @@ def test_inv2_acts_per_matrix_of_a_stack():
     with pytest.raises(DegenerateError) as info:
         _inv2(stack)
     assert info.value.index == (2, 1)
+
+
+# --- closed-form steady state ---------------------------------------------------
+
+# Limits of the closed form evaluated with 60 significant digits.
+EXTENDED_PRECISION_LIMITS = [
+    ((1j, 0.5j), (110.0, -40.0), 4 / 3),
+    ((1j, 0.0), (200.0, -40.0), 2.0),
+    ((1j, 0.5), (80.0, -20.0), 2.6666666665),
+    ((0.9, 0.9j), (-80.0, -20.0), 1.77030741679),
+    ((1j, 1j), (-15.0, -35.0), 1.0),
+]
+
+
+def test_steady_state_gains_match_extended_precision_limits():
+    for (rho_w, rho_n), (n1_db, n2_db), limit in EXTENDED_PRECISION_LIMITS:
+        closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
+        assert abs(float(closed.ratio) - limit) < 1e-9
+        assert closed.iterations == 0
+        # The recursion's value stands only within AGREE of the closed form.
+        res = noise_impropriety_gain(rho_w, rho_n, n1_db, n2_db)
+        assert abs(res.ratio - limit) < (AGREE * limit if res.iterations else 1e-9)
+
+
+def test_default_sweep_members_agree_with_the_closed_form():
+    grid = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
+    panels = np.array([[-20.0, -20.0], [-20.0, -40.0], [-40.0, -20.0]])
+    args = (grid[None, :, None], 1j * grid[None, None, :], panels[:, 0, None, None], panels[:, 1, None, None])
+    looped = noise_impropriety_gains(*args)
+    closed = steady_state_gains(*args)
+    assert looped.ratio.shape == closed.ratio.shape == (3, 7, 7)
+    assert (looped.iterations > 0).all()
+    assert (np.abs(looped.ratio - closed.ratio) <= 1e-7 * closed.ratio).all()
+
+
+def test_gain_cut_off_by_the_horizon_takes_the_closed_form():
+    full = noise_impropriety_gain(0.8, 0.5j, -20.0, -20.0)
+    cut = noise_impropriety_gain(0.8, 0.5j, -20.0, -20.0, horizon=3)
+    closed = steady_state_gains(0.8, 0.5j, -20.0, -20.0)
+    assert full.iterations > 3 and cut.iterations == 0
+    assert (cut.ratio, cut.wl_mse, cut.sl_mse) == (closed.ratio, closed.wl_mse, closed.sl_mse)
+    assert abs(full.ratio - cut.ratio) <= AGREE * cut.ratio
+
+
+def test_gain_stopped_early_by_the_absolute_tolerance_takes_the_closed_form():
+    # At these powers both MSEs are far below ``tol``, so the recursion stops
+    # at its second iteration, far from its limit.
+    res = noise_impropriety_gain(1.0, 0.5j, -2700.0, -2850.0)
+    assert res.iterations == 0
+    shifted = float(steady_state_gains(1.0, 0.5j, 150.0, 0.0).ratio)
+    assert res.ratio >= 1 and abs(res.ratio - shifted) <= 1e-12 * shifted
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_PHASES = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+@given(_MAGNITUDES, _PHASES, _MAGNITUDES, _PHASES, st.floats(-300, 300), st.floats(-300, 300))
+@settings(max_examples=150, deadline=None)
+def test_steady_state_gains_property(mag_w, phase_w, mag_n, phase_n, gap, n2_db):
+    rho_w, rho_n = mag_w * np.exp(1j * phase_w), mag_n * np.exp(1j * phase_n)
+    n1_db = n2_db + gap
+    on_circle = [abs(rho) >= 1 - ON_CIRCLE for rho in (rho_w, rho_n)]
+    if all(on_circle) and rho_w / abs(rho_w) != rho_n / abs(rho_n):
+        with pytest.raises(DegenerateError, match="unbounded"):
+            steady_state_gains(rho_w, rho_n, n1_db, n2_db)
+        return
+    ratio = float(steady_state_gains(rho_w, rho_n, n1_db, n2_db).ratio)
+    assert ratio >= 1 - 1e-9
+    for shift in (-300.0, 300.0):
+        shifted = float(steady_state_gains(rho_w, rho_n, n1_db + shift, n2_db + shift).ratio)
+        assert abs(shifted - ratio) <= 1e-12 * ratio
+    for rho in (rho_w, rho_n):
+        assert abs(float(steady_state_gains(rho, rho, n1_db, n2_db).ratio) - 1) <= 1e-12

@@ -372,7 +372,7 @@ def test_mse_sweep_far_stronger_driving_noise_keeps_invariants(tmp_path, capsys)
         "mse-sweep-drive-underflow", "mse-sweep-drive-underflow-writes-rows",
     ],
 )
-def test_mse_sweep_powers_beyond_the_recursion_take_the_closed_form(tmp_path, capsys, panel, grid):
+def test_mse_sweep_extreme_powers_closed_form(tmp_path, capsys, panel, grid):
     # Powers whose 2x2 squares overflow, or that are zero or subnormal as
     # doubles, but lie within the normal doubles of each other: each row is
     # the closed form of the same N1 - N2 at 0 dB, with converged_iters 0.

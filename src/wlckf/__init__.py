@@ -36,7 +36,6 @@ from .mse import (
     noise_impropriety_gain,
     noise_impropriety_gains,
     sl_mmse,
-    split_minimum_scan,
     steady_state_gains,
     variance_after,
     variance_step,

@@ -419,8 +419,6 @@ def ckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 class RealKFStep:
     """One cycle of the dual-channel real Kalman filter."""
 
-    predicted_mean: np.ndarray
-    predicted_cov: np.ndarray
     innovation: np.ndarray
     innovation_cov: np.ndarray
     gain: np.ndarray
@@ -460,7 +458,6 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
         x = mv(e, x)
         p = e @ p @ tr(e) + fqf
         p = (p + tr(p)) / 2
-        x_pred, p_pred = x, p
         s = g @ p @ tr(g) + r
         s = (s + tr(s)) / 2
         sv = np.abs(np.linalg.eigvalsh(s))
@@ -482,7 +479,7 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
         i_kg = eye - gain @ g
         p = i_kg @ p @ tr(i_kg) + gain @ r @ tr(gain)
         p = (p + tr(p)) / 2
-        yield RealKFStep(x_pred, p_pred, nu, s, gain, x, p, t)
+        yield RealKFStep(nu, s, gain, x, p, t)
 
 
 def real_kf_run(

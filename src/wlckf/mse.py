@@ -18,18 +18,22 @@ stands where it converges to the closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .augmented import eigenvalues_scalar_augmented
+from .augmented import _first, eigenvalues_scalar_augmented
 from .errors import DegenerateError, DimensionError, NotPSDError
 
 
 def db_to_linear(db: float) -> float:
-    """Power-ratio dB to linear scale."""
-    return 10.0 ** (db / 10.0)
+    """Power-ratio dB to linear scale; inf where that overflows a double."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -127,45 +131,6 @@ def min_mmse_ratio(params: ScalarModelParams, t: int) -> float:
     return min_wl_mmse(params, t) / denom
 
 
-@dataclass
-class SplitScanResult:
-    """Grid scan of the eigenvalue split objective at fixed Hermitian variance."""
-
-    lam_high: np.ndarray
-    values: np.ndarray
-    argmin_split: tuple[float, float]
-    argmax_split: tuple[float, float]
-    min_at_extreme: bool
-    max_at_equal: bool
-
-
-# Eigenvalue splits :func:`split_minimum_scan` evaluates.
-SPLIT_GRID_POINTS = 101
-
-
-def split_minimum_scan(params: ScalarModelParams, t: int) -> SplitScanResult:
-    """Scan ``SPLIT_GRID_POINTS`` eigenvalue splits (lam, 2 p0 - lam) and locate the extremes.
-
-    Exhaustive evaluation over the grid acts as the check that the extreme
-    split minimizes the widely linear MMSE and the equal split maximizes it.
-    """
-    p0 = params.init_var
-    lam_high = np.linspace(p0, 2 * p0, SPLIT_GRID_POINTS)
-    values = np.array(
-        [0.5 * (variance_after(lam, t, params) + variance_after(2 * p0 - lam, t, params)) for lam in lam_high]
-    )
-    i_min = int(np.argmin(values))
-    i_max = int(np.argmax(values))
-    return SplitScanResult(
-        lam_high=lam_high,
-        values=values,
-        argmin_split=(float(lam_high[i_min]), float(2 * p0 - lam_high[i_min])),
-        argmax_split=(float(lam_high[i_max]), float(2 * p0 - lam_high[i_max])),
-        min_at_extreme=i_min == SPLIT_GRID_POINTS - 1,
-        max_at_equal=i_max == 0,
-    )
-
-
 # A 2x2 [[a, b], [c, d]] as the real parts (ar, ai, br, bi, cr, ci, dr, di):
 # products of _DET_LEFT and _DET_RIGHT rows, with _DET_SIGN turning each
 # difference into a sum, pair up into Re(ad), Im(ad), Re(bc), Im(bc).
@@ -211,36 +176,34 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     The determinant is formed from real and imaginary parts, each product
     rounded on its own as in scalar complex arithmetic (numpy's complex
     array multiply may fuse them), so every matrix of a stack gets the bits
-    a lone 2x2 gets. Raises DegenerateError, with ``index`` the first such
-    matrix of the stack, for entries that overflow when squared or a
-    determinant too small to divide by (entries near 1e-150 and below).
+    a lone 2x2 gets. A matrix with no usable inverse gets NaN entries: one
+    with an entry that is not finite or that overflows when squared, or
+    with a determinant too small to divide by (entries near 1e-150 and
+    below). No floating-point warning is emitted.
     """
     batch = np.shape(m)[:-2]
     m = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
-    k = len(m)
     scale = _largest_entries(m)
-    if np.count_nonzero(scale < _SQUARE_SAFE) < k:
+    overflow = None
+    if np.count_nonzero(scale < _SQUARE_SAFE) < len(m):
         with np.errstate(over="ignore"):
-            overflow = np.isinf(np.maximum(scale, 1e-300) ** 2) & np.isfinite(scale)
-        if np.count_nonzero(overflow):
-            first = int(np.argmax(overflow))
-            raise DegenerateError(
-                f"2x2 entries of magnitude {scale[first]:.3g} overflow when squared", index=np.unravel_index(first, batch)
-            )
+            overflow = ~np.isfinite(np.square(scale))
+        # Such a matrix stands in as the identity, whose determinant is
+        # finite; its inverse is set to NaN below.
+        m = np.where(overflow[:, None], [1, 0, 0, 1], m)
+        scale = np.where(overflow, 1.0, scale)
     det, singular = _determinants(m, scale)
-    underflow = (np.abs(det[:, 0]) < _RECIPROCAL_SAFE) & ~singular
-    if np.count_nonzero(underflow):
-        first = int(np.argmax(underflow))
-        raise DegenerateError(
-            f"2x2 entries of magnitude {scale[first]:.3g} underflow: their determinant is too small to divide by",
-            index=np.unravel_index(first, batch),
-        )
+    unusable = (np.abs(det[:, 0]) < _RECIPROCAL_SAFE) & ~singular
+    if overflow is not None:
+        unusable |= overflow
     adjugate = m[:, _ADJ]
     np.negative(adjugate[:, 1:3], out=adjugate[:, 1:3])
-    if np.count_nonzero(singular):
-        det[singular] = 1.0
+    if np.count_nonzero(singular) or np.count_nonzero(unusable):
+        det[singular | unusable] = 1.0
         inverse = adjugate / det
-        inverse[singular] = np.linalg.pinv(m[singular].reshape(-1, 2, 2)).reshape(-1, 4)
+        if np.count_nonzero(singular):
+            inverse[singular] = np.linalg.pinv(m[singular].reshape(-1, 2, 2)).reshape(-1, 4)
+        inverse[unusable] = np.nan
     else:
         inverse = adjugate / det
     return inverse.reshape(batch + (2, 2))
@@ -382,14 +345,12 @@ def steady_state_gains(rho_w, rho_n, n1_db, n2_db) -> ImproprietyGains:
     invalid = (mag_w > 1 + ON_CIRCLE) | (mag_n > 1 + ON_CIRCLE)
     too_far = ~(weaker >= np.finfo(float).tiny)
     unbounded = on_w & on_n & (chord != 0)
-    failing = invalid | too_far | unbounded
-    if np.count_nonzero(failing):
-        i = int(np.argmax(failing.ravel()))
-        index = np.unravel_index(i, failing.shape)
-        if invalid.flat[i]:
+    index = _first(invalid | too_far | unbounded)
+    if index is not None:
+        if invalid[index]:
             raise NotPSDError("correlation coefficient magnitudes must be <= 1", index=index)
-        if too_far.flat[i]:
-            raise DegenerateError(f"noise powers {gap.flat[i]:g} dB apart leave the normal doubles", index=index)
+        if too_far[index]:
+            raise DegenerateError(f"noise powers {gap[index]:g} dB apart leave the normal doubles", index=index)
         raise DegenerateError(
             "both noises are maximally improper, in different orientations: the MSE ratio is unbounded", index=index
         )
@@ -438,14 +399,17 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     """:func:`noise_impropriety_gain` over a batch of noise settings at once.
 
     The four settings broadcast against each other, and the closed form
-    raises its errors first. The members run the same update on one
-    ``(k, 2, 2)`` stack, each stops on its own iteration, and the stack
+    raises its errors first. A member whose two noises are both maximally
+    improper (which the closed form admits only in one orientation) takes
+    the closed form without iterating. The others run the same update on
+    one ``(k, 2, 2)`` stack, each stops on its own iteration, and the stack
     shrinks only on iterations where some member stops, so each member gets
     the bits its one-member call gets. A member leaves for the closed form
-    when it reaches the horizon, when :func:`_inv2` raises for its 2x2, when
-    its widely linear MSE is not a positive number, or when it converges
-    farther than ``AGREE`` from the closed form; so the loop runs with
-    numpy's floating-point warnings off.
+    when it reaches the horizon, when its widely linear MSE is not a
+    positive number (as where :func:`_inv2` finds no inverse of its 2x2,
+    or a power overflows), or when it converges farther than ``AGREE`` from
+    the closed form; so the loop runs with numpy's floating-point warnings
+    off.
     """
     closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
     shape = closed.ratio.shape
@@ -453,52 +417,47 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
         np.broadcast_to(np.asarray(a, dtype=dtype), shape).ravel()
         for a, dtype in ((rho_w, complex), (rho_n, complex), (n1_db, float), (n2_db, float))
     )
-    n1, n2 = (np.array([db_to_linear(db) for db in dbs.tolist()]) for dbs in (n1_db, n2_db))
-    q, r = _noise_covariances(n1, rho_w), _noise_covariances(n2, rho_n)
     # Widely and strictly linear MSE of every member, and the iteration where it converged.
-    result = np.ones((2, len(n1)))
-    iterations = np.zeros(len(n1), dtype=int)
+    result = np.ones((2, len(n1_db)))
+    iterations = np.zeros(len(n1_db), dtype=int)
     # The working set: the members still iterating, their states and their MSE pairs.
-    member = np.arange(len(n1))
-    p_bar = np.broadcast_to(np.eye(2, dtype=complex), (len(n1), 2, 2)).copy()
-    mse = np.ones((2, len(n1)))
+    member = np.flatnonzero((np.abs(rho_w) < 1 - ON_CIRCLE) | (np.abs(rho_n) < 1 - ON_CIRCLE))
+    n1, n2 = (np.array([db_to_linear(db) for db in dbs[member].tolist()]) for dbs in (n1_db, n2_db))
+    p_bar = np.broadcast_to(np.eye(2, dtype=complex), (len(member), 2, 2)).copy()
+    mse = np.ones((2, len(member)))
     it = 0
     with np.errstate(all="ignore"):
+        q, r = _noise_covariances(n1, rho_w[member]), _noise_covariances(n2, rho_n[member])
         inv_n2 = 1.0 / n2
         while it < horizon and len(member):
+            it += 1
             predicted = p_bar + q
-            try:
-                gain = predicted @ _inv2(predicted + r)
-            except DegenerateError as exc:
-                # The member leaves, and the others redo the iteration.
-                leave = np.arange(len(member)) == exc.index[0]
-            else:
-                it += 1
-                # K P and P - K P side by side, so one pass finds both scales.
-                pair = np.empty((2, *predicted.shape), dtype=complex)
-                kp, p_bar = pair
-                np.matmul(gain, predicted, out=kp)
-                np.subtract(predicted, kp, out=p_bar)
-                kp_scale, p_bar_scale = _largest_entries(pair).reshape(2, -1)
-                cancelled = kp_scale > CANCEL * p_bar_scale
-                if np.count_nonzero(cancelled):
-                    p_bar[cancelled] = gain[cancelled] @ r[cancelled]
-                p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
-                new = np.empty_like(mse)
-                wl, sl = new
-                np.add(p_bar[:, 0, 0].real, p_bar[:, 1, 1].real, out=wl)
-                wl *= 0.5
-                np.add(mse[1], n1, out=sl)
-                np.divide(1.0, sl, out=sl)
-                sl += inv_n2
-                np.divide(1.0, sl, out=sl)
-                small = np.abs(new - mse) < tol
-                done = small[0] & small[1]
-                mse = new
-                leave = done | ~(wl > 0)
-                if np.count_nonzero(done):
-                    result[:, member[done]] = mse[:, done]
-                    iterations[member[done]] = it
+            gain = predicted @ _inv2(predicted + r)
+            # K P and P - K P side by side, so one pass finds both scales.
+            pair = np.empty((2, *predicted.shape), dtype=complex)
+            kp, p_bar = pair
+            np.matmul(gain, predicted, out=kp)
+            np.subtract(predicted, kp, out=p_bar)
+            kp_scale, p_bar_scale = _largest_entries(pair).reshape(2, -1)
+            cancelled = kp_scale > CANCEL * p_bar_scale
+            if np.count_nonzero(cancelled):
+                p_bar[cancelled] = gain[cancelled] @ r[cancelled]
+            p_bar = (p_bar + p_bar.conj().swapaxes(1, 2)) / 2
+            new = np.empty_like(mse)
+            wl, sl = new
+            np.add(p_bar[:, 0, 0].real, p_bar[:, 1, 1].real, out=wl)
+            wl *= 0.5
+            np.add(mse[1], n1, out=sl)
+            np.divide(1.0, sl, out=sl)
+            sl += inv_n2
+            np.divide(1.0, sl, out=sl)
+            small = np.abs(new - mse) < tol
+            done = small[0] & small[1]
+            mse = new
+            leave = done | ~(wl > 0)
+            if np.count_nonzero(done):
+                result[:, member[done]] = mse[:, done]
+                iterations[member[done]] = it
             if np.count_nonzero(leave):
                 keep = ~leave
                 member, p_bar, q, r, n1, inv_n2 = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2))

@@ -14,7 +14,6 @@ import numpy as np
 
 from .augmented import (
     AugmentedMatrix,
-    AugmentedVector,
     block_conjugate,
     check_covariance_blocks,
     full_to_real_matrix,
@@ -61,9 +60,6 @@ class SecondOrderStats:
     @property
     def n(self) -> int:
         return self.mean.shape[-1]
-
-    def augmented_mean(self) -> AugmentedVector:
-        return AugmentedVector(self.mean)
 
     def augmented_cov(self) -> AugmentedMatrix:
         return AugmentedMatrix(self.hermitian_cov, self.complementary_cov)

@@ -85,3 +85,24 @@ def test_every_wlckf_name_the_benchmark_and_scripts_read_resolves():
             except (AttributeError, ImportError):
                 missing.append(f"{path.relative_to(ROOT)}: {dotted}")
     assert not missing
+
+
+def test_every_unread_import_is_one_the_tracer_rebinds():
+    # A module-level import that a module's own source never reads is dead,
+    # unless bench/spans.py rebinds it there.
+    targets = _load("bench_spans", BENCH / "spans.py").TARGETS
+    rebound = {(namespace.__name__, attr) for _, _, namespaces, attr, _ in targets for namespace in namespaces}
+    unread = set()
+    for path in sorted((ROOT / "src" / "wlckf").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread |= {(f"wlckf.{path.stem}", name) for name in imported - read}
+    assert unread <= rebound, sorted(unread - rebound)

@@ -424,6 +424,24 @@ def test_mse_sweep_equal_orientations_pass_the_gate(tmp_path, capsys):
     assert any(float(row[4]) > 1.01 for row in rows)
 
 
+def test_mse_sweep_both_noises_on_the_unit_circle_hold_the_closed_form(tmp_path, capsys):
+    # rho_w = rho_n = j: the ratio is exactly 1, but the recursion stops on the
+    # absolute tol while its MSE is near 1e-5, 1.4e-8 short of it.
+    out = tmp_path / "ms.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "panels": [[55.12035768589405, 21.95668356339951], [-48.659035960251806, -52.237543542832555]],
+        "rho_w": [0.23193390914271605, 1.0], "rho_n": [1.0],
+        "rho_w_phase": 1.5707963267948966, "rho_n_phase": 1.5707963267948966,
+    }))
+    assert main(["mse-sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "mse-sweep: 4 points, invariants ok\n"
+    _, rows = read_rows(out)
+    on_circle = [row for row in rows if row[0] == row[1] == "1.0"]
+    assert len(on_circle) == 2
+    assert all(abs(float(row[4]) - 1) <= 1e-12 and row[5] == "0" for row in on_circle)
+
+
 # Tables written at the commit before phase-demod shared its tracking
 # engines between operating points. At 11 runs a point's engine row count
 # is no multiple of 4, which grouping must respect to keep the bits.

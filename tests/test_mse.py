@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from wlckf.mse import (
     noise_impropriety_gain,
     noise_impropriety_gains,
     sl_mmse,
-    split_minimum_scan,
     steady_state_gains,
     variance_after,
     variance_step,
@@ -169,24 +170,6 @@ def test_params_validation():
         ScalarModelParams(init_var=1.0, init_cvar=1.5)
     with pytest.raises(NotPSDError):
         ScalarModelParams(drive_var=-0.1)
-
-
-def test_split_scan_minimum_at_extreme_split():
-    scan = split_minimum_scan(UNIT, 3)
-    assert scan.min_at_extreme
-    assert scan.argmin_split == pytest.approx((2.0, 0.0))
-
-
-def test_split_scan_maximum_at_equal_split():
-    scan = split_minimum_scan(UNIT, 3)
-    assert scan.max_at_equal
-    assert scan.argmax_split == pytest.approx((1.0, 1.0))
-
-
-def test_split_scan_minimizer_location_stable_in_time():
-    for t in (1, 5):
-        scan = split_minimum_scan(UNIT, t)
-        assert scan.min_at_extreme
 
 
 def test_posterior_cov_seq_eigenvalues_follow_variance_map():
@@ -370,9 +353,9 @@ def test_gains_batch_equals_single_calls_bit_for_bit():
     cases = [
         # The three default panels at the default orientations, 90 degrees apart.
         (grid[None, :, None], 1j * grid[None, None, :], panels[:, 0, None, None], panels[:, 1, None, None]),
-        # rho_n = 1 with rho_w = 1 in the same orientation makes the 2x2 singular
-        # (pseudo-inverse); rho_w = 1 with a proper or a 90-degree rho_n does not
-        # converge by the horizon, and takes the closed form.
+        # rho_w = rho_n = 1 takes the closed form without iterating; rho_w = 1
+        # with a proper or a 90-degree rho_n does not converge by the horizon,
+        # and takes the closed form too.
         (np.array([1.0, 1.0, 0.5, 1.0]), np.array([1.0, 0.0, 1.0, 0.5j]), -20.0, -20.0),
     ]
     for rho_w, rho_n, n1_db, n2_db in cases:
@@ -381,18 +364,20 @@ def test_gains_batch_equals_single_calls_bit_for_bit():
         for field, expected in single.items():
             assert np.array_equal(getattr(batch, field), expected), field
         # And the bits of the matrix-by-matrix loop in scalar arithmetic where
-        # it converged, and those of the closed form where it did not.
+        # it converged, and those of the closed form where it did not or where
+        # both noises are maximally improper.
         closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
         members = zip(*(a.ravel() for a in np.broadcast_arrays(rho_w, rho_n, n1_db, n2_db)))
         for i, member in enumerate(members):
             *looped, converged = _reference_gain(*member, horizon=600)
-            expected = looped if converged else [getattr(closed, field).ravel()[i] for field in FIELDS]
+            on_circle = abs(member[0]) == abs(member[1]) == 1
+            expected = looped if converged and not on_circle else [getattr(closed, f).ravel()[i] for f in FIELDS]
             assert [getattr(batch, field).ravel()[i] for field in FIELDS] == expected, member
     # Members stop on iterations of their own, and some take the closed form.
     first = noise_impropriety_gains(*cases[0], horizon=600)
     assert len(np.unique(first.iterations)) > 5
     last = noise_impropriety_gains(*cases[1], horizon=600)
-    assert last.iterations.tolist() == [14, 0, 15, 0]
+    assert last.iterations.tolist() == [0, 0, 15, 0]
 
 
 def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
@@ -404,8 +389,11 @@ def test_gains_batch_takes_pseudo_inverse_for_singular_member(monkeypatch):
         return pinv(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-    res = noise_impropriety_gains(np.array([0.5, 1.0]), np.array([1.0j, 1.0]), -20.0, -20.0)
-    assert calls and all(shape == (1,) for shape in calls)
+    # 240 dB above R, the rank-one Q of rho_w = j leaves P + Q + R a determinant
+    # negligible on the scale of its entries, twice.
+    res = noise_impropriety_gains(np.array([0.5, 1j]), np.array([1.0j, 0.0]), np.array([-20.0, 200.0]),
+                                  np.array([-20.0, -40.0]))
+    assert calls == [(1,), (1,)]
     assert (res.iterations > 0).all()
 
 
@@ -454,10 +442,11 @@ def test_gain_of_a_singular_driving_noise_far_above_the_measurement_noise_is_the
 def test_gains_keep_an_absorbed_posterior_that_the_measurement_noise_keeps_apart():
     # A proper R, or one of Q's orientation, leaves P along the null vector
     # of Q to decay on its own, so its rounding loss changes no fixed point:
-    # equal orientations give exactly 1, and the closed form gives 4/3 and 2.
+    # the closed form gives 4/3 and 2. Equal orientations on the unit circle
+    # give exactly 1, and take the closed form without iterating.
     res = noise_impropriety_gains(1j, np.array([1j, 0.5j, 0.0]), np.array([-20.0, 110.0, 200.0]), -40.0)
-    assert (res.iterations > 0).all()
-    assert abs(res.ratio[0] - 1) < 1e-9
+    assert res.iterations[0] == 0 and (res.iterations[1:] > 0).all()
+    assert abs(res.ratio[0] - 1) < 1e-12
     assert abs(res.ratio[1] - 4 / 3) <= AGREE * 4 / 3
     assert abs(res.ratio[2] - 2) <= AGREE * 2
 
@@ -488,6 +477,16 @@ def test_gains_batch_reports_first_failing_member_in_order():
     assert abs(res.ratio[1] - shifted) <= 1e-12 * shifted
 
 
+def test_gain_at_powers_whose_linear_value_overflows_is_the_closed_form():
+    # 10^400 overflows a double: the recursion cannot use the powers, and the
+    # member takes the closed form of their gap, which stays in range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = noise_impropriety_gain(0.5, 0.5j, 4000.0, 3990.0)
+    closed = float(steady_state_gains(0.5, 0.5j, 4000.0, 3990.0).ratio)
+    assert res.iterations == 0 and abs(res.ratio - closed) <= 1e-12 * closed
+
+
 def test_gains_fail_powers_too_small_for_double_precision_without_warnings():
     # Powers further apart than the normal doubles reach still fail.
     with pytest.raises(DegenerateError, match="3280 dB apart") as info:
@@ -508,9 +507,9 @@ def test_gains_fail_powers_too_small_for_double_precision_without_warnings():
     assert res.iterations == 0 and abs(res.ratio - 1) < 1e-12
     # A determinant that underflows to zero is singular, and takes the pseudo-inverse.
     assert np.array_equal(_inv2(np.full((2, 2), 1e-160)), np.linalg.pinv(np.full((2, 2), 1e-160)))
-    with pytest.raises(DegenerateError, match="underflow") as info:
-        _inv2(np.stack([np.eye(2), 1e-160 * np.eye(2)]))
-    assert info.value.index == (1,)
+    # One too small to divide by gives NaN for that matrix alone.
+    stack = np.stack([np.eye(2), 1e-160 * np.eye(2), np.full((2, 2), 1e-160)])
+    _assert_nan_at(_inv2(stack), stack, (1,))
 
 
 def test_inv2_acts_per_matrix_of_a_stack():
@@ -523,10 +522,18 @@ def test_inv2_acts_per_matrix_of_a_stack():
         assert np.array_equal(inverse[i], _inv2(stack[i]))
     assert np.allclose(inverse[1, 2], np.linalg.pinv(stack[1, 2]))
     assert np.allclose(inverse[0, 0] @ stack[0, 0], np.eye(2))
-    stack[2, 1, 0, 0] = 1e200
-    with pytest.raises(DegenerateError) as info:
-        _inv2(stack)
-    assert info.value.index == (2, 1)
+    # Entries that overflow when squared, or are not finite, give NaN for that matrix alone.
+    for entry in (1e200, np.inf, np.nan):
+        stack[2, 1, 0, 0] = entry
+        _assert_nan_at(_inv2(stack), stack, (2, 1))
+
+
+def _assert_nan_at(inverse, stack, index):
+    """Every entry of ``inverse[index]`` is NaN, and every other matrix has the bits of its lone call."""
+    assert np.isnan(inverse[index]).all()
+    for i in np.ndindex(stack.shape[:-2]):
+        if i != index:
+            assert np.array_equal(inverse[i], _inv2(stack[i])) and np.isfinite(inverse[i]).all(), i
 
 
 # --- closed-form steady state ---------------------------------------------------

@@ -141,12 +141,18 @@ def _require(bad: np.ndarray, error: type, message: str) -> None:
         raise error(message, index=index)
 
 
+def _nonfinite(a: np.ndarray, axes: int | tuple = (-2, -1)) -> np.ndarray:
+    """Whether each member of ``a`` over the trailing ``axes`` holds a NaN or an infinite entry."""
+    return ~np.isfinite(a).all(axis=axes)
+
+
 def check_covariance_blocks(m1: np.ndarray, m2: np.ndarray) -> None:
-    """Require Hermitian M1 and symmetric M2 within ``CONJ_TOL``, relative to max(1, largest |entry|).
+    """Require finite blocks, Hermitian M1 and symmetric M2 within ``CONJ_TOL``, relative to max(1, largest |entry|).
 
     Leading axes are batch axes, and each member is checked against its
     own scale; an error names the first failing member in its ``index``.
     """
+    _require(_nonfinite(m1) | _nonfinite(m2), ConsistencyError, "covariance blocks have non-finite entries")
     scale = np.maximum(np.abs(m1).max(axis=(-2, -1), initial=1.0), np.abs(m2).max(axis=(-2, -1), initial=1.0))
     tol = CONJ_TOL * scale
     m1_defect = np.abs(m1 - m1.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -233,9 +239,10 @@ def psd_sqrt(m) -> np.ndarray:
 
     Uses a symmetric eigendecomposition with eigenvalues floored at zero,
     so rank-deficient inputs (maximally improper noise gives these) succeed
-    where a strict Cholesky would fail. Eigenvalues below -PSD_TOL * norm
-    raise NotPSDError. Tiny positive eigenvalues (below 1e-13 relative) are
-    flushed to zero so near-null directions produce exactly zero columns.
+    where a strict Cholesky would fail. A NaN or infinite entry raises
+    ConsistencyError. Eigenvalues below -PSD_TOL * norm raise NotPSDError.
+    Tiny positive eigenvalues (below 1e-13 relative) are flushed to zero so
+    near-null directions produce exactly zero columns.
 
     Leading axes are batch axes: each member is checked on its own scale,
     an error names the first failing member in its ``index``, and one
@@ -253,18 +260,30 @@ def psd_sqrt(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError("psd_sqrt needs a square matrix")
+    _require(_nonfinite(m), ConsistencyError, "psd_sqrt needs finite entries")
     m_t = m.swapaxes(-1, -2)
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
     _require(np.abs(m - m_t).max(axis=(-2, -1), initial=0.0) > PSD_TOL * scale, ConsistencyError,
              "psd_sqrt needs a symmetric matrix")
     w, v = np.linalg.eigh((m + m_t) / 2)
+    return v * np.sqrt(_psd_eigenvalues(w))[..., None, :]
+
+
+def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrt`'s rules on each matrix's eigenvalues, along the last axis in any order.
+
+    Raises NotPSDError when the smallest is below -PSD_TOL * max(1, largest
+    |w|), and flushes to zero every eigenvalue at or below 1e-13 times
+    max(largest, 0). The unscented filter applies them to the union of its
+    joint's block eigenvalues, which is the joint's own spectrum.
+    """
     bound = PSD_TOL * np.abs(w).max(axis=-1, initial=1.0)
-    index = _first(w[..., 0] < -bound)
+    low = w.min(axis=-1)
+    index = _first(low < -bound)
     if index is not None:
-        raise NotPSDError(f"matrix has eigenvalue {w[index][0]:.3e} below -{bound[index]:.3e}", index=index)
-    floor = 1e-13 * np.maximum(w[..., -1:], 0.0)
-    w = np.where(w > floor, w, 0.0)
-    return v * np.sqrt(w)[..., None, :]
+        raise NotPSDError(f"matrix has eigenvalue {low[index]:.3e} below -{bound[index]:.3e}", index=index)
+    floor = 1e-13 * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+    return np.where(w > floor, w, 0.0)
 
 
 def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, float]:

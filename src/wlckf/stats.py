@@ -14,6 +14,8 @@ import numpy as np
 
 from .augmented import (
     AugmentedMatrix,
+    _nonfinite,
+    _require,
     block_conjugate,
     check_covariance_blocks,
     full_to_real_matrix,
@@ -21,7 +23,7 @@ from .augmented import (
 )
 # augmented_to_real_matrix is unused here; bench/spans.py still rebinds it in this module.
 from .augmented import augmented_to_real_matrix  # noqa: F401
-from .errors import DimensionError
+from .errors import ConsistencyError, DimensionError
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -80,7 +82,8 @@ def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
     """Validated real composite mean mu_z and factor B with B B^T the composite covariance.
 
     ``mu_z + B xi`` with xi standard normal is a draw of [Re x; Im x]; the
-    factor is the PSD square root, so singular covariances are handled.
+    factor is the PSD square root, so singular covariances are handled. A
+    NaN or infinite entry in the mean or a covariance raises ConsistencyError.
     Sampling and the complex sigma points both take this route. After the
     block checks, the one eigendecomposition in :func:`psd_sqrt` is both the
     factor and the PSD check, which is stricter than :func:`validate`'s.
@@ -89,6 +92,7 @@ def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
     for the stack, and each member's bits; an error names the first
     failing member in its ``index``.
     """
+    _require(_nonfinite(stats.mean, -1), ConsistencyError, "mean has non-finite entries")
     check_covariance_blocks(stats.hermitian_cov, stats.complementary_cov)
     mu_z = np.concatenate([stats.mean.real, stats.mean.imag], axis=-1)
     cov_z = full_to_real_matrix(block_conjugate(stats.hermitian_cov, stats.complementary_cov), "covariance")

@@ -15,11 +15,18 @@ standard deviations from the mean, with the weights of :func:`weights`.
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
-innovation and cross covariances as full augmented arrays. The gain and
-the posterior then come from the WLCKF's own widely linear update,
-:func:`wlckf.linear.wl_update`. The posterior covariance stays P - K P_xy^H:
-the Joseph form the linear filter uses needs a linear measurement map,
-which this model does not have.
+innovation and cross covariances as full augmented arrays, from one
+product of the weighted deviations. The joint covariance is block
+diagonal and its noise block is constant, so the points are built block
+by block rather than through :func:`wlckf.stats.composite_factor`: the
+noise block is checked and eigendecomposed once per run, and each step
+eigendecomposes the 2n x 2n state composite alone. The PSD test and the
+flush of :func:`wlckf.augmented.psd_sqrt` apply to the union of the two
+spectra, which is the joint's, so the point set is the joint's up to
+order. The gain and the posterior then come from the WLCKF's own widely
+linear update, :func:`wlckf.linear.wl_update`. The posterior covariance
+stays P - K P_xy^H: the Joseph form the linear filter uses needs a linear
+measurement map, which this model does not have.
 A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
@@ -30,10 +37,17 @@ from typing import Callable
 
 import numpy as np
 
-from .augmented import AugmentedVector, block_conjugate
+from .augmented import (
+    AugmentedVector,
+    _nonfinite,
+    _psd_eigenvalues,
+    _require,
+    block_conjugate,
+    check_covariance_blocks,
+)
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
-from .errors import DimensionError
+from .errors import ConsistencyError, DimensionError
 from .linear import FilterState, StepReport, _covariance, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
@@ -140,6 +154,22 @@ class NonlinearModel:
         return self.init.n
 
 
+def _composite(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Real composite covariance of x = u + jv from its blocks (M1, M2), symmetrized.
+
+    R_uu = Re(M1 + M2) / 2, R_vv = Re(M1 - M2) / 2, R_uv = -Im(M1 - M2) / 2
+    and R_vu = Im(M1 + M2) / 2, assembled as [[R_uu, R_uv], [R_vu, R_vv]].
+    """
+    k = m1.shape[0]
+    total, diff = m1 + m2, m1 - m2
+    c = np.empty((2 * k, 2 * k))
+    c[:k, :k] = total.real
+    c[:k, k:] = -diff.imag
+    c[k:, :k] = total.imag
+    c[k:, k:] = diff.real
+    return (c + c.T) / 4
+
+
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total), dtype=complex)
@@ -151,22 +181,78 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joint(model: NonlinearModel) -> SecondOrderStats:
-    """Joint statistics of [state; driving noise; measurement noise], with zero state blocks for :func:`_step`."""
-    zeros = np.zeros((model.n, model.n))
-    drive, meas = model.drive_noise, model.meas_noise
-    return SecondOrderStats(
-        np.concatenate([np.zeros(model.n), drive.mean, meas.mean]),
-        _block_diag(zeros, drive.hermitian_cov, meas.hermitian_cov),
-        _block_diag(zeros, drive.complementary_cov, meas.complementary_cov),
-    )
+class _JointPoints:
+    """Sigma points of the joint [state; driving noise; measurement noise], block by block.
+
+    The joint covariance is block diagonal, so its composite eigenpairs are
+    those of the state block and of the noise block, embedded. The noise
+    block never changes: it is checked and decomposed once here, and
+    ``points`` keeps its entries. Each :meth:`fill` decomposes the state
+    block alone. The rows are the centre, then the centre plus and minus
+    each state axis, then plus and minus each noise axis; every point but
+    the centre has the same weight, so the set is the joint's up to order.
+    """
+
+    def __init__(self, model: NonlinearModel, state: FilterState):
+        drive, meas = model.drive_noise, model.meas_noise
+        for mean, m1, m2 in ((state.estimate.top, state.cov.m1, state.cov.m2),
+                             (drive.mean, drive.hermitian_cov, drive.complementary_cov),
+                             (meas.mean, meas.hermitian_cov, meas.complementary_cov)):
+            _require(_nonfinite(mean, -1), ConsistencyError, "mean has non-finite entries")
+            check_covariance_blocks(m1, m2)
+        w, v = np.linalg.eigh(_composite(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
+                                         _block_diag(drive.complementary_cov, meas.complementary_cov)))
+        _psd_eigenvalues(w)
+        k = drive.n + meas.n
+        self.n = n = model.n
+        # Eigenvalues of the noise composite, and its axes as complex directions over the noise entries, one a row.
+        self.noise_w, self.noise_dirs = w, (v[:k] + 1j * v[k:]).T
+        self.w_mean, self.w_cov = weights(2 * (n + k))
+        self.points = np.empty((4 * (n + k) + 1, n + k), dtype=complex)
+        self.points[:, n:] = np.concatenate([drive.mean, meas.mean])
+        self._noise_flushed = None
+
+    def fill(self, state: FilterState) -> np.ndarray:
+        """The joint points at the state's estimate and covariance, under :func:`psd_sqrt`'s rules on the joint.
+
+        The state covariance is not checked for symmetry here: a filter
+        state comes from :func:`wlckf.linear._covariance`, which makes M1
+        exactly Hermitian and M2 exactly symmetric, and :meth:`__init__`
+        checks a given one. The check for non-finite entries, which a NaN
+        measurement leaves in the estimate, and the PSD test stay on every
+        call.
+        """
+        n, pts = self.n, self.points
+        x = state.estimate.top
+        c = _composite(state.cov.m1, state.cov.m2)
+        if not (np.isfinite(x).all() and np.isfinite(c).all()):
+            raise ConsistencyError("filter state has non-finite entries")
+        w, v = np.linalg.eigh(c)
+        # The joint's spectrum is the union of the blocks', so the PSD bound and the flush floor are the joint's.
+        w = _psd_eigenvalues(np.concatenate([w, self.noise_w]))
+        b = SPREAD * v * np.sqrt(w[: 2 * n])
+        dev = (b[:n] + 1j * b[n:]).T
+        pts[:, :n] = x
+        pts[1 : 2 * n + 1, :n] += dev
+        pts[2 * n + 1 : 4 * n + 1, :n] -= dev
+        noise_w = w[2 * n :]
+        if self._noise_flushed is None or not np.array_equal(noise_w, self._noise_flushed):
+            self._noise_flushed = noise_w
+            noise_dev = SPREAD * np.sqrt(noise_w)[:, None] * self.noise_dirs
+            k = noise_w.shape[0]
+            pts[4 * n + 1 :, n:] = pts[0, n:]
+            pts[4 * n + 1 : 4 * n + 1 + k, n:] += noise_dev
+            pts[4 * n + 1 + k :, n:] -= noise_dev
+        return pts
 
 
 def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     """One cycle of the unscented widely linear filter.
 
     Joint sigma points of [state; driving noise; measurement noise] are
-    generated with the full augmented statistics, the state parts pass
+    generated with the full augmented statistics, block by block
+    (:class:`_JointPoints`), after the state and both noises are checked:
+    finite, Hermitian M1 and symmetric M2, and PSD. The state parts pass
     through the transition and then the measurement map, and predicted,
     innovation and cross second moments are assembled as full augmented
     arrays, symmetrized like the linear filter's. From there the update is
@@ -174,44 +260,44 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     innovation covariance (least squares when singular, flagged) and the
     posterior is P - K P_xy^H, symmetrized.
     """
-    return _step(_joint(model), state, y, model)
+    return _step(_JointPoints(model, state), state, y, model)
 
 
-def _step(joint: SecondOrderStats, state: FilterState, y, model: NonlinearModel) -> StepReport:
-    """:func:`uwlckf_step` on the joint statistics of :func:`_joint`, whose state blocks it overwrites."""
+def _step(joint: _JointPoints, state: FilterState, y, model: NonlinearModel) -> StepReport:
+    """:func:`uwlckf_step` on points whose noise rows ``joint`` holds; it fills the state entries.
+
+    Every moment comes from one product: the weighted deviations d of
+    [f-outputs, h-outputs] from their mean against [dx*, dx, dy*, dy].
+    Its blocks are the top block rows of the predicted and the innovation
+    covariance and of the cross covariance.
+    """
     n = model.n
     nw = model.drive_noise.n
-    joint.mean[:n] = state.estimate.top
-    joint.hermitian_cov[:n, :n] = state.cov.m1
-    joint.complementary_cov[:n, :n] = state.cov.m2
-    sps = complex_sigma_points(joint)
-    xs = sps.points[:, :n]
-    ws = sps.points[:, n : n + nw]
-    ns = sps.points[:, n + nw :]
-
-    xs_next = np.asarray(model.f(xs, ws), dtype=complex)
-    ys = np.asarray(model.h(xs_next, ns), dtype=complex)
-
-    wm = sps.w_mean
-    wc = sps.w_cov
-    x_pred = wm @ xs_next
-    y_pred = wm @ ys
-    dx = xs_next - x_pred
-    dy = ys - y_pred
-    wdx, wdy = wc[:, None] * dx, wc[:, None] * dy
-    # Top block rows [M, M~] of the predicted and innovation covariances, and the full cross covariance.
-    p_top = np.concatenate([wdx.T @ np.conj(dx), wdx.T @ dx], axis=1)
-    s_top = np.concatenate([wdy.T @ np.conj(dy), wdy.T @ dy], axis=1)
-    cross = block_conjugate(wdx.T @ np.conj(dy), wdx.T @ dy)
-
-    x = np.concatenate([x_pred, np.conj(x_pred)])
-    return wl_update(x, _covariance(p_top), y, y_pred, cross, _covariance(s_top)).report(state.t + 1)
+    pts = joint.fill(state)
+    xs_next = np.asarray(model.f(pts[:, :n], pts[:, n : n + nw]), dtype=complex)
+    ys = np.asarray(model.h(xs_next, pts[:, n + nw :]), dtype=complex)
+    m = ys.shape[1]
+    z = np.concatenate([xs_next, ys], axis=1)
+    mean = joint.w_mean @ z
+    d = z - mean
+    dx, dy = d[:, :n], d[:, n:]
+    g = (joint.w_cov[:, None] * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
+    cross = block_conjugate(g[:n, 2 * n : 2 * n + m], g[:n, 2 * n + m :])
+    x = np.concatenate([mean[:n], np.conj(mean[:n])])
+    return wl_update(x, _covariance(g[:n, : 2 * n]), y, mean[n:], cross, _covariance(g[n:, 2 * n :])).report(
+        state.t + 1
+    )
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
-    """Run the unscented widely linear filter from ``model.init`` over a measurement sequence, on one joint."""
-    joint = _joint(model)
+    """Run the unscented widely linear filter from ``model.init`` over a measurement sequence.
+
+    The initial state and the noises are checked, and the noises
+    decomposed, once per run (:class:`_JointPoints`); each step then
+    decomposes the 2n x 2n state composite alone.
+    """
     state = FilterState(AugmentedVector(model.init.mean), model.init.augmented_cov(), t=0)
+    joint = _JointPoints(model, state)
     reports: list[StepReport] = []
     for y in measurements:
         report = _step(joint, state, np.atleast_1d(np.asarray(y, complex)), model)

@@ -165,6 +165,16 @@ def test_psd_sqrt_rejects_asymmetric():
         psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psd_sqrt_rejects_non_finite_entries(bad):
+    # A NaN eigenvalue would pass the PSD test and be flushed to a zero column.
+    m = np.eye(2)
+    m[0, 0] = bad
+    with pytest.raises(ConsistencyError, match="finite entries") as info:
+        psd_sqrt(np.stack([np.eye(2), m]))
+    assert info.value.index == (1,)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_psd_sqrt_residual_on_random_psd(k):
     rng = np.random.default_rng(k)

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlckf import cli
 from wlckf.augmented import AugmentedMatrix, augmented_to_real, augmented_to_real_matrix, full_to_real_matrix
 from wlckf.cli import main
 from wlckf.errors import WorkerError
 from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
+from wlckf.mse import AGREE, steady_state_gains
 from wlckf.stats import substream
 
 DATA = Path(__file__).parent / "data"
@@ -700,3 +707,83 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert len(rows) == 50
+
+
+# --- generated configs of every command ---------------------------------------------
+
+# dB settings: moderate and extreme spans, 0, the edges of the doubles and the smallest subnormal.
+_DB = st.one_of(
+    st.floats(-400.0, 400.0), st.floats(-60.0, 60.0), st.sampled_from([0.0, 1e308, -1e308, 5e-324])
+)
+_RHO = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_PHASE = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi))
+_SEED = st.integers(0, 2**32)
+
+_SCAN_CONFIGS = {
+    "equivalence": st.fixed_dictionaries({
+        "seed": _SEED, "trials": st.integers(1, 3), "state_dim": st.integers(1, 3),
+        "meas_dim": st.integers(1, 3), "horizon": st.integers(1, 12), "proper": st.booleans(),
+    }),
+    "mse-sweep": st.fixed_dictionaries({
+        # One or two panels, and sometimes one near the top of the doubles' range.
+        "panels": st.tuples(
+            st.lists(st.lists(_DB, min_size=2, max_size=2), min_size=1, max_size=2),
+            st.one_of(st.just([]), st.tuples(st.floats(3070.0, 3085.0), _DB).map(lambda p: [list(p)])),
+        ).map(lambda parts: parts[0] + parts[1]),
+        "rho_w": st.lists(_RHO, min_size=1, max_size=3), "rho_n": st.lists(_RHO, min_size=1, max_size=3),
+        "rho_w_phase": _PHASE, "rho_n_phase": _PHASE, "max_iter": st.integers(1, 400),
+    }),
+    "theta-bound": st.fixed_dictionaries({
+        "seed": _SEED, "draws": st.integers(1, 40), "t_max": st.integers(1, 25),
+    }),
+    "phase-demod": st.fixed_dictionaries({
+        "seed": _SEED, "runs": st.integers(1, 2), "horizon": st.integers(1, 8),
+        "snr_list": st.lists(_DB, min_size=1, max_size=2), "rho_list": st.lists(_RHO, min_size=1, max_size=2),
+        "xi_rho": _RHO, "traj_rho": _RHO, "r_snr": _DB, "traj_snr": _DB,
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SCAN_CONFIGS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_generated_configs_exit_zero_or_name_the_config_error(command, data):
+    # Exit 1 is reserved for a failed invariant, which no model here has, and a
+    # traceback or a warning is a defect whatever the config.
+    cfg = data.draw(_SCAN_CONFIGS[command], label="config")
+    fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--format", fmt, "--out", str(Path(tmp) / f"out.{fmt}")])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2), stdout.getvalue() + stderr.getvalue()
+        written = sorted(p.name for p in Path(tmp).iterdir() if p != path)
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: ")
+            assert written == []
+            return
+        assert written
+        if command == "mse-sweep":
+            _check_rows_against_the_closed_form(cfg, Path(tmp) / f"out.{fmt}", fmt)
+
+
+def _check_rows_against_the_closed_form(cfg, out, fmt):
+    """Each row within AGREE of steady_state_gains, and equal to it where the recursion did not stand."""
+    if fmt == "csv":
+        _, rows = read_rows(out)
+        rows = [[float(v) for v in row] for row in rows]
+    else:
+        rows = [list(record.values()) for record in json.loads(out.read_text())]
+    w_dir, n_dir = np.exp(1j * cfg["rho_w_phase"]), np.exp(1j * cfg["rho_n_phase"])
+    for rho_w, rho_n, n1_db, n2_db, ratio, iters in rows:
+        closed = float(steady_state_gains(rho_w * w_dir, rho_n * n_dir, n1_db, n2_db).ratio)
+        if iters == 0:
+            assert ratio == closed
+        else:
+            assert abs(ratio - closed) <= AGREE * closed

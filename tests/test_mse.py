@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wlckf.augmented import AugmentedMatrix
 from wlckf.errors import DegenerateError, DimensionError, NotPSDError
-from wlckf.linear import WidelyLinearModel, wlckf_run
+from wlckf.linear import WidelyLinearModel, ckf_batch, wlckf_batch, wlckf_run
 from wlckf.mse import (
     AGREE,
     ON_CIRCLE,
@@ -608,3 +608,42 @@ def test_steady_state_gains_property(mag_w, phase_w, mag_n, phase_n, gap, n2_db)
         assert abs(shifted - ratio) <= 1e-12 * ratio
     for rho in (rho_w, rho_n):
         assert abs(float(steady_state_gains(rho, rho, n1_db, n2_db).ratio) - 1) <= 1e-12
+
+
+def test_filter_steady_state_is_the_closed_form():
+    # The paper's two halves check each other: the widely and the strictly
+    # linear filter, run to their steady state on the scalar model with
+    # A = B = C = 1 and a proper unit prior, against steady_state_gains.
+    steps = 400
+    rng = np.random.default_rng(20261019)
+    count = 100
+    n2_db = rng.uniform(-40.0, 0.0, count)
+    n1_db = n2_db + rng.uniform(-20.0, 20.0, count)
+    mag_w, mag_n = rng.uniform(0.0, 0.9, (2, count))
+    rho_w = mag_w * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+    rho_n = mag_n * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+    n1, n2 = 10.0 ** (n1_db / 10), 10.0 ** (n2_db / 10)
+    # The closed form splits the model into channels with q = N1 c(rho_w) and
+    # r = N2 c(rho_n), whose chord shares c lie in [1 - |rho|, 1 + |rho|]. A
+    # channel's covariance error contracts by its squared closed-loop factor
+    # r / (m + r) per step, with predicted variance m >= q, and the strictly
+    # linear channel (c = 1) contracts faster. Keep the members whose slowest
+    # channel contracts by 1e-20 over the run.
+    slowest = n2 * (1 + mag_n) / (n1 * (1 - mag_w) + n2 * (1 + mag_n))
+    keep = slowest ** (2 * steps) <= 1e-20
+    assert keep.sum() >= count // 2
+    one = AugmentedMatrix([[1.0]], [[0.0]])
+    models = [
+        WidelyLinearModel(A=one, B=one, C=one, Q=AugmentedMatrix([[q]], [[q * rw]]),
+                          R=AugmentedMatrix([[r]], [[r * rn]]), Pi0=one)
+        for q, rw, r, rn in zip(n1[keep], rho_w[keep], n2[keep], rho_n[keep])
+    ]
+    # The covariances do not depend on the measurements.
+    zeros = np.zeros((len(models), steps, 1), complex)
+    *_, (_, p_wl) = wlckf_batch(models, zeros)
+    *_, (_, p_sl) = ckf_batch(models, zeros)
+    wl, sl = p_wl[:, 0, 0].real, p_sl[:, 0, 0].real
+    closed = steady_state_gains(rho_w[keep], rho_n[keep], n1_db[keep], n2_db[keep])
+    assert np.max(np.abs(wl / closed.wl_mse - 1)) <= 1e-12
+    assert np.max(np.abs(sl / closed.sl_mse - 1)) <= 1e-12
+    assert (sl >= wl).all()

@@ -63,6 +63,15 @@ def test_validate_rejects_non_hermitian():
         validate(SecondOrderStats(np.zeros(2), r, np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("m1, m2", [
+    ([[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2))),
+    (np.eye(2), [[0.0, np.inf], [np.inf, 0.0]]),
+], ids=["nan-hermitian", "inf-complementary"])
+def test_validate_rejects_non_finite_covariances(m1, m2):
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        validate(SecondOrderStats(np.zeros(2), m1, m2))
+
+
 def test_sample_maximally_improper_is_real():
     stats = SecondOrderStats(np.zeros(1), [[1.0]], [[1.0]])
     x = sample(stats, 1000, substream(0, 0))

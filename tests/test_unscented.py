@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wlckf import phase
+from wlckf import phase, unscented
 from wlckf.augmented import AugmentedMatrix, AugmentedVector, real_matrix_to_augmented
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run
@@ -169,16 +169,23 @@ FACTOR_ROUTES = {
 
 @pytest.mark.parametrize("route", FACTOR_ROUTES.values(), ids=FACTOR_ROUTES.keys())
 @pytest.mark.parametrize(
-    "m1, m2, error, match",
+    "mean, m1, m2, error, match",
     [
-        ([[1.0, 0.5], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "M1 is not Hermitian"),
-        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.3], [0.0, 0.0]], ConsistencyError, "M2 is not symmetric"),
-        ([[1.0]], [[1.5]], NotPSDError, None),
+        (None, [[1.0, 0.5], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "M1 is not Hermitian"),
+        (None, [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.3], [0.0, 0.0]], ConsistencyError, "M2 is not symmetric"),
+        (None, [[1.0]], [[1.5]], NotPSDError, None),
+        # A NaN eigenvalue passes both the PSD test and the flush, so it must be stopped before them.
+        (None, [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "non-finite"),
+        (None, [[np.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "non-finite"),
+        (None, [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, np.nan]], ConsistencyError, "non-finite"),
+        ([0.0, np.nan], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], ConsistencyError, "mean has non-finite"),
+        ([complex(0, np.inf)], [[1.0]], [[0.0]], ConsistencyError, "mean has non-finite"),
     ],
-    ids=["non-hermitian-m1", "asymmetric-m2", "excess-complementary"],
+    ids=["non-hermitian-m1", "asymmetric-m2", "excess-complementary", "nan-m1", "inf-m1", "nan-m2", "nan-mean",
+         "inf-mean"],
 )
-def test_factor_route_rejects_invalid_statistics(route, m1, m2, error, match):
-    stats = SecondOrderStats(np.zeros(len(m1)), m1, m2)
+def test_factor_route_rejects_invalid_statistics(route, mean, m1, m2, error, match):
+    stats = SecondOrderStats(np.zeros(len(m1)) if mean is None else mean, m1, m2)
     with pytest.raises(error, match=match):
         route(stats)
 
@@ -309,3 +316,176 @@ def test_run_equals_a_loop_of_steps_bit_for_bit(track):
             assert np.array_equal(a, b)
         state = alone.state
     assert len(reports) == len(meas)
+
+
+# --- the filter's joint points, block by block -------------------------------------
+
+
+def _joint_stats(*parts):
+    """Statistics of the stacked independent vectors ``parts``."""
+    return SecondOrderStats(
+        np.concatenate([p.mean for p in parts]),
+        unscented._block_diag(*(p.hermitian_cov for p in parts)),
+        unscented._block_diag(*(p.complementary_cov for p in parts)),
+    )
+
+
+def _filter_state(stats):
+    return FilterState(AugmentedVector(stats.mean), stats.augmented_cov(), t=0)
+
+
+def _block_points(state_stats, drive, meas):
+    """The filter's sigma-point set for the joint of ``state_stats``, ``drive`` and ``meas``."""
+    model = NonlinearModel(f=None, h=None, drive_noise=drive, meas_noise=meas, init=state_stats)
+    state = _filter_state(state_stats)
+    joint = unscented._JointPoints(model, state)
+    return SigmaPointSet(joint.fill(state).copy(), joint.w_mean, joint.w_cov)
+
+
+def _scalar_stats(mean, var, cvar):
+    return SecondOrderStats([mean], [[var]], [[cvar]])
+
+
+# (state, drive noise, measurement noise); each composite block has distinct eigenvalues.
+DISTINCT_JOINTS = {
+    "random": lambda: (random_stats(40, 2), random_stats(41, 1), random_stats(42, 3)),
+    "scaled-blocks": lambda: (random_stats(43, 1), _scalar_stats(0.5j, 7.0, 2.0), _scalar_stats(-1.0, 0.03, 0.01j)),
+    # The noise axes fall below 1e-13 of the state's largest eigenvalue: the joint flushes them.
+    "noise-flushed-by-the-state": lambda: (
+        _scalar_stats(1.0, 4e14, 1e14), _scalar_stats(0.0, 3.0, 1.0), _scalar_stats(2j, 2.0, -0.5j)
+    ),
+}
+
+
+@pytest.mark.parametrize("parts", DISTINCT_JOINTS.values(), ids=DISTINCT_JOINTS.keys())
+def test_block_points_are_the_joint_points(parts):
+    state, drive, meas = parts()
+    ours = _block_points(state, drive, meas)
+    ref = complex_sigma_points(_joint_stats(state, drive, meas))
+    assert ours.points.shape == ref.points.shape
+    assert np.array_equal(ours.w_mean, ref.w_mean) and np.array_equal(ours.w_cov, ref.w_cov)
+    tol = 1e-14 * np.abs(ref.points).max()
+    assert np.max(np.abs(ours.points[0] - ref.points[0])) <= tol
+    # Every other point weighs the same: match them as multisets, each to the nearest one left.
+    left = list(ref.points[1:])
+    for point in ours.points[1:]:
+        dist = [np.abs(point - other).max() for other in left]
+        assert min(dist) <= tol
+        left.pop(int(np.argmin(dist)))
+
+
+# (state, drive noise, measurement noise) whose joint needs the union rule or has a repeated eigenvalue.
+MOMENT_JOINTS = {
+    # Proper unit-variance state and drive: eigenvalue 1/2 four times, across two blocks.
+    "shared-eigenvalue": lambda: (
+        SecondOrderStats([0.3, -1j], np.eye(2), np.zeros((2, 2))), _scalar_stats(0.0, 1.0, 0.0),
+        _scalar_stats(1.0, 0.5, 0.2),
+    ),
+    "maximally-improper-state": lambda: (
+        _scalar_stats(0.2, 2.0, 2.0 * np.exp(0.7j)), random_stats(44, 1), random_stats(45, 2)
+    ),
+    # The measurement noise's second composite eigenvalue, 5e-16 of its first, is flushed.
+    "flushed-noise-axis": lambda: (
+        random_stats(46, 2), _scalar_stats(0.0, 1.0, 1.0j), _scalar_stats(0.5, 1.0, 1.0 - 1e-15)
+    ),
+    "noise-flushed-by-the-state": DISTINCT_JOINTS["noise-flushed-by-the-state"],
+}
+
+
+@pytest.mark.parametrize("parts", MOMENT_JOINTS.values(), ids=MOMENT_JOINTS.keys())
+def test_block_points_carry_the_joint_moments(parts):
+    state, drive, meas = parts()
+    joint = _joint_stats(state, drive, meas)
+    ours = _block_points(state, drive, meas)
+    rec = reconstruct_stats(ours)
+    ref = reconstruct_stats(complex_sigma_points(joint))
+    scale = np.abs(joint.hermitian_cov).max()
+    # The weighted mean cancels points as far out as the largest.
+    mean_scale = max(1.0, np.abs(ours.points).max())
+    for got in (joint, ref):
+        assert np.max(np.abs(rec.mean - got.mean)) <= 1e-14 * mean_scale
+        assert np.max(np.abs(rec.hermitian_cov - got.hermitian_cov)) <= 1e-14 * scale
+        assert np.max(np.abs(rec.complementary_cov - got.complementary_cov)) <= 1e-14 * scale
+
+
+def test_block_points_refill_the_noise_rows_when_the_flush_changes():
+    big, drive, meas = DISTINCT_JOINTS["noise-flushed-by-the-state"]()
+    small = _scalar_stats(-0.5, 1.0, 0.3)
+    model = NonlinearModel(f=None, h=None, drive_noise=drive, meas_noise=meas, init=small)
+    joint = unscented._JointPoints(model, _filter_state(small))
+    fresh = joint.fill(_filter_state(small)).copy()
+    assert np.ptp(fresh[:, 1:].real) > 0
+    flushed = joint.fill(_filter_state(big)).copy()
+    assert np.array_equal(flushed[:, 1:], np.broadcast_to(flushed[0, 1:], flushed[:, 1:].shape))
+    assert np.array_equal(joint.fill(_filter_state(small)), fresh)
+
+
+def _shapes_model():
+    """A two-state model with a scalar drive and three measurements, so the state and noise blocks differ in size."""
+    c = np.array([[1.0, 0.5j], [0.2, -1.0], [0.3 + 0.1j, 0.4]])
+    return NonlinearModel(
+        f=lambda x, w: 0.9 * x + 0.1 * np.conj(x) + w,
+        h=lambda x, n: np.sin(x) @ c.T + n,
+        drive_noise=random_stats(47, 1),
+        meas_noise=random_stats(48, 3),
+        init=random_stats(49, 2),
+    )
+
+
+def test_run_decomposes_the_noises_once_and_the_state_once_per_step(monkeypatch):
+    shapes = []
+
+    def counted(a, *args, _original=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    model = _shapes_model()
+    reports = uwlckf_run(model, np.zeros((50, 3)))
+    assert len(reports) == 50
+    assert shapes == [(8, 8)] + [(4, 4)] * 50
+
+
+def test_indefinite_drive_noise_fails_before_the_first_step():
+    calls = []
+    model = _shapes_model()
+    f = model.f
+    model.f = lambda x, w: calls.append(1) or f(x, w)
+    model.drive_noise = _scalar_stats(0.0, 1.0, 1.5)
+    for measurements in (np.zeros((3, 3)), np.zeros((0, 3))):
+        with pytest.raises(NotPSDError):
+            uwlckf_run(model, measurements)
+    assert calls == []
+
+
+def test_indefinite_state_fails_the_step():
+    model = _shapes_model()
+    indefinite = FilterState(AugmentedVector(np.zeros(2)), AugmentedMatrix(np.eye(2), 1.5 * np.eye(2)))
+    with pytest.raises(NotPSDError):
+        uwlckf_step(indefinite, np.zeros(3), model)
+
+
+def _phase_model():
+    return phase.nonlinear_phase_model(phase.PhaseModel(snr_db=20.0, rho_abs=0.7))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("init", _scalar_stats(0.0, np.nan, 0.0)), ("init", _scalar_stats(np.nan, 1.0, 0.0)),
+     ("drive_noise", _scalar_stats(0.0, np.inf, 0.0)), ("meas_noise", _scalar_stats(0.0, 1.0, np.nan))],
+    ids=["nan-initial-variance", "nan-initial-mean", "inf-drive-variance", "nan-measurement-complementary"],
+)
+def test_run_rejects_non_finite_statistics(field, value):
+    model = _phase_model()
+    setattr(model, field, value)
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        uwlckf_run(model, np.ones(4, complex))
+
+
+def test_run_rejects_the_state_a_nan_measurement_leaves():
+    # The gain does not depend on the measurement: a NaN one leaves a finite
+    # covariance and a NaN estimate, which the next step stops.
+    y = np.ones(5, complex)
+    y[1] = np.nan
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        uwlckf_run(_phase_model(), y)

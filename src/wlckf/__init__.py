@@ -13,7 +13,6 @@ from .augmented import (
     augmented_to_real,
     augmented_to_real_matrix,
     build_transform,
-    eigenvalues_scalar_augmented,
     psd_sqrt,
     real_matrix_to_augmented,
 )

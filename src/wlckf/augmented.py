@@ -1,8 +1,8 @@
 """Complex-augmented linear algebra kernel.
 
 Conversions between dual real channels and the complex augmented domain,
-block-structured augmented matrices, and the two numeric helpers the
-filters rely on (PSD matrix square root, scalar augmented eigenvalues).
+block-structured augmented matrices, and the numeric helpers the filters
+rely on (PSD matrix square root, the singular-safe right solve).
 
 A complex vector x = u + jv has the augmented form [x; x*], related to the
 real composite [u; v] by the transform returned by :func:`build_transform`.
@@ -286,16 +286,6 @@ def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.where(w > floor, w, 0.0)
 
 
-def eigenvalues_scalar_augmented(p: float, p_tilde: complex) -> tuple[float, float]:
-    """Eigenvalues (descending) of [[p, pt], [pt*, p]] for real p >= 0."""
-    p = float(p)
-    mag = abs(complex(p_tilde))
-    slack = 1e-12 * max(1.0, p)
-    if p < -slack or mag > p + slack:
-        raise NotPSDError(f"scalar augmented matrix with p={p}, |pt|={mag} is not PSD")
-    return p + mag, max(p - mag, 0.0)
-
-
 def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve X @ a == b for augmented X; least-squares fallback when a is singular.
 
@@ -310,13 +300,19 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
     their shape. A member of the batch counts as singular when its
     smallest singular value is at most ``RCOND`` times its largest; for a
     Hermitian matrix these are its smallest and largest eigenvalue
-    magnitudes, which ``eigvalsh`` gives. The others are solved in one LU
-    call, and each singular member alone by least squares, so every member
-    gets the bits it would get unbatched.
+    magnitudes, which ``eigvalsh`` gives in ascending order, so a single
+    matrix with no negative eigenvalue reads them from its two ends. The
+    others are solved in one LU call, and each singular member alone by
+    least squares, so every member gets the bits it would get unbatched.
     """
-    sv = np.abs(np.linalg.eigvalsh(a))
-    largest = sv.max(axis=-1)
-    singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
+    w = np.linalg.eigvalsh(a)
+    if w.ndim == 1 and w[0] >= 0:
+        low, high = float(w[0]), float(w[-1])
+        singular = np.bool_(high == 0 or low <= RCOND * high)
+    else:
+        sv = np.abs(w)
+        largest = sv.max(axis=-1)
+        singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
     a_t, b_t = a.swapaxes(-1, -2), b_top.swapaxes(-1, -2)
     if not singular.any():
         return np.linalg.solve(a_t, b_t).swapaxes(-1, -2), singular

@@ -42,6 +42,7 @@ one at t = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -50,6 +51,8 @@ from . import augmented
 from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
+    _nonfinite,
+    _require,
     block_conjugate,
     real_matrix_to_augmented,
 )
@@ -57,7 +60,7 @@ from .augmented import (
 # flag per member, which bench/spans.py's tracer, rebinding this name,
 # cannot read. The name stays bound here for the tracer.
 from .augmented import solve_right  # noqa: F401
-from .errors import DimensionError, UnsupportedModelError
+from .errors import ConsistencyError, DimensionError, UnsupportedModelError
 from .stats import SecondOrderStats, sample, sample_batch
 
 
@@ -183,14 +186,20 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _Maps(NamedTuple):
-    """A linear model's full augmented arrays, formed once per run; leading axes are batch axes."""
+    """A linear model's augmented arrays, formed once per run; leading axes are batch axes.
 
-    a: np.ndarray
+    The full arrays A^H, C, C^H and R, and the top block rows of A, B Q B^H,
+    C and R, which are all that a step reads of those arrays.
+    """
+
+    a_top: np.ndarray
     a_h: np.ndarray
-    bqb_h: np.ndarray
+    bqb_top: np.ndarray
     c: np.ndarray
+    c_top: np.ndarray
     c_h: np.ndarray
     r: np.ndarray
+    r_top: np.ndarray
 
     @classmethod
     def of(cls, model: WidelyLinearModel) -> "_Maps":
@@ -204,8 +213,10 @@ class _Maps(NamedTuple):
 
     @classmethod
     def _build(cls, full) -> "_Maps":
-        a, b, c = full("A"), full("B"), full("C")
-        return cls(a, _h(a), b @ full("Q") @ _h(b), c, _h(c), full("R"))
+        a, b, c, r = full("A"), full("B"), full("C"), full("R")
+        n, m = a.shape[-1] // 2, c.shape[-2] // 2
+        bqb_h = b @ full("Q") @ _h(b)
+        return cls(a[..., :n, :], _h(a), bqb_h[..., :n, :], c, c[..., :m, :], _h(c), r, r[..., :m, :])
 
 
 def _covariance(top: np.ndarray) -> np.ndarray:
@@ -213,11 +224,37 @@ def _covariance(top: np.ndarray) -> np.ndarray:
 
     The Hermitian part of the block-conjugate completion: M1 becomes
     (M1 + M1^H) / 2 and M2 becomes (M2 + M2^T) / 2, and the pattern holds.
-    Leading axes are batch axes.
+    The completion is formed in place in the result. Leading axes are batch
+    axes.
     """
     n = top.shape[-2]
-    full = block_conjugate(top[..., :n], top[..., n:])
-    return (full + _h(full)) / 2
+    full = np.empty((*top.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    full[..., :n, :] = top
+    np.conjugate(top[..., n:], out=full[..., n:, :n])
+    np.conjugate(top[..., :n], out=full[..., n:, n:])
+    full += _h(full)
+    full /= 2
+    return full
+
+
+def _hermitian_top(top: np.ndarray) -> np.ndarray:
+    """The top block row of :func:`_covariance`, [(M1 + M1^H) / 2, (M2 + M2^T) / 2], without the bottom rows.
+
+    Its entries are those of the full array, bit for bit. Leading axes are batch axes.
+    """
+    n = top.shape[-2]
+    out = np.concatenate([_h(top[..., :n]), top[..., n:].swapaxes(-1, -2)], axis=-1)
+    out += top
+    out /= 2
+    return out
+
+
+@cache
+def _identity(size: int) -> np.ndarray:
+    """The read-only identity of a size, built once."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
 
 
 def _blocks(top: np.ndarray) -> AugmentedMatrix:
@@ -226,38 +263,36 @@ def _blocks(top: np.ndarray) -> AugmentedMatrix:
     return AugmentedMatrix(top[:, :cols].copy(), top[:, cols:].copy())
 
 
-def _state(x: np.ndarray, p: np.ndarray, t: int) -> FilterState:
-    """Filter state holding copies of the top half of x and the top block row of p."""
-    n = x.shape[0] // 2
+def _state(x: np.ndarray, p: np.ndarray, n: int, t: int) -> FilterState:
+    """Filter state holding a copy of the first n entries of x and the blocks of the first n rows of p."""
     return FilterState(AugmentedVector(x[:n].copy()), _blocks(p[:n]), t)
 
 
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
     """Time update on full arrays: A x and A P A^H + B Q B^H, symmetrized."""
-    n = x.shape[-1] // 2
-    a_top = maps.a[..., :n, :]
-    top = _matvec(a_top, x)
-    cov = _covariance(a_top @ p @ maps.a_h + maps.bqb_h[..., :n, :])
+    top = _matvec(maps.a_top, x)
+    cov = _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
     return np.concatenate([top, np.conj(top)], axis=-1), cov
 
 
 def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps) -> "WLUpdate":
     """Measurement update on full arrays: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
-    m = maps.c.shape[-2] // 2
-    c_top = maps.c[..., :m, :]
+    c_top = maps.c_top
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
-    s = _covariance(c_top @ p @ maps.c_h + maps.r[..., :m, :])
+    s = _covariance(c_top @ p @ maps.c_h + maps.r_top)
     return wl_update(x, p, y, _matvec(c_top, x), p @ maps.c_h, s, joseph=(maps.c, maps.r))
 
 
 class WLUpdate(NamedTuple):
     """The arrays of one widely linear measurement update (leading axes are batch axes).
 
-    ``x``, ``p``: predicted estimate and covariance; ``innovation``: the
-    top half of the augmented innovation; ``s``: innovation covariance;
-    ``gain``: top block row of the gain; ``x_post``, ``p_post``: posterior;
-    ``singular``: whether the gain took the least-squares fallback.
+    ``x``, ``p``: predicted estimate and covariance, as :func:`wl_update`
+    took them; ``innovation``: the top half of the augmented innovation;
+    ``s``: innovation covariance; ``gain``: top block row of the gain;
+    ``x_post``, ``p_post``: posterior, full from the Joseph form and top
+    half and top block row otherwise; ``singular``: whether the gain took
+    the least-squares fallback.
     """
 
     x: np.ndarray
@@ -272,16 +307,16 @@ class WLUpdate(NamedTuple):
     def report(self, t: int) -> StepReport:
         """The step report of an unbatched update at time ``t``.
 
-        It holds copies of the top block rows of the arrays, so the
-        block-conjugate pattern holds exactly.
+        It holds a copy of each block of the top block rows, so the
+        block-conjugate pattern holds exactly and no full array is kept.
         """
-        m = self.innovation.shape[0]
+        n, m = self.gain.shape[0], self.innovation.shape[0]
         return StepReport(
-            predicted=_state(self.x, self.p, t),
+            predicted=_state(self.x, self.p, n, t),
             innovation=AugmentedVector(self.innovation),
             innovation_cov=_blocks(self.s[:m]),
             gain=_blocks(self.gain),
-            state=_state(self.x_post, self.p_post, t),
+            state=_state(self.x_post, self.p_post, n, t),
             singular_innovation=bool(self.singular),
         )
 
@@ -297,10 +332,10 @@ def wl_update(
 ) -> WLUpdate:
     """Widely linear measurement update shared by the linear and unscented filters.
 
-    Works on full augmented arrays: ``x`` and ``p`` are the predicted
-    estimate [x; x*] and covariance, ``y_pred`` the predicted
-    measurement, ``cross`` the state/measurement cross covariance P_xy and
-    ``s`` the innovation covariance S, which must be exactly Hermitian.
+    Works on augmented arrays: ``x`` and ``p`` are the predicted estimate
+    [x; x*] and covariance, ``y_pred`` the predicted measurement,
+    ``cross`` the full state/measurement cross covariance P_xy and ``s``
+    the full innovation covariance S, which must be exactly Hermitian.
     The gain solves K S = P_xy for the top block row of K (least squares
     when S is singular, flagged). With ``joseph = (C, R)``, the
     measurement map and noise of a linear model, the posterior covariance
@@ -308,7 +343,12 @@ def wl_update(
     positive semidefinite under rounding and needs the full K that
     :func:`wlckf.augmented.block_conjugate` completes; without it (the
     unscented filter, whose measurement map is not linear) it is
-    P - K P_xy^H, from the top block row alone. Either is symmetrized.
+    P - K P_xy^H, from the top block row alone: ``x`` and ``p`` may then be
+    just their top half and top block row, all this form reads, and the
+    posterior is returned as its top half and symmetrized top block row
+    (:func:`_hermitian_top`). The Joseph form returns the full posterior,
+    symmetrized. A measurement with a NaN or infinite entry raises
+    ConsistencyError, naming the first such member of a batch.
 
     Leading axes of every array are batch axes: a batch of models runs
     through the same arithmetic, and each member gets the bits it would
@@ -318,7 +358,9 @@ def wl_update(
     y = np.asarray(y, dtype=complex)
     if y.shape != y_pred.shape:
         raise DimensionError("measurement dimension does not match the model")
-    n, m = x.shape[-1] // 2, y.shape[-1]
+    if not np.isfinite(y).all():
+        _require(_nonfinite(y, -1), ConsistencyError, "measurement has non-finite entries")
+    n, m = cross.shape[-2] // 2, y.shape[-1]
     gain, singular = augmented.solve_right(cross[..., :n, :], s)
     if joseph is None:
         # C-contiguous like the full gain's top rows, so the products keep their bits.
@@ -328,10 +370,12 @@ def wl_update(
         c, r = joseph
         k = block_conjugate(gain[..., :m], gain[..., m:])
         k_top = k[..., :n, :]
-        i_kc = np.eye(2 * n) - k @ c
+        i_kc = _identity(2 * n) - k @ c
         cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
     innovation = y - y_pred
     top = x[..., :n] + _matvec(k_top, np.concatenate([innovation, np.conj(innovation)], axis=-1))
+    if joseph is None:
+        return WLUpdate(x, p, innovation, s, k_top, top, _hermitian_top(cov_top), singular)
     x_post = np.concatenate([top, np.conj(top)], axis=-1)
     return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
 

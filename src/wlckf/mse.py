@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmented import _first, eigenvalues_scalar_augmented
+from .augmented import _first
 from .errors import DegenerateError, DimensionError, NotPSDError
 
 
@@ -73,7 +73,13 @@ class ScalarModelParams:
         return pick(self.a), pick(self.b), pick(self.c)
 
     def init_eigenvalues(self) -> tuple[float, float]:
-        return eigenvalues_scalar_augmented(self.init_var, self.init_cvar)
+        """Eigenvalues (descending) of the initial augmented covariance [[p, pt], [pt*, p]]."""
+        p = float(self.init_var)
+        mag = abs(complex(self.init_cvar))
+        slack = 1e-12 * max(1.0, p)
+        if p < -slack or mag > p + slack:
+            raise NotPSDError(f"scalar augmented matrix with p={p}, |pt|={mag} is not PSD")
+        return p + mag, max(p - mag, 0.0)
 
 
 def variance_step(lam, t: int, params: ScalarModelParams):
@@ -277,6 +283,12 @@ ON_CIRCLE = 4 * np.finfo(float).eps
 # A converged member keeps the recursion's value only within this relative
 # distance of the closed form.
 AGREE = 1e-6
+# A member leaves the recursion once its strictly linear MSE change, shrunk
+# at the slowest rate the map allows until the horizon, stays above this
+# many times ``tol``. The test runs every EXIT_EVERY iterations, which keeps
+# its cost off the members that converge.
+EXIT_MARGIN = 2.0
+EXIT_EVERY = 8
 
 
 def _posterior(q, r):
@@ -395,6 +407,31 @@ def _noise_covariances(power: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _cannot_converge(change, before, after, limit, n1, n2, steps_left: int, tol: float) -> np.ndarray:
+    """Whether each member's strictly linear MSE change stays at or above ``tol`` for its ``steps_left`` more steps.
+
+    That recursion is the map g(m) = 1 / (1 / (m + N1) + 1 / N2), increasing
+    and concave, with g'(m) = (N2 / (m + N1 + N2))^2 < 1. Its iterates move
+    monotonically to the fixed point ``limit``, so every later step changes
+    the MSE by at least ``change`` times g' at max(``before``, ``after``,
+    ``limit``) to the power of the steps between (the mean value theorem;
+    Anderson & Moore, *Optimal Filtering*, 1979, ch. 4). The rounding of the
+    float map, about 2 eps of the MSE a step, can take at most
+    8 eps m / (1 - g') off that bound, which also covers a change that
+    stalls below an ulp. A member whose bound, less that slack, exceeds
+    ``EXIT_MARGIN`` times ``tol`` at the horizon can never pass ``tol`` before
+    it, so it cannot stand and takes the closed form at once.
+    """
+    top = np.maximum(np.maximum(before, after), limit)
+    # 1 - g' as (1 - s)(1 + s), with 1 - s = (m + N1) / (m + N1 + N2) for s = sqrt(g'),
+    # stays accurate where g' is near 1.
+    root_gap = (top + n1) / (top + n1 + n2)
+    rate_gap = root_gap * (2.0 - root_gap)
+    reach = change * np.exp(steps_left * np.log1p(-rate_gap))
+    slack = 8 * np.finfo(float).eps * top / rate_gap
+    return reach - slack > EXIT_MARGIN * tol
+
+
 def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, tol: float = 1e-12) -> ImproprietyGains:
     """:func:`noise_impropriety_gain` over a batch of noise settings at once.
 
@@ -407,9 +444,11 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     the bits its one-member call gets. A member leaves for the closed form
     when it reaches the horizon, when its widely linear MSE is not a
     positive number (as where :func:`_inv2` finds no inverse of its 2x2,
-    or a power overflows), or when it converges farther than ``AGREE`` from
-    the closed form; so the loop runs with numpy's floating-point warnings
-    off.
+    or a power overflows), when it cannot converge by the horizon
+    (:func:`_cannot_converge`, tested at the first iteration and every
+    ``EXIT_EVERY`` after), or when it converges farther than
+    ``AGREE`` from the closed form; so the loop runs with numpy's
+    floating-point warnings off.
     """
     closed = steady_state_gains(rho_w, rho_n, n1_db, n2_db)
     shape = closed.ratio.shape
@@ -425,6 +464,8 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
     n1, n2 = (np.array([db_to_linear(db) for db in dbs[member].tolist()]) for dbs in (n1_db, n2_db))
     p_bar = np.broadcast_to(np.eye(2, dtype=complex), (len(member), 2, 2)).copy()
     mse = np.ones((2, len(member)))
+    # The strictly linear channel's fixed point, which bounds its remaining iterates.
+    sl_limit = closed.sl_mse.ravel()[member]
     it = 0
     with np.errstate(all="ignore"):
         q, r = _noise_covariances(n1, rho_w[member]), _noise_covariances(n2, rho_n[member])
@@ -451,16 +492,21 @@ def noise_impropriety_gains(rho_w, rho_n, n1_db, n2_db, horizon: int = 10_000, t
             np.divide(1.0, sl, out=sl)
             sl += inv_n2
             np.divide(1.0, sl, out=sl)
-            small = np.abs(new - mse) < tol
+            change = np.abs(new - mse)
+            small = change < tol
             done = small[0] & small[1]
-            mse = new
             leave = done | ~(wl > 0)
+            if it % EXIT_EVERY == 1:
+                leave |= _cannot_converge(change[1], mse[1], sl, sl_limit, n1, n2, horizon - it, tol)
+            mse = new
             if np.count_nonzero(done):
                 result[:, member[done]] = mse[:, done]
                 iterations[member[done]] = it
             if np.count_nonzero(leave):
                 keep = ~leave
-                member, p_bar, q, r, n1, inv_n2 = (a[keep] for a in (member, p_bar, q, r, n1, inv_n2))
+                member, p_bar, q, r, n1, n2, inv_n2, sl_limit = (
+                    a[keep] for a in (member, p_bar, q, r, n1, n2, inv_n2, sl_limit)
+                )
                 mse = mse[:, keep]
         wl_mse, sl_mse = result
         ratio = sl_mse / wl_mse

@@ -15,40 +15,47 @@ standard deviations from the mean, with the weights of :func:`weights`.
 The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
-innovation and cross covariances as full augmented arrays, from one
-product of the weighted deviations. The joint covariance is block
-diagonal and its noise block is constant, so the points are built block
+innovation and cross covariances from one product of the weighted
+deviations, symmetrized and completed by one gather. The joint
+covariance is block diagonal and its noise block is constant, so the
+points are built block
 by block rather than through :func:`wlckf.stats.composite_factor`: the
 noise block is checked and eigendecomposed once per run, and each step
 eigendecomposes the 2n x 2n state composite alone. The PSD test and the
 flush of :func:`wlckf.augmented.psd_sqrt` apply to the union of the two
 spectra, which is the joint's, so the point set is the joint's up to
-order. The gain and the posterior then come from the WLCKF's own widely
-linear update, :func:`wlckf.linear.wl_update`. The posterior covariance
-stays P - K P_xy^H: the Joseph form the linear filter uses needs a linear
-measurement map, which this model does not have.
+order; they read the state's extreme eigenvalues and the noise
+spectrum's, which are constants of the run. The gain and the posterior
+then come from the WLCKF's own widely linear update,
+:func:`wlckf.linear.wl_update`. The posterior covariance stays
+P - K P_xy^H: the Joseph form the linear filter uses needs a linear
+measurement map, which this model does not have. A step reads and
+hands on only the top half of the estimate and the top block row of
+the covariance.
 A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .augmented import (
+    PSD_TOL,
     AugmentedVector,
     _nonfinite,
     _psd_eigenvalues,
     _require,
-    block_conjugate,
     check_covariance_blocks,
 )
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
-from .errors import ConsistencyError, DimensionError
-from .linear import FilterState, StepReport, _covariance, wl_update
+from .errors import ConsistencyError, DimensionError, NotPSDError
+from .linear import FilterState, StepReport, WLUpdate, _hermitian_top, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
 
@@ -154,20 +161,81 @@ class NonlinearModel:
         return self.init.n
 
 
-def _composite(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Real composite covariance of x = u + jv from its blocks (M1, M2), symmetrized.
+def _pair_means(v: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(t[first] + t[second]) / 2 over t = [v, -v], for ``terms`` = (first, second) positions in t."""
+    t = np.concatenate([v, -v])
+    first, second = terms
+    out = t[first]
+    out += t[second]
+    out /= 2
+    return out
 
-    R_uu = Re(M1 + M2) / 2, R_vv = Re(M1 - M2) / 2, R_uv = -Im(M1 - M2) / 2
-    and R_vu = Im(M1 + M2) / 2, assembled as [[R_uu, R_uv], [R_vu, R_vv]].
+
+@cache
+def _composite_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pair_means` positions of the composite covariance from the float view of a top block row [M1, M2].
+
+    R_uu = Re(M1 + M2) / 2, R_uv = Im(M2 - M1) / 2, R_vu = Im(M1 + M2) / 2
+    and R_vv = Re(M1 - M2) / 2, assembled as [[R_uu, R_uv], [R_vu, R_vv]].
     """
-    k = m1.shape[0]
-    total, diff = m1 + m2, m1 - m2
-    c = np.empty((2 * k, 2 * k))
-    c[:k, :k] = total.real
-    c[:k, k:] = -diff.imag
-    c[k:, :k] = total.imag
-    c[k:, k:] = diff.real
-    return (c + c.T) / 4
+    v = np.arange(4 * n * n).reshape(n, 2, n, 2)  # [row, block, column, real or imaginary part]
+    re1, im1, re2, im2 = v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
+    neg = 4 * n * n
+    first = np.concatenate([np.concatenate([re1, im2], axis=1), np.concatenate([im1, re1], axis=1)])
+    second = np.concatenate([np.concatenate([re2, neg + im1], axis=1), np.concatenate([im2, neg + re2], axis=1)])
+    return first, second
+
+
+def _composite(top: np.ndarray) -> np.ndarray:
+    """Real composite covariance of x = u + jv from its top block row [M1, M2].
+
+    With M1 exactly Hermitian and M2 exactly symmetric, the composite is
+    exactly symmetric: each entry is the mean of two of their parts
+    (:func:`_composite_terms`).
+    """
+    return _pair_means(np.ascontiguousarray(top).view(float).ravel(), _composite_terms(top.shape[0]))
+
+
+@cache
+def _moment_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pair_means` positions of the step's second moments from the float view of the moment product g.
+
+    g holds [P1, P2, X1, X2] in its first n rows and [., ., S1, S2] in the
+    other m, unsymmetrized. The result is, flat and one after another, the
+    predicted covariance's top block row and the full innovation
+    covariance, each the Hermitian part of its completion with the bits of
+    :func:`wlckf.linear._covariance`, and the full cross covariance
+    [[X1, X2], [X2*, X1*]] as it stands, each of its entries the mean of
+    that entry with itself. Every entry is the mean of two entries of g or
+    their conjugates.
+    """
+    width = 2 * (n + m)
+    neg = 2 * (n + m) * width
+
+    def block(row, col):
+        """Entry (i, j), conjugated or not, of the block of g whose first entry is (row, col)."""
+        return lambda i, j, conj=False: (row + i, col + j, conj)
+
+    p1, p2 = block(0, 0), block(0, n)
+    x1, x2 = block(0, 2 * n), block(0, 2 * n + m)
+    s1, s2 = block(n, 2 * n), block(n, 2 * n + m)
+    pairs = []
+    for i in range(n):
+        pairs += [(p1(i, j), p1(j, i, True)) for j in range(n)] + [(p2(i, j), p2(j, i)) for j in range(n)]
+    for i in range(m):
+        pairs += [(s1(i, j), s1(j, i, True)) for j in range(m)] + [(s2(i, j), s2(j, i)) for j in range(m)]
+    for i in range(m):
+        pairs += [(s2(i, j, True), s2(j, i, True)) for j in range(m)] + [(s1(i, j, True), s1(j, i)) for j in range(m)]
+    for i in range(n):
+        pairs += [(x1(i, j), x1(i, j)) for j in range(m)] + [(x2(i, j), x2(i, j)) for j in range(m)]
+    for i in range(n):
+        pairs += [(x2(i, j, True), x2(i, j, True)) for j in range(m)] + [(x1(i, j, True), x1(i, j, True)) for j in range(m)]
+
+    def position(entry, imag):
+        row, col, conj = entry
+        return 2 * (row * width + col) + imag + (neg if imag and conj else 0)
+
+    return tuple(np.array([position(pair[k], imag) for pair in pairs for imag in (0, 1)]) for k in (0, 1))
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -186,8 +254,10 @@ class _JointPoints:
 
     The joint covariance is block diagonal, so its composite eigenpairs are
     those of the state block and of the noise block, embedded. The noise
-    block never changes: it is checked and decomposed once here, and
-    ``points`` keeps its entries. Each :meth:`fill` decomposes the state
+    block never changes: it is checked and decomposed once here, its
+    eigenvalues are kept as floats for the PSD test and the flush, and
+    ``points`` keeps its entries, refilled only when the flush floor
+    crosses one of its eigenvalues. Each :meth:`fill` decomposes the state
     block alone. The rows are the centre, then the centre plus and minus
     each state axis, then plus and minus each noise axis; every point but
     the centre has the same weight, so the set is the joint's up to order.
@@ -200,50 +270,72 @@ class _JointPoints:
                              (meas.mean, meas.hermitian_cov, meas.complementary_cov)):
             _require(_nonfinite(mean, -1), ConsistencyError, "mean has non-finite entries")
             check_covariance_blocks(m1, m2)
-        w, v = np.linalg.eigh(_composite(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
-                                         _block_diag(drive.complementary_cov, meas.complementary_cov)))
+        w, v = np.linalg.eigh(_composite(_top_row(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
+                                                _block_diag(drive.complementary_cov, meas.complementary_cov))))
         _psd_eigenvalues(w)
         k = drive.n + meas.n
+        self.model = model
         self.n = n = model.n
-        # Eigenvalues of the noise composite, and its axes as complex directions over the noise entries, one a row.
+        # Eigenvalues of the noise composite, ascending, and its axes as complex directions over the noise entries, one a row.
         self.noise_w, self.noise_dirs = w, (v[:k] + 1j * v[k:]).T
+        self._noise_values = w.tolist()
+        # max(1, largest |eigenvalue|), the noise's share of the PSD test's scale.
+        self._noise_scale = max(1.0, -self._noise_values[0], self._noise_values[-1])
         self.w_mean, self.w_cov = weights(2 * (n + k))
-        self.points = np.empty((4 * (n + k) + 1, n + k), dtype=complex)
-        self.points[:, n:] = np.concatenate([drive.mean, meas.mean])
-        self._noise_flushed = None
+        self.w_cov_column = self.w_cov[:, None]
+        self.points = pts = np.empty((4 * (n + k) + 1, n + k), dtype=complex)
+        pts[:, n:] = np.concatenate([drive.mean, meas.mean])
+        self.state_points, self.drive_points, self.meas_points = pts[:, :n], pts[:, n : n + drive.n], pts[:, n + drive.n :]
+        # The state entries of the points as (point, entry, real or imaginary part).
+        parts = pts.view(float).reshape(len(pts), n + k, 2)[:, :n]
+        self._plus, self._minus = parts[1 : 2 * n + 1], parts[2 * n + 1 : 4 * n + 1]
+        # How many noise eigenvalues the last fill flushed; None before the first.
+        self._flushed = None
 
-    def fill(self, state: FilterState) -> np.ndarray:
-        """The joint points at the state's estimate and covariance, under :func:`psd_sqrt`'s rules on the joint.
+    def fill(self, x: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """The joint points at estimate ``x`` and covariance top block row ``top``, under :func:`psd_sqrt`'s rules on the joint.
 
-        The state covariance is not checked for symmetry here: a filter
-        state comes from :func:`wlckf.linear._covariance`, which makes M1
-        exactly Hermitian and M2 exactly symmetric, and :meth:`__init__`
-        checks a given one. The check for non-finite entries, which a NaN
-        measurement leaves in the estimate, and the PSD test stay on every
-        call.
+        ``top`` is [M1, M2] with M1 exactly Hermitian and M2 exactly
+        symmetric, as :func:`_top_row` and :func:`wlckf.linear.wl_update`
+        make them. The check for non-finite entries, which an overflow
+        leaves in the state, and the PSD test stay on every call.
         """
         n, pts = self.n, self.points
-        x = state.estimate.top
-        c = _composite(state.cov.m1, state.cov.m2)
+        c = _composite(top)
         if not (np.isfinite(x).all() and np.isfinite(c).all()):
             raise ConsistencyError("filter state has non-finite entries")
         w, v = np.linalg.eigh(c)
-        # The joint's spectrum is the union of the blocks', so the PSD bound and the flush floor are the joint's.
-        w = _psd_eigenvalues(np.concatenate([w, self.noise_w]))
-        b = SPREAD * v * np.sqrt(w[: 2 * n])
-        dev = (b[:n] + 1j * b[n:]).T
-        pts[:, :n] = x
-        pts[1 : 2 * n + 1, :n] += dev
-        pts[2 * n + 1 : 4 * n + 1, :n] -= dev
-        noise_w = w[2 * n :]
-        if self._noise_flushed is None or not np.array_equal(noise_w, self._noise_flushed):
-            self._noise_flushed = noise_w
+        # The joint's spectrum is the union of the blocks', so the PSD bound and the flush floor are the joint's;
+        # eigh returns the eigenvalues in ascending order, so those at or below the floor lead.
+        values = w.tolist()
+        low, high = values[0], values[-1]
+        bound = PSD_TOL * max(self._noise_scale, -low, high)
+        lowest = min(low, self._noise_values[0])
+        if lowest < -bound:
+            raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} below -{bound:.3e}", index=())
+        floor = 1e-13 * max(high, self._noise_values[-1], 0.0)
+        w[: bisect_right(values, floor)] = 0.0
+        b = SPREAD * v * np.sqrt(w)
+        # Axis i's deviation has real parts b[:n, i] and imaginary parts b[n:, i].
+        dev = b.reshape(2, n, 2 * n).T
+        self.state_points[...] = x
+        self._plus += dev
+        self._minus -= dev
+        flushed = bisect_right(self._noise_values, floor)
+        if flushed != self._flushed:
+            self._flushed = flushed
+            noise_w = np.where(self.noise_w > floor, self.noise_w, 0.0)
             noise_dev = SPREAD * np.sqrt(noise_w)[:, None] * self.noise_dirs
             k = noise_w.shape[0]
             pts[4 * n + 1 :, n:] = pts[0, n:]
             pts[4 * n + 1 : 4 * n + 1 + k, n:] += noise_dev
             pts[4 * n + 1 + k :, n:] -= noise_dev
         return pts
+
+
+def _top_row(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The top block row [M1, M2] of a covariance, with M1 made exactly Hermitian and M2 exactly symmetric."""
+    return _hermitian_top(np.concatenate([m1, m2], axis=1))
 
 
 def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
@@ -254,39 +346,42 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     (:class:`_JointPoints`), after the state and both noises are checked:
     finite, Hermitian M1 and symmetric M2, and PSD. The state parts pass
     through the transition and then the measurement map, and predicted,
-    innovation and cross second moments are assembled as full augmented
+    innovation and cross second moments are assembled as augmented
     arrays, symmetrized like the linear filter's. From there the update is
     :func:`wlckf.linear.wl_update`: the gain solves against the augmented
     innovation covariance (least squares when singular, flagged) and the
     posterior is P - K P_xy^H, symmetrized.
     """
-    return _step(_JointPoints(model, state), state, y, model)
+    joint = _JointPoints(model, state)
+    return _step(joint, state.estimate.top, _top_row(state.cov.m1, state.cov.m2), y).report(state.t + 1)
 
 
-def _step(joint: _JointPoints, state: FilterState, y, model: NonlinearModel) -> StepReport:
-    """:func:`uwlckf_step` on points whose noise rows ``joint`` holds; it fills the state entries.
+def _step(joint: _JointPoints, x: np.ndarray, top: np.ndarray, y) -> WLUpdate:
+    """:func:`uwlckf_step`'s update from estimate ``x`` and covariance top block row ``top``, on ``joint``'s points.
 
     Every moment comes from one product: the weighted deviations d of
     [f-outputs, h-outputs] from their mean against [dx*, dx, dy*, dy].
     Its blocks are the top block rows of the predicted and the innovation
-    covariance and of the cross covariance.
+    covariance and of the cross covariance, which one gather symmetrizes
+    and completes (:func:`_moment_terms`). The update takes the predicted
+    estimate and covariance as their top half and top block row.
     """
-    n = model.n
-    nw = model.drive_noise.n
-    pts = joint.fill(state)
-    xs_next = np.asarray(model.f(pts[:, :n], pts[:, n : n + nw]), dtype=complex)
-    ys = np.asarray(model.h(xs_next, pts[:, n + nw :]), dtype=complex)
+    n = joint.n
+    model = joint.model
+    joint.fill(x, top)
+    xs_next = np.asarray(model.f(joint.state_points, joint.drive_points), dtype=complex)
+    ys = np.asarray(model.h(xs_next, joint.meas_points), dtype=complex)
     m = ys.shape[1]
     z = np.concatenate([xs_next, ys], axis=1)
     mean = joint.w_mean @ z
     d = z - mean
     dx, dy = d[:, :n], d[:, n:]
-    g = (joint.w_cov[:, None] * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
-    cross = block_conjugate(g[:n, 2 * n : 2 * n + m], g[:n, 2 * n + m :])
-    x = np.concatenate([mean[:n], np.conj(mean[:n])])
-    return wl_update(x, _covariance(g[:n, : 2 * n]), y, mean[n:], cross, _covariance(g[n:, 2 * n :])).report(
-        state.t + 1
-    )
+    g = (joint.w_cov_column * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
+    moments = _pair_means(g.view(float).ravel(), _moment_terms(n, m)).view(complex)
+    p_top = moments[: 2 * n * n].reshape(n, 2 * n)
+    s = moments[2 * n * n : 2 * n * n + 4 * m * m].reshape(2 * m, 2 * m)
+    cross = moments[2 * n * n + 4 * m * m :].reshape(2 * n, 2 * m)
+    return wl_update(mean[:n], p_top, y, mean[n:], cross, s)
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
@@ -294,13 +389,23 @@ def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
 
     The initial state and the noises are checked, and the noises
     decomposed, once per run (:class:`_JointPoints`); each step then
-    decomposes the 2n x 2n state composite alone.
+    decomposes the 2n x 2n state composite alone. The measurements are
+    converted once: a sequence of scalars is one measurement a step, and
+    a ragged sequence raises DimensionError.
     """
-    state = FilterState(AugmentedVector(model.init.mean), model.init.augmented_cov(), t=0)
+    init = model.init
+    state = FilterState(AugmentedVector(init.mean), init.augmented_cov(), t=0)
     joint = _JointPoints(model, state)
+    try:
+        ys = np.asarray(measurements if isinstance(measurements, np.ndarray) else list(measurements), dtype=complex)
+    except ValueError as exc:
+        raise DimensionError("measurement dimension does not match the model") from exc
+    if ys.ndim == 1:
+        ys = ys[:, None]
+    x, top = state.estimate.top, _top_row(state.cov.m1, state.cov.m2)
     reports: list[StepReport] = []
-    for y in measurements:
-        report = _step(joint, state, np.atleast_1d(np.asarray(y, complex)), model)
-        reports.append(report)
-        state = report.state
+    for t, y in enumerate(ys, start=1):
+        update = _step(joint, x, top, y)
+        reports.append(update.report(t))
+        x, top = update.x_post, update.p_post
     return reports

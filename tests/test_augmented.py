@@ -11,7 +11,6 @@ from wlckf.augmented import (
     augmented_to_real,
     augmented_to_real_matrix,
     build_transform,
-    eigenvalues_scalar_augmented,
     psd_sqrt,
     real_matrix_to_augmented,
 )
@@ -207,35 +206,6 @@ def test_psd_sqrt_stack_names_first_failing_member():
     with pytest.raises(ConsistencyError, match="symmetric matrix") as info:
         psd_sqrt(np.stack([[good, good], [good, np.array([[1.0, 1.0], [0.0, 1.0]])]]))
     assert info.value.index == (1, 1)
-
-
-def test_scalar_eigenvalues_proper():
-    assert eigenvalues_scalar_augmented(1.0, 0.0) == (1.0, 1.0)
-
-
-def test_scalar_eigenvalues_maximally_improper():
-    assert eigenvalues_scalar_augmented(1.0, 1.0) == (2.0, 0.0)
-
-
-def test_scalar_eigenvalues_complex_complementary():
-    assert eigenvalues_scalar_augmented(1.0, 0.5j) == pytest.approx((1.5, 0.5))
-
-
-def test_scalar_eigenvalues_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        eigenvalues_scalar_augmented(1.0, 1.5)
-
-
-@given(st.floats(0.01, 10), st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
-@settings(max_examples=200)
-def test_scalar_eigenvalues_match_generic_solver(p, pt):
-    if abs(pt) > p:
-        pt = pt * (p / abs(pt))
-    lam_hi, lam_lo = eigenvalues_scalar_augmented(p, pt)
-    full = np.array([[p, pt], [np.conj(pt), p]])
-    ref = np.linalg.eigvalsh(full)
-    assert lam_lo == pytest.approx(ref[0], abs=1e-12 * max(1, p))
-    assert lam_hi == pytest.approx(ref[1], abs=1e-12 * max(1, p))
 
 
 def test_augmented_matrix_product_keeps_pattern():

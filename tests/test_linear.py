@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wlckf import linear, unscented
 from wlckf.augmented import (
     AugmentedMatrix,
     AugmentedVector,
     augmented_to_real,
     augmented_to_real_matrix,
+    block_conjugate,
     real_matrix_to_augmented,
 )
-from wlckf.errors import DimensionError, UnsupportedModelError
+from wlckf.errors import ConsistencyError, DimensionError, UnsupportedModelError
 from wlckf.linear import (
     FilterState,
     WidelyLinearModel,
@@ -538,6 +540,30 @@ def test_ckf_batch_equals_ckf_run_and_checks_every_model():
         next(wlckf_batch([models[0], model_from_real(*random_composite(0, n=1, m=2))], meas[:2]))
 
 
+@pytest.mark.parametrize("run", [wlckf_run, ckf_run], ids=["wlckf_run", "ckf_run"])
+def test_run_rejects_a_nan_measurement(run):
+    # The gain does not depend on the measurement: a NaN one would leave a NaN
+    # estimate beside a finite covariance, so the update stops it.
+    model = proper_model(3)
+    meas = simulate_linear(model, 6, substream(9, 0))[1]
+    meas[-1, 1] = np.nan
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        run(model, meas)
+
+
+@pytest.mark.parametrize("batch", [wlckf_batch, ckf_batch], ids=["wlckf_batch", "ckf_batch"])
+def test_batch_names_the_member_with_a_nan_measurement(batch):
+    models = [proper_model(seed) for seed in range(3)]
+    meas = np.stack([simulate_linear(model, 6, substream(10, i))[1] for i, model in enumerate(models)])
+    meas[2, -1, 0] = np.nan
+    steps = batch(models, meas)
+    for _ in range(5):
+        next(steps)
+    with pytest.raises(ConsistencyError, match="non-finite") as info:
+        next(steps)
+    assert info.value.index == (2,)
+
+
 def _shift_model(rows_equal):
     """A composite model whose innovation covariance is singular at known steps.
 
@@ -581,3 +607,87 @@ def test_real_kf_takes_lstsq_exactly_at_the_singular_steps(monkeypatch):
         for step, (mean, cov) in zip(steps, batch, strict=True):
             assert np.array_equal(step.mean, mean[i])
             assert np.array_equal(step.cov, cov[i])
+
+
+# --- the shared kernels: completion, symmetrized top rows, step reports -----------
+
+
+def _top_rows(rng, batch, n):
+    """Random top block rows [M1, M2]; member 0 is maximally improper (M2 = M1, real) and member 1 a rotated one."""
+    top = rng.standard_normal((*batch, n, 2 * n)) + 1j * rng.standard_normal((*batch, n, 2 * n))
+    z = rng.standard_normal((n, n))
+    real = z @ z.T
+    top.reshape(-1, n, 2 * n)[0] = np.concatenate([real, real], axis=1)
+    top.reshape(-1, n, 2 * n)[1] = np.concatenate([real + 0j, np.exp(0.7j) * real], axis=1)
+    return top
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_covariance_is_the_symmetrized_completion_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    for batch in ((3,), (2, 4)):
+        stack = _top_rows(rng, batch, n)
+        # The stack, then each member alone.
+        for top in (stack, *stack.reshape(-1, n, 2 * n)):
+            full = block_conjugate(top[..., :n], top[..., n:])
+            reference = (full + full.conj().swapaxes(-1, -2)) / 2
+            assert np.array_equal(linear._covariance(top), reference)
+            assert np.array_equal(linear._hermitian_top(top), reference[..., :n, :])
+
+
+def _report_arrays(rep):
+    return [
+        rep.predicted.estimate.top, rep.predicted.cov.m1, rep.predicted.cov.m2,
+        rep.innovation.top, rep.innovation_cov.m1, rep.innovation_cov.m2,
+        rep.gain.m1, rep.gain.m2, rep.state.estimate.top, rep.state.cov.m1, rep.state.cov.m2,
+    ]
+
+
+def _expected_report_arrays(update, n, m):
+    """The top halves and blocks of the top block rows of an update's arrays."""
+    def pair(top):
+        return [top[:, : top.shape[1] // 2], top[:, top.shape[1] // 2 :]]
+
+    return [
+        update.x[:n], *pair(update.p[:n]), update.innovation, *pair(update.s[:m]), *pair(update.gain),
+        update.x_post[:n], *pair(update.p_post[:n]),
+    ]
+
+
+def _linear_updates(model, steps):
+    state = default_init(model)
+    meas = simulate_linear(model, steps, substream(31, 0))[1]
+    return list(linear._wl_filter(linear._Maps.of(model), state.estimate.full(), state.cov.full(), meas))
+
+
+def _unscented_updates(steps):
+    from wlckf import phase
+
+    nl = phase.nonlinear_phase_model(phase.PhaseModel(snr_db=20.0, rho_abs=0.7))
+    _, y = phase.simulate_phase(phase.PhaseModel(snr_db=20.0, rho_abs=0.7), steps, substream(31, 1))
+    state = FilterState(AugmentedVector(nl.init.mean), nl.init.augmented_cov(), t=0)
+    joint = unscented._JointPoints(nl, state)
+    x, top = state.estimate.top, unscented._top_row(state.cov.m1, state.cov.m2)
+    updates = []
+    for value in y:
+        updates.append(unscented._step(joint, x, top, np.array([value])))
+        x, top = updates[-1].x_post, updates[-1].p_post
+    return updates
+
+
+@pytest.mark.parametrize("kind", ["linear", "unscented"])
+def test_reports_copy_the_top_block_rows_and_keep_no_full_array(kind):
+    updates = _linear_updates(model_from_real(*random_composite(32, n=2, m=3)), 5) if kind == "linear" else _unscented_updates(5)
+    for t, update in enumerate(updates, start=1):
+        rep = update.report(t)
+        n, m = update.gain.shape[0], update.innovation.shape[0]
+        got, want = _report_arrays(rep), _expected_report_arrays(update, n, m)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+        # The innovation, a top half the update forms for the report, is the one array a report holds as it is.
+        step_arrays = [update.x, update.p, update.s, update.gain, update.x_post, update.p_post]
+        for a in got:
+            assert not any(np.shares_memory(a, b) for b in step_arrays)
+        # The block pattern holds exactly.
+        assert np.array_equal(rep.state.cov.m1, rep.state.cov.m1.conj().T)
+        assert np.array_equal(rep.state.cov.m2, rep.state.cov.m2.T)

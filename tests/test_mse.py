@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlckf import mse
 from wlckf.augmented import AugmentedMatrix
 from wlckf.errors import DegenerateError, DimensionError, NotPSDError
 from wlckf.linear import WidelyLinearModel, ckf_batch, wlckf_batch, wlckf_run
@@ -170,6 +171,40 @@ def test_params_validation():
         ScalarModelParams(init_var=1.0, init_cvar=1.5)
     with pytest.raises(NotPSDError):
         ScalarModelParams(drive_var=-0.1)
+
+
+def test_init_eigenvalues_proper():
+    assert ScalarModelParams(init_var=1.0, init_cvar=0.0).init_eigenvalues() == (1.0, 1.0)
+
+
+def test_init_eigenvalues_maximally_improper():
+    assert ScalarModelParams(init_var=1.0, init_cvar=1.0).init_eigenvalues() == (2.0, 0.0)
+
+
+def test_init_eigenvalues_complex_complementary():
+    assert ScalarModelParams(init_var=1.0, init_cvar=0.5j).init_eigenvalues() == pytest.approx((1.5, 0.5))
+
+
+def test_init_eigenvalues_reject_indefinite():
+    with pytest.raises(NotPSDError):
+        ScalarModelParams(init_var=1.0, init_cvar=1.5)
+    # Parameters made indefinite after construction fail where the eigenvalues are taken.
+    params = ScalarModelParams(init_var=1.0, init_cvar=0.5)
+    params.init_cvar = 1.5
+    with pytest.raises(NotPSDError):
+        params.init_eigenvalues()
+
+
+@given(st.floats(0.01, 10), st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
+@settings(max_examples=200)
+def test_init_eigenvalues_match_generic_solver(p, pt):
+    if abs(pt) > p:
+        pt = pt * (p / abs(pt))
+    lam_hi, lam_lo = ScalarModelParams(init_var=p, init_cvar=pt).init_eigenvalues()
+    full = np.array([[p, pt], [np.conj(pt), p]])
+    ref = np.linalg.eigvalsh(full)
+    assert lam_lo == pytest.approx(ref[0], abs=1e-12 * max(1, p))
+    assert lam_hi == pytest.approx(ref[1], abs=1e-12 * max(1, p))
 
 
 def test_posterior_cov_seq_eigenvalues_follow_variance_map():
@@ -585,6 +620,47 @@ def test_gain_stopped_early_by_the_absolute_tolerance_takes_the_closed_form():
     assert res.iterations == 0
     shifted = float(steady_state_gains(1.0, 0.5j, 150.0, 0.0).ratio)
     assert res.ratio >= 1 and abs(res.ratio - shifted) <= 1e-12 * shifted
+
+
+def _count_iterations(monkeypatch) -> list:
+    """Record each iteration of the recursion: each inverts its stack of 2x2s once."""
+    calls = []
+    monkeypatch.setattr(mse, "_inv2", lambda m, _inv2=mse._inv2: calls.append(1) or _inv2(m))
+    return calls
+
+
+def test_members_that_cannot_converge_leave_the_recursion_at_once(monkeypatch):
+    # At [-100, -20] dB the strictly linear channel relaxes over about
+    # sqrt(N2 / N1) = 1e4 steps: no member of the default grid converges
+    # within the 10,000-step horizon, and every one of them ran all of it
+    # before the closed form. Now they leave once the bound proves it.
+    calls = _count_iterations(monkeypatch)
+    grid = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
+    args = (grid[:, None], 1j * grid[None, :], -100.0, -20.0)
+    res = noise_impropriety_gains(*args, horizon=10_000, tol=1e-12)
+    closed = steady_state_gains(*args)
+    assert len(calls) <= 2_400
+    assert (res.iterations == 0).all()
+    for got, want in ((res.ratio, closed.ratio), (res.wl_mse, closed.wl_mse), (res.sl_mse, closed.sl_mse)):
+        assert np.array_equal(got, want)
+
+
+def test_leaving_early_changes_no_result(monkeypatch):
+    # The exit fires for the first two panels, at their first test or later,
+    # and the members it takes out would have taken the closed form anyway.
+    grid = np.array([0.0, 0.5, 0.95])
+    panels = np.array([[-100.0, -20.0], [-56.6, 51.9], [-20.0, -20.0], [-40.0, -20.0], [30.0, 0.0]])
+    args = (grid[None, :, None], 0.3j * grid[None, None, :] + 0.1, panels[:, 0, None, None], panels[:, 1, None, None])
+    calls = _count_iterations(monkeypatch)
+    early = noise_impropriety_gains(*args, horizon=3_000)
+    early_iterations = len(calls)
+    monkeypatch.setattr(mse, "_cannot_converge", lambda change, *rest: np.zeros(change.shape, dtype=bool))
+    calls.clear()
+    full = noise_impropriety_gains(*args, horizon=3_000)
+    assert early_iterations < len(calls) == 3_000
+    assert (full.iterations[:2] == 0).all() and (full.iterations[2:] > 0).all()
+    for field in ("ratio", "wl_mse", "sl_mse", "iterations"):
+        assert np.array_equal(getattr(early, field), getattr(full, field))
 
 
 _MAGNITUDES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))

@@ -232,17 +232,23 @@ def test_linear_collapse_trajectory():
         assert np.max(np.abs(a.state.cov.full() - b.state.cov.full())) < 1e-8
 
 
-@pytest.mark.parametrize("filter_step", ["wlckf_run", "uwlckf_step"])
+@pytest.mark.parametrize("filter_step", ["wlckf_run", "uwlckf_step", "uwlckf_run"])
 def test_wrong_measurement_length_raises(filter_step):
-    # Both filters reach the shared update, which checks the shape.
+    # Both filters reach the shared update, which checks the shape; the
+    # unscented run converts its sequence first, and a ragged one fails there.
     model = random_model(23)
     state = default_init(model)
     for y in (np.zeros(model.m + 1, complex), np.zeros(model.m - 1, complex), np.zeros((model.m, 1), complex)):
         with pytest.raises(DimensionError):
             if filter_step == "wlckf_run":
                 wlckf_run(model, [y], init=state)
-            else:
+            elif filter_step == "uwlckf_step":
                 uwlckf_step(state, y, linearized(model))
+            else:
+                uwlckf_run(linearized(model), [np.zeros(model.m, complex), y])
+        if filter_step == "uwlckf_run":
+            with pytest.raises(DimensionError):
+                uwlckf_run(linearized(model), [y, y])
 
 
 def test_proper_linear_model_gives_vanishing_conjugate_gain():
@@ -318,6 +324,20 @@ def test_run_equals_a_loop_of_steps_bit_for_bit(track):
     assert len(reports) == len(meas)
 
 
+def test_long_run_agrees_with_the_batched_tracker():
+    # The benchmark's 2000-step track. The two filters build the same sigma
+    # points and moments by different routes, so they agree to rounding,
+    # within the benchmark's bound of 1e-9 relative to max(1, |x|).
+    pm = phase.PhaseModel(snr_db=20.0, rho_abs=0.7)
+    _, y = phase.simulate_phase(pm, 2000, substream(0, 60_000))
+    reports = uwlckf_run(phase.nonlinear_phase_model(pm), y)
+    track = phase.run_tracker(pm, y, "uwlckf")
+    got = np.array([[rep.state.estimate.top[0].real, rep.state.cov.m1[0, 0].real] for rep in reports])
+    want = np.stack([track.estimates, track.variances], axis=1)
+    assert got.shape == want.shape == (2000, 2)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-9
+
+
 # --- the filter's joint points, block by block -------------------------------------
 
 
@@ -334,12 +354,17 @@ def _filter_state(stats):
     return FilterState(AugmentedVector(stats.mean), stats.augmented_cov(), t=0)
 
 
+def _fill_args(state):
+    """The estimate and covariance top block row that the filter's steps hand to ``_JointPoints.fill``."""
+    return state.estimate.top, unscented._top_row(state.cov.m1, state.cov.m2)
+
+
 def _block_points(state_stats, drive, meas):
     """The filter's sigma-point set for the joint of ``state_stats``, ``drive`` and ``meas``."""
     model = NonlinearModel(f=None, h=None, drive_noise=drive, meas_noise=meas, init=state_stats)
     state = _filter_state(state_stats)
     joint = unscented._JointPoints(model, state)
-    return SigmaPointSet(joint.fill(state).copy(), joint.w_mean, joint.w_cov)
+    return SigmaPointSet(joint.fill(*_fill_args(state)).copy(), joint.w_mean, joint.w_cov)
 
 
 def _scalar_stats(mean, var, cvar):
@@ -413,11 +438,11 @@ def test_block_points_refill_the_noise_rows_when_the_flush_changes():
     small = _scalar_stats(-0.5, 1.0, 0.3)
     model = NonlinearModel(f=None, h=None, drive_noise=drive, meas_noise=meas, init=small)
     joint = unscented._JointPoints(model, _filter_state(small))
-    fresh = joint.fill(_filter_state(small)).copy()
+    fresh = joint.fill(*_fill_args(_filter_state(small))).copy()
     assert np.ptp(fresh[:, 1:].real) > 0
-    flushed = joint.fill(_filter_state(big)).copy()
+    flushed = joint.fill(*_fill_args(_filter_state(big))).copy()
     assert np.array_equal(flushed[:, 1:], np.broadcast_to(flushed[0, 1:], flushed[:, 1:].shape))
-    assert np.array_equal(joint.fill(_filter_state(small)), fresh)
+    assert np.array_equal(joint.fill(*_fill_args(_filter_state(small))), fresh)
 
 
 def _shapes_model():
@@ -480,6 +505,21 @@ def test_run_rejects_non_finite_statistics(field, value):
     setattr(model, field, value)
     with pytest.raises(ConsistencyError, match="non-finite"):
         uwlckf_run(model, np.ones(4, complex))
+
+
+def test_run_rejects_a_nan_last_measurement():
+    # No step follows the last one to find the NaN estimate it would leave.
+    y = np.ones(5, complex)
+    y[-1] = np.nan
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        uwlckf_run(_phase_model(), y)
+
+
+def test_step_rejects_an_infinite_measurement():
+    model = _phase_model()
+    state = FilterState(AugmentedVector(model.init.mean), model.init.augmented_cov(), t=0)
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        uwlckf_step(state, np.array([complex(np.inf, 0.0)]), model)
 
 
 def test_run_rejects_the_state_a_nan_measurement_leaves():

@@ -24,8 +24,10 @@ For a linear model the posterior covariance is the Joseph form
 (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite under
 rounding; the unscented filter, which has no linear measurement map, keeps
 P - K P_xy^H. ``real_kf_run`` uses the Joseph form too, in its own code.
-Every covariance is symmetrized, and the reports hold the top block rows
-of the arrays, so the block-conjugate pattern holds exactly.
+Every covariance is symmetrized. A step report packs the top halves and
+the blocks of the top block rows of a step's arrays into one complex
+array, so the block-conjugate pattern holds exactly and no full array is
+kept; its fields are read-only and wrap views of that array.
 
 Every kernel accepts leading batch axes. Each filter has one
 predict/update loop, a generator over steps: ``wlckf_run`` runs it on one
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
+from math import prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -141,16 +144,82 @@ class FilterState:
     t: int = 0
 
 
-@dataclass
 class StepReport:
-    """Everything one predict/update cycle produced."""
+    """Everything one predict/update cycle produced, packed in one complex array.
 
-    predicted: FilterState
-    innovation: AugmentedVector
-    innovation_cov: AugmentedMatrix
-    gain: AugmentedMatrix
-    state: FilterState
-    singular_innovation: bool = False
+    The array holds, each block C-contiguous and in this order: the
+    predicted estimate's top half and covariance blocks (M1, M2), the
+    posterior's, the top half of the innovation, the innovation
+    covariance blocks and the gain blocks. ``predicted``, ``innovation``,
+    ``innovation_cov``, ``gain`` and ``state`` are read-only: each access
+    builds new :class:`FilterState`, :class:`AugmentedVector` and
+    :class:`AugmentedMatrix` objects around views of the array, so writing
+    into their arrays changes the report and rebinding their attributes
+    does not. ``t`` and ``singular_innovation`` are read-only too.
+    :meth:`WLUpdate.report` builds a report.
+    """
+
+    __slots__ = ("_data", "_n", "_m", "_t", "_singular")
+
+    def __init__(self, data: np.ndarray, n: int, m: int, t: int, singular_innovation: bool = False):
+        if data.shape != (_report_layout(n, m)[-1][1],):
+            raise DimensionError("packed report size does not match the state and measurement dimensions")
+        self._data, self._n, self._m, self._t, self._singular = data, n, m, t, singular_innovation
+
+    def __reduce__(self):
+        return StepReport, (self._data, self._n, self._m, self._t, self._singular)
+
+    def __repr__(self) -> str:
+        return f"StepReport(t={self._t}, n={self._n}, m={self._m}, singular_innovation={self._singular})"
+
+    def _views(self, first: int, count: int) -> list[np.ndarray]:
+        """Views of ``count`` blocks of the packed array, from block ``first`` on."""
+        blocks = _report_layout(self._n, self._m)[first : first + count]
+        return [self._data[start:stop].reshape(shape) for start, stop, shape in blocks]
+
+    @property
+    def t(self) -> int:
+        return self._t
+
+    @property
+    def singular_innovation(self) -> bool:
+        return self._singular
+
+    def _filter_state(self, first: int) -> FilterState:
+        x, m1, m2 = self._views(first, 3)
+        return FilterState(AugmentedVector(x), AugmentedMatrix(m1, m2), self._t)
+
+    @property
+    def predicted(self) -> FilterState:
+        return self._filter_state(0)
+
+    @property
+    def state(self) -> FilterState:
+        return self._filter_state(3)
+
+    @property
+    def innovation(self) -> AugmentedVector:
+        return AugmentedVector(*self._views(6, 1))
+
+    @property
+    def innovation_cov(self) -> AugmentedMatrix:
+        return AugmentedMatrix(*self._views(7, 2))
+
+    @property
+    def gain(self) -> AugmentedMatrix:
+        return AugmentedMatrix(*self._views(9, 2))
+
+
+@cache
+def _report_layout(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each block of a packed :class:`StepReport`, in packing order."""
+    shapes = [(n,), (n, n), (n, n), (n,), (n, n), (n, n), (m,), (m, m), (m, m), (n, m), (n, m)]
+    layout, start = [], 0
+    for shape in shapes:
+        stop = start + prod(shape)
+        layout.append((start, stop, shape))
+        start = stop
+    return tuple(layout)
 
 
 def model_from_real(e, f, g, q_real, r_real, pi_real) -> WidelyLinearModel:
@@ -257,17 +326,6 @@ def _identity(size: int) -> np.ndarray:
     return eye
 
 
-def _blocks(top: np.ndarray) -> AugmentedMatrix:
-    """Copies of the blocks of a top block row [M1, M2], so a report keeps no full array."""
-    cols = top.shape[1] // 2
-    return AugmentedMatrix(top[:, :cols].copy(), top[:, cols:].copy())
-
-
-def _state(x: np.ndarray, p: np.ndarray, n: int, t: int) -> FilterState:
-    """Filter state holding a copy of the first n entries of x and the blocks of the first n rows of p."""
-    return FilterState(AugmentedVector(x[:n].copy()), _blocks(p[:n]), t)
-
-
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
     """Time update on full arrays: A x and A P A^H + B Q B^H, symmetrized."""
     top = _matvec(maps.a_top, x)
@@ -307,18 +365,22 @@ class WLUpdate(NamedTuple):
     def report(self, t: int) -> StepReport:
         """The step report of an unbatched update at time ``t``.
 
-        It holds a copy of each block of the top block rows, so the
-        block-conjugate pattern holds exactly and no full array is kept.
+        One copy packs the top halves and the blocks of the top block rows
+        into the report's array, so the block-conjugate pattern holds
+        exactly and no full array is kept.
         """
         n, m = self.gain.shape[0], self.innovation.shape[0]
-        return StepReport(
-            predicted=_state(self.x, self.p, n, t),
-            innovation=AugmentedVector(self.innovation),
-            innovation_cov=_blocks(self.s[:m]),
-            gain=_blocks(self.gain),
-            state=_state(self.x_post, self.p_post, n, t),
-            singular_innovation=bool(self.singular),
+        blocks = (
+            self.x[:n], _block_pair(self.p[:n]), self.x_post[:n], _block_pair(self.p_post[:n]),
+            self.innovation, _block_pair(self.s[:m]), _block_pair(self.gain),
         )
+        return StepReport(np.concatenate(blocks, axis=None, dtype=complex), n, m, t, bool(self.singular))
+
+
+def _block_pair(top: np.ndarray) -> np.ndarray:
+    """The blocks M1, M2 of a top block row [M1, M2], stacked along a new first axis; a view of a C-contiguous row."""
+    rows, cols = top.shape[0], top.shape[1] // 2
+    return top.reshape(rows, 2, cols).swapaxes(0, 1)
 
 
 def wl_update(
@@ -388,6 +450,19 @@ def default_init(model: WidelyLinearModel) -> FilterState:
     )
 
 
+def _measurement_rows(measurements) -> np.ndarray:
+    """A run's measurements as one complex array, one row per step.
+
+    A sequence of scalars is one measurement a step; a ragged sequence
+    raises DimensionError.
+    """
+    try:
+        ys = np.asarray(measurements if isinstance(measurements, np.ndarray) else list(measurements), dtype=complex)
+    except ValueError as exc:
+        raise DimensionError("measurement dimension does not match the model") from exc
+    return ys[:, None] if ys.ndim == 1 else ys
+
+
 def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements) -> Iterator[WLUpdate]:
     """The widely linear filter's predict/update loop; yields every step's update.
 
@@ -406,12 +481,14 @@ def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None =
 
     ``measurements[k]`` is the measurement at time ``t0 + k + 1``, where
     ``t0`` is the time of ``init`` (0 by default): each is preceded by a
-    prediction.
+    prediction. The measurements are converted once: a sequence of
+    scalars is one measurement a step, and a ragged sequence raises
+    DimensionError.
     """
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), measurements)
+    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), _measurement_rows(measurements))
     return [update.report(state.t + 1 + k) for k, update in enumerate(steps)]
 
 

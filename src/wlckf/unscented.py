@@ -55,7 +55,7 @@ from .augmented import (
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
 from .errors import ConsistencyError, DimensionError, NotPSDError
-from .linear import FilterState, StepReport, WLUpdate, _hermitian_top, wl_update
+from .linear import FilterState, StepReport, WLUpdate, _hermitian_top, _measurement_rows, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
 
@@ -396,12 +396,7 @@ def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
     init = model.init
     state = FilterState(AugmentedVector(init.mean), init.augmented_cov(), t=0)
     joint = _JointPoints(model, state)
-    try:
-        ys = np.asarray(measurements if isinstance(measurements, np.ndarray) else list(measurements), dtype=complex)
-    except ValueError as exc:
-        raise DimensionError("measurement dimension does not match the model") from exc
-    if ys.ndim == 1:
-        ys = ys[:, None]
+    ys = _measurement_rows(measurements)
     x, top = state.estimate.top, _top_row(state.cov.m1, state.cov.m2)
     reports: list[StepReport] = []
     for t, y in enumerate(ys, start=1):

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -450,10 +454,13 @@ def test_simulate_maximally_improper_measurement_noise_is_real():
     assert np.max(np.abs(noise.imag)) < 1e-12
 
 
-def test_singular_innovation_flagged_and_handled():
-    # Maximally improper measurement noise with a maximally improper state
-    # makes the augmented innovation covariance rank deficient.
-    model = WidelyLinearModel(
+def _singular_model():
+    """A scalar model whose augmented innovation covariance is rank deficient at every step.
+
+    Maximally improper measurement noise with a maximally improper state
+    makes it so.
+    """
+    return WidelyLinearModel(
         A=AugmentedMatrix([[0.9]], [[0.0]]),
         B=AugmentedMatrix([[1.0]], [[0.0]]),
         C=AugmentedMatrix([[1.0]], [[0.0]]),
@@ -461,6 +468,10 @@ def test_singular_innovation_flagged_and_handled():
         R=AugmentedMatrix([[0.5]], [[0.5]]),
         Pi0=AugmentedMatrix([[1.0]], [[1.0]]),
     )
+
+
+def test_singular_innovation_flagged_and_handled():
+    model = _singular_model()
     meas = np.real(simulate_linear(model, 10, substream(18, 0))[1])
     reports = wlckf_run(model, meas.astype(complex))
     assert all(rep.singular_innovation for rep in reports)
@@ -684,10 +695,106 @@ def test_reports_copy_the_top_block_rows_and_keep_no_full_array(kind):
         got, want = _report_arrays(rep), _expected_report_arrays(update, n, m)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
-        # The innovation, a top half the update forms for the report, is the one array a report holds as it is.
-        step_arrays = [update.x, update.p, update.s, update.gain, update.x_post, update.p_post]
+        # The report copies every array, the innovation included.
+        step_arrays = [update.x, update.p, update.innovation, update.s, update.gain, update.x_post, update.p_post]
         for a in got:
             assert not any(np.shares_memory(a, b) for b in step_arrays)
         # The block pattern holds exactly.
         assert np.array_equal(rep.state.cov.m1, rep.state.cov.m1.conj().T)
         assert np.array_equal(rep.state.cov.m2, rep.state.cov.m2.T)
+
+
+def _reachable_arrays(obj):
+    """The distinct ndarrays reachable from ``obj`` through instances and containers (not through classes)."""
+    seen, arrays, stack = set(), [], [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        else:
+            stack.extend(gc.get_referents(item))
+    return arrays
+
+
+def _phase_track(steps, seed=0):
+    from wlckf import phase
+
+    model = phase.PhaseModel(snr_db=20.0, rho_abs=0.7)
+    return phase.nonlinear_phase_model(model), phase.simulate_phase(model, steps, substream(seed, 60_000))[1]
+
+
+@pytest.mark.parametrize("run", ["wlckf_run", "ckf_run", "uwlckf_run"])
+def test_a_report_holds_one_owning_array_and_its_fields_view_it(run):
+    if run == "uwlckf_run":
+        reports = unscented.uwlckf_run(*_phase_track(4))
+    else:
+        model = proper_model(33, n=2, m=3)
+        meas = simulate_linear(model, 4, substream(33, 0))[1]
+        reports = (wlckf_run if run == "wlckf_run" else ckf_run)(model, meas)
+    for rep in reports:
+        [data] = _reachable_arrays(rep)
+        assert data.flags.owndata and data.base is None and data.dtype == complex
+        for a in _report_arrays(rep):
+            assert a.base is data and a.flags.c_contiguous
+
+
+def test_a_long_unscented_run_holds_under_a_kilobyte_per_report():
+    nl, y = _phase_track(2000)
+    unscented.uwlckf_run(nl, y[:3])  # fill the per-size caches outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = unscented.uwlckf_run(nl, y)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 2000
+    assert held / len(reports) <= 1024
+
+
+def test_reports_survive_pickle_and_deepcopy_and_refuse_assignment():
+    model = model_from_real(*random_composite(34, n=2, m=3))
+    reports = wlckf_run(model, simulate_linear(model, 3, substream(34, 0))[1], init=replace(default_init(model), t=6))
+    singular = _singular_model()
+    reports += wlckf_run(singular, np.real(simulate_linear(singular, 2, substream(34, 1))[1]))
+    nl, y = _phase_track(2)
+    reports.append(unscented.uwlckf_step(FilterState(AugmentedVector(nl.init.mean), nl.init.augmented_cov(), t=3), y[:1], nl))
+    assert [rep.singular_innovation for rep in reports] == [False] * 3 + [True] * 2 + [False]
+    for rep in reports:
+        for other in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert (other.t, other.singular_innovation) == (rep.t, rep.singular_innovation)
+            assert (other.predicted.t, other.state.t) == (rep.t, rep.t)
+            for a, b in zip(_report_arrays(other), _report_arrays(rep), strict=True):
+                assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        for field in ("predicted", "innovation", "innovation_cov", "gain", "state", "t", "singular_innovation"):
+            with pytest.raises(AttributeError):
+                setattr(rep, field, getattr(rep, field))
+    assert [rep.t for rep in reports] == [7, 8, 9, 1, 2, 4]
+    with pytest.raises(DimensionError):
+        linear.StepReport(np.zeros(12, complex), 1, 1, 1)
+
+
+@pytest.mark.parametrize("run", ["wlckf_run", "ckf_run", "uwlckf_run"])
+def test_runs_take_a_sequence_of_scalars_for_one_measurement(run):
+    if run == "uwlckf_run":
+        model, column = _phase_track(6)
+        column = column[:, None]
+        filt = unscented.uwlckf_run
+    else:
+        model = proper_model(35, n=2, m=1)
+        column = simulate_linear(model, 6, substream(35, 0))[1]
+        filt = wlckf_run if run == "wlckf_run" else ckf_run
+    want = filt(model, column)
+    for scalars in (column[:, 0], list(column[:, 0]), [complex(v) for v in column[:, 0]], iter(column[:, 0])):
+        got = filt(model, scalars)
+        assert len(got) == len(want) == 6
+        for a, b in zip(got, want):
+            for x, y in zip(_report_arrays(a), _report_arrays(b), strict=True):
+                assert np.array_equal(x, y)
+    with pytest.raises(DimensionError):
+        filt(model, [column[0], np.concatenate([column[1], column[1]])])

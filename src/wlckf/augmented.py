@@ -26,6 +26,8 @@ CONJ_TOL = 1e-9
 PSD_TOL = 1e-10
 # Smallest-to-largest singular value ratio at or below which a matrix is singular.
 RCOND = 1e-12
+# Eigenvalues at or below this fraction of a PSD matrix's largest are flushed to zero.
+FLUSH = 1e-13
 
 
 def block_conjugate(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -241,8 +243,8 @@ def psd_sqrt(m) -> np.ndarray:
     so rank-deficient inputs (maximally improper noise gives these) succeed
     where a strict Cholesky would fail. A NaN or infinite entry raises
     ConsistencyError. Eigenvalues below -PSD_TOL * norm raise NotPSDError.
-    Tiny positive eigenvalues (below 1e-13 relative) are flushed to zero so
-    near-null directions produce exactly zero columns.
+    Tiny positive eigenvalues (at or below ``FLUSH`` relative) are flushed
+    to zero so near-null directions produce exactly zero columns.
 
     Leading axes are batch axes: each member is checked on its own scale,
     an error names the first failing member in its ``index``, and one
@@ -273,7 +275,7 @@ def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """:func:`psd_sqrt`'s rules on each matrix's eigenvalues, along the last axis in any order.
 
     Raises NotPSDError when the smallest is below -PSD_TOL * max(1, largest
-    |w|), and flushes to zero every eigenvalue at or below 1e-13 times
+    |w|), and flushes to zero every eigenvalue at or below ``FLUSH`` times
     max(largest, 0). The unscented filter applies them to the union of its
     joint's block eigenvalues, which is the joint's own spectrum.
     """
@@ -282,7 +284,7 @@ def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     index = _first(low < -bound)
     if index is not None:
         raise NotPSDError(f"matrix has eigenvalue {low[index]:.3e} below -{bound[index]:.3e}", index=index)
-    floor = 1e-13 * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+    floor = FLUSH * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
     return np.where(w > floor, w, 0.0)
 
 
@@ -300,19 +302,13 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
     their shape. A member of the batch counts as singular when its
     smallest singular value is at most ``RCOND`` times its largest; for a
     Hermitian matrix these are its smallest and largest eigenvalue
-    magnitudes, which ``eigvalsh`` gives in ascending order, so a single
-    matrix with no negative eigenvalue reads them from its two ends. The
-    others are solved in one LU call, and each singular member alone by
-    least squares, so every member gets the bits it would get unbatched.
+    magnitudes, which ``eigvalsh`` gives. The others are solved in one LU
+    call, and each singular member alone by least squares, so every member
+    gets the bits it would get unbatched.
     """
-    w = np.linalg.eigvalsh(a)
-    if w.ndim == 1 and w[0] >= 0:
-        low, high = float(w[0]), float(w[-1])
-        singular = np.bool_(high == 0 or low <= RCOND * high)
-    else:
-        sv = np.abs(w)
-        largest = sv.max(axis=-1)
-        singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
+    sv = np.abs(np.linalg.eigvalsh(a))
+    largest = sv.max(axis=-1)
+    singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
     a_t, b_t = a.swapaxes(-1, -2), b_top.swapaxes(-1, -2)
     if not singular.any():
         return np.linalg.solve(a_t, b_t).swapaxes(-1, -2), singular

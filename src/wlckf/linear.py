@@ -24,10 +24,13 @@ For a linear model the posterior covariance is the Joseph form
 (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite under
 rounding; the unscented filter, which has no linear measurement map, keeps
 P - K P_xy^H. ``real_kf_run`` uses the Joseph form too, in its own code.
-Every covariance is symmetrized. A step report packs the top halves and
-the blocks of the top block rows of a step's arrays into one complex
-array, so the block-conjugate pattern holds exactly and no full array is
-kept; its fields are read-only and wrap views of that array.
+Both filters hand the update one form: an estimate travels as its top
+half x, expanded to [x; x*] only where a product needs it, and a
+covariance as its full array, symmetrized by :func:`_covariance`. A step
+report packs the top halves and the blocks of the top block rows of a
+step's arrays into one complex array, so the block-conjugate pattern
+holds exactly and no full array is kept; its fields are read-only and
+wrap views of that array.
 
 Every kernel accepts leading batch axes. Each filter has one
 predict/update loop, a generator over steps: ``wlckf_run`` runs it on one
@@ -291,7 +294,8 @@ class _Maps(NamedTuple):
 def _covariance(top: np.ndarray) -> np.ndarray:
     """Full covariance from a computed top block row [M1, M2], symmetrized.
 
-    The Hermitian part of the block-conjugate completion: M1 becomes
+    The one symmetrization of both filters' covariances: the Hermitian
+    part of the block-conjugate completion, where M1 becomes
     (M1 + M1^H) / 2 and M2 becomes (M2 + M2^T) / 2, and the pattern holds.
     The completion is formed in place in the result. Leading axes are batch
     axes.
@@ -306,16 +310,9 @@ def _covariance(top: np.ndarray) -> np.ndarray:
     return full
 
 
-def _hermitian_top(top: np.ndarray) -> np.ndarray:
-    """The top block row of :func:`_covariance`, [(M1 + M1^H) / 2, (M2 + M2^T) / 2], without the bottom rows.
-
-    Its entries are those of the full array, bit for bit. Leading axes are batch axes.
-    """
-    n = top.shape[-2]
-    out = np.concatenate([_h(top[..., :n]), top[..., n:].swapaxes(-1, -2)], axis=-1)
-    out += top
-    out /= 2
-    return out
+def _expand(x: np.ndarray) -> np.ndarray:
+    """The augmented vectors [x; x*] of top halves x along the last axis."""
+    return np.concatenate([x, np.conj(x)], axis=-1)
 
 
 @cache
@@ -327,30 +324,28 @@ def _identity(size: int) -> np.ndarray:
 
 
 def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
-    """Time update on full arrays: A x and A P A^H + B Q B^H, symmetrized."""
-    top = _matvec(maps.a_top, x)
-    cov = _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
-    return np.concatenate([top, np.conj(top)], axis=-1), cov
+    """Time update of a top half and a full covariance: the top half of A [x; x*] and A P A^H + B Q B^H, symmetrized."""
+    return _matvec(maps.a_top, _expand(x)), _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
 
 
 def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps) -> "WLUpdate":
-    """Measurement update on full arrays: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
+    """Measurement update: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
     c_top = maps.c_top
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
     s = _covariance(c_top @ p @ maps.c_h + maps.r_top)
-    return wl_update(x, p, y, _matvec(c_top, x), p @ maps.c_h, s, joseph=(maps.c, maps.r))
+    return wl_update(x, p, y, _matvec(c_top, _expand(x)), p @ maps.c_h, s, joseph=(maps.c, maps.r))
 
 
 class WLUpdate(NamedTuple):
     """The arrays of one widely linear measurement update (leading axes are batch axes).
 
-    ``x``, ``p``: predicted estimate and covariance, as :func:`wl_update`
-    took them; ``innovation``: the top half of the augmented innovation;
-    ``s``: innovation covariance; ``gain``: top block row of the gain;
-    ``x_post``, ``p_post``: posterior, full from the Joseph form and top
-    half and top block row otherwise; ``singular``: whether the gain took
-    the least-squares fallback.
+    ``x``, ``p``: predicted estimate (top half) and full covariance, as
+    :func:`wl_update` took them; ``innovation``: the top half of the
+    augmented innovation; ``s``: full innovation covariance; ``gain``: top
+    block row of the gain; ``x_post``, ``p_post``: posterior top half and
+    full symmetrized covariance; ``singular``: whether the gain took the
+    least-squares fallback.
     """
 
     x: np.ndarray
@@ -371,7 +366,7 @@ class WLUpdate(NamedTuple):
         """
         n, m = self.gain.shape[0], self.innovation.shape[0]
         blocks = (
-            self.x[:n], _block_pair(self.p[:n]), self.x_post[:n], _block_pair(self.p_post[:n]),
+            self.x, _block_pair(self.p[:n]), self.x_post, _block_pair(self.p_post[:n]),
             self.innovation, _block_pair(self.s[:m]), _block_pair(self.gain),
         )
         return StepReport(np.concatenate(blocks, axis=None, dtype=complex), n, m, t, bool(self.singular))
@@ -394,23 +389,22 @@ def wl_update(
 ) -> WLUpdate:
     """Widely linear measurement update shared by the linear and unscented filters.
 
-    Works on augmented arrays: ``x`` and ``p`` are the predicted estimate
-    [x; x*] and covariance, ``y_pred`` the predicted measurement,
-    ``cross`` the full state/measurement cross covariance P_xy and ``s``
-    the full innovation covariance S, which must be exactly Hermitian.
-    The gain solves K S = P_xy for the top block row of K (least squares
-    when S is singular, flagged). With ``joseph = (C, R)``, the
-    measurement map and noise of a linear model, the posterior covariance
-    is the Joseph form (I - K C) P (I - K C)^H + K R K^H, which stays
-    positive semidefinite under rounding and needs the full K that
-    :func:`wlckf.augmented.block_conjugate` completes; without it (the
-    unscented filter, whose measurement map is not linear) it is
-    P - K P_xy^H, from the top block row alone: ``x`` and ``p`` may then be
-    just their top half and top block row, all this form reads, and the
-    posterior is returned as its top half and symmetrized top block row
-    (:func:`_hermitian_top`). The Joseph form returns the full posterior,
-    symmetrized. A measurement with a NaN or infinite entry raises
-    ConsistencyError, naming the first such member of a batch.
+    ``x`` is the top half of the predicted estimate and ``p`` its full
+    covariance, ``y_pred`` the predicted measurement, ``cross`` the full
+    state/measurement cross covariance P_xy and ``s`` the full innovation
+    covariance S, which must be exactly Hermitian. The gain solves
+    K S = P_xy for the top block row of K (least squares when S is
+    singular, flagged). Only the posterior covariance's formula depends on
+    the filter. With ``joseph = (C, R)``, the measurement map and noise of
+    a linear model, it is the Joseph form (I - K C) P (I - K C)^H +
+    K R K^H, which stays positive semidefinite under rounding and needs
+    the full K that :func:`wlckf.augmented.block_conjugate` completes;
+    without it (the unscented filter, whose measurement map is not linear)
+    it is P - K P_xy^H, from the top block row of K alone. Either way the
+    posterior is returned as its top half and its full covariance,
+    symmetrized by :func:`_covariance`. A measurement with a NaN or
+    infinite entry raises ConsistencyError, naming the first such member
+    of a batch.
 
     Leading axes of every array are batch axes: a batch of models runs
     through the same arithmetic, and each member gets the bits it would
@@ -435,10 +429,7 @@ def wl_update(
         i_kc = _identity(2 * n) - k @ c
         cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
     innovation = y - y_pred
-    top = x[..., :n] + _matvec(k_top, np.concatenate([innovation, np.conj(innovation)], axis=-1))
-    if joseph is None:
-        return WLUpdate(x, p, innovation, s, k_top, top, _hermitian_top(cov_top), singular)
-    x_post = np.concatenate([top, np.conj(top)], axis=-1)
+    x_post = x + _matvec(k_top, _expand(innovation))
     return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
 
 
@@ -466,8 +457,9 @@ def _measurement_rows(measurements) -> np.ndarray:
 def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements) -> Iterator[WLUpdate]:
     """The widely linear filter's predict/update loop; yields every step's update.
 
-    ``measurements`` iterates over steps; each item, like ``x`` and ``p``,
-    may carry leading batch axes, which the arithmetic keeps.
+    It starts from the posterior's top half ``x`` and full covariance
+    ``p``. ``measurements`` iterates over steps; each item, like ``x`` and
+    ``p``, may carry leading batch axes, which the arithmetic keeps.
     """
     for y in measurements:
         x, p = _predict(x, p, maps)
@@ -488,7 +480,7 @@ def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None =
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    steps = _wl_filter(_Maps.of(model), state.estimate.full(), state.cov.full(), _measurement_rows(measurements))
+    steps = _wl_filter(_Maps.of(model), state.estimate.top, state.cov.full(), _measurement_rows(measurements))
     return [update.report(state.t + 1 + k) for k, update in enumerate(steps)]
 
 
@@ -502,10 +494,10 @@ def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]
     equals ``wlckf_run(models[i], measurements[i])`` bit for bit.
     """
     maps = _Maps.stack(models)
-    x = np.zeros((len(models), 2 * models[0].n), complex)
+    x = np.zeros((len(models), models[0].n), complex)
     p = np.stack([model.Pi0.full() for model in models])
     for update in _wl_filter(maps, x, p, np.moveaxis(np.asarray(measurements), -2, 0)):
-        yield update.x_post, update.p_post
+        yield _expand(update.x_post), update.p_post
 
 
 def _check_strictly_linear(model: WidelyLinearModel) -> None:

@@ -338,7 +338,7 @@ def steady_state_gains(rho_w, rho_n, n1_db, n2_db) -> ImproprietyGains:
     and ``wl_mse`` and ``sl_mse`` are then scaled by the larger power. A
     magnitude within ``ON_CIRCLE`` of 1 counts as 1. The settings broadcast
     against each other, and the call raises for the first failing member in
-    order, with ``index`` naming it: NotPSDError for |rho| > 1;
+    order, with ``index`` naming it: NotPSDError for |rho| > 1 or a NaN rho;
     DegenerateError for powers whose linear ratio leaves the normal doubles,
     and for an unbounded ratio, where both noises are maximally improper in
     different orientations (one channel has q = 0 and the other r = 0).
@@ -348,13 +348,15 @@ def steady_state_gains(rho_w, rho_n, n1_db, n2_db) -> ImproprietyGains:
         np.asarray(n1_db, dtype=float), np.asarray(n2_db, dtype=float),
     )
     mag_w, mag_n = np.abs(rho_w), np.abs(rho_n)
-    on_w, on_n = mag_w >= 1 - ON_CIRCLE, mag_n >= 1 - ON_CIRCLE
-    rho_w = np.where(on_w, rho_w / np.maximum(mag_w, 1 - ON_CIRCLE), rho_w)
-    rho_n = np.where(on_n, rho_n / np.maximum(mag_n, 1 - ON_CIRCLE), rho_n)
+    # A NaN magnitude is neither inside the unit disk nor on its circle, so it is invalid.
+    inside_w, inside_n = mag_w <= 1 + ON_CIRCLE, mag_n <= 1 + ON_CIRCLE
+    on_w, on_n = inside_w & (mag_w >= 1 - ON_CIRCLE), inside_n & (mag_n >= 1 - ON_CIRCLE)
+    rho_w = np.divide(rho_w, mag_w, out=rho_w.copy(), where=on_w)
+    rho_n = np.divide(rho_n, mag_n, out=rho_n.copy(), where=on_n)
     gap = n1_db - n2_db
     weaker = 10.0 ** (-np.abs(gap) / 10.0)
     chord = rho_n - rho_w
-    invalid = (mag_w > 1 + ON_CIRCLE) | (mag_n > 1 + ON_CIRCLE)
+    invalid = ~(inside_w & inside_n)
     too_far = ~(weaker >= np.finfo(float).tiny)
     unbounded = on_w & on_n & (chord != 0)
     index = _first(invalid | too_far | unbounded)

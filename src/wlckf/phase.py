@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import parallel
+from .augmented import FLUSH
 
 # build_transform and sample are unused here; bench/spans.py still rebinds
 # both names in this module.
@@ -219,8 +220,8 @@ class _BatchUWLCKF:
     The joint [phase, drive noise, meas noise] covariance is block diagonal
     over scalar variables, so its sigma points are built in closed form:
     the constant noise eigenpairs are computed here, and each step factors
-    the phase only. Eigenvalues below 1e-13 of a row's largest over all
-    three variables are flushed to zero, as in
+    the phase only. Eigenvalues at or below ``FLUSH`` times a row's largest
+    over all three variables are flushed to zero, as in
     :func:`wlckf.augmented.psd_sqrt`. The noise terms that survive the
     flush are formed here too, and formed again only in a step where some
     row's phase eigenvalue exceeds its noises' largest. The
@@ -260,7 +261,7 @@ class _BatchUWLCKF:
         self._meas_dir = rot[:, 1, 0] ** 2
         # The flush threshold, and the noise terms at it, of every step in
         # which no row's phase has a larger eigenvalue than its noises.
-        self._threshold = 1e-13 * self._noise_top
+        self._threshold = FLUSH * self._noise_top
         self._noise = self._noise_terms(self._threshold)
         # Work arrays of the step. The 9 distinct points and their carrier
         # are built a point per row, so that loops over the batch run down
@@ -291,11 +292,11 @@ class _BatchUWLCKF:
     def step(self, y: np.ndarray) -> None:
         a, b = self.model.a, self.model.b
         lam, rot = _scalar_eigenpairs(self.p, self.pt)
-        # A row's threshold is 1e-13 times its largest eigenvalue over the
+        # A row's threshold is FLUSH times its largest eigenvalue over the
         # three variables; it moves off the noises' only in a step where
         # some row's phase eigenvalue exceeds them.
         if np.count_nonzero(lam[:, 0] > self._noise_top):
-            threshold = 1e-13 * np.maximum(lam[:, 0], self._noise_top)
+            threshold = FLUSH * np.maximum(lam[:, 0], self._noise_top)
             drive_axes, r, rt = self._noise_terms(threshold)
         else:
             threshold = self._threshold

@@ -27,11 +27,11 @@ spectra, which is the joint's, so the point set is the joint's up to
 order; they read the state's extreme eigenvalues and the noise
 spectrum's, which are constants of the run. The gain and the posterior
 then come from the WLCKF's own widely linear update,
-:func:`wlckf.linear.wl_update`. The posterior covariance stays
-P - K P_xy^H: the Joseph form the linear filter uses needs a linear
-measurement map, which this model does not have. A step reads and
-hands on only the top half of the estimate and the top block row of
-the covariance.
+:func:`wlckf.linear.wl_update`, in the linear filter's form: the
+estimate as its top half and the covariance as its full symmetrized
+array. The posterior covariance stays P - K P_xy^H: the Joseph form the
+linear filter uses needs a linear measurement map, which this model does
+not have.
 A proper-assuming unscented filter is the same step run on noise
 statistics whose complementary covariances are set to zero.
 """
@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .augmented import (
+    FLUSH,
     PSD_TOL,
     AugmentedVector,
     _nonfinite,
@@ -55,7 +56,7 @@ from .augmented import (
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
 from .errors import ConsistencyError, DimensionError, NotPSDError
-from .linear import FilterState, StepReport, WLUpdate, _hermitian_top, _measurement_rows, wl_update
+from .linear import FilterState, StepReport, WLUpdate, _covariance, _measurement_rows, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
 
@@ -171,29 +172,21 @@ def _pair_means(v: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     return out
 
 
-@cache
-def _composite_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pair_means` positions of the composite covariance from the float view of a top block row [M1, M2].
-
-    R_uu = Re(M1 + M2) / 2, R_uv = Im(M2 - M1) / 2, R_vu = Im(M1 + M2) / 2
-    and R_vv = Re(M1 - M2) / 2, assembled as [[R_uu, R_uv], [R_vu, R_vv]].
-    """
-    v = np.arange(4 * n * n).reshape(n, 2, n, 2)  # [row, block, column, real or imaginary part]
-    re1, im1, re2, im2 = v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
-    neg = 4 * n * n
-    first = np.concatenate([np.concatenate([re1, im2], axis=1), np.concatenate([im1, re1], axis=1)])
-    second = np.concatenate([np.concatenate([re2, neg + im1], axis=1), np.concatenate([im2, neg + re2], axis=1)])
-    return first, second
-
-
 def _composite(top: np.ndarray) -> np.ndarray:
-    """Real composite covariance of x = u + jv from its top block row [M1, M2].
+    """Real composite covariance of x = u + jv from its top block row [M1, M2], symmetrized.
 
-    With M1 exactly Hermitian and M2 exactly symmetric, the composite is
-    exactly symmetric: each entry is the mean of two of their parts
-    (:func:`_composite_terms`).
+    R_uu = Re(M1 + M2) / 2, R_vv = Re(M1 - M2) / 2, R_uv = -Im(M1 - M2) / 2
+    and R_vu = Im(M1 + M2) / 2, assembled as [[R_uu, R_uv], [R_vu, R_vv]].
     """
-    return _pair_means(np.ascontiguousarray(top).view(float).ravel(), _composite_terms(top.shape[0]))
+    k = top.shape[0]
+    m1, m2 = top[:, :k], top[:, k:]
+    total, diff = m1 + m2, m1 - m2
+    c = np.empty((2 * k, 2 * k))
+    c[:k, :k] = total.real
+    c[:k, k:] = -diff.imag
+    c[k:, :k] = total.imag
+    c[k:, k:] = diff.real
+    return (c + c.T) / 4
 
 
 @cache
@@ -202,8 +195,8 @@ def _moment_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     g holds [P1, P2, X1, X2] in its first n rows and [., ., S1, S2] in the
     other m, unsymmetrized. The result is, flat and one after another, the
-    predicted covariance's top block row and the full innovation
-    covariance, each the Hermitian part of its completion with the bits of
+    full predicted covariance and the full innovation covariance, each the
+    Hermitian part of its completion with the bits of
     :func:`wlckf.linear._covariance`, and the full cross covariance
     [[X1, X2], [X2*, X1*]] as it stands, each of its entries the mean of
     that entry with itself. Every entry is the mean of two entries of g or
@@ -216,16 +209,17 @@ def _moment_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Entry (i, j), conjugated or not, of the block of g whose first entry is (row, col)."""
         return lambda i, j, conj=False: (row + i, col + j, conj)
 
-    p1, p2 = block(0, 0), block(0, n)
+    def hermitian(b1, b2, k):
+        """The pairs of (F + F^H) / 2, row by row, for the completion F of the blocks [B1, B2]."""
+        pairs = []
+        for i in range(k):
+            pairs += [(b1(i, j), b1(j, i, True)) for j in range(k)] + [(b2(i, j), b2(j, i)) for j in range(k)]
+        for i in range(k):
+            pairs += [(b2(i, j, True), b2(j, i, True)) for j in range(k)] + [(b1(i, j, True), b1(j, i)) for j in range(k)]
+        return pairs
+
     x1, x2 = block(0, 2 * n), block(0, 2 * n + m)
-    s1, s2 = block(n, 2 * n), block(n, 2 * n + m)
-    pairs = []
-    for i in range(n):
-        pairs += [(p1(i, j), p1(j, i, True)) for j in range(n)] + [(p2(i, j), p2(j, i)) for j in range(n)]
-    for i in range(m):
-        pairs += [(s1(i, j), s1(j, i, True)) for j in range(m)] + [(s2(i, j), s2(j, i)) for j in range(m)]
-    for i in range(m):
-        pairs += [(s2(i, j, True), s2(j, i, True)) for j in range(m)] + [(s1(i, j, True), s1(j, i)) for j in range(m)]
+    pairs = hermitian(block(0, 0), block(0, n), n) + hermitian(block(n, 2 * n), block(n, 2 * n + m), m)
     for i in range(n):
         pairs += [(x1(i, j), x1(i, j)) for j in range(m)] + [(x2(i, j), x2(i, j)) for j in range(m)]
     for i in range(n):
@@ -270,10 +264,11 @@ class _JointPoints:
                              (meas.mean, meas.hermitian_cov, meas.complementary_cov)):
             _require(_nonfinite(mean, -1), ConsistencyError, "mean has non-finite entries")
             check_covariance_blocks(m1, m2)
-        w, v = np.linalg.eigh(_composite(_top_row(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
-                                                _block_diag(drive.complementary_cov, meas.complementary_cov))))
-        _psd_eigenvalues(w)
         k = drive.n + meas.n
+        noise = _full_covariance(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
+                                 _block_diag(drive.complementary_cov, meas.complementary_cov))
+        w, v = np.linalg.eigh(_composite(noise[:k]))
+        _psd_eigenvalues(w)
         self.model = model
         self.n = n = model.n
         # Eigenvalues of the noise composite, ascending, and its axes as complex directions over the noise entries, one a row.
@@ -292,16 +287,15 @@ class _JointPoints:
         # How many noise eigenvalues the last fill flushed; None before the first.
         self._flushed = None
 
-    def fill(self, x: np.ndarray, top: np.ndarray) -> np.ndarray:
-        """The joint points at estimate ``x`` and covariance top block row ``top``, under :func:`psd_sqrt`'s rules on the joint.
+    def fill(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The joint points at estimate top half ``x`` and full covariance ``p``, under :func:`psd_sqrt`'s rules on the joint.
 
-        ``top`` is [M1, M2] with M1 exactly Hermitian and M2 exactly
-        symmetric, as :func:`_top_row` and :func:`wlckf.linear.wl_update`
-        make them. The check for non-finite entries, which an overflow
-        leaves in the state, and the PSD test stay on every call.
+        Reads the top block row ``p[:n]`` alone. The check for non-finite
+        entries, which an overflow leaves in the state, and the PSD test
+        stay on every call.
         """
         n, pts = self.n, self.points
-        c = _composite(top)
+        c = _composite(p[:n])
         if not (np.isfinite(x).all() and np.isfinite(c).all()):
             raise ConsistencyError("filter state has non-finite entries")
         w, v = np.linalg.eigh(c)
@@ -313,7 +307,7 @@ class _JointPoints:
         lowest = min(low, self._noise_values[0])
         if lowest < -bound:
             raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} below -{bound:.3e}", index=())
-        floor = 1e-13 * max(high, self._noise_values[-1], 0.0)
+        floor = FLUSH * max(high, self._noise_values[-1], 0.0)
         w[: bisect_right(values, floor)] = 0.0
         b = SPREAD * v * np.sqrt(w)
         # Axis i's deviation has real parts b[:n, i] and imaginary parts b[n:, i].
@@ -333,9 +327,9 @@ class _JointPoints:
         return pts
 
 
-def _top_row(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The top block row [M1, M2] of a covariance, with M1 made exactly Hermitian and M2 exactly symmetric."""
-    return _hermitian_top(np.concatenate([m1, m2], axis=1))
+def _full_covariance(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The full covariance of blocks (M1, M2), symmetrized by :func:`wlckf.linear._covariance`."""
+    return _covariance(np.concatenate([m1, m2], axis=1))
 
 
 def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
@@ -350,25 +344,27 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     arrays, symmetrized like the linear filter's. From there the update is
     :func:`wlckf.linear.wl_update`: the gain solves against the augmented
     innovation covariance (least squares when singular, flagged) and the
-    posterior is P - K P_xy^H, symmetrized.
+    posterior is P - K P_xy^H, symmetrized. The measurement is converted
+    as the runs convert each of theirs, so a scalar is the measurement of
+    a model with m = 1.
     """
     joint = _JointPoints(model, state)
-    return _step(joint, state.estimate.top, _top_row(state.cov.m1, state.cov.m2), y).report(state.t + 1)
+    y = _measurement_rows([y])[0]
+    return _step(joint, state.estimate.top, _full_covariance(state.cov.m1, state.cov.m2), y).report(state.t + 1)
 
 
-def _step(joint: _JointPoints, x: np.ndarray, top: np.ndarray, y) -> WLUpdate:
-    """:func:`uwlckf_step`'s update from estimate ``x`` and covariance top block row ``top``, on ``joint``'s points.
+def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y) -> WLUpdate:
+    """:func:`uwlckf_step`'s update from estimate top half ``x`` and full covariance ``p``, on ``joint``'s points.
 
     Every moment comes from one product: the weighted deviations d of
     [f-outputs, h-outputs] from their mean against [dx*, dx, dy*, dy].
     Its blocks are the top block rows of the predicted and the innovation
     covariance and of the cross covariance, which one gather symmetrizes
-    and completes (:func:`_moment_terms`). The update takes the predicted
-    estimate and covariance as their top half and top block row.
+    and completes (:func:`_moment_terms`).
     """
     n = joint.n
     model = joint.model
-    joint.fill(x, top)
+    joint.fill(x, p)
     xs_next = np.asarray(model.f(joint.state_points, joint.drive_points), dtype=complex)
     ys = np.asarray(model.h(xs_next, joint.meas_points), dtype=complex)
     m = ys.shape[1]
@@ -378,10 +374,11 @@ def _step(joint: _JointPoints, x: np.ndarray, top: np.ndarray, y) -> WLUpdate:
     dx, dy = d[:, :n], d[:, n:]
     g = (joint.w_cov_column * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
     moments = _pair_means(g.view(float).ravel(), _moment_terms(n, m)).view(complex)
-    p_top = moments[: 2 * n * n].reshape(n, 2 * n)
-    s = moments[2 * n * n : 2 * n * n + 4 * m * m].reshape(2 * m, 2 * m)
-    cross = moments[2 * n * n + 4 * m * m :].reshape(2 * n, 2 * m)
-    return wl_update(mean[:n], p_top, y, mean[n:], cross, s)
+    p_end, s_end = 4 * n * n, 4 * (n * n + m * m)
+    p = moments[:p_end].reshape(2 * n, 2 * n)
+    s = moments[p_end:s_end].reshape(2 * m, 2 * m)
+    cross = moments[s_end:].reshape(2 * n, 2 * m)
+    return wl_update(mean[:n], p, y, mean[n:], cross, s)
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
@@ -397,10 +394,10 @@ def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
     state = FilterState(AugmentedVector(init.mean), init.augmented_cov(), t=0)
     joint = _JointPoints(model, state)
     ys = _measurement_rows(measurements)
-    x, top = state.estimate.top, _top_row(state.cov.m1, state.cov.m2)
+    x, p = state.estimate.top, _full_covariance(state.cov.m1, state.cov.m2)
     reports: list[StepReport] = []
     for t, y in enumerate(ys, start=1):
-        update = _step(joint, x, top, y)
+        update = _step(joint, x, p, y)
         reports.append(update.report(t))
-        x, top = update.x_post, update.p_post
+        x, p = update.x_post, update.p_post
     return reports

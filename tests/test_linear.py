@@ -620,7 +620,7 @@ def test_real_kf_takes_lstsq_exactly_at_the_singular_steps(monkeypatch):
             assert np.array_equal(step.cov, cov[i])
 
 
-# --- the shared kernels: completion, symmetrized top rows, step reports -----------
+# --- the shared kernels: completion and symmetrization, step reports ---------------
 
 
 def _top_rows(rng, batch, n):
@@ -643,7 +643,6 @@ def test_covariance_is_the_symmetrized_completion_bit_for_bit(n):
             full = block_conjugate(top[..., :n], top[..., n:])
             reference = (full + full.conj().swapaxes(-1, -2)) / 2
             assert np.array_equal(linear._covariance(top), reference)
-            assert np.array_equal(linear._hermitian_top(top), reference[..., :n, :])
 
 
 def _report_arrays(rep):
@@ -668,7 +667,7 @@ def _expected_report_arrays(update, n, m):
 def _linear_updates(model, steps):
     state = default_init(model)
     meas = simulate_linear(model, steps, substream(31, 0))[1]
-    return list(linear._wl_filter(linear._Maps.of(model), state.estimate.full(), state.cov.full(), meas))
+    return list(linear._wl_filter(linear._Maps.of(model), state.estimate.top, state.cov.full(), meas))
 
 
 def _unscented_updates(steps):
@@ -678,11 +677,11 @@ def _unscented_updates(steps):
     _, y = phase.simulate_phase(phase.PhaseModel(snr_db=20.0, rho_abs=0.7), steps, substream(31, 1))
     state = FilterState(AugmentedVector(nl.init.mean), nl.init.augmented_cov(), t=0)
     joint = unscented._JointPoints(nl, state)
-    x, top = state.estimate.top, unscented._top_row(state.cov.m1, state.cov.m2)
+    x, p = state.estimate.top, unscented._full_covariance(state.cov.m1, state.cov.m2)
     updates = []
     for value in y:
-        updates.append(unscented._step(joint, x, top, np.array([value])))
-        x, top = updates[-1].x_post, updates[-1].p_post
+        updates.append(unscented._step(joint, x, p, np.array([value])))
+        x, p = updates[-1].x_post, updates[-1].p_post
     return updates
 
 
@@ -777,6 +776,18 @@ def test_reports_survive_pickle_and_deepcopy_and_refuse_assignment():
     assert [rep.t for rep in reports] == [7, 8, 9, 1, 2, 4]
     with pytest.raises(DimensionError):
         linear.StepReport(np.zeros(12, complex), 1, 1, 1)
+
+
+def test_unscented_step_takes_a_scalar_for_one_measurement():
+    nl, y = _phase_track(3)
+    state = FilterState(AugmentedVector(nl.init.mean), nl.init.augmented_cov(), t=2)
+    want = _report_arrays(unscented.uwlckf_step(state, y[:1], nl))
+    for scalar in (y[0], complex(y[0]), [y[0]]):
+        got = _report_arrays(unscented.uwlckf_step(state, scalar, nl))
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+    with pytest.raises(DimensionError):
+        unscented.uwlckf_step(state, y[:2], nl)
 
 
 @pytest.mark.parametrize("run", ["wlckf_run", "ckf_run", "uwlckf_run"])

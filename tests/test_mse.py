@@ -512,6 +512,20 @@ def test_gains_batch_reports_first_failing_member_in_order():
     assert abs(res.ratio[1] - shifted) <= 1e-12 * shifted
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.3, np.nan), np.inf, complex(np.inf, np.nan)], ids=str)
+def test_gains_reject_a_nan_or_infinite_rho_by_name_without_warnings(bad):
+    # The suite turns RuntimeWarning into an error, so a division that warns fails here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gains in (steady_state_gains, noise_impropriety_gains):
+            with pytest.raises(NotPSDError) as info:
+                gains(bad, 0.5, 0, 0)
+            assert info.value.index == ()
+            with pytest.raises(NotPSDError) as info:
+                gains(np.array([0.1, 0.2j, 0.3]), np.array([0.5, 0.5, bad]), 0.0, -3.0)
+            assert info.value.index == (2,)
+
+
 def test_gain_at_powers_whose_linear_value_overflows_is_the_closed_form():
     # 10^400 overflows a double: the recursion cannot use the powers, and the
     # member takes the closed form of their gap, which stays in range.

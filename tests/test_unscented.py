@@ -355,8 +355,8 @@ def _filter_state(stats):
 
 
 def _fill_args(state):
-    """The estimate and covariance top block row that the filter's steps hand to ``_JointPoints.fill``."""
-    return state.estimate.top, unscented._top_row(state.cov.m1, state.cov.m2)
+    """The estimate top half and full covariance that the filter's steps hand to ``_JointPoints.fill``."""
+    return state.estimate.top, unscented._full_covariance(state.cov.m1, state.cov.m2)
 
 
 def _block_points(state_stats, drive, meas):

@@ -8,8 +8,9 @@ A complex vector x = u + jv has the augmented form [x; x*], related to the
 real composite [u; v] by the transform returned by :func:`build_transform`.
 It is stored as x alone, and augmented matrices, which carry the
 block-conjugate pattern [[M1, M2], [M2*, M1*]], as the (M1, M2) pair, so
-both patterns hold by construction; :func:`block_conjugate` fills the full
-array of a pair. Composite-space results are C-contiguous real arrays.
+both patterns hold by construction; :func:`_expand` is the one expansion
+of a vector and :func:`block_conjugate` the one completion of a pair.
+Composite-space results are C-contiguous real arrays.
 """
 from __future__ import annotations
 
@@ -42,6 +43,11 @@ def block_conjugate(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     np.conjugate(m2, out=full[..., rows:, :cols])
     np.conjugate(m1, out=full[..., rows:, cols:])
     return full
+
+
+def _expand(x: np.ndarray) -> np.ndarray:
+    """The augmented vectors [x; x*] of top halves x along the last axis."""
+    return np.concatenate([x, np.conj(x)], axis=-1)
 
 
 @cache
@@ -82,7 +88,8 @@ class AugmentedVector:
         return self.top.shape[0]
 
     def full(self) -> np.ndarray:
-        return np.concatenate([self.top, self.bottom])
+        """The stack [x; x*], by :func:`_expand`."""
+        return _expand(self.top)
 
 
 @dataclass
@@ -168,22 +175,6 @@ def augmented_to_real(x: AugmentedVector) -> np.ndarray:
     return np.concatenate([x.top.real, x.top.imag])
 
 
-def full_to_real(x: np.ndarray) -> np.ndarray:
-    """Real composite [u; v] of full augmented vectors [x; x*] along the last axis.
-
-    Leading axes are batch axes. A vector whose bottom half deviates from
-    the conjugate of its top half by more than ``CONJ_TOL`` (relative to
-    max(1, max |top|)) raises ConsistencyError.
-    """
-    n = x.shape[-1] // 2
-    top = x[..., :n]
-    scale = np.maximum(1.0, np.max(np.abs(top), axis=-1, initial=0.0))
-    defect = np.max(np.abs(x[..., n:] - np.conj(top)), axis=-1, initial=0.0)
-    if np.any(defect > CONJ_TOL * scale):
-        raise ConsistencyError("augmented vector is not conjugate symmetric")
-    return np.concatenate([top.real, top.imag], axis=-1)
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("system", "covariance"):
         raise ValueError(f"mode must be 'system' or 'covariance', got {mode!r}")
@@ -195,12 +186,15 @@ def real_matrix_to_augmented(m, mode: str) -> AugmentedMatrix:
     System matrices (state/measurement maps) use T M T^H / 2; covariances
     use T M T^H. The two scalings are mutual inverses of the corresponding
     modes of :func:`augmented_to_real_matrix`. Rectangular maps between
-    composite spaces of different sizes are supported.
+    composite spaces of different sizes are supported. A NaN or infinite
+    entry raises ConsistencyError.
     """
     _check_mode(mode)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise DimensionError("composite matrix dimensions must be even")
+    if not np.isfinite(m).all():
+        raise ConsistencyError("composite matrix has non-finite entries")
     rows, cols = m.shape[0] // 2, m.shape[1] // 2
     full = build_transform(rows) @ m @ build_transform(cols).conj().T
     if mode == "system":

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mse, parallel, phase
-from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real, full_to_real_matrix
+from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real_matrix
 from .errors import WlckfError
 from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear_batch, wlckf_batch
 # ckf_run, real_kf_run, simulate_linear and wlckf_run are unused here; bench/spans.py
@@ -325,7 +325,7 @@ def equivalence_trial(seed: int, trials, n: int, m: int, horizon: int, proper: b
         scale_e = np.maximum(1.0, np.abs(ref_mean).max(axis=-1))
         scale_c = np.maximum(1.0, np.abs(ref_cov).max(axis=(-2, -1)))
         for i, (x, p) in enumerate(posteriors):
-            est_dev = np.abs(full_to_real(x) - ref_mean).max(axis=-1) / scale_e
+            est_dev = np.abs(np.concatenate([x.real, x.imag], axis=-1) - ref_mean).max(axis=-1) / scale_e
             cov_dev = np.abs(full_to_real_matrix(p, "covariance") - ref_cov).max(axis=(-2, -1)) / scale_c
             np.maximum(worst[i], [est_dev, cov_dev], out=worst[i])
     # The strictly linear filter is checked against the same real oracle,

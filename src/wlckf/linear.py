@@ -36,8 +36,8 @@ Every kernel accepts leading batch axes. Each filter has one
 predict/update loop, a generator over steps: ``wlckf_run`` runs it on one
 model and builds step reports from it, and ``wlckf_batch`` runs it on
 models of one size stacked along a batch axis and yields the posterior at
-each step, as do ``ckf_batch`` and ``real_kf_batch``. A batch member gets
-the same bits as its single run.
+each step as the loop carries it, as do ``ckf_batch`` and
+``real_kf_batch``. A batch member gets the same bits as its single run.
 
 Conventions: the innovation is measurement minus prediction, the run
 starts from a posterior at t = 0 (zero mean, initial covariance), and each
@@ -57,6 +57,7 @@ from . import augmented
 from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
+    _expand,
     _nonfinite,
     _require,
     block_conjugate,
@@ -77,7 +78,7 @@ class WidelyLinearModel:
     ``A``, ``B``, ``C`` are the augmented state, noise-gain and measurement
     maps; ``Q``, ``R`` the augmented driving/measurement noise covariances;
     ``Pi0`` the initial augmented state covariance. Driving and
-    measurement noise are uncorrelated.
+    measurement noise are uncorrelated. A non-finite entry raises ConsistencyError.
     """
 
     A: AugmentedMatrix
@@ -103,6 +104,9 @@ class WidelyLinearModel:
             raise DimensionError("measurement-noise covariance must match the measurement dimension")
         if self.Pi0.block_shape != (n, n):
             raise DimensionError("initial covariance must match the state dimension")
+        for name in ("A", "B", "C"):
+            if not np.isfinite(getattr(self, name).full()).all():
+                raise ConsistencyError(f"{name} has non-finite entries")
         for name in ("Q", "R", "Pi0"):
             getattr(self, name).check_covariance()
 
@@ -295,24 +299,16 @@ def _covariance(top: np.ndarray) -> np.ndarray:
     """Full covariance from a computed top block row [M1, M2], symmetrized.
 
     The one symmetrization of both filters' covariances: the Hermitian
-    part of the block-conjugate completion, where M1 becomes
-    (M1 + M1^H) / 2 and M2 becomes (M2 + M2^T) / 2, and the pattern holds.
-    The completion is formed in place in the result. Leading axes are batch
-    axes.
+    part (F + F^H) / 2 of the completion F = :func:`block_conjugate` of
+    [M1, M2], where M1 becomes (M1 + M1^H) / 2 and M2 becomes
+    (M2 + M2^T) / 2, and the pattern holds. The unscented filter's moment
+    gather runs the same completion on labels. Leading axes are batch axes.
     """
     n = top.shape[-2]
-    full = np.empty((*top.shape[:-2], 2 * n, 2 * n), dtype=complex)
-    full[..., :n, :] = top
-    np.conjugate(top[..., n:], out=full[..., n:, :n])
-    np.conjugate(top[..., :n], out=full[..., n:, n:])
+    full = block_conjugate(top[..., :n], top[..., n:])
     full += _h(full)
     full /= 2
     return full
-
-
-def _expand(x: np.ndarray) -> np.ndarray:
-    """The augmented vectors [x; x*] of top halves x along the last axis."""
-    return np.concatenate([x, np.conj(x)], axis=-1)
 
 
 @cache
@@ -489,15 +485,15 @@ def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]
 
     ``measurements`` has shape (batch, steps, m): row i is the sequence
     ``wlckf_run`` would take for ``models[i]``. Yields, at each step, the
-    posterior estimates [x; x*] of shape (batch, 2n) and covariances of
-    shape (batch, 2n, 2n). It runs ``wlckf_run``'s loop, and member i
-    equals ``wlckf_run(models[i], measurements[i])`` bit for bit.
+    posterior as the loop carries it: top halves of shape (batch, n) and
+    full covariances of shape (batch, 2n, 2n). It runs ``wlckf_run``'s
+    loop, and member i equals ``wlckf_run(models[i], measurements[i])``.
     """
     maps = _Maps.stack(models)
     x = np.zeros((len(models), models[0].n), complex)
     p = np.stack([model.Pi0.full() for model in models])
     for update in _wl_filter(maps, x, p, np.moveaxis(np.asarray(measurements), -2, 0)):
-        yield _expand(update.x_post), update.p_post
+        yield update.x_post, update.p_post
 
 
 def _check_strictly_linear(model: WidelyLinearModel) -> None:
@@ -521,7 +517,7 @@ def ckf_run(model: WidelyLinearModel, measurements, init: FilterState | None = N
 def ckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`ckf_run` on a batch of models of one size: :func:`wlckf_batch` on their proper parts.
 
-    Every model must be strictly linear.
+    Every model must be strictly linear. Yields top halves and full covariances.
     """
     for model in models:
         _check_strictly_linear(model)
@@ -608,10 +604,12 @@ def real_kf_run(
     """Textbook real-valued Kalman filter on the composite dual-channel model.
 
     Written directly in real arithmetic with no shared code with the
-    augmented filter, so the two can check each other. The posterior
-    covariance is in Joseph form, (I - K G) P (I - K G)^T + K R K^T. A
-    singular innovation covariance gets its gain by least squares. The
-    loop is the one :func:`real_kf_batch` runs on a stack of models.
+    augmented filter, so the two can check each other. As that independent
+    oracle it checks only dimensions: a non-finite or indefinite input is
+    carried through, not rejected. The posterior covariance is in Joseph
+    form, (I - K G) P (I - K G)^T + K R K^T. A singular innovation
+    covariance gets its gain by least squares. The loop is the one
+    :func:`real_kf_batch` runs on a stack of models.
     """
     dim = np.shape(e)[0]
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()

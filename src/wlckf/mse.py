@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .augmented import _first
-from .errors import DegenerateError, DimensionError, NotPSDError
+from .errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
 
 
 def db_to_linear(db: float) -> float:
@@ -44,7 +44,8 @@ class ScalarModelParams:
     (element t-1 of a sequence is used at step t). ``drive_var`` and
     ``meas_var`` are the Hermitian variances of the proper driving and
     measurement noise; ``init_var`` / ``init_cvar`` the Hermitian and
-    complementary variance of the initial state.
+    complementary variance of the initial state. A NaN or infinite
+    coefficient (or sequence entry) or variance raises ConsistencyError.
     """
 
     a: complex | Sequence[complex] = 1.0
@@ -56,6 +57,9 @@ class ScalarModelParams:
     init_cvar: complex = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "drive_var", "meas_var", "init_var", "init_cvar"):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=complex)).all():
+                raise ConsistencyError(f"{name} has non-finite entries")
         if self.drive_var < 0 or self.meas_var < 0:
             raise NotPSDError("noise variances must be nonnegative")
         if abs(self.init_cvar) > self.init_var * (1 + 1e-12):

@@ -99,29 +99,18 @@ def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
     return mu_z, psd_sqrt(cov_z)
 
 
-def _draws(mu_z: np.ndarray, b: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Complex vectors u + jv from z = mu_z + B xi, for standard normal ``xi`` of shape (..., count, 2n).
-
-    Leading axes of the three arrays are batch axes.
-    """
-    z = mu_z[..., None, :] + xi @ b.swapaxes(-1, -2)
-    n = z.shape[-1] // 2
-    return z[..., :n] + 1j * z[..., n:]
-
-
 def sample(stats: SecondOrderStats, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` complex Gaussian vectors with the given second-order stats.
 
     Sampling happens in the real composite domain: z = mu_z + B xi with
     B B^T the composite covariance and xi standard normal, then u + jv is
-    assembled. Deterministic for a given generator state.
+    assembled. Deterministic for a given generator state. It is
+    :func:`sample_batch` on a batch of one: batched statistics raise DimensionError.
 
     Returns an array of shape (count, n).
     """
-    if count < 1:
-        raise DimensionError("count must be positive")
-    mu_z, b = composite_factor(stats)
-    return _draws(mu_z, b, rng.standard_normal((count, 2 * stats.n)))
+    one = SecondOrderStats(stats.mean[None], stats.hermitian_cov[None], stats.complementary_cov[None])
+    return sample_batch(one, count, [rng])[0]
 
 
 def sample_batch(stats: SecondOrderStats, count: int, rngs) -> np.ndarray:
@@ -140,7 +129,8 @@ def sample_batch(stats: SecondOrderStats, count: int, rngs) -> np.ndarray:
     xi = np.empty((len(rngs), count, 2 * stats.n))
     for rng, out in zip(rngs, xi):
         rng.standard_normal(out=out)
-    return _draws(mu_z, b, xi)
+    z = mu_z[..., None, :] + xi @ b.swapaxes(-1, -2)
+    return z[..., : stats.n] + 1j * z[..., stats.n :]
 
 
 def empirical_stats(samples) -> SecondOrderStats:

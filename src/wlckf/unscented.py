@@ -16,9 +16,9 @@ The filter step stacks state, driving noise and measurement noise into one
 joint complex vector, generates its sigma points, pushes the state parts
 through the transition and measurement maps, and forms all predicted,
 innovation and cross covariances from one product of the weighted
-deviations, symmetrized and completed by one gather. The joint
-covariance is block diagonal and its noise block is constant, so the
-points are built block
+deviations, completed and symmetrized by one gather that derives from
+:func:`wlckf.augmented.block_conjugate`. The joint covariance is block
+diagonal and its noise block is constant, so the points are built block
 by block rather than through :func:`wlckf.stats.composite_factor`: the
 noise block is checked and eigendecomposed once per run, and each step
 eigendecomposes the 2n x 2n state composite alone. The PSD test and the
@@ -51,12 +51,13 @@ from .augmented import (
     _nonfinite,
     _psd_eigenvalues,
     _require,
+    block_conjugate,
     check_covariance_blocks,
 )
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
 from .errors import ConsistencyError, DimensionError, NotPSDError
-from .linear import FilterState, StepReport, WLUpdate, _covariance, _measurement_rows, wl_update
+from .linear import FilterState, StepReport, WLUpdate, _covariance, _h, _measurement_rows, wl_update
 from .stats import SecondOrderStats, composite_factor, validate
 
 
@@ -195,41 +196,24 @@ def _moment_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     g holds [P1, P2, X1, X2] in its first n rows and [., ., S1, S2] in the
     other m, unsymmetrized. The result is, flat and one after another, the
-    full predicted covariance and the full innovation covariance, each the
-    Hermitian part of its completion with the bits of
-    :func:`wlckf.linear._covariance`, and the full cross covariance
-    [[X1, X2], [X2*, X1*]] as it stands, each of its entries the mean of
-    that entry with itself. Every entry is the mean of two entries of g or
-    their conjugates.
+    full predicted and innovation covariances, each (F + F^H) / 2 for the
+    completion F of its blocks as :func:`wlckf.linear._covariance` forms
+    it, and the full cross covariance F as it stands (the mean of F with
+    itself). Each entry of g is labelled re + j im, the float-view positions
+    of its parts (the complex view of 0, 1, 2, ...), and :func:`block_conjugate`
+    and :func:`wlckf.linear._h` move and conjugate the labels as they move
+    numbers; a negative imaginary label points into -v.
     """
-    width = 2 * (n + m)
-    neg = 2 * (n + m) * width
+    g = np.arange(4 * (n + m) ** 2, dtype=float).view(complex).reshape(n + m, 2 * (n + m))
+    p = block_conjugate(g[:n, :n], g[:n, n : 2 * n])
+    s = block_conjugate(g[n:, 2 * n : 2 * n + m], g[n:, 2 * n + m :])
+    cross = block_conjugate(g[:n, 2 * n : 2 * n + m], g[:n, 2 * n + m :])
 
-    def block(row, col):
-        """Entry (i, j), conjugated or not, of the block of g whose first entry is (row, col)."""
-        return lambda i, j, conj=False: (row + i, col + j, conj)
+    def positions(*blocks):
+        labels = np.concatenate([block.ravel() for block in blocks]).view(float).astype(int)
+        return np.where(labels < 0, 2 * g.size - labels, labels)  # -v starts at len(v) = 2 g.size
 
-    def hermitian(b1, b2, k):
-        """The pairs of (F + F^H) / 2, row by row, for the completion F of the blocks [B1, B2]."""
-        pairs = []
-        for i in range(k):
-            pairs += [(b1(i, j), b1(j, i, True)) for j in range(k)] + [(b2(i, j), b2(j, i)) for j in range(k)]
-        for i in range(k):
-            pairs += [(b2(i, j, True), b2(j, i, True)) for j in range(k)] + [(b1(i, j, True), b1(j, i)) for j in range(k)]
-        return pairs
-
-    x1, x2 = block(0, 2 * n), block(0, 2 * n + m)
-    pairs = hermitian(block(0, 0), block(0, n), n) + hermitian(block(n, 2 * n), block(n, 2 * n + m), m)
-    for i in range(n):
-        pairs += [(x1(i, j), x1(i, j)) for j in range(m)] + [(x2(i, j), x2(i, j)) for j in range(m)]
-    for i in range(n):
-        pairs += [(x2(i, j, True), x2(i, j, True)) for j in range(m)] + [(x1(i, j, True), x1(i, j, True)) for j in range(m)]
-
-    def position(entry, imag):
-        row, col, conj = entry
-        return 2 * (row * width + col) + imag + (neg if imag and conj else 0)
-
-    return tuple(np.array([position(pair[k], imag) for pair in pairs for imag in (0, 1)]) for k in (0, 1))
+    return positions(p, s, cross), positions(_h(p), _h(s), cross)
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -359,8 +343,8 @@ def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y) -> WLUpdate:
     Every moment comes from one product: the weighted deviations d of
     [f-outputs, h-outputs] from their mean against [dx*, dx, dy*, dy].
     Its blocks are the top block rows of the predicted and the innovation
-    covariance and of the cross covariance, which one gather symmetrizes
-    and completes (:func:`_moment_terms`).
+    covariance and of the cross covariance, which one gather completes and
+    symmetrizes as :func:`wlckf.linear._covariance` does (:func:`_moment_terms`).
     """
     n = joint.n
     model = joint.model

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -495,6 +496,33 @@ def test_nonzero_initial_mean_is_supported():
         assert np.max(np.abs(augmented_to_real(rep.state.estimate) - ref.mean)) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=str)
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_models_reject_a_non_finite_system_map_by_name_without_warnings(name, bad):
+    # Before the check, such a model was built, and wlckf_run on it
+    # returned NaN estimates with no error.
+    model = model_from_real(*random_composite(4))
+    block = getattr(model, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m1, m2 in ((block.m1, np.full_like(block.m2, bad)), (block.m1 + bad, block.m2)):
+            with pytest.raises(ConsistencyError, match=f"{name} has non-finite"):
+                replace(model, **{name: AugmentedMatrix(m1, m2)})
+
+
+@pytest.mark.parametrize("index, bad", [(i, np.nan) for i in range(3)] + [(i, np.inf) for i in range(6)], ids=str)
+def test_model_from_real_rejects_a_non_finite_entry_without_warnings(index, bad):
+    # Before the check, a NaN in E, F or G built a model and an inf in any of
+    # the six matrices warned in the lift's matmul; NaN covariances were
+    # already rejected.
+    real = list(random_composite(4))
+    real[index][1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            model_from_real(*real)
+
+
 def test_covariance_check_rejects_indefinite_model_blocks():
     from wlckf.errors import NotPSDError
 
@@ -530,7 +558,7 @@ def test_batches_equal_single_runs_member_by_member():
         steps = real_kf_run(*real_i, meas_real[i])
         assert [rep.singular_innovation for rep in reports] == [i == 1] * 12
         for rep, step, (x, p), (mean, cov) in zip(reports, steps, wl, real, strict=True):
-            assert np.array_equal(rep.state.estimate.full(), x[i])
+            assert np.array_equal(rep.state.estimate.top, x[i])
             assert np.array_equal(rep.state.cov.full(), p[i])
             assert np.array_equal(step.mean, mean[i])
             assert np.array_equal(step.cov, cov[i])
@@ -542,7 +570,7 @@ def test_ckf_batch_equals_ckf_run_and_checks_every_model():
     for step, (x, p) in enumerate(ckf_batch(models, meas)):
         for i, model in enumerate(models):
             rep = ckf_run(model, meas[i])[step]
-            assert np.array_equal(rep.state.estimate.full(), x[i])
+            assert np.array_equal(rep.state.estimate.top, x[i])
             assert np.array_equal(rep.state.cov.full(), p[i])
     widely_linear = model_from_real(*random_composite(0))
     with pytest.raises(UnsupportedModelError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wlckf import mse
 from wlckf.augmented import AugmentedMatrix
-from wlckf.errors import DegenerateError, DimensionError, NotPSDError
+from wlckf.errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
 from wlckf.linear import WidelyLinearModel, ckf_batch, wlckf_batch, wlckf_run
 from wlckf.mse import (
     AGREE,
@@ -524,6 +524,20 @@ def test_gains_reject_a_nan_or_infinite_rho_by_name_without_warnings(bad):
             with pytest.raises(NotPSDError) as info:
                 gains(np.array([0.1, 0.2j, 0.3]), np.array([0.5, 0.5, bad]), 0.0, -3.0)
             assert info.value.index == (2,)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("a", np.nan), ("b", complex(0.5, np.inf)), ("c", [1.0, np.nan]), ("a", (0.5, 0.9, complex(np.nan, 0))),
+    ("drive_var", np.inf), ("meas_var", np.nan), ("init_var", np.inf), ("init_cvar", complex(0, np.nan)),
+], ids=str)
+def test_scalar_params_reject_a_nan_or_infinite_entry_by_name_without_warnings(field, bad):
+    # Before the check, a NaN a gave min_mmse_ratio NaN and an infinite
+    # drive_var a RuntimeWarning, both without an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=f"{field} has non-finite"):
+            ScalarModelParams(**{field: bad})
+        assert min_mmse_ratio(ScalarModelParams(**{field: 0.5 if field != "c" else [1.0, 0.5]}), 2) > 0
 
 
 def test_gain_at_powers_whose_linear_value_overflows_is_the_closed_form():

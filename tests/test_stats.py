@@ -191,3 +191,12 @@ def test_sample_batch_needs_one_generator_per_member():
     stats = stacked_stats([random_valid_stats(51), random_valid_stats(52)])
     with pytest.raises(DimensionError):
         sample_batch(stats, 3, [substream(0, 0)])
+
+
+def test_sample_is_a_batch_of_one_and_refuses_batched_statistics():
+    stats = random_valid_stats(53)
+    assert np.array_equal(sample(stats, 4, substream(0, 0)), sample_batch(stacked_stats([stats]), 4, [substream(0, 0)])[0])
+    with pytest.raises(DimensionError):
+        sample(stacked_stats([stats, random_valid_stats(54)]), 3, substream(0, 0))
+    with pytest.raises(DimensionError):
+        sample(stats, 0, substream(0, 0))

@@ -25,14 +25,14 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import mse, parallel, phase
 from .augmented import AugmentedMatrix, augmented_to_real_matrix, full_to_real_matrix
-from .errors import WlckfError
+from .errors import DimensionError, WlckfError
 from .linear import ckf_batch, model_from_real, real_kf_batch, simulate_linear_batch, wlckf_batch
 # ckf_run, real_kf_run, simulate_linear and wlckf_run are unused here; bench/spans.py
 # still rebinds them in this module.
@@ -43,8 +43,9 @@ _COMMON_DEFAULTS = {"seed": 0, "format": "csv"}
 
 # Trials of `equivalence` that run as one batch; bounds memory for any --trials.
 TRIAL_BATCH = 64
-# Draws of `theta-bound` swept at once. Their (DRAW_BATCH, t_max) ratio array
-# is the command's largest allocation beyond its columns, whatever --draws.
+# Draws of `theta-bound` swept at once. The sweep keeps only a running min
+# and max per draw, so beyond the table's columns the command holds about a
+# dozen arrays of this many floats, whatever --draws and --t-max.
 DRAW_BATCH = 8192
 # Rows formatted and written at once by `write_rows`; `theta-bound` also
 # makes its table's Python values this many rows at a time. Chunk i of a
@@ -134,19 +135,36 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
+def _chunk_columns(rows, part: slice, width: int) -> list:
+    """The values of ``rows[part]`` as one sequence per column; DimensionError unless each row holds ``width``."""
+    chunk = rows[part]
+    if isinstance(rows, _Columns):
+        return chunk
+    if any(len(row) != width for row in chunk):
+        raise DimensionError(f"every table row must hold {width} values, one per header name")
+    return list(zip(*chunk))
+
+
 def _table_text(header: list[str], rows, fmt: str):
-    """Text of chunk ``i`` of ``rows`` as a function of ``i``; the chunk is checked to hold exact ``float`` and ``int`` values only."""
+    """Text of chunk ``i`` of ``rows`` as a function of ``i``; the chunk is checked to hold exact ``float`` and ``int`` values only, one per header name."""
+    if not header or (isinstance(rows, _Columns) and len(rows.columns) != len(header)):
+        raise DimensionError("a table needs one column per header name, and at least one")
     keys = [f"\n  {json.dumps(key)}: " for key in header]
 
     def chunk_text(i: int) -> str:
-        chunk = rows[i * WRITE_CHUNK : (i + 1) * WRITE_CHUNK]
-        types = set(map(type, chain.from_iterable(chunk)))
+        columns = _chunk_columns(rows, slice(i * WRITE_CHUNK, (i + 1) * WRITE_CHUNK), len(header))
+        types = set(map(type, chain.from_iterable(columns)))
         if not types <= _VALUE_TYPES:
             raise TypeError(f"table values must be float or int, not {types - _VALUE_TYPES}")
         if fmt == "csv":
-            return "".join([",".join(map(repr, row)) + "\n" for row in chunk])
+            # Each column's values, each followed by its separator, row by row.
+            cells = []
+            for column in columns:
+                cells += [map(repr, column), repeat(",")]
+            cells[-1] = repeat("\n")
+            return "".join(chain.from_iterable(zip(*cells)))
         records = []
-        for row in chunk:
+        for row in zip(*columns):
             fields = [key + _JSON_NON_FINITE.get(text, text) for key, text in zip(keys, map(repr, row))]
             records.append("{" + ",".join(fields) + "\n }")
         return ("[\n " if i == 0 else ",\n ") + ",\n ".join(records)
@@ -155,26 +173,29 @@ def _table_text(header: list[str], rows, fmt: str):
 
 
 def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
-    """Write ``rows`` (a sliceable sequence of sequences) to ``path`` as CSV or JSON.
+    """Write ``rows`` to ``path`` as CSV or JSON.
 
-    CSV has a header line and one line per row; JSON is a list of objects
-    keyed by ``header``, indented by one space. Every value must be an
-    exact ``float`` or ``int`` (``TypeError`` otherwise) and is written as
-    its ``repr``: floats as their shortest round-trip decimal, integers as
-    integers. JSON, like ``json.dumps``, spells non-finite floats ``NaN``,
-    ``Infinity`` and ``-Infinity``; its bytes are those of
-    ``json.dumps(records, indent=1)``. Rows are sliced ``WRITE_CHUNK`` at a
-    time, and each chunk is formatted and goes out in one write. A table of
-    ``FORK_CHUNKS`` chunks or more per extra process has its chunks dealt
-    between processes (see the module docstring); either way the file has
-    the same bytes. Beyond ``rows`` itself, only a chunk or two per process
-    and their text are held in memory, never the whole table's text.
+    ``rows`` is a sliceable sequence of rows, each holding one value per
+    name of ``header`` (DimensionError otherwise), or a :class:`_Columns`
+    with one column per name. CSV has a header line and one line per row;
+    JSON is a list of objects keyed by ``header``, indented by one space.
+    Every value must be an exact ``float`` or ``int`` (``TypeError``
+    otherwise) and is written as its ``repr``: floats as their shortest
+    round-trip decimal, integers as integers. JSON, like ``json.dumps``,
+    spells non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``; its
+    bytes are those of ``json.dumps(records, indent=1)``. Rows are sliced
+    ``WRITE_CHUNK`` at a time, and each chunk is formatted column by column
+    and goes out in one write. A table of ``FORK_CHUNKS`` chunks or more per
+    extra process has its chunks dealt between processes (see the module
+    docstring); either way the file has the same bytes. Beyond ``rows``
+    itself, only a chunk or two per process and their text are held in
+    memory, never the whole table's text.
     """
     chunks = -(-len(rows) // WRITE_CHUNK)
     processes = min(1 + chunks // FORK_CHUNKS, parallel.cpu_count())
     shares = [range(k, chunks, processes) for k in range(processes)]
-    path.parent.mkdir(parents=True, exist_ok=True)
     chunk_text = _table_text(header, rows, fmt)
+    path.parent.mkdir(parents=True, exist_ok=True)
     # The children are forked before the file is opened, so none holds it.
     with parallel.shared(chunk_text, shares) as texts, path.open("w", encoding="utf-8", newline="\n") as out:
         if fmt == "csv":
@@ -186,7 +207,7 @@ def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
 
 
 class _Columns:
-    """Rows over equal-length numpy columns, made as Python values only for the slice taken."""
+    """A table held as equal-length numpy columns; a slice gives each column's Python values over its rows."""
 
     def __init__(self, *columns: np.ndarray):
         self.columns = columns
@@ -194,8 +215,8 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, part: slice) -> list[tuple]:
-        return list(zip(*(column[part].tolist() for column in self.columns)))
+    def __getitem__(self, part: slice) -> list[list]:
+        return [column[part].tolist() for column in self.columns]
 
 
 def load_config(args: argparse.Namespace, command: str) -> dict:
@@ -409,8 +430,7 @@ def cmd_theta_bound(cfg: dict) -> int:
     lo, hi = np.empty(draws), np.empty(draws)
     chunks = [slice(start, start + DRAW_BATCH) for start in range(0, draws, DRAW_BATCH)]
     for part in chunks:
-        ratios = mse.min_mmse_ratio_sweep(*(column[part] for column in params), t_max)
-        lo[part], hi[part] = ratios.min(axis=1), ratios.max(axis=1)
+        lo[part], hi[part] = mse.min_mmse_ratio_bounds(*(column[part] for column in params), t_max)
     # The table's Python values exist one writer chunk of rows at a time.
     rows = _Columns(np.arange(draws), *params, lo, hi)
     write_rows(
@@ -423,8 +443,8 @@ def cmd_theta_bound(cfg: dict) -> int:
     # Small driving noise and smaller-still measurement noise approach 1/2.
     # The dip is transient (the zero eigenvalue branch refills at rate N1),
     # so the check is on the minimum over the first 20 steps.
-    narrow = mse.min_mmse_ratio_sweep(1.0, 1.0, 1.0, 1e-6, 1e-3, 1.0, max(t_max, 20))
-    near_half = bool(float(np.min(narrow[..., :20])) < 0.55)
+    narrow, _ = mse.min_mmse_ratio_bounds(1.0, 1.0, 1.0, 1e-6, 1e-3, 1.0, 20)
+    near_half = bool(float(narrow) < 0.55)
     print(
         f"theta-bound: {draws} draws, min {lo.min():.6f}, max {hi.max():.6f}, "
         f"bounds {'ok' if bounds_ok else 'VIOLATED'}, near-half check {'ok' if near_half else 'FAILED'}"

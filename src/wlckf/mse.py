@@ -219,19 +219,18 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return inverse.reshape(batch + (2, 2))
 
 
-def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int) -> np.ndarray:
-    """Vectorized best-case MMSE ratio over parameter draws and steps.
+def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int):
+    """Yield the best-case MMSE ratio of every draw at steps 1 to ``t_max``, in turn.
 
-    All parameter arguments broadcast against each other; the result has
-    shape (draws, t_max) with entry [i, t-1] the ratio for draw i at step t.
     Three eigenvalue branches start at the extreme split 2·p0 and 0 (the
     widely linear filter) and at p0 (the strictly linear one). Each step
     maps every branch through ``n2·pred / (c2·pred + n2)`` with
     ``pred = a2·lam + b2·n1``, then takes ``(hi + lo) / (2·mid)``. The
     updates run in place, through two work arrays allocated once, with the
     same elementwise operations in the same order as those expressions, so
-    the bits are theirs. Beyond the result, memory is a few arrays of the
-    broadcast shape, whatever ``t_max``.
+    the bits are theirs. Every step's ratio is written into one buffer of
+    the broadcast shape, which is yielded each time: a caller that keeps a
+    step must copy it before asking for the next.
     """
     a2, b2, c2 = (np.abs(np.asarray(v, float)) ** 2 for v in (a_abs, b_abs, c_abs))
     n1 = np.asarray(drive_var, float)
@@ -242,9 +241,8 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
     lam_lo = np.zeros(shape)
     lam_mid = np.broadcast_to(p0, shape).astype(float).copy()
     drive = b2 * n1
-    pred, den = np.empty(shape), np.empty(shape)
-    out = np.empty(shape + (t_max,))
-    for t in range(t_max):
+    pred, den, ratio = np.empty(shape), np.empty(shape), np.empty(shape)
+    for _ in range(t_max):
         for lam in (lam_hi, lam_lo, lam_mid):
             np.multiply(a2, lam, out=pred)
             np.add(pred, drive, out=pred)
@@ -254,8 +252,47 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
             np.divide(lam, den, out=lam)
         np.add(lam_hi, lam_lo, out=pred)
         np.multiply(2.0, lam_mid, out=den)
-        np.divide(pred, den, out=out[..., t])
+        np.divide(pred, den, out=ratio)
+        yield ratio
+
+
+def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int) -> np.ndarray:
+    """Vectorized best-case MMSE ratio over parameter draws and steps.
+
+    All parameter arguments broadcast against each other; the result has
+    shape (draws, t_max) with entry [i, t-1] the ratio for draw i at step t,
+    and is empty at ``t_max`` 0. It runs the recursion of
+    :func:`min_mmse_ratio_bounds`, which writes every step into one reused
+    buffer, and copies each step out of that buffer into the result. Beyond
+    the result, memory is a few arrays of the broadcast shape, whatever
+    ``t_max``.
+    """
+    params = (a_abs, b_abs, c_abs, drive_var, meas_var, init_var)
+    out = np.empty(np.broadcast_shapes(*map(np.shape, params)) + (t_max,))
+    for t, ratio in enumerate(_ratio_steps(*params, t_max)):
+        out[..., t] = ratio
     return out
+
+
+def min_mmse_ratio_bounds(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int):
+    """Smallest and largest best-case MMSE ratio of each draw over steps 1 to ``t_max``.
+
+    The two arrays, of the parameters' broadcast shape, have the bits of
+    ``min_mmse_ratio_sweep(...).min(-1)`` and ``.max(-1)``, NaN included,
+    without the (draws, t_max) array: the steps come one at a time through
+    one reused buffer and fold into running minima and maxima, so memory is
+    a few arrays of the broadcast shape, whatever ``t_max``. A ``t_max``
+    below 1 raises DimensionError.
+    """
+    if t_max < 1:
+        raise DimensionError("t_max must be >= 1")
+    steps = _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max)
+    first = next(steps)
+    lo, hi = first.copy(), first.copy()
+    for ratio in steps:
+        np.minimum(lo, ratio, out=lo)
+        np.maximum(hi, ratio, out=hi)
+    return lo, hi
 
 
 @dataclass

@@ -162,11 +162,15 @@ def normalized_error(theta, theta_hat):
     theta_hat = np.asarray(theta_hat, float)
     if theta.shape != theta_hat.shape:
         raise DimensionError("sequences must have equal length")
-    denom = np.sum(theta * theta, axis=-1)
+    # One C-contiguous work array holds theta squared, then the squared error.
+    work = np.empty(theta.shape)
+    np.multiply(theta, theta, out=work)
+    denom = np.sum(work, axis=-1)
     if np.any(denom == 0):
         raise DegenerateError("zero phase sequence")
-    err = theta_hat - theta
-    xi = np.sum(err * err, axis=-1) / denom
+    np.subtract(theta_hat, theta, out=work)
+    np.multiply(work, work, out=work)
+    xi = np.sum(work, axis=-1) / denom
     return float(xi) if xi.ndim == 0 else xi
 
 
@@ -476,6 +480,10 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
     for t in range(horizon):
         engine.step(ys[source, t])
         estimates[source, t, copy] = engine.est.real
+    # Only the realness check is read from the engine; its work arrays go
+    # before the statistics take theirs.
+    max_imag = engine.max_imag
+    del engine
 
     results, first = [], 0
     for j, (model, seed, cvars) in enumerate(block):
@@ -495,7 +503,7 @@ def _ratio_block(block, mc_runs: int, horizon: int) -> list[RatioResult]:
             xi_uwlckf_se=_se(xi_u),
             xi_ukf=float(xi_k.mean()),
             xi_ukf_se=_se(xi_k),
-            max_imag=float(engine.max_imag[first:last].max()),
+            max_imag=float(max_imag[first:last].max()),
             seed=seed,
         ))
         first = last

@@ -149,7 +149,10 @@ class NonlinearModel:
     ``f(state, drive_noise)`` advances the state; ``h(state, meas_noise)``
     produces the measurement. Both must accept arrays of points with the
     leading axis enumerating points. Noise and initial statistics carry
-    the full (possibly improper) second-order description.
+    the full (possibly improper) second-order description. Statistics with
+    a NaN or infinite entry raise ConsistencyError naming their field, when
+    the model is built and again at the start of each run, since a field
+    may be reassigned.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -157,6 +160,12 @@ class NonlinearModel:
     drive_noise: SecondOrderStats
     meas_noise: SecondOrderStats
     init: SecondOrderStats
+
+    def __post_init__(self):
+        for name in ("init", "drive_noise", "meas_noise"):
+            stats = getattr(self, name)
+            bad = _nonfinite(stats.mean, -1) | _nonfinite(stats.hermitian_cov) | _nonfinite(stats.complementary_cov)
+            _require(bad, ConsistencyError, f"{name} has non-finite entries")
 
     @property
     def n(self) -> int:

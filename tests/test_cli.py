@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import multiprocessing
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from wlckf import cli
 from wlckf.augmented import AugmentedMatrix, augmented_to_real, augmented_to_real_matrix, full_to_real_matrix
 from wlckf.cli import main
-from wlckf.errors import WorkerError
+from wlckf.errors import DimensionError, WorkerError
 from wlckf.linear import ckf_run, model_from_real, real_kf_run, simulate_linear, wlckf_run
 from wlckf.mse import AGREE, steady_state_gains
 from wlckf.stats import substream
@@ -614,6 +616,52 @@ def test_write_rows_raises_the_type_error_of_a_chunk_a_child_formats(tmp_path, m
     with pytest.raises(TypeError, match="float64"):
         cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], rows, fmt)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ragged", [[1, 0.5], [1, 0.5, 0.0, 2.0]], ids=["short", "long"])
+def test_write_rows_rejects_a_row_that_does_not_match_the_header(tmp_path, monkeypatch, fmt, ragged):
+    # Formatting by column would drop the values past the shortest row, so
+    # every row must hold one value per header name; here in a child's chunk.
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
+    rows = list(_DEALT_ROWS)
+    rows[cli.WRITE_CHUNK + 3] = ragged
+    with pytest.raises(DimensionError, match="3 values"):
+        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], rows, fmt)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(DimensionError, match="3 values"):
+        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], [ragged], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_rows_rejects_columns_that_do_not_match_the_header(tmp_path, fmt):
+    path = tmp_path / f"table.{fmt}"
+    cases = [(["a", "b"], cli._Columns(np.arange(3))), (["a"], cli._Columns(np.arange(3), np.ones(3))), ([], [[]])]
+    for header, rows in cases:
+        with pytest.raises(DimensionError, match="one column per header name"):
+            cli.write_rows(path, header, rows, fmt)
+    assert not path.exists()
+
+
+def test_theta_bound_holds_little_beyond_its_table_columns(tmp_path, monkeypatch):
+    # One process formats the whole table. The sweep keeps running bounds,
+    # so no (draws, t_max) ratio array is ever held.
+    monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 1)
+    draws = 20_000
+    argv = ["theta-bound", "--draws", str(draws), "--out", str(tmp_path / "theta.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["theta-bound", "--draws", "300", "--out", str(tmp_path / "warm.csv")]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    # The draw index, six parameters and two bounds, one float or int each.
+    columns = 9 * 8 * draws
+    assert peak < columns + 2**20
 
 
 def test_write_rows_names_a_child_that_dies(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from wlckf.mse import (
     _inv2,
     db_to_linear,
     min_mmse_ratio,
+    min_mmse_ratio_bounds,
     min_mmse_ratio_sweep,
     min_wl_mmse,
     noise_impropriety_gain,
@@ -26,6 +27,7 @@ from wlckf.mse import (
     variance_step,
     wl_mmse,
 )
+from wlckf.stats import substream
 
 UNIT = ScalarModelParams()
 
@@ -164,6 +166,61 @@ def test_min_mmse_ratio_sweep_has_the_bits_of_plain_expressions():
         got, want = min_mmse_ratio_sweep(*args), _ratio_sweep_plain(*args)
         assert got.shape == want.shape
         assert (got == want).all()
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _theta_bound_draws(draws):
+    """Parameter columns drawn as the theta-bound command draws them at seed 0."""
+    rng = substream(0, 0)
+    a, b, c = (rng.uniform(0.2, 1.5, draws) for _ in range(3))
+    n1, n2 = 10.0 ** rng.uniform(-6, 2, draws), 10.0 ** rng.uniform(-6, 2, draws)
+    return a, b, c, n1, n2, 10.0 ** rng.uniform(-2, 2, draws)
+
+
+def test_min_mmse_ratio_bounds_are_the_sweeps_min_and_max_over_the_default_draws():
+    params = _theta_bound_draws(50_000)
+    ratios = min_mmse_ratio_sweep(*params, 50)
+    lo, hi = min_mmse_ratio_bounds(*params, 50)
+    assert _same_bits(lo, ratios.min(-1)) and _same_bits(hi, ratios.max(-1))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (np.array([[0.3], [0.9], [1.4]]), np.array([0.2, 0.7, 1.1, 1.5]), 1.0, 1e-3,
+         np.array([1e-4, 1.0, 5.0, 1e2]), 2.0, 30),
+        (1.0, 1.0, 1.0, 1e-6, 1e-3, 1.0, 20),
+        (0.9, 1.2, 0.4, 3.0, 0.5, 0.1, 1),
+        (np.array([0.5, np.nan, 1.2]), 1.0, 1.0, np.array([1.0, 1.0, np.nan]), 0.1, 1.0, 12),
+    ],
+    ids=["broadcast", "0-d", "one-step", "nan-parameter"],
+)
+def test_min_mmse_ratio_bounds_have_the_bits_of_the_sweep(args):
+    ratios = min_mmse_ratio_sweep(*args)
+    lo, hi = min_mmse_ratio_bounds(*args)
+    assert _same_bits(lo, ratios.min(-1)) and _same_bits(hi, ratios.max(-1))
+
+
+def test_min_mmse_ratio_bounds_propagate_a_nan_parameter_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = min_mmse_ratio_bounds([0.5, 1.0], 1.0, 1.0, [1.0, np.nan], 1.0, 1.0, 10)
+    assert np.isfinite(lo[0]) and np.isfinite(hi[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
+
+
+@pytest.mark.parametrize("t_max", [0, -1])
+def test_min_mmse_ratio_bounds_need_a_step(t_max):
+    with pytest.raises(DimensionError):
+        min_mmse_ratio_bounds(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, t_max)
+
+
+def test_min_mmse_ratio_sweep_of_no_steps_is_empty():
+    assert min_mmse_ratio_sweep(np.ones(7), 1.0, 1.0, 1.0, 1.0, 1.0, 0).shape == (7, 0)
+    assert min_mmse_ratio_sweep(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0).shape == (0,)
 
 
 def test_params_validation():

@@ -1,5 +1,7 @@
+import gc
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +238,30 @@ def test_paired_engine_matches_separate_trackers(rho_abs, rho_phase):
     assert res.xi_ukf == pytest.approx(xi["ukf"].mean(), rel=1e-12)
     assert res.r_mean == pytest.approx((xi["ukf"] / xi["uwlckf"]).mean(), rel=1e-12)
     assert res.max_imag == pytest.approx(max(track.max_imag for track in alone.values()), abs=1e-15)
+
+
+def test_an_800_row_block_holds_little_beyond_its_trajectories_and_measurements():
+    runs, horizon = 200, 500
+    specs = []
+    for rho_abs, seed in ((0.7, 1), (0.5, 2)):
+        model = PhaseModel(snr_db=20.0, rho_abs=rho_abs)
+        specs.append((model, seed, [model.noise_cvar, replace(model, rho_abs=0.0).noise_cvar]))
+    assert sum(len(cvars) for _, _, cvars in specs) * runs == _BLOCK_ROWS
+    _ratio_block(specs[:1], 2, 10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _ratio_block(specs, runs, horizon)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Trajectories and measurements take 4.8 MB. The engine's work arrays
+    # and one step's temporaries take about 1.17 MB more; the statistics
+    # come after the engine is dropped and take one trajectory-sized work
+    # array, 0.8 MB. Holding the engine and two such arrays would pass 7 MB.
+    held = len(specs) * runs * ((horizon + 1) * 8 + horizon * 16)
+    assert peak < held + 1.2 * 2**20
 
 
 def test_improvement_ratio_realness_covers_both_trackers():

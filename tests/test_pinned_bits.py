@@ -8,9 +8,11 @@ conjugate blocks A2, B2, C2 set to zero, is hashed with its dtype and
 shape. So are the unscented filter's moment-gather positions
 (``_moment_terms``) for state and measurement sizes 1 to 6, and every
 posterior that ``wlckf_batch`` and ``ckf_batch`` yield on the
-``equivalence`` command's random models. A change that only restructures
-the filters keeps every digest; a change that moves one bit of one
-report changes one. The digests were
+``equivalence`` command's random models, and the bytes of the
+``theta-bound`` table at 20,000 draws in both formats. A change that only
+restructures the filters or the table writer keeps every digest; a
+change that moves one bit of one report or one byte of one table changes
+one. The digests were
 recorded with numpy 2.4 on OpenBLAS, like the goldens under
 ``tests/data``: another BLAS build may round the products differently.
 """
@@ -25,7 +27,7 @@ import pytest
 
 from wlckf import phase
 from wlckf.augmented import AugmentedMatrix
-from wlckf.cli import random_real_model
+from wlckf.cli import main, random_real_model
 from wlckf.linear import ckf_batch, ckf_run, model_from_real, simulate_linear, simulate_linear_batch, wlckf_batch, wlckf_run
 from wlckf.stats import substream
 from wlckf.unscented import _moment_terms, uwlckf_run
@@ -179,3 +181,18 @@ def test_batch_posteriors_keep_their_pinned_bits(case):
     _, measurements = simulate_linear_batch(models, 20, [substream(0, t, 1) for t in trials])
     batch = wlckf_batch if name == "wlckf_batch" else ckf_batch
     assert array_digest([a for x, p in batch(models, measurements) for a in (x, p)]) == PINNED_BATCHES[case]
+
+
+# Keyed by format: the theta-bound table at 20,000 draws, seed 0, 50 steps,
+# which runs three sweep batches and 79 writer chunks.
+PINNED_THETA_TABLES = {
+    "csv": "15a04d99746970906020bf6f682e58cc4caa1dc21287f5f51aad39b84bd0e6c3",
+    "json": "071127764f0d95ba81d715dc7614a0d3a959bfa2e67d8fadb651aa2c0deff004",
+}
+
+
+@pytest.mark.parametrize("fmt", PINNED_THETA_TABLES.keys())
+def test_theta_bound_table_keeps_its_pinned_bytes(tmp_path, fmt):
+    path = tmp_path / f"theta_bound.{fmt}"
+    assert main(["theta-bound", "--draws", "20000", "--format", fmt, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_THETA_TABLES[fmt]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -505,6 +507,20 @@ def test_run_rejects_non_finite_statistics(field, value):
     setattr(model, field, value)
     with pytest.raises(ConsistencyError, match="non-finite"):
         uwlckf_run(model, np.ones(4, complex))
+
+
+@pytest.mark.parametrize("field", ["init", "drive_noise", "meas_noise"])
+@pytest.mark.parametrize(
+    "bad", [(np.nan, 1.0, 0.0), (0.0, np.inf, 0.0), (0.0, 1.0, complex(0.0, np.nan))], ids=["mean", "variance", "cvar"]
+)
+def test_model_rejects_non_finite_statistics_when_built(field, bad):
+    stats = {"init": _scalar_stats(0.0, 1.0, 0.5), "drive_noise": _scalar_stats(0.0, 1.0, 1.0),
+             "meas_noise": _scalar_stats(0.0, 0.1, 0.05)}
+    stats[field] = _scalar_stats(*bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=f"^{field} has non-finite entries"):
+            NonlinearModel(f=None, h=None, **stats)
 
 
 def test_run_rejects_a_nan_last_measurement():

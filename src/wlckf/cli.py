@@ -8,6 +8,8 @@ augmented filter and the dual-channel real filter), ``mse-sweep``
 deterministic functions of the configuration, including the seed; running
 a command twice produces byte-identical files.
 
+Every table is one 1-d numpy column per header name; config values and
+seeds go in ``dtype=object`` columns, so an int stays an int of any size.
 Tables are written ``WRITE_CHUNK`` rows at a time. A table of at least
 ``FORK_CHUNKS`` chunks per extra process is formatted on up to one process
 per CPU that :func:`wlckf.parallel.cpu_count` gives, through
@@ -47,8 +49,8 @@ TRIAL_BATCH = 64
 # and max per draw, so beyond the table's columns the command holds about a
 # dozen arrays of this many floats, whatever --draws and --t-max.
 DRAW_BATCH = 8192
-# Rows formatted and written at once by `write_rows`; `theta-bound` also
-# makes its table's Python values this many rows at a time. Chunk i of a
+# Rows formatted and written at once by `write_rows`, which makes a table's
+# Python values from its columns this many rows at a time. Chunk i of a
 # table is formatted by process i mod P, the caller being process 0.
 WRITE_CHUNK = 256
 # Chunks per extra process a table needs before `write_rows` forks one:
@@ -135,36 +137,28 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _chunk_columns(rows, part: slice, width: int) -> list:
-    """The values of ``rows[part]`` as one sequence per column; DimensionError unless each row holds ``width``."""
-    chunk = rows[part]
-    if isinstance(rows, _Columns):
-        return chunk
-    if any(len(row) != width for row in chunk):
-        raise DimensionError(f"every table row must hold {width} values, one per header name")
-    return list(zip(*chunk))
-
-
-def _table_text(header: list[str], rows, fmt: str):
-    """Text of chunk ``i`` of ``rows`` as a function of ``i``; the chunk is checked to hold exact ``float`` and ``int`` values only, one per header name."""
-    if not header or (isinstance(rows, _Columns) and len(rows.columns) != len(header)):
-        raise DimensionError("a table needs one column per header name, and at least one")
+def _table_text(header: list[str], columns: list[np.ndarray], fmt: str):
+    """Text of chunk ``i`` of the table as a function of ``i``; a chunk holds exact ``float`` and ``int`` values only."""
+    shapes = {column.shape for column in columns}
+    if not header or len(columns) != len(header) or len(shapes) != 1 or columns[0].ndim != 1:
+        raise DimensionError("a table needs one column per header name, and at least one, all 1-d of one length")
     keys = [f"\n  {json.dumps(key)}: " for key in header]
 
     def chunk_text(i: int) -> str:
-        columns = _chunk_columns(rows, slice(i * WRITE_CHUNK, (i + 1) * WRITE_CHUNK), len(header))
-        types = set(map(type, chain.from_iterable(columns)))
+        part = slice(i * WRITE_CHUNK, (i + 1) * WRITE_CHUNK)
+        values = [column[part].tolist() for column in columns]
+        types = set(map(type, chain.from_iterable(values)))
         if not types <= _VALUE_TYPES:
             raise TypeError(f"table values must be float or int, not {types - _VALUE_TYPES}")
         if fmt == "csv":
             # Each column's values, each followed by its separator, row by row.
             cells = []
-            for column in columns:
+            for column in values:
                 cells += [map(repr, column), repeat(",")]
             cells[-1] = repeat("\n")
             return "".join(chain.from_iterable(zip(*cells)))
         records = []
-        for row in zip(*columns):
+        for row in zip(*values):
             fields = [key + _JSON_NON_FINITE.get(text, text) for key, text in zip(keys, map(repr, row))]
             records.append("{" + ",".join(fields) + "\n }")
         return ("[\n " if i == 0 else ",\n ") + ",\n ".join(records)
@@ -172,29 +166,32 @@ def _table_text(header: list[str], rows, fmt: str):
     return chunk_text
 
 
-def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
-    """Write ``rows`` to ``path`` as CSV or JSON.
+def write_rows(path: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> None:
+    """Write the table ``columns`` to ``path`` as CSV or JSON.
 
-    ``rows`` is a sliceable sequence of rows, each holding one value per
-    name of ``header`` (DimensionError otherwise), or a :class:`_Columns`
-    with one column per name. CSV has a header line and one line per row;
-    JSON is a list of objects keyed by ``header``, indented by one space.
-    Every value must be an exact ``float`` or ``int`` (``TypeError``
+    The table is one 1-d numpy array per name of ``header``, all of one
+    length (DimensionError otherwise, raised before any process is forked
+    or the output directory is made). Row k holds element k of every
+    column. CSV has a header line and one line per row; JSON is a list of
+    objects keyed by ``header``, indented by one space. Every value, as
+    ``tolist`` gives it, must be an exact ``float`` or ``int`` (``TypeError``
     otherwise) and is written as its ``repr``: floats as their shortest
-    round-trip decimal, integers as integers. JSON, like ``json.dumps``,
-    spells non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``; its
-    bytes are those of ``json.dumps(records, indent=1)``. Rows are sliced
-    ``WRITE_CHUNK`` at a time, and each chunk is formatted column by column
-    and goes out in one write. A table of ``FORK_CHUNKS`` chunks or more per
-    extra process has its chunks dealt between processes (see the module
-    docstring); either way the file has the same bytes. Beyond ``rows``
-    itself, only a chunk or two per process and their text are held in
-    memory, never the whole table's text.
+    round-trip decimal, integers as integers. A value that must keep its
+    Python type, such as a config's int or a seed beyond int64, goes in a
+    ``dtype=object`` column. JSON, like ``json.dumps``, spells non-finite
+    floats ``NaN``, ``Infinity`` and ``-Infinity``; its bytes are those of
+    ``json.dumps(records, indent=1)``. Rows are sliced ``WRITE_CHUNK`` at a
+    time, and each chunk is formatted column by column and goes out in one
+    write. A table of ``FORK_CHUNKS`` chunks or more per extra process has
+    its chunks dealt between processes (see the module docstring); either
+    way the file has the same bytes. Beyond the columns themselves, only a
+    chunk or two per process and their text are held in memory, never the
+    whole table's text.
     """
-    chunks = -(-len(rows) // WRITE_CHUNK)
+    chunk_text = _table_text(header, columns, fmt)
+    chunks = -(-len(columns[0]) // WRITE_CHUNK)
     processes = min(1 + chunks // FORK_CHUNKS, parallel.cpu_count())
     shares = [range(k, chunks, processes) for k in range(processes)]
-    chunk_text = _table_text(header, rows, fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     # The children are forked before the file is opened, so none holds it.
     with parallel.shared(chunk_text, shares) as texts, path.open("w", encoding="utf-8", newline="\n") as out:
@@ -204,19 +201,6 @@ def write_rows(path: Path, header: list[str], rows, fmt: str) -> None:
             out.write(text)
         if fmt == "json":
             out.write("\n]\n" if chunks else "[]\n")
-
-
-class _Columns:
-    """A table held as equal-length numpy columns; a slice gives each column's Python values over its rows."""
-
-    def __init__(self, *columns: np.ndarray):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, part: slice) -> list[list]:
-        return [column[part].tolist() for column in self.columns]
 
 
 def load_config(args: argparse.Namespace, command: str) -> dict:
@@ -363,11 +347,10 @@ def cmd_equivalence(cfg: dict) -> int:
     gated = devs if cfg["proper"] else devs[:, :2]
     # np.max, unlike max, propagates NaN, and a NaN worst fails the gate.
     worst = float(np.max(gated, initial=0.0))
-    rows = [[trial, cfg["state_dim"], cfg["meas_dim"], cfg["horizon"], *dev] for trial, dev in enumerate(devs.tolist())]
     write_rows(
         Path(cfg["out"]),
         ["trial", "n", "m", "horizon", "estimate_dev", "cov_dev", "ckf_dev"],
-        rows,
+        [np.arange(trials), *(np.full(trials, dim) for dim in dims), *devs.T],
         cfg["format"],
     )
     print(f"equivalence: {cfg['trials']} trials, worst relative deviation {worst:.3e}")
@@ -377,39 +360,33 @@ def cmd_equivalence(cfg: dict) -> int:
 # --- mse-sweep ---------------------------------------------------------------
 
 def cmd_mse_sweep(cfg: dict) -> int:
-    panels, ws, ns = cfg["panels"], list(cfg["rho_w"]), list(cfg["rho_n"])
-    w_dir = np.exp(1j * float(cfg["rho_w_phase"]))
-    n_dir = np.exp(1j * float(cfg["rho_n_phase"]))
+    # The settings as objects, so that a config's int is written as an int.
+    ws, ns = np.array(cfg["rho_w"], dtype=object), np.array(cfg["rho_n"], dtype=object)
+    panels = np.array(cfg["panels"], dtype=object).reshape(-1, 2)
     # One batch over (panel, rho_w, rho_n), in the order of the table's rows.
     try:
         res = mse.noise_impropriety_gains(
-            np.array([w * w_dir for w in ws])[None, :, None],
-            np.array([n * n_dir for n in ns])[None, None, :],
-            np.array([n1_db for n1_db, _ in panels])[:, None, None],
-            np.array([n2_db for _, n2_db in panels])[:, None, None],
+            (ws * np.exp(1j * float(cfg["rho_w_phase"])))[None, :, None],
+            (ns * np.exp(1j * float(cfg["rho_n_phase"])))[None, None, :],
+            panels[:, 0, None, None],
+            panels[:, 1, None, None],
             horizon=int(cfg["max_iter"]),
             tol=float(cfg["tol"]),
         )
     except WlckfError as exc:
-        print(f"config error: panel {panels[exc.index[0]]}: {exc}", file=sys.stderr)
+        print(f"config error: panel {cfg['panels'][exc.index[0]]}: {exc}", file=sys.stderr)
         return 2
-    ratios, iterations = res.ratio.tolist(), res.iterations.tolist()
-    rows = [
-        [rho_w, rho_n, n1_db, n2_db, ratios[p][i][j], iterations[p][i][j]]
-        for p, (n1_db, n2_db) in enumerate(panels)
-        for i, rho_w in enumerate(ws)
-        for j, rho_n in enumerate(ns)
-    ]
     # The surface is at least 1, and exactly 1 at the proper origin.
-    origin = np.logical_and.outer(np.equal(ws, 0), np.equal(ns, 0))
+    origin = np.logical_and.outer(ws == 0, ns == 0)
     ok = not ((res.ratio < 1 - 1e-9).any() or (np.abs(res.ratio[:, origin] - 1) > 1e-9).any())
+    p, i, j = np.indices(res.ratio.shape).reshape(3, -1)
     write_rows(
         Path(cfg["out"]),
         ["rho_w_abs", "rho_n_abs", "N1_db", "N2_db", "ratio", "converged_iters"],
-        rows,
+        [ws[i], ns[j], panels[p, 0], panels[p, 1], res.ratio.ravel(), res.iterations.ravel()],
         cfg["format"],
     )
-    print(f"mse-sweep: {len(rows)} points, invariants {'ok' if ok else 'VIOLATED'}")
+    print(f"mse-sweep: {res.ratio.size} points, invariants {'ok' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
@@ -431,12 +408,10 @@ def cmd_theta_bound(cfg: dict) -> int:
     chunks = [slice(start, start + DRAW_BATCH) for start in range(0, draws, DRAW_BATCH)]
     for part in chunks:
         lo[part], hi[part] = mse.min_mmse_ratio_bounds(*(column[part] for column in params), t_max)
-    # The table's Python values exist one writer chunk of rows at a time.
-    rows = _Columns(np.arange(draws), *params, lo, hi)
     write_rows(
         Path(cfg["out"]),
         ["draw", "a_abs", "b_abs", "c_abs", "N1", "N2", "P00", "theta_min", "theta_max"],
-        rows,
+        [np.arange(draws), *params, lo, hi],
         cfg["format"],
     )
     bounds_ok = bool((lo >= 0.5 - 1e-12).all() and (hi <= 1 + 1e-12).all())
@@ -468,37 +443,36 @@ def cmd_phase_demod(cfg: dict) -> int:
     traj_model = phase.PhaseModel(snr_db=float(cfg["traj_snr"]), rho_abs=float(cfg["traj_rho"]))
     theta, y = phase.simulate_phase(traj_model, horizon, substream(seed, 10_000))
     track = phase.run_tracker(traj_model, y, "uwlckf")
-    traj_rows = [
-        [t, theta_t, estimate, math.sqrt(max(variance, 0.0))]
-        for t, theta_t, estimate, variance in zip(
-            range(1, horizon + 1), theta[1:].tolist(), track.estimates.tolist(), track.variances.tolist()
-        )
-    ]
+    # np.where, unlike np.maximum, keeps a variance of -0.0, whose root is -0.0.
+    variances = track.variances
+    sqrt_p = np.sqrt(np.where(variances < 0, 0.0, variances))
+    traj_columns = [np.arange(1, horizon + 1), theta[1:], track.estimates, sqrt_p]
     traj_path, xi_path, r_path = (_with_suffix(out, tag) for tag in ("trajectory", "xi_snr", "r_rho"))
-    write_rows(traj_path, ["t", "theta", "theta_hat", "sqrt_p"], traj_rows, fmt)
+    write_rows(traj_path, ["t", "theta", "theta_hat", "sqrt_p"], traj_columns, fmt)
 
     header = ["snr_db", "rho_abs", "runs", "xi_uwlckf", "xi_ukf", "r", "r_stderr", "seed"]
-    max_imag = track.max_imag
     # (snr, rho, seed) of every Monte Carlo operating point: the xi table's, then the r table's.
     points = [
         *((float(snr), float(cfg["xi_rho"]), seed + 20_000 + i) for i, snr in enumerate(cfg["snr_list"])),
         *((float(cfg["r_snr"]), float(rho), seed + 30_000 + i) for i, rho in enumerate(cfg["rho_list"])),
     ]
-    table = []
-    for res in phase.improvement_ratios(points, runs, horizon):
-        max_imag = max(max_imag, res.max_imag)
-        table.append([res.snr_db, res.rho_abs, res.runs, res.xi_uwlckf, res.xi_ukf, res.r_mean, res.r_stderr, res.seed])
-    xi_rows, r_rows = table[: len(cfg["snr_list"])], table[len(cfg["snr_list"]) :]
-    write_rows(xi_path, header, xi_rows, fmt)
-    write_rows(r_path, header, r_rows, fmt)
+    results = list(phase.improvement_ratios(points, runs, horizon))
+    max_imag = max([track.max_imag, *(res.max_imag for res in results)])
+    # Object columns keep each value's Python type: a seed may exceed int64.
+    fields = ("snr_db", "rho_abs", "runs", "xi_uwlckf", "xi_ukf", "r_mean", "r_stderr", "seed")
+    table = [np.array([getattr(res, name) for res in results], dtype=object) for name in fields]
+    k = len(cfg["snr_list"])
+    xi_columns, r_columns = [column[:k] for column in table], [column[k:] for column in table]
+    write_rows(xi_path, header, xi_columns, fmt)
+    write_rows(r_path, header, r_columns, fmt)
 
     ok = max_imag < 1e-9
     print(
         f"phase-demod: runs {runs}, horizon {horizon}, max |Im(estimate)| {max_imag:.3e}, "
         f"realness {'ok' if ok else 'VIOLATED'}"
     )
-    for path, rows in ((traj_path, traj_rows), (xi_path, xi_rows), (r_path, r_rows)):
-        if not np.isfinite(np.asarray(rows, dtype=float)).all():
+    for path, columns in ((traj_path, traj_columns), (xi_path, xi_columns), (r_path, r_columns)):
+        if not all(np.isfinite(column.astype(float)).all() for column in columns):
             print(f"phase-demod: non-finite values in {path}")
             ok = False
     return 0 if ok else 1

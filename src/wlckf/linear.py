@@ -631,58 +631,22 @@ def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterat
         yield step.mean, step.cov
 
 
-def _trajectory(a, b, c, x0: np.ndarray, ws: np.ndarray, ns: np.ndarray):
-    """The state/measurement recursion on drawn noise; time is the first axis of the results.
-
-    ``a``, ``b`` and ``c`` are the (M1, M2) block pairs of the state, noise
-    gain and measurement maps. ``ws`` and ``ns`` hold the noise at t =
-    1..horizon along their first axis. Leading axes of the blocks and of
-    ``x0``, and the axes after time of the noise, are batch axes. Only the
-    state map's terms are recursive: the noise terms and the measurements
-    are formed for every step at once, each matvec the BLAS call a single
-    step makes, and added in the order of x_t = A1 x + A2 x* + B1 w + B2 w*
-    and y_t = C1 x_t + C2 x_t* + n.
-    """
-    (a1, a2), (b1, b2), (c1, c2) = a, b, c
-    drive_1, drive_2 = _matvec(b1, ws), _matvec(b2, np.conj(ws))
-    states = np.empty((len(ws) + 1, *x0.shape), complex)
-    states[0] = x0
-    for t in range(1, len(ws) + 1):
-        prev = states[t - 1]
-        states[t] = _matvec(a1, prev) + _matvec(a2, np.conj(prev)) + drive_1[t - 1] + drive_2[t - 1]
-    return states, _matvec(c1, states[1:]) + _matvec(c2, np.conj(states[1:])) + ns
-
-
 def _zero_mean(m1: np.ndarray, m2: np.ndarray) -> SecondOrderStats:
     """Zero-mean statistics with covariance blocks (M1, M2); leading axes are batch axes."""
     return SecondOrderStats(np.zeros(m1.shape[:-1]), m1, m2)
 
 
-def simulate_linear(
-    model: WidelyLinearModel,
-    horizon: int,
-    rng: np.random.Generator,
-    x0=None,
-):
+def simulate_linear(model: WidelyLinearModel, horizon: int, rng: np.random.Generator):
     """Draw a state/measurement trajectory obeying the model.
 
     Returns (states, measurements) with states of shape (horizon + 1, n)
     covering t = 0..horizon and measurements of shape (horizon, m) for
     t = 1..horizon, aligned with what the default filter run consumes.
-    ``rng`` draws the initial state (unless ``x0`` is given), then the
-    driving noise, then the measurement noise. The recursion is the one
-    :func:`simulate_linear_batch` runs on a stack of models.
+    ``rng`` draws the initial state, then the driving noise, then the
+    measurement noise. It is :func:`simulate_linear_batch` on a batch of one.
     """
-    if horizon < 1:
-        raise DimensionError("horizon must be >= 1")
-    if x0 is None:
-        x0 = sample(_zero_mean(model.Pi0.m1, model.Pi0.m2), 1, rng)[0]
-    else:
-        x0 = np.asarray(x0, dtype=complex)
-    ws = sample(_zero_mean(model.Q.m1, model.Q.m2), horizon, rng)
-    ns = sample(_zero_mean(model.R.m1, model.R.m2), horizon, rng)
-    blocks = ((m.m1, m.m2) for m in (model.A, model.B, model.C))
-    return _trajectory(*blocks, x0, ws, ns)
+    states, measurements = simulate_linear_batch([model], horizon, [rng])
+    return states[0], measurements[0]
 
 
 def simulate_linear_batch(models, horizon: int, rngs):
@@ -691,8 +655,12 @@ def simulate_linear_batch(models, horizon: int, rngs):
     Returns states of shape (batch, horizon + 1, n) and measurements of
     shape (batch, horizon, m). Each model's statistics are factored in one
     call per noise for the whole batch, the recursion runs once over the
-    stack, and member i equals ``simulate_linear(models[i], horizon,
-    rngs[i])`` bit for bit.
+    stack, and member i has the bits of the batch of one,
+    ``simulate_linear(models[i], horizon, rngs[i])``. Only the state map's
+    terms are recursive: the noise terms and the measurements are formed
+    for every step at once, each matvec the BLAS call a single step makes,
+    and added in the order of x_t = A1 x + A2 x* + B1 w + B2 w* and
+    y_t = C1 x_t + C2 x_t* + n.
     """
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
@@ -702,9 +670,15 @@ def simulate_linear_batch(models, horizon: int, rngs):
         return tuple(np.stack([getattr(getattr(model, name), part) for model in models]) for part in ("m1", "m2"))
 
     x0 = sample_batch(_zero_mean(*blocks("Pi0")), 1, rngs)[:, 0]
-    ws = sample_batch(_zero_mean(*blocks("Q")), horizon, rngs)
-    ns = sample_batch(_zero_mean(*blocks("R")), horizon, rngs)
-    states, measurements = _trajectory(
-        blocks("A"), blocks("B"), blocks("C"), x0, np.moveaxis(ws, 1, 0), np.moveaxis(ns, 1, 0)
-    )
+    # The noise at t = 1..horizon, time first, as the recursion runs.
+    ws = np.moveaxis(sample_batch(_zero_mean(*blocks("Q")), horizon, rngs), 1, 0)
+    ns = np.moveaxis(sample_batch(_zero_mean(*blocks("R")), horizon, rngs), 1, 0)
+    (a1, a2), (b1, b2), (c1, c2) = blocks("A"), blocks("B"), blocks("C")
+    drive_1, drive_2 = _matvec(b1, ws), _matvec(b2, np.conj(ws))
+    states = np.empty((horizon + 1, *x0.shape), complex)
+    states[0] = x0
+    for t in range(1, horizon + 1):
+        prev = states[t - 1]
+        states[t] = _matvec(a1, prev) + _matvec(a2, np.conj(prev)) + drive_1[t - 1] + drive_2[t - 1]
+    measurements = _matvec(c1, states[1:]) + _matvec(c2, np.conj(states[1:])) + ns
     return np.moveaxis(states, 0, 1), np.moveaxis(measurements, 0, 1)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmented import _first
+from .augmented import _first, _require
 from .errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
 
 
@@ -230,7 +230,10 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
     same elementwise operations in the same order as those expressions, so
     the bits are theirs. Every step's ratio is written into one buffer of
     the broadcast shape, which is yielded each time: a caller that keeps a
-    step must copy it before asking for the next.
+    step must copy it before asking for the next. As in
+    :func:`min_mmse_ratio`, a strictly linear branch that is exactly 0 at a
+    step leaves the ratio undefined and raises DegenerateError, whose
+    ``index`` is the first such draw; a NaN parameter gives NaN ratios.
     """
     a2, b2, c2 = (np.abs(np.asarray(v, float)) ** 2 for v in (a_abs, b_abs, c_abs))
     n1 = np.asarray(drive_var, float)
@@ -250,6 +253,7 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
             np.add(den, n2, out=den)
             np.multiply(n2, pred, out=lam)
             np.divide(lam, den, out=lam)
+        _require(lam_mid == 0, DegenerateError, "strictly linear MMSE is zero; ratio undefined")
         np.add(lam_hi, lam_lo, out=pred)
         np.multiply(2.0, lam_mid, out=den)
         np.divide(pred, den, out=ratio)
@@ -265,7 +269,8 @@ def min_mmse_ratio_sweep(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_m
     :func:`min_mmse_ratio_bounds`, which writes every step into one reused
     buffer, and copies each step out of that buffer into the result. Beyond
     the result, memory is a few arrays of the broadcast shape, whatever
-    ``t_max``.
+    ``t_max``. A draw whose strictly linear MMSE is exactly 0 at a step
+    raises DegenerateError naming it in ``index``.
     """
     params = (a_abs, b_abs, c_abs, drive_var, meas_var, init_var)
     out = np.empty(np.broadcast_shapes(*map(np.shape, params)) + (t_max,))
@@ -282,7 +287,8 @@ def min_mmse_ratio_bounds(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_
     without the (draws, t_max) array: the steps come one at a time through
     one reused buffer and fold into running minima and maxima, so memory is
     a few arrays of the broadcast shape, whatever ``t_max``. A ``t_max``
-    below 1 raises DimensionError.
+    below 1 raises DimensionError; a draw whose strictly linear MMSE is
+    exactly 0 at a step raises DegenerateError naming it in ``index``.
     """
     if t_max < 1:
         raise DimensionError("t_max must be >= 1")

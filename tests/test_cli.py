@@ -526,12 +526,53 @@ def test_mse_sweep_keeps_json_config_integers(tmp_path):
     assert '"N1_db": -20,' in out_json.read_text() and '"N1_db": -20.0,' in out_json.read_text()
 
 
+def test_config_ints_and_seeds_beyond_int64_are_written_verbatim(tmp_path):
+    config = tmp_path / "ints.json"
+    config.write_text(json.dumps({"rho_w": [0, 1], "rho_n": [0.5], "panels": [[-20, -20]]}))
+    sweep = {fmt: tmp_path / f"sweep.{fmt}" for fmt in ("csv", "json")}
+    for fmt, out in sweep.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["mse-sweep", "--config", str(config), "--format", fmt, "--out", str(out)])
+    lines = sweep["csv"].read_text().splitlines()
+    assert [line.rsplit(",", 2)[0] for line in lines[1:]] == ["0,0.5,-20,-20", "1,0.5,-20,-20"]
+    records = json.loads(sweep["json"].read_text())
+    assert [[r[k] for k in ("rho_w_abs", "N1_db", "N2_db")] for r in records] == [[0, -20, -20], [1, -20, -20]]
+    assert all(type(r[k]) is int for r in records for k in ("rho_w_abs", "N1_db", "N2_db", "converged_iters"))
+    seed = 1180591620717411303424
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"phase.{fmt}"
+        argv = ["phase-demod", "--seed", str(seed), "--runs", "2", "--horizon", "5", "--format", fmt, "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        for tag, base in (("xi_snr", seed + 20_000), ("r_rho", seed + 30_000)):
+            text = (tmp_path / f"phase_{tag}.{fmt}").read_text()
+            if fmt == "csv":
+                rows = [line.split(",") for line in text.splitlines()[1:]]
+                assert rows and [row[-1] for row in rows] == [str(base + i) for i in range(len(rows))]
+                assert {row[2] for row in rows} == {"2"}
+            else:
+                records = json.loads(text)
+                assert records and [r["seed"] for r in records] == [base + i for i in range(len(records))]
+                assert {r["runs"] for r in records} == {2} and f'"seed": {base}\n' in text
+
+
 _WRITER_ROWS = [
     [0, 0.1, float("nan"), 3, 0.25, -0.0, 1, 1e-300, float("inf")],
     [-7, 2.5e17, np.nan, 0.0, -1e22, 7, 0, 123456789012345678901234567890, -float("inf")],
 ]
 # Values that are not exact floats or ints, which no table may hold.
 _NOT_TABLE_VALUES = [np.float64(0.5), np.int64(3), np.float32(0.25), True, "x"]
+
+
+def _columns(rows, width):
+    """``rows`` as ``width`` numpy columns: of numpy's dtype where that keeps every value's type, of objects otherwise."""
+    columns = []
+    for values in list(zip(*rows)) or [()] * width:
+        column = np.array(values)
+        if list(map(type, column.tolist())) != list(map(type, values)):
+            column = np.array(values, dtype=object)
+        columns.append(column)
+    return columns
 
 
 def _joined_text(header, rows, fmt):
@@ -547,27 +588,27 @@ def _joined_text(header, rows, fmt):
 def test_write_rows_streams_the_joined_text(tmp_path, fmt, rows):
     header = list("abcdefghi")
     path = tmp_path / "sub" / f"table.{fmt}"
-    cli.write_rows(path, header, rows, fmt)
+    cli.write_rows(path, header, _columns(rows, len(header)), fmt)
     assert path.read_text(encoding="utf-8") == _joined_text(header, rows, fmt)
 
 
 def test_write_rows_formats_each_type_as_before(tmp_path):
     path = tmp_path / "table.csv"
-    cli.write_rows(path, list("abcdefghi"), _WRITER_ROWS, "csv")
+    cli.write_rows(path, list("abcdefghi"), _columns(_WRITER_ROWS, 9), "csv")
     assert path.read_bytes() == (
         b"a,b,c,d,e,f,g,h,i\n"
         b"0,0.1,nan,3,0.25,-0.0,1,1e-300,inf\n"
         b"-7,2.5e+17,nan,0.0,-1e+22,7,0,123456789012345678901234567890,-inf\n"
     )
-    cli.write_rows(path, ["a", "b"], [[0.5, 2]], "json")
+    cli.write_rows(path, ["a", "b"], [np.array([0.5]), np.array([2])], "json")
     assert path.read_bytes() == b'[\n {\n  "a": 0.5,\n  "b": 2\n }\n]\n'
-    cli.write_rows(path, ["a"], [[float("nan")]], "json")
+    cli.write_rows(path, ["a"], [np.array([np.nan])], "json")
     assert path.read_bytes() == b'[\n {\n  "a": NaN\n }\n]\n'
     # Numpy scalars, bools and strings are no table values, in either format.
     for fmt in ("csv", "json"):
         for value in _NOT_TABLE_VALUES:
             with pytest.raises(TypeError):
-                cli.write_rows(path, ["a", "b"], [[1.0, value]], fmt)
+                cli.write_rows(path, ["a", "b"], [np.array([1.0]), np.array([value], dtype=object)], fmt)
 
 
 def test_write_rows_formats_each_chunk_by_its_own_types(tmp_path):
@@ -576,11 +617,11 @@ def test_write_rows_formats_each_chunk_by_its_own_types(tmp_path):
     rows = [[i, i / 7.0, -1e-300 * i] for i in range(3 * cli.WRITE_CHUNK + 5)] + [[1, 2.0, -0.0]]
     for fmt in ("csv", "json"):
         path = tmp_path / f"table.{fmt}"
-        cli.write_rows(path, ["a", "b", "c"], rows, fmt)
+        cli.write_rows(path, ["a", "b", "c"], _columns(rows, 3), fmt)
         assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], rows, fmt)
         for value in _NOT_TABLE_VALUES:
             with pytest.raises(TypeError):
-                cli.write_rows(path, ["a", "b", "c"], [*rows[:-1], [1, value, -0.0]], fmt)
+                cli.write_rows(path, ["a", "b", "c"], _columns([*rows[:-1], [1, value, -0.0]], 3), fmt)
 
 
 def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path, monkeypatch):
@@ -608,39 +649,52 @@ def test_theta_bound_csv_is_its_json_records_across_batches_and_chunks(tmp_path,
 _DEALT_ROWS = [[i, i / 7.0, -1e-300 * i] for i in range(cli.FORK_CHUNKS * cli.WRITE_CHUNK)]
 
 
+def _no_fork(*args):
+    raise AssertionError("forked")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_rows_raises_the_type_error_of_a_chunk_a_child_formats(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
     rows = list(_DEALT_ROWS)
     rows[cli.WRITE_CHUNK + 3] = [1, np.float64(0.5), 0.0]
     with pytest.raises(TypeError, match="float64"):
-        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], rows, fmt)
+        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], _columns(rows, 3), fmt)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("ragged", [[1, 0.5], [1, 0.5, 0.0, 2.0]], ids=["short", "long"])
+@pytest.mark.parametrize("ragged", [-1, 1], ids=["short", "long"])
 def test_write_rows_rejects_a_row_that_does_not_match_the_header(tmp_path, monkeypatch, fmt, ragged):
-    # Formatting by column would drop the values past the shortest row, so
-    # every row must hold one value per header name; here in a child's chunk.
+    # Formatting by column would drop the values past the shortest column,
+    # so a table holds one column per header name, all of one length. Both
+    # are checked before any fork, on a table large enough to be dealt
+    # between 2 processes, and before the output directory is made.
     monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
-    rows = list(_DEALT_ROWS)
-    rows[cli.WRITE_CHUNK + 3] = ragged
-    with pytest.raises(DimensionError, match="3 values"):
-        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], rows, fmt)
+    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", _no_fork)
+    path = tmp_path / "sub" / f"table.{fmt}"
+    a, b, c = _columns(_DEALT_ROWS, 3)
+    for columns in ([a, np.resize(b, len(b) + ragged), c], [a, b, c, c][: 3 + ragged]):
+        with pytest.raises(DimensionError, match="one column per header name"):
+            cli.write_rows(path, ["a", "b", "c"], columns, fmt)
     assert multiprocessing.active_children() == []
-    with pytest.raises(DimensionError, match="3 values"):
-        cli.write_rows(tmp_path / f"table.{fmt}", ["a", "b", "c"], [ragged], fmt)
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_write_rows_rejects_columns_that_do_not_match_the_header(tmp_path, fmt):
-    path = tmp_path / f"table.{fmt}"
-    cases = [(["a", "b"], cli._Columns(np.arange(3))), (["a"], cli._Columns(np.arange(3), np.ones(3))), ([], [[]])]
-    for header, rows in cases:
+def test_write_rows_rejects_columns_that_do_not_match_the_header(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", _no_fork)
+    path = tmp_path / "sub" / f"table.{fmt}"
+    cases = [
+        (["a", "b"], [np.arange(3)]),
+        (["a"], [np.arange(3), np.ones(3)]),
+        (["a"], [np.ones((3, 1))]),
+        ([], []),
+    ]
+    for header, columns in cases:
         with pytest.raises(DimensionError, match="one column per header name"):
-            cli.write_rows(path, header, rows, fmt)
-    assert not path.exists()
+            cli.write_rows(path, header, columns, fmt)
+    assert not path.parent.exists()
 
 
 def test_theta_bound_holds_little_beyond_its_table_columns(tmp_path, monkeypatch):
@@ -667,28 +721,26 @@ def test_theta_bound_holds_little_beyond_its_table_columns(tmp_path, monkeypatch
 def test_write_rows_names_a_child_that_dies(tmp_path, monkeypatch):
     parent = os.getpid()
 
-    class Dying(list):
+    class Dying(np.ndarray):
         def __getitem__(self, part):
             if os.getpid() != parent:
                 os._exit(3)
             return super().__getitem__(part)
 
     monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 2)
+    columns = [column.view(Dying) for column in _columns(_DEALT_ROWS, 3)]
     with pytest.raises(WorkerError, match="exit code 3"):
-        cli.write_rows(tmp_path / "table.csv", ["a", "b", "c"], Dying(_DEALT_ROWS), "csv")
+        cli.write_rows(tmp_path / "table.csv", ["a", "b", "c"], columns, "csv")
     assert multiprocessing.active_children() == []
 
 
 def test_write_rows_forks_nothing_for_a_small_table_or_one_cpu(tmp_path, monkeypatch):
-    def no_fork(*args):
-        raise AssertionError("forked")
-
-    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", no_fork)
+    monkeypatch.setattr("multiprocessing.context.ForkProcess.start", _no_fork)
     path = tmp_path / "table.csv"
     monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 4)
-    cli.write_rows(path, ["a", "b", "c"], _DEALT_ROWS[: (cli.FORK_CHUNKS - 1) * cli.WRITE_CHUNK], "csv")
+    cli.write_rows(path, ["a", "b", "c"], _columns(_DEALT_ROWS[: (cli.FORK_CHUNKS - 1) * cli.WRITE_CHUNK], 3), "csv")
     monkeypatch.setattr(cli.parallel, "cpu_count", lambda: 1)
-    cli.write_rows(path, ["a", "b", "c"], _DEALT_ROWS, "csv")
+    cli.write_rows(path, ["a", "b", "c"], _columns(_DEALT_ROWS, 3), "csv")
     assert path.read_text(encoding="utf-8") == _joined_text(["a", "b", "c"], _DEALT_ROWS, "csv")
 
 

@@ -376,21 +376,22 @@ def test_simulate_deterministic_when_noiseless():
         C=AugmentedMatrix([[2.0]], [[0.0]]),
         Q=AugmentedMatrix([[0.0]], [[0.0]]),
         R=AugmentedMatrix([[0.0]], [[0.0]]),
-        Pi0=AugmentedMatrix([[0.0]], [[0.0]]),
+        Pi0=AugmentedMatrix([[1.0]], [[0.0]]),
     )
-    states, meas = simulate_linear(model, 5, substream(0, 0), x0=[1 + 1j])
+    states, meas = simulate_linear(model, 5, substream(0, 0))
+    assert states[0, 0] != 0
     for t in range(6):
-        assert states[t] == pytest.approx([(0.5**t) * (1 + 1j)])
+        assert states[t] == pytest.approx((0.5**t) * states[0])
     assert meas[:, 0] == pytest.approx(2 * states[1:, 0])
 
 
-def _step_by_step_simulation(model, horizon, rng, x0=None):
+def _step_by_step_simulation(model, horizon, rng):
     # Reference: one 2-d @ 1-d product per block and step, as the
     # recursion is written.
     def draw(cov, count):
         return sample(SecondOrderStats(np.zeros(cov.m1.shape[0]), cov.m1, cov.m2), count, rng)
 
-    x0 = draw(model.Pi0, 1)[0] if x0 is None else np.asarray(x0, complex)
+    x0 = draw(model.Pi0, 1)[0]
     ws, ns = draw(model.Q, horizon), draw(model.R, horizon)
     states = [x0]
     measurements = []
@@ -408,14 +409,12 @@ def test_simulate_batch_members_equal_single_runs_bit_for_bit(n, proper):
     models = [make(seed, n=n, m=3) for seed in range(3)]
     states, meas = simulate_linear_batch(models, 15, [substream(60, i) for i in range(3)])
     assert states.shape == (3, 16, n) and meas.shape == (3, 15, 3)
-    x0 = np.arange(n) + 1j
     for i, model in enumerate(models):
         single = simulate_linear(model, 15, substream(60, i))
         assert np.array_equal(states[i], single[0]) and np.array_equal(meas[i], single[1])
-        for given in (None, x0):
-            single = simulate_linear(model, 15, substream(61, i), x0=given)
-            reference = _step_by_step_simulation(model, 15, substream(61, i), x0=given)
-            assert np.array_equal(single[0], reference[0]) and np.array_equal(single[1], reference[1])
+        single = simulate_linear(model, 15, substream(61, i))
+        reference = _step_by_step_simulation(model, 15, substream(61, i))
+        assert np.array_equal(single[0], reference[0]) and np.array_equal(single[1], reference[1])
 
 
 def test_simulate_batch_rejects_mixed_sizes_and_short_horizons():

@@ -212,6 +212,23 @@ def test_min_mmse_ratio_bounds_propagate_a_nan_parameter_without_warnings():
     assert np.isfinite(lo[0]) and np.isfinite(hi[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
 
 
+@pytest.mark.parametrize(
+    "params", [(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, 0.0, 1.0)], ids=["no-power", "no-meas-noise"]
+)
+def test_ratio_sweeps_raise_like_the_oracle_where_the_linear_mmse_is_zero(params):
+    with pytest.raises(DegenerateError):
+        min_mmse_ratio(ScalarModelParams(*params), 3)
+    # In a batch of four, draw 2 holds the parameters and the others are ones.
+    batch = [np.array([1.0, 1.0, value, 1.0]) for value in params]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratios in (min_mmse_ratio_bounds, min_mmse_ratio_sweep):
+            for args, index in ((params, ()), (batch, (2,))):
+                with pytest.raises(DegenerateError, match="strictly linear MMSE is zero") as caught:
+                    ratios(*args, 3)
+                assert caught.value.index == index
+
+
 @pytest.mark.parametrize("t_max", [0, -1])
 def test_min_mmse_ratio_bounds_need_a_step(t_max):
     with pytest.raises(DimensionError):

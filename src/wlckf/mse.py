@@ -231,8 +231,11 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
     the bits are theirs. Every step's ratio is written into one buffer of
     the broadcast shape, which is yielded each time: a caller that keeps a
     step must copy it before asking for the next. As in
-    :func:`min_mmse_ratio`, a strictly linear branch that is exactly 0 at a
-    step leaves the ratio undefined and raises DegenerateError, whose
+    :func:`variance_step`, a branch whose denominator is exactly 0 (no
+    measurement noise, and no measurement gain or no predicted variance)
+    keeps its predicted value.
+    As in :func:`min_mmse_ratio`, a strictly linear branch that is exactly
+    0 at a step leaves the ratio undefined and raises DegenerateError, whose
     ``index`` is the first such draw; a NaN parameter gives NaN ratios.
     """
     a2, b2, c2 = (np.abs(np.asarray(v, float)) ** 2 for v in (a_abs, b_abs, c_abs))
@@ -244,6 +247,8 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
     lam_lo = np.zeros(shape)
     lam_mid = np.broadcast_to(p0, shape).astype(float).copy()
     drive = b2 * n1
+    # With every measurement variance positive, no denominator can be 0.
+    noiseless = not (n2 > 0).all()
     pred, den, ratio = np.empty(shape), np.empty(shape), np.empty(shape)
     for _ in range(t_max):
         for lam in (lam_hi, lam_lo, lam_mid):
@@ -252,7 +257,12 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
             np.multiply(c2, pred, out=den)
             np.add(den, n2, out=den)
             np.multiply(n2, pred, out=lam)
-            np.divide(lam, den, out=lam)
+            if noiseless:
+                zero = den == 0
+                np.divide(lam, den, out=lam, where=~zero)
+                np.copyto(lam, pred, where=zero)
+            else:
+                np.divide(lam, den, out=lam)
         _require(lam_mid == 0, DegenerateError, "strictly linear MMSE is zero; ratio undefined")
         np.add(lam_hi, lam_lo, out=pred)
         np.multiply(2.0, lam_mid, out=den)

@@ -213,7 +213,10 @@ def test_min_mmse_ratio_bounds_propagate_a_nan_parameter_without_warnings():
 
 
 @pytest.mark.parametrize(
-    "params", [(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, 0.0, 1.0)], ids=["no-power", "no-meas-noise"]
+    "params",
+    [(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)],
+    # With no power and no measurement noise, every branch update's denominator is 0 too.
+    ids=["no-power", "no-meas-noise", "no-power-no-meas-noise"],
 )
 def test_ratio_sweeps_raise_like_the_oracle_where_the_linear_mmse_is_zero(params):
     with pytest.raises(DegenerateError):
@@ -227,6 +230,23 @@ def test_ratio_sweeps_raise_like_the_oracle_where_the_linear_mmse_is_zero(params
                 with pytest.raises(DegenerateError, match="strictly linear MMSE is zero") as caught:
                     ratios(*args, 3)
                 assert caught.value.index == index
+
+
+def test_ratio_sweeps_keep_the_predicted_variance_where_the_denominator_is_zero():
+    # No measurement noise and no measurement gain: every branch's denominator
+    # is exactly 0 and, as in variance_step, the predicted variance stands.
+    no_gain = (1.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    assert min_mmse_ratio(ScalarModelParams(*no_gain), 3) == 1.0
+    # In a batch of three, draw 1 holds no_gain and the others are noisy draws.
+    batch = [np.array([0.7, value, 1.3]) for value in no_gain]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min_mmse_ratio_bounds(*no_gain, 3) == (1.0, 1.0)
+        assert (min_mmse_ratio_sweep(*no_gain, 3) == 1.0).all()
+        lo, hi = min_mmse_ratio_bounds(*batch, 3)
+        alone = [min_mmse_ratio_bounds(*(column[k] for column in batch), 3) for k in (0, 2)]
+    assert lo[1] == hi[1] == 1.0
+    assert [(lo[k], hi[k]) for k in (0, 2)] == alone
 
 
 @pytest.mark.parametrize("t_max", [0, -1])

@@ -226,7 +226,7 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
     widely linear filter) and at p0 (the strictly linear one). Each step
     maps every branch through ``n2·pred / (c2·pred + n2)`` with
     ``pred = a2·lam + b2·n1``, then takes ``(hi + lo) / (2·mid)``. The
-    updates run in place, through two work arrays allocated once, with the
+    updates run in place, through work arrays allocated once, with the
     same elementwise operations in the same order as those expressions, so
     the bits are theirs. Every step's ratio is written into one buffer of
     the broadcast shape, which is yielded each time: a caller that keeps a
@@ -247,9 +247,8 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
     lam_lo = np.zeros(shape)
     lam_mid = np.broadcast_to(p0, shape).astype(float).copy()
     drive = b2 * n1
-    # With every measurement variance positive, no denominator can be 0.
-    noiseless = not (n2 > 0).all()
     pred, den, ratio = np.empty(shape), np.empty(shape), np.empty(shape)
+    zero, live = np.empty(shape, bool), np.empty(shape, bool)
     for _ in range(t_max):
         for lam in (lam_hi, lam_lo, lam_mid):
             np.multiply(a2, lam, out=pred)
@@ -257,12 +256,11 @@ def _ratio_steps(a_abs, b_abs, c_abs, drive_var, meas_var, init_var, t_max: int)
             np.multiply(c2, pred, out=den)
             np.add(den, n2, out=den)
             np.multiply(n2, pred, out=lam)
-            if noiseless:
-                zero = den == 0
-                np.divide(lam, den, out=lam, where=~zero)
-                np.copyto(lam, pred, where=zero)
-            else:
-                np.divide(lam, den, out=lam)
+            # The test is den == 0, not variance_step's den > 0, so that a
+            # NaN denominator still gives NaN.
+            np.equal(den, 0.0, out=zero)
+            np.divide(lam, den, out=lam, where=np.logical_not(zero, out=live))
+            np.copyto(lam, pred, where=zero)
         _require(lam_mid == 0, DegenerateError, "strictly linear MMSE is zero; ratio undefined")
         np.add(lam_hi, lam_lo, out=pred)
         np.multiply(2.0, lam_mid, out=den)

@@ -15,12 +15,18 @@ Three filters operate on it:
   dual-channel model, written directly in real arithmetic.
 
 The widely linear filter runs on full 2n x 2n augmented arrays: the
-model's arrays (A, A^H, B Q B^H, C, C^H, R) are formed once per run, and
-each step is one predict kernel and one update kernel. The measurement
-update is :func:`wl_update`, shared with the unscented filter: given the
-predicted measurement, the cross covariance P_xy and the innovation
-covariance S, it forms the widely linear gain K S = P_xy and the estimate.
-For a linear model the posterior covariance is the Joseph form
+model's arrays (A, A^H, B Q B^H, C, C^H, R) are formed once per run. The
+measurement update has two halves, both shared with the unscented filter:
+:func:`wl_gain`, given the cross covariance P_xy and the innovation
+covariance S, forms the widely linear gain K S = P_xy and the posterior
+covariance, and :func:`wl_estimate` forms the innovation and the
+estimate. The covariance recursion does not read the measurements, and
+for a time-invariant model it converges to the steady-state filter
+(Anderson & Moore, *Optimal Filtering*, 1979, ch. 4). Until the posterior
+covariance repeats bit for bit, a step runs the predict and both halves;
+from then on it reuses that step's covariances and gain and runs only
+the estimate path, with the same bits (:func:`_wl_filter`). For a linear
+model the posterior covariance is the Joseph form
 (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite under
 rounding; the unscented filter, which has no linear measurement map, keeps
 P - K P_xy^H. ``real_kf_run`` uses the Joseph form too, in its own code.
@@ -324,24 +330,32 @@ def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.
     return _matvec(maps.a_top, _expand(x)), _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
 
 
-def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps) -> "WLUpdate":
-    """Measurement update: P_xy = P C^H and S = C P C^H + R, then :func:`wl_update`."""
+def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps, t: int) -> "WLUpdate":
+    """Measurement update at time ``t``: P_xy = P C^H and S = C P C^H + R, then :func:`wl_gain` and :func:`wl_estimate`.
+
+    A non-finite S raises ConsistencyError before the gain solve, naming
+    ``t`` and, in ``index``, the first such member of a batch.
+    """
     c_top = maps.c_top
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
     s = _covariance(c_top @ p @ maps.c_h + maps.r_top)
-    return wl_update(x, p, y, _matvec(c_top, _expand(x)), p @ maps.c_h, s, joseph=(maps.c, maps.r))
+    if not np.isfinite(s).all():
+        _require(_nonfinite(s), ConsistencyError, f"innovation covariance at t = {t} has non-finite entries")
+    k_top, p_post, singular = wl_gain(p, p @ maps.c_h, s, joseph=(maps.c, maps.r))
+    innovation, x_post = wl_estimate(x, y, _matvec(c_top, _expand(x)), k_top)
+    return WLUpdate(x, p, innovation, s, k_top, x_post, p_post, singular)
 
 
 class WLUpdate(NamedTuple):
     """The arrays of one widely linear measurement update (leading axes are batch axes).
 
-    ``x``, ``p``: predicted estimate (top half) and full covariance, as
-    :func:`wl_update` took them; ``innovation``: the top half of the
-    augmented innovation; ``s``: full innovation covariance; ``gain``: top
-    block row of the gain; ``x_post``, ``p_post``: posterior top half and
-    full symmetrized covariance; ``singular``: whether the gain took the
-    least-squares fallback.
+    ``x``, ``p``: predicted estimate (top half) and full covariance;
+    ``innovation``: the top half of the augmented innovation; ``s``: full
+    innovation covariance; ``gain``: top block row of the gain;
+    ``x_post``, ``p_post``: posterior top half and full symmetrized
+    covariance; ``singular``: whether the gain took the least-squares
+    fallback.
     """
 
     x: np.ndarray
@@ -374,19 +388,15 @@ def _block_pair(top: np.ndarray) -> np.ndarray:
     return top.reshape(rows, 2, cols).swapaxes(0, 1)
 
 
-def wl_update(
-    x: np.ndarray,
+def wl_gain(
     p: np.ndarray,
-    y,
-    y_pred: np.ndarray,
     cross: np.ndarray,
     s: np.ndarray,
     joseph: tuple[np.ndarray, np.ndarray] | None = None,
-) -> WLUpdate:
-    """Widely linear measurement update shared by the linear and unscented filters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gain and covariance half of the widely linear update, shared by the linear and unscented filters.
 
-    ``x`` is the top half of the predicted estimate and ``p`` its full
-    covariance, ``y_pred`` the predicted measurement, ``cross`` the full
+    ``p`` is the predicted full covariance, ``cross`` the full
     state/measurement cross covariance P_xy and ``s`` the full innovation
     covariance S, which must be exactly Hermitian. The gain solves
     K S = P_xy for the top block row of K (least squares when S is
@@ -396,23 +406,16 @@ def wl_update(
     K R K^H, which stays positive semidefinite under rounding and needs
     the full K that :func:`wlckf.augmented.block_conjugate` completes;
     without it (the unscented filter, whose measurement map is not linear)
-    it is P - K P_xy^H, from the top block row of K alone. Either way the
-    posterior is returned as its top half and its full covariance,
-    symmetrized by :func:`_covariance`. A measurement with a NaN or
-    infinite entry raises ConsistencyError, naming the first such member
-    of a batch.
+    it is P - K P_xy^H, from the top block row of K alone. Returns the top
+    block row of the gain, the posterior's full covariance, symmetrized by
+    :func:`_covariance`, and the least-squares flag. No measurement is
+    read: :func:`wl_estimate` is the other half.
 
     Leading axes of every array are batch axes: a batch of models runs
     through the same arithmetic, and each member gets the bits it would
-    get alone. Returns the arrays only; :meth:`WLUpdate.report` builds the
-    step report of an unbatched update.
+    get alone.
     """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != y_pred.shape:
-        raise DimensionError("measurement dimension does not match the model")
-    if not np.isfinite(y).all():
-        _require(_nonfinite(y, -1), ConsistencyError, "measurement has non-finite entries")
-    n, m = cross.shape[-2] // 2, y.shape[-1]
+    n = cross.shape[-2] // 2
     gain, singular = augmented.solve_right(cross[..., :n, :], s)
     if joseph is None:
         # C-contiguous like the full gain's top rows, so the products keep their bits.
@@ -420,13 +423,31 @@ def wl_update(
         cov_top = p[..., :n, :] - k_top @ _h(cross)
     else:
         c, r = joseph
+        m = s.shape[-1] // 2
         k = block_conjugate(gain[..., :m], gain[..., m:])
         k_top = k[..., :n, :]
         i_kc = _identity(2 * n) - k @ c
         cov_top = i_kc[..., :n, :] @ p @ _h(i_kc) + k_top @ r @ _h(k)
+    return k_top, _covariance(cov_top), singular
+
+
+def wl_estimate(x: np.ndarray, y, y_pred: np.ndarray, k_top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate half of the widely linear update: the innovation and the posterior's top half.
+
+    ``x`` is the top half of the predicted estimate, ``y_pred`` the
+    predicted measurement and ``k_top`` the top block row of the gain
+    (:func:`wl_gain`). A measurement of another shape than ``y_pred``
+    raises DimensionError, and one with a NaN or infinite entry
+    ConsistencyError, naming the first such member of a batch. Returns the
+    innovation's top half y - y_pred and x + K [nu; nu*].
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.shape != y_pred.shape:
+        raise DimensionError("measurement dimension does not match the model")
+    if not np.isfinite(y).all():
+        _require(_nonfinite(y, -1), ConsistencyError, "measurement has non-finite entries")
     innovation = y - y_pred
-    x_post = x + _matvec(k_top, _expand(innovation))
-    return WLUpdate(x, p, innovation, s, k_top, x_post, _covariance(cov_top), singular)
+    return innovation, x + _matvec(k_top, _expand(innovation))
 
 
 def default_init(model: WidelyLinearModel) -> FilterState:
@@ -450,18 +471,52 @@ def _measurement_rows(measurements) -> np.ndarray:
     return ys[:, None] if ys.ndim == 1 else ys
 
 
-def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements) -> Iterator[WLUpdate]:
+def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, t0: int = 0) -> Iterator[WLUpdate]:
     """The widely linear filter's predict/update loop; yields every step's update.
 
     It starts from the posterior's top half ``x`` and full covariance
-    ``p``. ``measurements`` iterates over steps; each item, like ``x`` and
-    ``p``, may carry leading batch axes, which the arithmetic keeps.
+    ``p`` at time ``t0``. ``measurements`` iterates over steps; each item,
+    like ``x`` and ``p``, may carry leading batch axes, which the
+    arithmetic keeps.
+
+    The covariance recursion does not read the measurements. Once a step's
+    posterior covariance equals, bit for bit, the one the step started
+    from, every later step would compute the same predicted and innovation
+    covariances, gain, posterior covariance and flag from the same input.
+    From then on the loop yields that step's arrays again, read-only, and
+    runs only the estimate path (:func:`wl_estimate`). A batch is fixed
+    only when its whole stack is, so each member keeps the bits of its
+    single run. The bits are compared as integers, since -0.0 == 0.0.
+
+    Each step's arithmetic runs with numpy's floating-point warnings off;
+    instead a non-finite innovation covariance (before the gain solve), or
+    a non-finite posterior top half or covariance diagonal, raises
+    ConsistencyError naming the step and, in ``index``, the first such
+    member of a batch. Every yielded posterior is read-only.
     """
-    for y in measurements:
-        x, p = _predict(x, p, maps)
-        update = _update(x, p, y, maps)
+    fixed = False
+    for t, y in enumerate(measurements, start=t0 + 1):
+        with np.errstate(all="ignore"):
+            if fixed:
+                x = _matvec(maps.a_top, _expand(x))
+                innovation, x_post = wl_estimate(x, y, _matvec(maps.c_top, _expand(x)), update.gain)
+                update = update._replace(x=x, innovation=innovation, x_post=x_post)
+            else:
+                update = _update(*_predict(x, p, maps), y, maps, t)
+        x_post, p_post = update.x_post, update.p_post
+        if not (np.isfinite(x_post).all() and (fixed or np.isfinite(np.diagonal(p_post, 0, -2, -1)).all())):
+            bad = _nonfinite(x_post, -1) | _nonfinite(np.diagonal(p_post, 0, -2, -1), -1)
+            _require(bad, ConsistencyError, f"posterior at t = {t} has non-finite entries")
+        x_post.flags.writeable = False
+        if not fixed:
+            p_post.flags.writeable = False
+            # Equal first entries are a cheap first test: equal bits need them.
+            fixed = p_post.item(0) == p.item(0) and np.array_equal(p_post.view(np.int64), p.view(np.int64))
+            if fixed:
+                for reused in (update.p, update.s, update.gain):
+                    reused.flags.writeable = False
         yield update
-        x, p = update.x_post, update.p_post
+        x, p = x_post, p_post
 
 
 def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None = None) -> list[StepReport]:
@@ -471,12 +526,16 @@ def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None =
     ``t0`` is the time of ``init`` (0 by default): each is preceded by a
     prediction. The measurements are converted once: a sequence of
     scalars is one measurement a step, and a ragged sequence raises
-    DimensionError.
+    DimensionError. Once the covariance recursion reaches its bit-exact
+    fixed point, later steps reuse its covariances and gain and compute
+    only the estimate (:func:`_wl_filter`); the reports are the same bits
+    either way. A non-finite posterior raises ConsistencyError naming the
+    step.
     """
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
-    steps = _wl_filter(_Maps.of(model), state.estimate.top, state.cov.full(), _measurement_rows(measurements))
+    steps = _wl_filter(_Maps.of(model), state.estimate.top, state.cov.full(), _measurement_rows(measurements), state.t)
     return [update.report(state.t + 1 + k) for k, update in enumerate(steps)]
 
 
@@ -486,8 +545,12 @@ def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]
     ``measurements`` has shape (batch, steps, m): row i is the sequence
     ``wlckf_run`` would take for ``models[i]``. Yields, at each step, the
     posterior as the loop carries it: top halves of shape (batch, n) and
-    full covariances of shape (batch, 2n, 2n). It runs ``wlckf_run``'s
-    loop, and member i equals ``wlckf_run(models[i], measurements[i])``.
+    full covariances of shape (batch, 2n, 2n). Both are read-only, and once
+    the whole stack's covariance recursion is at its bit-exact fixed
+    point, each later step yields the same covariance array again. It runs
+    ``wlckf_run``'s loop, and member i equals
+    ``wlckf_run(models[i], measurements[i])``. A non-finite posterior
+    raises ConsistencyError naming the step and, in ``index``, the member.
     """
     maps = _Maps.stack(models)
     x = np.zeros((len(models), models[0].n), complex)

@@ -26,8 +26,9 @@ flush of :func:`wlckf.augmented.psd_sqrt` apply to the union of the two
 spectra, which is the joint's, so the point set is the joint's up to
 order; they read the state's extreme eigenvalues and the noise
 spectrum's, which are constants of the run. The gain and the posterior
-then come from the WLCKF's own widely linear update,
-:func:`wlckf.linear.wl_update`, in the linear filter's form: the
+then come from the WLCKF's own widely linear update, its two halves
+:func:`wlckf.linear.wl_gain` and :func:`wlckf.linear.wl_estimate`, in
+the linear filter's form: the
 estimate as its top half and the covariance as its full symmetrized
 array. The posterior covariance stays P - K P_xy^H: the Joseph form the
 linear filter uses needs a linear measurement map, which this model does
@@ -57,7 +58,7 @@ from .augmented import (
 # psd_sqrt and solve_right are unused here; bench/spans.py still rebinds them in this module.
 from .augmented import psd_sqrt, solve_right  # noqa: F401
 from .errors import ConsistencyError, DimensionError, NotPSDError
-from .linear import FilterState, StepReport, WLUpdate, _covariance, _h, _measurement_rows, wl_update
+from .linear import FilterState, StepReport, WLUpdate, _covariance, _h, _measurement_rows, wl_estimate, wl_gain
 from .stats import SecondOrderStats, composite_factor, validate
 
 
@@ -335,9 +336,10 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     through the transition and then the measurement map, and predicted,
     innovation and cross second moments are assembled as augmented
     arrays, symmetrized like the linear filter's. From there the update is
-    :func:`wlckf.linear.wl_update`: the gain solves against the augmented
-    innovation covariance (least squares when singular, flagged) and the
-    posterior is P - K P_xy^H, symmetrized. The measurement is converted
+    :func:`wlckf.linear.wl_gain`, then :func:`wlckf.linear.wl_estimate`:
+    the gain solves against the augmented innovation covariance (least
+    squares when singular, flagged) and the posterior is P - K P_xy^H,
+    symmetrized. The measurement is converted
     as the runs convert each of theirs, so a scalar is the measurement of
     a model with m = 1.
     """
@@ -371,7 +373,9 @@ def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y) -> WLUpdate:
     p = moments[:p_end].reshape(2 * n, 2 * n)
     s = moments[p_end:s_end].reshape(2 * m, 2 * m)
     cross = moments[s_end:].reshape(2 * n, 2 * m)
-    return wl_update(mean[:n], p, y, mean[n:], cross, s)
+    k_top, p_post, singular = wl_gain(p, cross, s)
+    innovation, x_post = wl_estimate(mean[:n], y, mean[n:], k_top)
+    return WLUpdate(mean[:n], p, innovation, s, k_top, x_post, p_post, singular)
 
 
 def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:

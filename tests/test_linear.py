@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wlckf import linear, unscented
+from wlckf import augmented, linear, unscented
 from wlckf.augmented import (
     AugmentedMatrix,
     AugmentedVector,
@@ -836,3 +836,180 @@ def test_runs_take_a_sequence_of_scalars_for_one_measurement(run):
                 assert np.array_equal(x, y)
     with pytest.raises(DimensionError):
         filt(model, [column[0], np.concatenate([column[1], column[1]])])
+
+
+# --- reuse of the covariance recursion's fixed point ----------------------------
+
+
+def _stiff(index):
+    """Model ``index`` of the benchmark's stiff family (seed 0), as a widely linear model."""
+    from test_stiff_referee import _stiff_model
+
+    return model_from_real(*_stiff_model()(0, index))
+
+
+def _never_skipping(model, measurements, init=None):
+    """The updates of a loop that runs the whole predict and update at every step, and never reuses."""
+    state = init if init is not None else default_init(model)
+    maps = linear._Maps.of(model)
+    x, p = state.estimate.top, state.cov.full()
+    updates = []
+    for t, y in enumerate(linear._measurement_rows(measurements), start=state.t + 1):
+        updates.append(linear._update(*linear._predict(x, p, maps), y, maps, t))
+        x, p = updates[-1].x_post, updates[-1].p_post
+    return updates
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fixed_from(updates):
+    """The first step whose update reuses the previous step's posterior covariance, or None."""
+    for k in range(1, len(updates)):
+        if updates[k].p_post is updates[k - 1].p_post:
+            return k + 1
+    return None
+
+
+def _assert_reports_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.t, a.singular_innovation) == (b.t, b.singular_innovation)
+        assert _same_bits(a._data, b._data)
+
+
+# Steps at which the reuse starts: the stiff family at 5, random_composite(1)
+# at 71 and random_composite(0), an improper n = 2 draw, not within 100.
+@pytest.mark.parametrize("model, fixed_from", [
+    (_stiff(0), 5), (_stiff(3), 5), (model_from_real(*random_composite(1)), 71), (model_from_real(*random_composite(0)), None),
+], ids=["stiff-0", "stiff-3", "late", "never"])
+def test_reuse_keeps_the_bits_of_a_run_that_never_skips(model, fixed_from):
+    horizon = 100
+    meas = simulate_linear(model, horizon, substream(40, 0))[1]
+    state = default_init(model)
+    updates = list(linear._wl_filter(linear._Maps.of(model), state.estimate.top, state.cov.full(), meas))
+    assert _fixed_from(updates) == fixed_from
+    reference = _never_skipping(model, meas)
+    for got, want in zip(updates, reference, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert _same_bits(np.asarray(a), np.asarray(b))
+    _assert_reports_equal(wlckf_run(model, meas), [u.report(t) for t, u in enumerate(reference, start=1)])
+    # From a state at t0 = 3 the recursion starts elsewhere, and the reports keep their times.
+    init = FilterState(AugmentedVector(np.full(model.n, 0.5 + 0.25j)), AugmentedMatrix(2 * model.Pi0.m1, model.Pi0.m2), t=3)
+    want = [u.report(t) for t, u in enumerate(_never_skipping(model, meas, init), start=4)]
+    _assert_reports_equal(wlckf_run(model, meas, init), want)
+
+
+@pytest.mark.parametrize("batch", [wlckf_batch, ckf_batch], ids=["wlckf_batch", "ckf_batch"])
+def test_batch_members_keep_their_bits_when_they_fix_at_different_steps(batch):
+    # Members that fix at steps 12, 20 and 23 alone: the stack reuses from step 23 on.
+    models = [proper_model(seed) for seed in (6, 3, 2)]
+    horizon = 40
+    meas = np.stack([simulate_linear(model, horizon, substream(41, i))[1] for i, model in enumerate(models)])
+    run_models = models if batch is wlckf_batch else [model.proper_part() for model in models]
+    singles = [_never_skipping(model, ys) for model, ys in zip(run_models, meas)]
+    assert [_fixed_from(list(linear._wl_filter(linear._Maps.of(model), np.zeros(2, complex), model.Pi0.full(), ys)))
+            for model, ys in zip(run_models, meas)] == [12, 20, 23]
+    steps = list(batch(models, meas))
+    assert [k for k in range(1, horizon) if steps[k][1] is steps[k - 1][1]][0] == 22
+    for step, (x, p) in enumerate(steps):
+        for i, single in enumerate(singles):
+            assert _same_bits(x[i], single[step].x_post)
+            assert _same_bits(p[i], single[step].p_post)
+
+
+def test_reuse_solves_for_the_gain_only_until_the_fixed_point(monkeypatch):
+    calls = {"solve_right": 0}
+
+    def counted(*args, _fn=augmented.solve_right):
+        calls["solve_right"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(augmented, "solve_right", counted)
+    model = _stiff(0)
+    reports = wlckf_run(model, simulate_linear(model, 200, substream(42, 0))[1])
+    assert len(reports) == 200
+    assert calls["solve_right"] == 4
+
+
+def test_measurement_checks_hold_after_the_fixed_point():
+    model = _stiff(1)
+    meas = simulate_linear(model, 200, substream(43, 0))[1]
+    bad = meas.copy()
+    bad[150, 1] = np.nan
+    with pytest.raises(ConsistencyError, match="measurement has non-finite entries"):
+        wlckf_run(model, bad)
+    state = default_init(model)
+    rows = list(meas)
+    rows[150] = np.concatenate([rows[150], rows[150]])
+    steps = linear._wl_filter(linear._Maps.of(model), state.estimate.top, state.cov.full(), rows)
+    updates = [next(steps) for _ in range(150)]
+    assert _fixed_from(updates) == 5
+    with pytest.raises(DimensionError):
+        next(steps)
+
+
+def test_yielded_posteriors_are_read_only_and_the_reused_covariance_is_one_array():
+    models = [_stiff(2), _stiff(4)]
+    meas = np.stack([simulate_linear(model, 12, substream(44, i))[1] for i, model in enumerate(models)])
+    steps = list(wlckf_batch(models, meas))
+    # The stack is fixed at step 4: every later step yields its covariance again.
+    assert all(p is steps[3][1] for _, p in steps[3:])
+    for x, p in (steps[0], steps[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+
+
+def _overflowing(scale=1e200):
+    """A scalar model whose predicted covariance overflows at step 1: A = scale I."""
+    eye = np.eye(2)
+    return model_from_real(scale * eye, eye, eye, eye, eye, eye)
+
+
+@pytest.mark.parametrize("run", [wlckf_run, ckf_run], ids=["wlckf_run", "ckf_run"])
+def test_a_non_finite_covariance_raises_and_no_warning_escapes(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match="t = 1 has non-finite"):
+            run(_overflowing(), np.zeros((3, 1)))
+        # The initial state's time names the step.
+        with pytest.raises(ConsistencyError, match="t = 8 has non-finite"):
+            run(_overflowing(), np.zeros((3, 1)), replace(default_init(_overflowing()), t=7))
+
+
+@pytest.mark.parametrize("batch", [wlckf_batch, ckf_batch], ids=["wlckf_batch", "ckf_batch"])
+def test_a_batch_names_the_member_whose_covariance_is_not_finite(batch):
+    models = [_overflowing(0.5), _overflowing(0.5), _overflowing()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match="t = 1 has non-finite") as info:
+            next(batch(models, np.zeros((3, 4, 1))))
+    assert info.value.index == (2,)
+
+
+def test_an_overflowing_estimate_after_the_fixed_point_raises_and_no_warning_escapes():
+    # C = I and R = 0: the posterior covariance is 0 from step 1, so the
+    # recursion is fixed from step 2; the estimate then overflows at step 7.
+    eye = np.eye(2)
+    model = model_from_real(eye, eye, eye, eye, np.zeros((2, 2)), eye)
+    meas = np.zeros((10, 1), complex)
+    meas[5], meas[6] = 1.7e308, -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(wlckf_run(model, meas[:6])) == 6
+        with pytest.raises(ConsistencyError, match="posterior at t = 7 has non-finite"):
+            wlckf_run(model, meas)
+
+
+def test_the_batch_generators_leave_the_floating_point_settings_alone():
+    models = [proper_model(seed) for seed in range(2)]
+    meas = np.stack([simulate_linear(model, 5, substream(45, i))[1] for i, model in enumerate(models)])
+    settings = np.geterr()
+    for batch in (wlckf_batch, ckf_batch):
+        for _ in batch(models, meas):
+            assert np.geterr() == settings
+            with pytest.raises(RuntimeWarning):
+                np.float64(1e308) * 10

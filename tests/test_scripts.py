@@ -1,4 +1,5 @@
 """The walkthrough scripts run end to end on the library in this checkout."""
+import json
 import os
 import re
 import subprocess
@@ -41,3 +42,39 @@ def test_reproduce_figures_quick_writes_every_table(tmp_path):
     assert [line.split()[2] for line in commands] == ["equivalence", "mse-sweep", "theta-bound", "phase-demod"]
     for line in commands:
         assert proc.stdout.count(line + "\n") == 1, line
+
+
+def _bench_record():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_takes_the_next_free_k(tmp_path):
+    record = _bench_record()
+    assert record.next_path(tmp_path) == tmp_path / "BENCH_1.json"
+    (tmp_path / "BENCH_1.json").write_text("{}")
+    (tmp_path / "BENCH_3.json").write_text("{}")
+    assert record.next_path(tmp_path) == tmp_path / "BENCH_2.json"
+
+
+def test_every_committed_bench_record_holds_the_trajectory_fields():
+    record = _bench_record()
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert [path.name for path in paths][:2] == ["BENCH_1.json", "BENCH_2.json"]
+    for path in paths:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert re.fullmatch(r"[0-9a-f]{40}", data["git_sha"]) and data["git_dirty"] is False
+        assert set(data["environment"]) >= {"nproc", "affinity", "thread_env"}
+        assert sorted(data["workloads"]) == sorted(record.WORKLOADS)
+        for trace in data["workloads"].values():
+            assert set(trace["metrics"]) == {"wall_s", "steps_per_s", "setup_s", "peak_rss_mb"}
+        assert sorted(data["cli"]) == sorted(name for name, _, _ in record.COMMANDS)
+        for timing in data["cli"].values():
+            assert timing["exit_codes"] == [0]
+            assert timing["config"]["seed"] == 0
+            for setting in ("OPENBLAS_NUM_THREADS=unset", "OPENBLAS_NUM_THREADS=1"):
+                assert len(timing[setting]["samples_s"]) >= 5

@@ -3,17 +3,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_record.py [--root DIR] [--out PATH] [--seconds 25] [--runs 5] [--seed 0]
+    python3 scripts/bench_record.py [--root DIR]
 
 For the checkout at ``--root`` (by default the one this script is in), it
 
-* runs ``bench/run.py --seconds S`` for each benchmark workload, one after
-  the other, and gathers the trace files they write
-  (``bench/out/<workload>-seed<s>-trace0.json``): each holds the
+* runs ``bench/run.py --seed 0 --seconds 25`` for each benchmark workload,
+  one after the other, and gathers the trace files they write
+  (``bench/out/<workload>-seed0-trace0.json``): each holds the
   environment, every end-to-end metric with its raw samples, and the
   pass times;
 * times the four CLI commands at their default configs, and ``mse-sweep``
-  on the one panel ``[-100, -20]``, ``--runs`` times each in a fresh
+  on the one panel ``[-100, -20]``, 5 times each in a fresh
   interpreter, so interpreter start and imports are included; each round
   runs every command once with ``OPENBLAS_NUM_THREADS`` unset and once with
   it at 1, so slow drift of the machine falls on both settings alike. Beside
@@ -21,10 +21,11 @@ For the checkout at ``--root`` (by default the one this script is in), it
   for it (``wlckf.cli.load_config``), so a record says what ran.
 
 It writes one JSON file with the git sha of the measured checkout, ``nproc``,
-the CPU affinity and the thread variables of the environment it ran in.
-Without ``--out`` the file is the first free ``BENCH_<k>.json`` at the root
-of the checkout this script is in. It asserts no timing: the numbers are
-for comparing one change with its parent, on one machine.
+the CPU affinity and the thread variables of the environment it ran in,
+as the first free ``BENCH_<k>.json`` at the root of the checkout this
+script is in. Every record is made at the same settings (``SECONDS``,
+``RUNS``, ``SEED``), so any two can be compared. It asserts no timing: the
+numbers are for comparing one change with its parent, on one machine.
 """
 from __future__ import annotations
 
@@ -52,15 +53,14 @@ COMMANDS = (
     ("theta-bound", ["theta-bound"], None),
     ("mse-sweep-one-panel", ["mse-sweep"], {"panels": [[-100, -20]]}),
 )
+SECONDS = 25.0  # bench/run.py --seconds
+SEED = 0  # bench/run.py --seed
+RUNS = 5  # timed runs of each CLI command per thread setting
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    parser.add_argument("--out", type=Path, help="output file (default: the next free BENCH_<k>.json)")
-    parser.add_argument("--seconds", type=float, default=25.0, help="bench/run.py --seconds")
-    parser.add_argument("--runs", type=int, default=5, help="timed runs of each CLI command per setting")
-    parser.add_argument("--seed", type=int, default=0, help="bench/run.py --seed")
     return parser.parse_args(argv)
 
 
@@ -90,16 +90,16 @@ def environment() -> dict:
     }
 
 
-def run_workloads(root: Path, seconds: float, seed: int) -> dict:
+def run_workloads(root: Path) -> dict:
     traces = {}
     for workload in WORKLOADS:
-        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS)]
         print("+", " ".join(cmd[1:]), flush=True)
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{workload}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
         print(proc.stdout.strip().splitlines()[-1], flush=True)
-        trace = root / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
+        trace = root / "bench" / "out" / f"{workload}-seed{SEED}-trace0.json"
         traces[workload] = json.loads(trace.read_text(encoding="utf-8"))
     return traces
 
@@ -115,7 +115,7 @@ def resolved_config(root: Path, argv: list[str]) -> dict:
     return cfg
 
 
-def time_commands(root: Path, runs: int) -> dict:
+def time_commands(root: Path) -> dict:
     """Wall seconds of each command in a fresh interpreter, per thread setting, and the config it ran with."""
     base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = str(root / "src")
@@ -132,7 +132,7 @@ def time_commands(root: Path, runs: int) -> dict:
                 path.write_text(json.dumps(config), encoding="utf-8")
                 argvs[name] += ["--config", str(path)]
             resolved[name] = resolved_config(root, argvs[name])
-        for _ in range(runs):
+        for _ in range(RUNS):
             for name, _, _ in COMMANDS:
                 for setting, env in settings.items():
                     cmd = [sys.executable, "-m", "wlckf", *argvs[name], "--out", str(Path(tmp) / f"{name}.csv")]
@@ -159,15 +159,15 @@ def time_commands(root: Path, runs: int) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = args.root.resolve()
-    out = args.out if args.out is not None else next_path(HERE)
+    out = next_path(HERE)
     record = {
         **git_state(root),
         "environment": environment(),
-        "bench_seconds": args.seconds,
-        "bench_seed": args.seed,
-        "cli_runs": args.runs,
-        "workloads": run_workloads(root, args.seconds, args.seed),
-        "cli": time_commands(root, args.runs),
+        "bench_seconds": SECONDS,
+        "bench_seed": SEED,
+        "cli_runs": RUNS,
+        "workloads": run_workloads(root),
+        "cli": time_commands(root),
     }
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")

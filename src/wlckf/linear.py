@@ -367,14 +367,24 @@ class WLUpdate(NamedTuple):
     p_post: np.ndarray
     singular: np.ndarray
 
-    def report(self, t: int) -> StepReport:
+    def report(self, t: int, like: StepReport | None = None) -> StepReport:
         """The step report of an unbatched update at time ``t``.
 
         One copy packs the top halves and the blocks of the top block rows
         into the report's array, so the block-conjugate pattern holds
-        exactly and no full array is kept.
+        exactly and no full array is kept. ``like`` is the report of an
+        update with these same covariance and gain arrays (a step that
+        :func:`_wl_filter` reused): its array is copied, and only the
+        estimate blocks are written.
         """
         n, m = self.gain.shape[0], self.innovation.shape[0]
+        if like is not None:
+            data = like._data.copy()
+            layout = _report_layout(n, m)
+            for block, value in ((0, self.x), (3, self.x_post), (6, self.innovation)):
+                start, stop, _ = layout[block]
+                data[start:stop] = value
+            return StepReport(data, n, m, t, bool(self.singular))
         blocks = (
             self.x, _block_pair(self.p[:n]), self.x_post, _block_pair(self.p_post[:n]),
             self.innovation, _block_pair(self.s[:m]), _block_pair(self.gain),
@@ -536,7 +546,13 @@ def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None =
     if state.estimate.n != model.n:
         raise DimensionError("state dimension does not match the model")
     steps = _wl_filter(_Maps.of(model), state.estimate.top, state.cov.full(), _measurement_rows(measurements), state.t)
-    return [update.report(state.t + 1 + k) for k, update in enumerate(steps)]
+    reports: list[StepReport] = []
+    gain = None
+    for t, update in enumerate(steps, start=state.t + 1):
+        # A reused step carries the previous step's gain and covariances, so it copies their packed blocks.
+        reports.append(update.report(t, reports[-1] if update.gain is gain else None))
+        gain = update.gain
+    return reports
 
 
 def wlckf_batch(models, measurements) -> Iterator[tuple[np.ndarray, np.ndarray]]:

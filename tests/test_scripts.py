@@ -63,11 +63,12 @@ def test_bench_record_takes_the_next_free_k(tmp_path):
 
 def test_every_committed_bench_record_holds_the_trajectory_fields():
     record = _bench_record()
-    paths = sorted(ROOT.glob("BENCH_*.json"))
-    assert [path.name for path in paths][:2] == ["BENCH_1.json", "BENCH_2.json"]
+    paths = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    assert [path.name for path in paths] == [f"BENCH_{k}.json" for k in range(1, max(len(paths), 2) + 1)]
     for path in paths:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert re.fullmatch(r"[0-9a-f]{40}", data["git_sha"]) and data["git_dirty"] is False
+        assert (data["bench_seconds"], data["bench_seed"], data["cli_runs"]) == (record.SECONDS, record.SEED, record.RUNS)
         assert set(data["environment"]) >= {"nproc", "affinity", "thread_env"}
         assert sorted(data["workloads"]) == sorted(record.WORKLOADS)
         for trace in data["workloads"].values():

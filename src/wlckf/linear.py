@@ -538,9 +538,10 @@ def wlckf_run(model: WidelyLinearModel, measurements, init: FilterState | None =
     scalars is one measurement a step, and a ragged sequence raises
     DimensionError. Once the covariance recursion reaches its bit-exact
     fixed point, later steps reuse its covariances and gain and compute
-    only the estimate (:func:`_wl_filter`); the reports are the same bits
-    either way. A non-finite posterior raises ConsistencyError naming the
-    step.
+    only the estimate (:func:`_wl_filter`), and each of their reports is
+    the previous one's array with the estimate blocks rewritten; the
+    reports are the same bits either way. A non-finite posterior raises
+    ConsistencyError naming the step.
     """
     state = init if init is not None else default_init(model)
     if state.estimate.n != model.n:

@@ -2,10 +2,11 @@
 """Run the four experiments at their default desk-scale settings.
 
 Writes CSVs under results/ with a fixed seed. The phase experiment is the
-slow one: on a 2-vCPU x86-64 machine, about 3 s of vectorized Monte Carlo
-in one process with a multithreaded OpenBLAS, and about 1.5 s with
-OPENBLAS_NUM_THREADS=1, which lets it run on both CPUs. Pass --quick to
-shrink run counts for a fast smoke pass.
+slow one: BENCH_2.json records `wlckf phase-demod` on a 2-vCPU x86-64
+machine at a median of 1.63 s with a multithreaded OpenBLAS and 0.84 s
+with OPENBLAS_NUM_THREADS=1, which lets it run on both CPUs; each is the
+median of 5 fresh processes and includes interpreter start. Pass --quick
+to shrink run counts for a fast smoke pass.
 """
 import argparse
 import sys

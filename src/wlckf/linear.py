@@ -20,12 +20,12 @@ measurement update has two halves, both shared with the unscented filter:
 :func:`wl_gain`, given the cross covariance P_xy and the innovation
 covariance S, forms the widely linear gain K S = P_xy and the posterior
 covariance, and :func:`wl_estimate` forms the innovation and the
-estimate. The covariance recursion does not read the measurements, and
-for a time-invariant model it converges to the steady-state filter
-(Anderson & Moore, *Optimal Filtering*, 1979, ch. 4). Until the posterior
-covariance repeats bit for bit, a step runs the predict and both halves;
-from then on it reuses that step's covariances and gain and runs only
-the estimate path, with the same bits (:func:`_wl_filter`). For a linear
+estimate. A step of :func:`_wl_filter` has one body: a covariance half
+(:func:`_covariance_step`), which reads no measurement and for a
+time-invariant model converges to the steady-state filter (Anderson &
+Moore, *Optimal Filtering*, 1979, ch. 4), so the loop stops it once the
+posterior covariance repeats bit for bit; then an estimate half, which
+runs at every step. For a linear
 model the posterior covariance is the Joseph form
 (I - K C) P (I - K C)^H + K R K^H, which stays positive semidefinite under
 rounding; the unscented filter, which has no linear measurement map, keeps
@@ -325,26 +325,20 @@ def _identity(size: int) -> np.ndarray:
     return eye
 
 
-def _predict(x: np.ndarray, p: np.ndarray, maps: _Maps) -> tuple[np.ndarray, np.ndarray]:
-    """Time update of a top half and a full covariance: the top half of A [x; x*] and A P A^H + B Q B^H, symmetrized."""
-    return _matvec(maps.a_top, _expand(x)), _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
+def _covariance_step(p: np.ndarray, maps: _Maps, t: int) -> tuple[np.ndarray, ...]:
+    """Covariance half of the step at time ``t``: predicted P = A P A^H + B Q B^H, S = C P C^H + R, :func:`wl_gain`.
 
-
-def _update(x: np.ndarray, p: np.ndarray, y, maps: _Maps, t: int) -> "WLUpdate":
-    """Measurement update at time ``t``: P_xy = P C^H and S = C P C^H + R, then :func:`wl_gain` and :func:`wl_estimate`.
-
-    A non-finite S raises ConsistencyError before the gain solve, naming
+    Returns P and S, symmetrized, and wl_gain's three results. A
+    non-finite S raises ConsistencyError before the gain solve, naming
     ``t`` and, in ``index``, the first such member of a batch.
     """
-    c_top = maps.c_top
+    p = _covariance(maps.a_top @ p @ maps.a_h + maps.bqb_top)
     # (C P) C^H, the association real_kf_run uses; C (P C^H) rounds apart
     # from it by more than the equivalence gate on one stiff-family model.
-    s = _covariance(c_top @ p @ maps.c_h + maps.r_top)
+    s = _covariance(maps.c_top @ p @ maps.c_h + maps.r_top)
     if not np.isfinite(s).all():
         _require(_nonfinite(s), ConsistencyError, f"innovation covariance at t = {t} has non-finite entries")
-    k_top, p_post, singular = wl_gain(p, p @ maps.c_h, s, joseph=(maps.c, maps.r))
-    innovation, x_post = wl_estimate(x, y, _matvec(c_top, _expand(x)), k_top)
-    return WLUpdate(x, p, innovation, s, k_top, x_post, p_post, singular)
+    return (p, s, *wl_gain(p, p @ maps.c_h, s, joseph=(maps.c, maps.r)))
 
 
 class WLUpdate(NamedTuple):
@@ -489,14 +483,14 @@ def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, t0: int 
     like ``x`` and ``p``, may carry leading batch axes, which the
     arithmetic keeps.
 
-    The covariance recursion does not read the measurements. Once a step's
-    posterior covariance equals, bit for bit, the one the step started
-    from, every later step would compute the same predicted and innovation
-    covariances, gain, posterior covariance and flag from the same input.
-    From then on the loop yields that step's arrays again, read-only, and
-    runs only the estimate path (:func:`wl_estimate`). A batch is fixed
-    only when its whole stack is, so each member keeps the bits of its
-    single run. The bits are compared as integers, since -0.0 == 0.0.
+    A step has one body: the covariance half (:func:`_covariance_step`),
+    which reads no measurement, then the estimate half, A [x; x*] and
+    :func:`wl_estimate` against C [x; x*]. Once a step's posterior
+    covariance equals, bit for bit, the one the step started from, every
+    later covariance half would give the same arrays, so the loop skips it
+    and yields that step's arrays again, read-only. A batch is fixed only
+    when its whole stack is, so each member keeps the bits of its single
+    run. The bits are compared as integers, since -0.0 == 0.0.
 
     Each step's arithmetic runs with numpy's floating-point warnings off;
     instead a non-finite innovation covariance (before the gain solve), or
@@ -507,13 +501,10 @@ def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, t0: int 
     fixed = False
     for t, y in enumerate(measurements, start=t0 + 1):
         with np.errstate(all="ignore"):
-            if fixed:
-                x = _matvec(maps.a_top, _expand(x))
-                innovation, x_post = wl_estimate(x, y, _matvec(maps.c_top, _expand(x)), update.gain)
-                update = update._replace(x=x, innovation=innovation, x_post=x_post)
-            else:
-                update = _update(*_predict(x, p, maps), y, maps, t)
-        x_post, p_post = update.x_post, update.p_post
+            if not fixed:
+                p_pred, s, gain, p_post, singular = _covariance_step(p, maps, t)
+            x = _matvec(maps.a_top, _expand(x))
+            innovation, x_post = wl_estimate(x, y, _matvec(maps.c_top, _expand(x)), gain)
         if not (np.isfinite(x_post).all() and (fixed or np.isfinite(np.diagonal(p_post, 0, -2, -1)).all())):
             bad = _nonfinite(x_post, -1) | _nonfinite(np.diagonal(p_post, 0, -2, -1), -1)
             _require(bad, ConsistencyError, f"posterior at t = {t} has non-finite entries")
@@ -523,9 +514,9 @@ def _wl_filter(maps: _Maps, x: np.ndarray, p: np.ndarray, measurements, t0: int 
             # Equal first entries are a cheap first test: equal bits need them.
             fixed = p_post.item(0) == p.item(0) and np.array_equal(p_post.view(np.int64), p.view(np.int64))
             if fixed:
-                for reused in (update.p, update.s, update.gain):
+                for reused in (p_pred, s, gain):
                     reused.flags.writeable = False
-        yield update
+        yield WLUpdate(x, p_pred, innovation, s, gain, x_post, p_post, singular)
         x, p = x_post, p_post
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmented import _first, _require
+from .augmented import _first, _require, block_conjugate
 from .errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
 
 
@@ -44,8 +44,9 @@ class ScalarModelParams:
     (element t-1 of a sequence is used at step t). ``drive_var`` and
     ``meas_var`` are the Hermitian variances of the proper driving and
     measurement noise; ``init_var`` / ``init_cvar`` the Hermitian and
-    complementary variance of the initial state. A NaN or infinite
-    coefficient (or sequence entry) or variance raises ConsistencyError.
+    complementary variance of the initial state. ConsistencyError, naming
+    the field, rejects a NaN or infinite coefficient (or sequence entry)
+    or variance, and a coefficient entry whose squared magnitude overflows.
     """
 
     a: complex | Sequence[complex] = 1.0
@@ -60,6 +61,10 @@ class ScalarModelParams:
         for name in ("a", "b", "c", "drive_var", "meas_var", "init_var", "init_cvar"):
             if not np.isfinite(np.asarray(getattr(self, name), dtype=complex)).all():
                 raise ConsistencyError(f"{name} has non-finite entries")
+        with np.errstate(over="ignore"):
+            for name in ("a", "b", "c"):
+                if not np.isfinite(np.square(np.abs(np.asarray(getattr(self, name), dtype=complex)))).all():
+                    raise ConsistencyError(f"{name} has an entry whose squared magnitude overflows a double")
         if self.drive_var < 0 or self.meas_var < 0:
             raise NotPSDError("noise variances must be nonnegative")
         if abs(self.init_cvar) > self.init_var * (1 + 1e-12):
@@ -457,11 +462,7 @@ def noise_impropriety_gain(
 
 def _noise_covariances(power: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Augmented covariances power * [[1, rho], [conj(rho), 1]], one per member."""
-    cov = np.empty((len(power), 2, 2), dtype=complex)
-    cov[:, 0, 0] = cov[:, 1, 1] = 1.0
-    cov[:, 0, 1], cov[:, 1, 0] = rho, np.conj(rho)
-    cov *= power[:, None, None]
-    return cov
+    return block_conjugate(np.ones((len(power), 1, 1)), rho[:, None, None]) * power[:, None, None]
 
 
 def _cannot_converge(change, before, after, limit, n1, n2, steps_left: int, tol: float) -> np.ndarray:

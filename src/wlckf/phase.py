@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import parallel
-from .augmented import FLUSH
+from .augmented import FLUSH, block_conjugate
 
 # build_transform and sample are unused here; bench/spans.py still rebinds
 # both names in this module.
@@ -356,7 +356,7 @@ class _BatchUWLCKF:
         k2 = (pt_xy * s - p_xy * st) / det_safe
         if bad.any():
             for i in np.nonzero(bad)[0]:
-                s_full = np.array([[s[i], st[i]], [np.conj(st[i]), s[i]]])
+                s_full = block_conjugate(s[i, None, None], st[i, None, None])
                 row = np.array([p_xy[i], pt_xy[i]]) @ np.linalg.pinv(s_full)
                 k1[i], k2[i] = row
 

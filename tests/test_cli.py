@@ -846,7 +846,7 @@ _SCAN_CONFIGS = {
 
 @pytest.mark.parametrize("command", sorted(_SCAN_CONFIGS))
 @given(data=st.data())
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None)
 def test_generated_configs_exit_zero_or_name_the_config_error(command, data):
     # Exit 1 is reserved for a failed invariant, which no model here has, and a
     # traceback or a warning is a defect whatever the config.

@@ -849,14 +849,17 @@ def _stiff(index):
 
 
 def _never_skipping(model, measurements, init=None):
-    """The updates of a loop that runs the whole predict and update at every step, and never reuses."""
+    """The updates of a loop that runs the covariance half and the estimate half at every step, and never reuses."""
     state = init if init is not None else default_init(model)
     maps = linear._Maps.of(model)
     x, p = state.estimate.top, state.cov.full()
     updates = []
     for t, y in enumerate(linear._measurement_rows(measurements), start=state.t + 1):
-        updates.append(linear._update(*linear._predict(x, p, maps), y, maps, t))
-        x, p = updates[-1].x_post, updates[-1].p_post
+        p_pred, s, gain, p_post, singular = linear._covariance_step(p, maps, t)
+        x_pred = linear._matvec(maps.a_top, linear._expand(x))
+        innovation, x = linear.wl_estimate(x_pred, y, linear._matvec(maps.c_top, linear._expand(x_pred)), gain)
+        updates.append(linear.WLUpdate(x_pred, p_pred, innovation, s, gain, x, p_post, singular))
+        p = p_post
     return updates
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wlckf import mse
 from wlckf.augmented import AugmentedMatrix
 from wlckf.errors import ConsistencyError, DegenerateError, DimensionError, NotPSDError
-from wlckf.linear import WidelyLinearModel, ckf_batch, wlckf_batch, wlckf_run
+from wlckf.linear import WidelyLinearModel, ckf_batch, simulate_linear_batch, wlckf_batch, wlckf_run
 from wlckf.mse import (
     AGREE,
     ON_CIRCLE,
@@ -634,6 +634,20 @@ def test_scalar_params_reject_a_nan_or_infinite_entry_by_name_without_warnings(f
         assert min_mmse_ratio(ScalarModelParams(**{field: 0.5 if field != "c" else [1.0, 0.5]}), 2) > 0
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("a", 1e200), ("b", 1e200), ("c", 1e200), ("c", 2e154), ("a", [1.0, 1e200]), ("b", complex(1e154, 1e154)),
+], ids=str)
+def test_scalar_params_reject_a_coefficient_whose_squared_magnitude_overflows(field, bad):
+    # Before the check, sl_mmse, wl_mmse and min_mmse_ratio ended in a bare
+    # OverflowError from |coefficient| ** 2 in variance_step.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=f"{field} has an entry whose squared magnitude overflows"):
+            ScalarModelParams(**{field: bad})
+        # A magnitude whose square stays in range is accepted.
+        ScalarModelParams(**{field: 1e154})
+
+
 def test_gain_at_powers_whose_linear_value_overflows_is_the_closed_form():
     # 10^400 overflows a double: the recursion cannot use the powers, and the
     # member takes the closed form of their gap, which stays in range.
@@ -845,3 +859,78 @@ def test_filter_steady_state_is_the_closed_form():
     assert np.max(np.abs(wl / closed.wl_mse - 1)) <= 1e-12
     assert np.max(np.abs(sl / closed.sl_mse - 1)) <= 1e-12
     assert (sl >= wl).all()
+
+
+# --- the closed forms against the simulated truth -------------------------------
+
+MC_RUNS = 4000
+# Two-sided Monte Carlo bounds, in standard errors: about 7e-6 per check for a normal estimate.
+MC_Z = 4.5
+
+
+def _scalar_model_errors(params, horizon):
+    """Errors against the simulated state of both filters over MC_RUNS runs (substream(7, r)), and the widely linear covariances.
+
+    Shapes (runs, horizon), (runs, horizon) and (runs, horizon, 2, 2).
+    """
+    def aug(value):
+        return AugmentedMatrix([[value]], [[0.0]])
+
+    model = WidelyLinearModel(
+        A=aug(params.a), B=aug(params.b), C=aug(params.c), Q=aug(params.drive_var), R=aug(params.meas_var),
+        Pi0=AugmentedMatrix([[params.init_var]], [[params.init_cvar]]),
+    )
+    models = [model] * MC_RUNS
+    states, meas = simulate_linear_batch(models, horizon, [substream(7, r) for r in range(MC_RUNS)])
+    truth = states[:, 1:, 0]
+    wl = list(wlckf_batch(models, meas))
+    e_wl = truth - np.stack([x[:, 0] for x, _ in wl], 1)
+    e_sl = truth - np.stack([x[:, 0] for x, _ in ckf_batch(models, meas)], 1)
+    return e_wl, e_sl, np.stack([p for _, p in wl], 1)
+
+
+def _assert_within(estimate, expected, standard_error):
+    z = np.abs(estimate - expected) / standard_error
+    assert (z <= MC_Z).all(), np.round(z, 2)
+
+
+def test_filters_make_the_closed_form_mse_and_the_widely_linear_nees_is_chi_square_2():
+    # Criterion 4's scalar model with an improper initial state.
+    params = ScalarModelParams(
+        a=0.95 + 0.2j, b=0.8, c=1.1 - 0.3j, drive_var=0.7, meas_var=1.4, init_var=1.0, init_cvar=0.6 + 0.7j,
+    )
+    horizon = 20
+    e_wl, e_sl, p_wl = _scalar_model_errors(params, horizon)
+    wl = np.array([wl_mmse(params, t) for t in range(1, horizon + 1)])
+    sl = np.array([sl_mmse(params, t) for t in range(1, horizon + 1)])
+    # |e|^2 of a complex Gaussian error with variance p and complementary
+    # variance pt has variance p^2 + |pt|^2. The widely linear filter's pt
+    # is its posterior's M2; 2 p^2 bounds the strictly linear filter's.
+    _assert_within(np.mean(np.abs(e_wl) ** 2, 0), wl, np.sqrt((wl**2 + np.abs(p_wl[0, :, 0, 1]) ** 2) / MC_RUNS))
+    _assert_within(np.mean(np.abs(e_sl) ** 2, 0), sl, np.sqrt(2 * sl**2 / MC_RUNS))
+    # [e; e*]^H P^-1 [e; e*] is the real error's NEES: chi-square with 2
+    # degrees of freedom, of mean 2 and variance 4. Its fourth central
+    # moment is 144, so the sample variance has variance (144 - 16) / N.
+    augmented = np.stack([e_wl, np.conj(e_wl)], -1)
+    nees = np.einsum("rti,rtij,rtj->rt", augmented.conj(), np.linalg.inv(p_wl), augmented).real
+    _assert_within(nees.mean(0), 2.0, np.sqrt(4 / MC_RUNS))
+    _assert_within(nees.var(0, ddof=1), 4.0, np.sqrt(128 / MC_RUNS))
+
+
+def test_paired_errors_resolve_the_gain_of_a_maximally_improper_initial_state():
+    # N1 << N2 << 1 and a maximally improper initial state: the closed-form
+    # ratio starts near 1/2 and climbs as the filters forget that state.
+    params = ScalarModelParams(
+        a=0.95 + 0.2j, b=0.8, c=1.1 - 0.3j, drive_var=1e-4, meas_var=1e-2, init_var=1.0, init_cvar=1.0,
+    )
+    horizon = 10
+    e_wl, e_sl, _ = _scalar_model_errors(params, horizon)
+    steps = range(1, horizon + 1)
+    assert min_mmse_ratio(params, 1) < 0.51 and min_mmse_ratio(params, horizon) > 0.75
+    gap = np.array([sl_mmse(params, t) - wl_mmse(params, t) for t in steps])
+    # The same runs through both filters: the difference of their squared
+    # errors has the mean sl_mmse - wl_mmse and far less spread than either.
+    paired = np.abs(e_sl) ** 2 - np.abs(e_wl) ** 2
+    standard_error = paired.std(0, ddof=1) / np.sqrt(MC_RUNS)
+    _assert_within(paired.mean(0), gap, standard_error)
+    assert (paired.mean(0) - MC_Z * standard_error > 0).all()

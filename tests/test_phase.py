@@ -448,18 +448,23 @@ def _nine_point_step(engine, y):
     np.maximum(engine.max_imag, np.abs(engine.est.imag), out=engine.max_imag)
 
 
-@pytest.mark.parametrize("rho_abs", [0.0, 0.7, 1.0])
+# The last model's measurement noise is maximally improper and 1e15 times
+# the phase variances, so the innovation covariance of its even rows is
+# singular on its scale and their gain takes the pseudo-inverse.
+@pytest.mark.parametrize("model", [
+    PhaseModel(snr_db=10.0, rho_abs=0.0), PhaseModel(snr_db=10.0, rho_abs=0.7), PhaseModel(snr_db=10.0, rho_abs=1.0),
+    PhaseModel(snr_db=-150.0, rho_abs=1.0),
+], ids=["0.0", "0.7", "1.0", "1.0-singular"])
 @pytest.mark.parametrize("rows", [1, 3, 4, 801])
-def test_step_matches_nine_point_reference_bit_for_bit(rows, rho_abs):
+def test_step_matches_nine_point_reference_bit_for_bit(rows, model):
     # Rows alternate between the model's noise and proper noise. Every
     # third row from row 1 has its complementary variance halved before
     # each step, so its second phase eigenvalue survives the flush and its
     # points along that axis differ from the centre; from step 20 on the
     # last of 3 or more rows reads NaN. Before step 10, row 0's variances are
-    # forced above 1e13 times its measurement-noise eigenvalues, so from
-    # then on the flush drops them in that row and the step forms its noise
-    # terms anew.
-    model = PhaseModel(snr_db=10.0, rho_abs=rho_abs)
+    # forced to 2e12, above 1e13 times its measurement-noise eigenvalues at
+    # 10 dB, so from then on the flush drops them in that row and the step
+    # forms its noise terms anew.
     _, ys = simulate_phase_batch(model, 60, rows, 37)
     if rows >= 3:
         ys[-1, 20:] = np.nan

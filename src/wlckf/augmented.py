@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionError, NotPSDError
 
-# Relative tolerance for conjugate-symmetry and realness consistency checks.
+# Relative tolerance of the checks that a matrix is Hermitian, symmetric or real.
 CONJ_TOL = 1e-9
-# Relative tolerance of psd_sqrt's symmetry and negative-eigenvalue checks.
+# Relative tolerance of the one PSD test (:func:`_psd_eigenvalues`) and of psd_sqrt's symmetry check.
 PSD_TOL = 1e-10
 # Smallest-to-largest singular value ratio at or below which a matrix is singular.
 RCOND = 1e-12
@@ -128,11 +128,9 @@ class AugmentedMatrix:
         return NotImplemented
 
     def check_covariance(self) -> "AugmentedMatrix":
-        """Require Hermitian M1, symmetric M2, and a PSD full matrix, all within ``CONJ_TOL``."""
+        """Require finite blocks, Hermitian M1 and symmetric M2 within ``CONJ_TOL``, and PSD by psd_sqrt's test."""
         check_covariance_blocks(self.m1, self.m2)
-        w = np.linalg.eigvalsh(self.full())
-        if w[0] < -CONJ_TOL * max(1.0, float(abs(w[-1]))):
-            raise NotPSDError("augmented covariance is not positive semidefinite")
+        _psd_eigenvalues(np.linalg.eigvalsh(self.full()) / 2)
         return self
 
 
@@ -270,8 +268,8 @@ def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
 
     Raises NotPSDError when the smallest is below -PSD_TOL * max(1, largest
     |w|), and flushes to zero every eigenvalue at or below ``FLUSH`` times
-    max(largest, 0). The unscented filter applies them to the union of its
-    joint's block eigenvalues, which is the joint's own spectrum.
+    max(largest, 0). The unscented filter applies them to the union of its joint's block
+    eigenvalues (the joint's spectrum), and :meth:`AugmentedMatrix.check_covariance` to a covariance's.
     """
     bound = PSD_TOL * np.abs(w).max(axis=-1, initial=1.0)
     low = w.min(axis=-1)

@@ -47,6 +47,7 @@ class ScalarModelParams:
     complementary variance of the initial state. ConsistencyError, naming
     the field, rejects a NaN or infinite coefficient (or sequence entry)
     or variance, and a coefficient entry whose squared magnitude overflows.
+    NotPSDError rejects a negative noise variance and what :meth:`init_eigenvalues` rejects.
     """
 
     a: complex | Sequence[complex] = 1.0
@@ -67,8 +68,7 @@ class ScalarModelParams:
                     raise ConsistencyError(f"{name} has an entry whose squared magnitude overflows a double")
         if self.drive_var < 0 or self.meas_var < 0:
             raise NotPSDError("noise variances must be nonnegative")
-        if abs(self.init_cvar) > self.init_var * (1 + 1e-12):
-            raise NotPSDError("initial complementary variance exceeds the Hermitian variance")
+        self.init_eigenvalues()
 
     def coeff_at(self, t: int) -> tuple[complex, complex, complex]:
         """The coefficients (a, b, c) at step ``t``; a sequence coefficient needs 1 <= t <= its length."""
@@ -82,12 +82,14 @@ class ScalarModelParams:
         return pick(self.a), pick(self.b), pick(self.c)
 
     def init_eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues (descending) of the initial augmented covariance [[p, pt], [pt*, p]]."""
+        """Eigenvalues (descending) of the initial augmented covariance [[p, pt], [pt*, p]].
+
+        The one PSD test of the initial state: NotPSDError when |pt| > p (1 + 1e-12), so for any p < 0.
+        """
         p = float(self.init_var)
         mag = abs(complex(self.init_cvar))
-        slack = 1e-12 * max(1.0, p)
-        if p < -slack or mag > p + slack:
-            raise NotPSDError(f"scalar augmented matrix with p={p}, |pt|={mag} is not PSD")
+        if mag > p * (1 + 1e-12):
+            raise NotPSDError(f"initial augmented covariance with p={p}, |pt|={mag} is not PSD")
         return p + mag, max(p - mag, 0.0)
 
 
@@ -95,11 +97,14 @@ def variance_step(lam, t: int, params: ScalarModelParams):
     """One predict-plus-update cycle applied to an error-variance eigenvalue.
 
     Increasing and concave in ``lam``; saturates at meas_var / |c|^2.
-    Accepts scalar or array ``lam``.
+    Accepts scalar or array ``lam``. An overflowing product raises ConsistencyError naming step ``t``.
     """
     a, b, c = params.coeff_at(t)
-    predicted = abs(a) ** 2 * np.asarray(lam, dtype=float) + abs(b) ** 2 * params.drive_var
-    den = abs(c) ** 2 * predicted + params.meas_var
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = abs(a) ** 2 * np.asarray(lam, dtype=float) + abs(b) ** 2 * params.drive_var
+        den = abs(c) ** 2 * predicted + params.meas_var
+    if not (np.isfinite(predicted).all() and np.isfinite(den).all()):
+        raise ConsistencyError(f"the variance recursion is not finite at step {t}")
     safe = np.where(den > 0, den, 1.0)
     # den == 0 only when both the measurement gain and noise vanish; the
     # measurement then carries no information and the predicted variance stands.
@@ -146,12 +151,6 @@ def min_mmse_ratio(params: ScalarModelParams, t: int) -> float:
     return min_wl_mmse(params, t) / denom
 
 
-# A 2x2 [[a, b], [c, d]] as the real parts (ar, ai, br, bi, cr, ci, dr, di):
-# products of _DET_LEFT and _DET_RIGHT rows, with _DET_SIGN turning each
-# difference into a sum, pair up into Re(ad), Im(ad), Re(bc), Im(bc).
-_DET_LEFT = np.array([0, 1, 0, 1, 2, 3, 2, 3])
-_DET_RIGHT = np.array([6, 7, 7, 6, 4, 5, 5, 4])
-_DET_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
 # Entries in the order of the adjugate [[d, -b], [-c, a]], before the signs.
 _ADJ = np.array([3, 1, 2, 0])
 # Entries below this magnitude cannot overflow when squared.
@@ -175,11 +174,10 @@ def _determinants(m: np.ndarray, scale: np.ndarray):
     """
     limit = np.square(np.maximum(scale, 1e-300))
     limit *= 1e-14
-    parts = m.view(float).T
-    products = parts[_DET_LEFT] * parts[_DET_RIGHT] * _DET_SIGN
-    sums = products[0::2] + products[1::2]
+    ar, ai, br, bi, cr, ci, dr, di = m.view(float).T
     det = np.empty((len(m), 1), dtype=complex)
-    np.subtract(sums[:2], sums[2:], out=det.view(float).T)
+    det.real[:, 0] = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det.imag[:, 0] = (ar * di + ai * dr) - (br * ci + bi * cr)
     return det, np.abs(det[:, 0]) <= limit
 
 
@@ -217,7 +215,8 @@ def _inv2(m: np.ndarray) -> np.ndarray:
         det[singular | unusable] = 1.0
         inverse = adjugate / det
         if np.count_nonzero(singular):
-            inverse[singular] = np.linalg.pinv(m[singular].reshape(-1, 2, 2)).reshape(-1, 4)
+            with np.errstate(over="ignore", invalid="ignore"):
+                inverse[singular] = np.linalg.pinv(m[singular].reshape(-1, 2, 2)).reshape(-1, 4)
         inverse[unusable] = np.nan
     else:
         inverse = adjugate / det

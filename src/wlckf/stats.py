@@ -72,7 +72,7 @@ def validate(stats: SecondOrderStats) -> SecondOrderStats:
 
     Raises ConsistencyError for a non-Hermitian Hermitian covariance or a
     non-symmetric complementary covariance, NotPSDError when the assembled
-    augmented covariance is indefinite (see ``AugmentedMatrix.check_covariance``).
+    augmented covariance fails sampling's PSD test (see ``AugmentedMatrix.check_covariance``).
     """
     stats.augmented_cov().check_covariance()
     return stats
@@ -86,7 +86,8 @@ def composite_factor(stats: SecondOrderStats) -> tuple[np.ndarray, np.ndarray]:
     NaN or infinite entry in the mean or a covariance raises ConsistencyError.
     Sampling and the complex sigma points both take this route. After the
     block checks, the one eigendecomposition in :func:`psd_sqrt` is both the
-    factor and the PSD check, which is stricter than :func:`validate`'s.
+    factor and the PSD check, :func:`validate`'s; only its symmetry check on the composite, at
+    ``PSD_TOL``, is stricter than :func:`validate`'s block checks at ``CONJ_TOL``.
 
     Batched statistics give stacks of means and factors, one ``eigh`` call
     for the stack, and each member's bits; an error names the first

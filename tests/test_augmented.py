@@ -354,3 +354,16 @@ def test_batched_conversions_check_each_member_on_its_own_scale():
     # A residue of 1e-6 passes against the big member's scale, not against the small one's.
     with pytest.raises(ConsistencyError):
         full_to_real_matrix(np.stack([big, small + 1e-6j * np.eye(2)]), "covariance")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_transform(0), DimensionError),
+    (lambda: AugmentedVector(np.zeros((2, 2))), DimensionError),
+    (lambda: AugmentedMatrix(np.zeros((2, 2)), np.zeros((2, 3))), DimensionError),
+    (lambda: real_matrix_to_augmented(np.eye(2), "state"), ValueError),
+    (lambda: psd_sqrt(np.zeros((2, 3))), DimensionError),
+], ids=["transform-size", "vector-ndim", "matrix-blocks", "lift-mode", "psd-sqrt-square"])
+def test_named_input_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -217,6 +217,8 @@ def test_mismatched_experiment_exits_two(tmp_path):
         ("mse-sweep", [], {"rho_w": [10**400]}),
         ("phase-demod", [], {"horizon": 10**400}),
         ("theta-bound", [], {"t_max": 10**400}),
+        ("equivalence", [], [1, 2]),
+        ("theta-bound", [], {"format": "xml"}),
     ],
     ids=[
         "runs", "horizon", "rho",
@@ -232,6 +234,7 @@ def test_mismatched_experiment_exits_two(tmp_path):
         "out-number", "out-empty",
         "r-snr-huge-int", "mse-sweep-tol-huge-int", "equivalence-max-dev-huge-int",
         "mse-sweep-panel-huge-int", "mse-sweep-rho-w-huge-int", "horizon-huge-int", "theta-bound-t-max-huge-int",
+        "config-not-an-object", "config-format-xml",
     ],
 )
 def test_phase_demod_bad_config_exits_two_before_writing(tmp_path, capsys, command, flags, config):

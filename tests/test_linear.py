@@ -1016,3 +1016,35 @@ def test_the_batch_generators_leave_the_floating_point_settings_alone():
             assert np.geterr() == settings
             with pytest.raises(RuntimeWarning):
                 np.float64(1e308) * 10
+
+
+def _eye_blocks(rows, cols):
+    return AugmentedMatrix(np.eye(rows, cols), np.zeros((rows, cols)))
+
+
+# Block shapes of a model with two states, one driving noise and one measurement.
+_SHAPES = {"A": (2, 2), "B": (2, 1), "C": (1, 2), "Q": (1, 1), "R": (1, 1), "Pi0": (2, 2)}
+
+
+def _model_with(**shapes):
+    return WidelyLinearModel(**{name: _eye_blocks(*shapes.get(name, shape)) for name, shape in _SHAPES.items()})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _model_with(A=(2, 3)), DimensionError),
+    (lambda: _model_with(B=(3, 1)), DimensionError),
+    (lambda: _model_with(C=(1, 3)), DimensionError),
+    (lambda: _model_with(Q=(2, 2)), DimensionError),
+    (lambda: _model_with(R=(2, 2)), DimensionError),
+    (lambda: _model_with(Pi0=(3, 3)), DimensionError),
+    (lambda: wlckf_run(_model_with(), np.zeros((1, 1)), FilterState(AugmentedVector(np.zeros(3)), _eye_blocks(3, 3))),
+     DimensionError),
+    (lambda: real_kf_run(np.eye(2), np.eye(2), np.eye(2, 3), np.eye(2), np.eye(2), np.eye(2), np.zeros((1, 2))),
+     DimensionError),
+], ids=["A-square", "B-rows", "C-columns", "Q-noise-gain", "R-measurement", "Pi0-state", "run-init-state",
+        "real-kf-dimensions"])
+def test_named_input_errors(call, error):
+    _model_with()  # the shapes of _SHAPES make a model; each case breaks one
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

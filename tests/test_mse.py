@@ -289,6 +289,27 @@ def test_init_eigenvalues_reject_indefinite():
         params.init_eigenvalues()
 
 
+def test_initial_state_has_one_psd_test():
+    # A negative Hermitian variance is not PSD whatever the complementary
+    # one. Before one test, the constructor blamed the complementary
+    # variance, and init_eigenvalues took -1e-300 as an eigenvalue.
+    with pytest.raises(NotPSDError, match="p=-1.0, "):
+        ScalarModelParams(init_var=-1.0)
+    params = ScalarModelParams()
+    params.init_var = -1e-300
+    with pytest.raises(NotPSDError):
+        params.init_eigenvalues()
+    # |pt| may exceed p by a relative 1e-12, and the constructor and
+    # init_eigenvalues draw that line at the same place.
+    assert ScalarModelParams(init_var=2.0, init_cvar=2.0 * (1 + 5e-13)).init_eigenvalues()[1] == 0.0
+    with pytest.raises(NotPSDError):
+        ScalarModelParams(init_var=2.0, init_cvar=2.0 * (1 + 2e-12))
+    params = ScalarModelParams(init_var=2.0)
+    params.init_cvar = 2.0 * (1 + 2e-12)
+    with pytest.raises(NotPSDError):
+        params.init_eigenvalues()
+
+
 @given(st.floats(0.01, 10), st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)
 def test_init_eigenvalues_match_generic_solver(p, pt):
@@ -648,6 +669,30 @@ def test_scalar_params_reject_a_coefficient_whose_squared_magnitude_overflows(fi
         ScalarModelParams(**{field: 1e154})
 
 
+# |c|^2 = 1.69e308 and its product with a predicted variance of 2
+# overflows; so does |a|^2 times an initial variance of 2.
+_C_OVERFLOW = ScalarModelParams(c=1.3e154)
+_A_OVERFLOW = ScalarModelParams(a=1.3e154, init_var=2.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: variance_after(1.0, 0, UNIT), DimensionError, "t must be >= 1"),
+    (lambda: sl_mmse(_C_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+    (lambda: wl_mmse(_C_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+    (lambda: min_mmse_ratio(_C_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+    (lambda: sl_mmse(_A_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+    (lambda: wl_mmse(_A_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+    (lambda: min_mmse_ratio(_A_OVERFLOW, 2), ConsistencyError, "not finite at step 1"),
+], ids=["variance_after-t0", "sl_mmse-c", "wl_mmse-c", "min_mmse_ratio-c", "sl_mmse-a", "wl_mmse-a",
+        "min_mmse_ratio-a"])
+def test_named_input_errors(call, error, match):
+    # Before the overflow check, the c and a cases warned and returned
+    # 5.9e-309, 5.9e-309 and 1.0 or NaN.
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error
+
+
 def test_gain_at_powers_whose_linear_value_overflows_is_the_closed_form():
     # 10^400 overflows a double: the recursion cannot use the powers, and the
     # member takes the closed form of their gap, which stays in range.
@@ -697,6 +742,8 @@ def test_inv2_acts_per_matrix_of_a_stack():
     for entry in (1e200, np.inf, np.nan):
         stack[2, 1, 0, 0] = entry
         _assert_nan_at(_inv2(stack), stack, (2, 1))
+    # A subnormal diagonal is singular, and its pseudo-inverse overflows to NaN without a warning.
+    assert np.isnan(_inv2(np.array([[5e-324, 0], [0, 5e-324]], complex))).all()
 
 
 def _assert_nan_at(inverse, stack, index):

@@ -483,3 +483,15 @@ def test_step_matches_nine_point_reference_bit_for_bit(rows, model):
             got, want = getattr(engines[0], name), getattr(engines[1], name)
             assert np.array_equal(got, want, equal_nan=True), (name, t)
     assert np.isfinite(engines[0].est[: rows - (rows >= 3)]).all()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: PhaseModel(init_var=-1.0), DimensionError),
+    (lambda: simulate_phase(PhaseModel(), 0, np.random.default_rng(0)), DimensionError),
+    (lambda: improvement_ratios([(20.0, 0.7, 0)], 0, 10), DimensionError),
+    (lambda: improvement_ratios([(20.0, 0.7, 0)], 1, 0), DimensionError),
+], ids=["init-var", "simulate-horizon", "ratios-mc-runs", "ratios-horizon"])
+def test_named_input_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -200,3 +200,14 @@ def test_sample_is_a_batch_of_one_and_refuses_batched_statistics():
         sample(stacked_stats([stats, random_valid_stats(54)]), 3, substream(0, 0))
     with pytest.raises(DimensionError):
         sample(stats, 0, substream(0, 0))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SecondOrderStats(np.zeros(2), np.eye(3)), DimensionError),
+    (lambda: empirical_stats(np.zeros((0, 2))), DimensionError),
+    (lambda: empirical_stats(np.zeros((2, 2, 2))), DimensionError),
+], ids=["covariance-shape", "no-samples", "samples-ndim"])
+def test_named_input_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

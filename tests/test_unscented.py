@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlckf import phase, unscented
-from wlckf.augmented import AugmentedMatrix, AugmentedVector, real_matrix_to_augmented
+from wlckf.augmented import PSD_TOL, AugmentedMatrix, AugmentedVector, real_matrix_to_augmented
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
-from wlckf.linear import FilterState, default_init, model_from_real, simulate_linear, wlckf_run
-from wlckf.stats import SecondOrderStats, composite_factor, sample, substream
+from wlckf.linear import FilterState, WidelyLinearModel, default_init, model_from_real, simulate_linear, wlckf_run
+from wlckf.stats import SecondOrderStats, composite_factor, sample, substream, validate
 from wlckf.unscented import (
     NonlinearModel,
     SPREAD,
@@ -545,3 +547,93 @@ def test_run_rejects_the_state_a_nan_measurement_leaves():
     y[1] = np.nan
     with pytest.raises(ConsistencyError, match="non-finite"):
         uwlckf_run(_phase_model(), y)
+
+
+# --- one PSD rule ---------------------------------------------------------------
+
+# The smallest composite eigenvalue of a covariance, in units of the PSD
+# test's bound PSD_TOL * max(1, largest |eigenvalue|).
+PSD_MARGINS = (-20.0, -2.0, -0.5, 0.5, 2.0, 20.0)
+
+
+@st.composite
+def psd_edge_stats(draw):
+    """Exactly Hermitian and symmetric statistics whose smallest composite eigenvalue sits at a PSD margin.
+
+    Returns the statistics and whether the PSD test must reject them.
+    """
+    n = draw(st.integers(1, 3))
+    margin = draw(st.sampled_from(PSD_MARGINS))
+    scale = draw(st.sampled_from((0.3, 1.0, 40.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = scale * rng.uniform(0.2, 1.0, 2 * n)
+    w[0] = margin * PSD_TOL * max(1.0, w[1:].max())
+    v = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
+    cov = real_matrix_to_augmented((v * w) @ v.T, "covariance")
+    m1 = (cov.m1 + cov.m1.conj().T) / 2
+    m2 = (cov.m2 + cov.m2.T) / 2
+    return SecondOrderStats(np.zeros(n), m1, m2), margin < -1
+
+
+def _identity_blocks(n):
+    return AugmentedMatrix(np.eye(n), np.zeros((n, n)))
+
+
+PSD_ROUTES = {
+    "validate": validate,
+    "model": lambda stats: WidelyLinearModel(
+        A=_identity_blocks(stats.n), B=_identity_blocks(stats.n), C=_identity_blocks(stats.n),
+        Q=stats.augmented_cov(), R=_identity_blocks(stats.n), Pi0=_identity_blocks(stats.n),
+    ),
+    "sample": lambda stats: sample(stats, 3, np.random.default_rng(0)),
+    "sigma_points": complex_sigma_points,
+    # The measurement noise's composite eigenvalues (0.25) stay below 1, so
+    # the noise block's PSD bound is the drive noise's own.
+    "uwlckf_run": lambda stats: uwlckf_run(
+        NonlinearModel(f=lambda x, w: x + w, h=lambda x, v: x + v, drive_noise=stats,
+                       meas_noise=SecondOrderStats(np.zeros(stats.n), 0.5 * np.eye(stats.n)),
+                       init=SecondOrderStats(np.zeros(stats.n), np.eye(stats.n))),
+        np.zeros((2, stats.n)),
+    ),
+}
+
+
+# A model's Q whose composite eigenvalues are 1 and -4 times the bound.
+_Q_BELOW = real_matrix_to_augmented(np.diag([1.0, -4e-10]), "covariance")
+
+
+@given(psd_edge_stats())
+@example((SecondOrderStats(np.zeros(1), _Q_BELOW.m1, _Q_BELOW.m2), True))
+@example((SecondOrderStats(np.zeros(1), [[0.5 - 2e-10]], [[0.5 + 2e-10]]), True))
+@settings(max_examples=60, deadline=None)
+def test_every_route_decides_psd_as_the_factor_does(case):
+    # Before one rule, validate and the model allowed composite eigenvalues
+    # down to -CONJ_TOL relative, ten times what sampling allows.
+    stats, rejected = case
+    for route in PSD_ROUTES.values():
+        if rejected:
+            with pytest.raises(NotPSDError):
+                route(stats)
+        else:
+            route(stats)
+
+
+def _run_past_an_overflowing_state():
+    # 1e200 x squares to inf in the state's moments. numpy's own overflow and
+    # invalid flags along the way are not the library's errors, so they are
+    # ignored here; the state they leave is what the next step rejects.
+    one = SecondOrderStats(np.zeros(1), [[1.0]])
+    model = NonlinearModel(f=lambda x, w: 1e200 * x + w, h=lambda x, v: v, drive_noise=one, meas_noise=one, init=one)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uwlckf_run(model, np.zeros(3))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SigmaPointSet(np.zeros((3, 1)), np.ones(2), np.ones(3)), DimensionError),
+    (lambda: reconstruct_stats(SigmaPointSet(np.zeros((0, 1)), [], [])), DimensionError),
+    (_run_past_an_overflowing_state, ConsistencyError),
+], ids=["weights-count", "empty-set", "overflowing-state"])
+def test_named_input_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

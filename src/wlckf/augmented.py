@@ -23,10 +23,16 @@ from .errors import ConsistencyError, DimensionError, NotPSDError
 
 # Relative tolerance of the checks that a matrix is Hermitian, symmetric or real.
 CONJ_TOL = 1e-9
-# Relative tolerance of the one PSD test (:func:`_psd_eigenvalues`) and of psd_sqrt's symmetry check.
+# Relative tolerance of the one PSD test (:func:`_require_psd`) and of psd_sqrt's symmetry check.
 PSD_TOL = 1e-10
 # Smallest-to-largest singular value ratio at or below which a matrix is singular.
 RCOND = 1e-12
+# solve_right's certificate: the shift, in units of the trace, that a member must
+# stay positive definite under; the largest size its proof covers; and the range
+# of traces inside which the proof's rounding terms hold.
+_SHIFT = 2 * RCOND
+_CERTIFIED_SIZE = 29
+_TRACE_RANGE = (2.0**-480, 2.0**480)
 # Eigenvalues at or below this fraction of a PSD matrix's largest are flushed to zero.
 FLUSH = 1e-13
 
@@ -130,7 +136,7 @@ class AugmentedMatrix:
     def check_covariance(self) -> "AugmentedMatrix":
         """Require finite blocks, Hermitian M1 and symmetric M2 within ``CONJ_TOL``, and PSD by psd_sqrt's test."""
         check_covariance_blocks(self.m1, self.m2)
-        _psd_eigenvalues(np.linalg.eigvalsh(self.full()) / 2)
+        _require_psd(np.linalg.eigvalsh(self.full()) / 2)
         return self
 
 
@@ -260,24 +266,33 @@ def psd_sqrt(m) -> np.ndarray:
     _require(np.abs(m - m_t).max(axis=(-2, -1), initial=0.0) > PSD_TOL * scale, ConsistencyError,
              "psd_sqrt needs a symmetric matrix")
     w, v = np.linalg.eigh((m + m_t) / 2)
-    return v * np.sqrt(_psd_eigenvalues(w))[..., None, :]
+    _require_psd(w)
+    floor = FLUSH * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+    return v * np.sqrt(np.where(w > floor, w, 0.0))[..., None, :]
 
 
-def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """:func:`psd_sqrt`'s rules on each matrix's eigenvalues, along the last axis in any order.
+def _require_psd(w: np.ndarray) -> None:
+    """The one PSD test, on each matrix's eigenvalues along the last axis, in any order.
 
-    Raises NotPSDError when the smallest is below -PSD_TOL * max(1, largest
-    |w|), and flushes to zero every eigenvalue at or below ``FLUSH`` times
-    max(largest, 0). The unscented filter applies them to the union of its joint's block
-    eigenvalues (the joint's spectrum), and :meth:`AugmentedMatrix.check_covariance` to a covariance's.
+    Raises NotPSDError, naming the first failing member in its ``index``,
+    when the smallest is below -PSD_TOL * max(1, largest |w|).
+    :func:`psd_sqrt` applies it before its flush, the unscented filter to
+    the union of its joint's block eigenvalues (the joint's spectrum), and
+    :meth:`AugmentedMatrix.check_covariance` to a covariance's.
     """
     bound = PSD_TOL * np.abs(w).max(axis=-1, initial=1.0)
     low = w.min(axis=-1)
     index = _first(low < -bound)
     if index is not None:
         raise NotPSDError(f"matrix has eigenvalue {low[index]:.3e} below -{bound[index]:.3e}", index=index)
-    floor = FLUSH * np.maximum(w.max(axis=-1, keepdims=True), 0.0)
-    return np.where(w > floor, w, 0.0)
+
+
+@cache
+def _identity(size: int) -> np.ndarray:
+    """The read-only identity of a size, built once."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
 
 
 def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,11 +312,64 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
     magnitudes, which ``eigvalsh`` gives. The others are solved in one LU
     call, and each singular member alone by least squares, so every member
     gets the bits it would get unbatched.
+
+    ``eigvalsh`` runs only where :func:`_certified_regular` cannot prove
+    that it would flag no member of the stack. Its failures, a NaN or
+    infinite entry, a trace outside ``_TRACE_RANGE`` and a size above
+    ``_CERTIFIED_SIZE`` all leave the whole stack to ``eigvalsh``. The
+    proof, for a member A of size k with trace t (t^ as computed), where
+    eps = 2^-53, g_j = j eps / (1 - j eps) and kappa = ``_SHIFT`` =
+    2 RCOND:
+
+    1. A single 2 x 2 [[p, z*], [z, q]], read from the lower triangle as
+       ``eigvalsh`` reads it, passes when p > 0, q > 0 and
+       pq - |z|^2 > kappa t^^2 in floats. Rounding moves pq - |z|^2 by at
+       most 3.01 eps pq <= eps t^2, and underflow by less than eps t^2 for
+       t^ in range, so det A > (kappa (1 - 5 eps) - 2 eps) t^2. Both
+       eigenvalues are then positive, lambda_max <= t, and
+       lambda_min = det A / lambda_max >= det A / t.
+    2. Any other stack with k <= ``_CERTIFIED_SIZE`` passes when every t^
+       is in range and ``np.linalg.cholesky(A - kappa t^ I)`` succeeds with
+       a finite diagonal. A NaN or infinite entry of A stops the
+       factorization or leaves a pivot non-finite, since every entry of a
+       row enters its pivot. Every pivot was positive, so every a_ii
+       exceeds the shift s, t^ >= t (1 - g_(k-1)) and s >= kappa t
+       (1 - g_k). The computed factor R satisfies R^H R = B + dB, where B
+       is the computed A - s I and |dB| <= g |R^H| |R| with
+       g = g_(3(k+1)): Higham, *Accuracy and Stability of Numerical
+       Algorithms*, 2nd ed., Theorem 10.3, whose proof needs only that
+       the factorization completes and whose g_(k+1) holds for any order
+       of the inner products (Lemma 8.4), hence for LAPACK's recursive
+       and blocked forms; each complex product adds at most
+       sqrt(2) g_2 < g_3 (section 3.6). No value of a factorization that
+       completes exceeds a few t, so none overflows. By Cauchy-Schwarz,
+       ||dB||_2 <= g tr(R^H R) <= g tr(B) / (1 - g) <= g t / (1 - g). B
+       differs from A - s I by at most eps t on the diagonal, and the at
+       most k^3 underflows, each below 2^-1022, sum to less than eps t.
+       As R^H R is positive semidefinite, Weyl's inequality gives
+       lambda_min(A) >= theta t, theta = kappa (1 - g_k) - g / (1 - g) -
+       2 eps. Route 1's margin, kappa (1 - 5 eps) - 2 eps, exceeds theta
+       at k = 2, so route 1 gives lambda_min(A) >= theta t too.
+    3. Either way A is positive definite, so ||A||_2 = lambda_max <= t.
+       LAPACK's Hermitian eigensolver returns the exact eigenvalues of
+       A + E with ||E||_2 <= p(k) eps ||A||_2, for a modestly growing p
+       that LAPACK leaves unstated (LAPACK Users' Guide, 3rd ed., section
+       4.7.1). The proof takes p(k) = eta / eps = 10 k^2: the k^2 growth
+       of the worst-case bound for Householder tridiagonalization, with a
+       factor of 10 for the tridiagonal solver and the constants. By Weyl
+       the computed eigenvalues lie in [(theta - eta) t, (1 + eta) t], all
+       positive, so ``eigvalsh``'s rule flags A only if theta - eta <=
+       RCOND (1 + eps) (1 + eta), once ``RCOND * largest`` is rounded.
+       In exact rationals that fails for every k up to 29 and holds from
+       k = 30 on, hence ``_CERTIFIED_SIZE``.
     """
-    sv = np.abs(np.linalg.eigvalsh(a))
-    largest = sv.max(axis=-1)
-    singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
     a_t, b_t = a.swapaxes(-1, -2), b_top.swapaxes(-1, -2)
+    if _certified_regular(a):
+        singular = np.zeros(a.shape[:-2], dtype=bool)[()]
+    else:
+        sv = np.abs(np.linalg.eigvalsh(a))
+        largest = sv.max(axis=-1)
+        singular = (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
     if not singular.any():
         return np.linalg.solve(a_t, b_t).swapaxes(-1, -2), singular
     a_t = a_t.reshape(-1, *a_t.shape[-2:])
@@ -313,3 +381,29 @@ def solve_right(b_top: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for i in np.flatnonzero(flags):
         xt[i] = np.linalg.lstsq(a_t[i], b_t[i], rcond=None)[0]
     return xt.swapaxes(-1, -2).reshape(b_top.shape), singular
+
+
+def _certified_regular(a: np.ndarray) -> bool:
+    """Whether :func:`solve_right`'s certificate proves that ``eigvalsh`` would flag no member of ``a``.
+
+    Routes 1 and 2 of the proof in :func:`solve_right`; False where the
+    certificate fails or does not apply, never where ``eigvalsh`` would
+    flag a member.
+    """
+    low, high = _TRACE_RANGE
+    if a.shape == (2, 2):
+        (p, _), (z, q) = a.tolist()
+        p, q = p.real, q.real
+        t = p + q
+        return p > 0 and q > 0 and low <= t <= high and p * q - (z.real * z.real + z.imag * z.imag) > _SHIFT * t * t
+    k = a.shape[-1]
+    if k > _CERTIFIED_SIZE:
+        return False
+    t = a.diagonal(0, -2, -1).real.sum(axis=-1)
+    if not ((t >= low) & (t <= high)).all():
+        return False
+    try:
+        factor = np.linalg.cholesky(a - (_SHIFT * t)[..., None, None] * _identity(k))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor.diagonal(0, -2, -1)).all())

@@ -64,6 +64,7 @@ from .augmented import (
     AugmentedMatrix,
     AugmentedVector,
     _expand,
+    _identity,
     _nonfinite,
     _require,
     block_conjugate,
@@ -315,14 +316,6 @@ def _covariance(top: np.ndarray) -> np.ndarray:
     full += _h(full)
     full /= 2
     return full
-
-
-@cache
-def _identity(size: int) -> np.ndarray:
-    """The read-only identity of a size, built once."""
-    eye = np.eye(size)
-    eye.flags.writeable = False
-    return eye
 
 
 def _covariance_step(p: np.ndarray, maps: _Maps, t: int) -> tuple[np.ndarray, ...]:
@@ -615,6 +608,16 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
     alone; the others share one LU solve. The covariance is symmetrized
     before the test, so it is exactly symmetric and its singular values
     are its eigenvalue magnitudes, which ``eigvalsh`` gives.
+
+    The covariance half of a step (predicted and innovation covariance,
+    gain, posterior covariance) reads no measurement. Once a step's
+    posterior covariance equals, bit for bit, the one it started from,
+    every later covariance half would repeat it, so the loop stops running
+    it and yields that step's innovation covariance, gain and covariance
+    again, made read-only; the estimate half runs at every step. A batch
+    stops only when its whole stack repeats, so each member keeps the bits
+    of its single run. The bits are compared as integers, since
+    -0.0 == 0.0.
     """
 
     def tr(a):
@@ -633,32 +636,39 @@ def _real_kf(e, f, g, q_real, r_real, x, p, measurements_real) -> Iterator[RealK
         raise DimensionError("inconsistent composite model dimensions")
     fqf = f @ q @ tr(f)
     eye = np.eye(dim)
+    fixed = False
     for t, psi in enumerate(measurements_real, start=1):
         psi = np.asarray(psi, float)
+        if not fixed:
+            p_pred = e @ p @ tr(e) + fqf
+            p_pred = (p_pred + tr(p_pred)) / 2
+            s = g @ p_pred @ tr(g) + r
+            s = (s + tr(s)) / 2
+            sv = np.abs(np.linalg.eigvalsh(s))
+            largest = sv.max(axis=-1)
+            singular = (largest == 0) | (sv.min(axis=-1) <= 1e-12 * largest)
+            s_t, pg_t = tr(s), tr(p_pred @ tr(g))
+            if singular.any():
+                kt = np.empty(pg_t.shape)
+                if not singular.all():
+                    kt[~singular] = np.linalg.solve(s_t[~singular], pg_t[~singular])
+                for i in np.ndindex(singular.shape):
+                    if singular[i]:
+                        kt[i] = np.linalg.lstsq(s_t[i], pg_t[i], rcond=None)[0]
+            else:
+                kt = np.linalg.solve(s_t, pg_t)
+            gain = tr(kt)
+            i_kg = eye - gain @ g
+            p_post = i_kg @ p_pred @ tr(i_kg) + gain @ r @ tr(gain)
+            p_post = (p_post + tr(p_post)) / 2
+            fixed = np.array_equal(p_post.view(np.int64), p.view(np.int64))
+            if fixed:
+                for reused in (s, gain, p_post):
+                    reused.flags.writeable = False
+            p = p_post
         x = mv(e, x)
-        p = e @ p @ tr(e) + fqf
-        p = (p + tr(p)) / 2
-        s = g @ p @ tr(g) + r
-        s = (s + tr(s)) / 2
-        sv = np.abs(np.linalg.eigvalsh(s))
-        largest = sv.max(axis=-1)
-        singular = (largest == 0) | (sv.min(axis=-1) <= 1e-12 * largest)
-        s_t, pg_t = tr(s), tr(p @ tr(g))
-        if singular.any():
-            kt = np.empty(pg_t.shape)
-            if not singular.all():
-                kt[~singular] = np.linalg.solve(s_t[~singular], pg_t[~singular])
-            for i in np.ndindex(singular.shape):
-                if singular[i]:
-                    kt[i] = np.linalg.lstsq(s_t[i], pg_t[i], rcond=None)[0]
-        else:
-            kt = np.linalg.solve(s_t, pg_t)
-        gain = tr(kt)
         nu = psi - mv(g, x)
         x = x + mv(gain, nu)
-        i_kg = eye - gain @ g
-        p = i_kg @ p @ tr(i_kg) + gain @ r @ tr(gain)
-        p = (p + tr(p)) / 2
         yield RealKFStep(nu, s, gain, x, p, t)
 
 
@@ -680,7 +690,10 @@ def real_kf_run(
     carried through, not rejected. The posterior covariance is in Joseph
     form, (I - K G) P (I - K G)^T + K R K^T. A singular innovation
     covariance gets its gain by least squares. The loop is the one
-    :func:`real_kf_batch` runs on a stack of models.
+    :func:`real_kf_batch` runs on a stack of models. Once the covariance
+    recursion repeats bit for bit, later steps share that step's
+    ``innovation_cov``, ``gain`` and ``cov`` arrays, which are read-only,
+    and compute only the estimate; the steps are the same bits either way.
     """
     dim = np.shape(e)[0]
     x = np.zeros(dim) if init_mean is None else np.asarray(init_mean, float).copy()
@@ -694,7 +707,9 @@ def real_kf_batch(e, f, g, q_real, r_real, pi_real, measurements_real) -> Iterat
     ``measurements_real`` has shape (batch, steps, 2m). Yields, at each
     step, the posterior means (batch, 2n) and covariances (batch, 2n, 2n).
     It runs ``real_kf_run``'s loop, and member i equals ``real_kf_run`` on
-    the i-th slices bit for bit.
+    the i-th slices bit for bit. Once the whole stack's covariance
+    recursion repeats bit for bit, each later step yields the same
+    read-only covariance array again.
     """
     p = np.asarray(pi_real, float).copy()
     x = np.zeros(p.shape[:-1])

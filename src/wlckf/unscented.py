@@ -50,8 +50,8 @@ from .augmented import (
     PSD_TOL,
     AugmentedVector,
     _nonfinite,
-    _psd_eigenvalues,
     _require,
+    _require_psd,
     block_conjugate,
     check_covariance_blocks,
 )
@@ -262,7 +262,7 @@ class _JointPoints:
         noise = _full_covariance(_block_diag(drive.hermitian_cov, meas.hermitian_cov),
                                  _block_diag(drive.complementary_cov, meas.complementary_cov))
         w, v = np.linalg.eigh(_composite(noise[:k]))
-        _psd_eigenvalues(w)
+        _require_psd(w)
         self.model = model
         self.n = n = model.n
         # Eigenvalues of the noise composite, ascending, and its axes as complex directions over the noise entries, one a row.
@@ -284,15 +284,13 @@ class _JointPoints:
     def fill(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The joint points at estimate top half ``x`` and full covariance ``p``, under :func:`psd_sqrt`'s rules on the joint.
 
-        Reads the top block row ``p[:n]`` alone. The check for non-finite
-        entries, which an overflow leaves in the state, and the PSD test
-        stay on every call.
+        Reads the top block row ``p[:n]`` alone. The PSD test stays on every
+        call. ``x`` and ``p`` are finite: every state handed here is the
+        initial one, which ``__init__`` checked, or a posterior, which
+        :func:`_step` checked.
         """
         n, pts = self.n, self.points
-        c = _composite(p[:n])
-        if not (np.isfinite(x).all() and np.isfinite(c).all()):
-            raise ConsistencyError("filter state has non-finite entries")
-        w, v = np.linalg.eigh(c)
+        w, v = np.linalg.eigh(_composite(p[:n]))
         # The joint's spectrum is the union of the blocks', so the PSD bound and the flush floor are the joint's;
         # eigh returns the eigenvalues in ascending order, so those at or below the floor lead.
         values = w.tolist()
@@ -341,21 +339,29 @@ def uwlckf_step(state: FilterState, y, model: NonlinearModel) -> StepReport:
     squares when singular, flagged) and the posterior is P - K P_xy^H,
     symmetrized. The measurement is converted
     as the runs convert each of theirs, so a scalar is the measurement of
-    a model with m = 1.
+    a model with m = 1. A non-finite innovation covariance or posterior
+    raises ConsistencyError naming the step, ``state.t + 1``.
     """
     joint = _JointPoints(model, state)
     y = _measurement_rows([y])[0]
-    return _step(joint, state.estimate.top, _full_covariance(state.cov.m1, state.cov.m2), y).report(state.t + 1)
+    t = state.t + 1
+    return _step(joint, state.estimate.top, _full_covariance(state.cov.m1, state.cov.m2), y, t).report(t)
 
 
-def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y) -> WLUpdate:
-    """:func:`uwlckf_step`'s update from estimate top half ``x`` and full covariance ``p``, on ``joint``'s points.
+def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y, t: int) -> WLUpdate:
+    """:func:`uwlckf_step`'s update at time ``t`` from estimate top half ``x`` and full covariance ``p``, on ``joint``'s points.
 
     Every moment comes from one product: the weighted deviations d of
     [f-outputs, h-outputs] from their mean against [dx*, dx, dy*, dy].
     Its blocks are the top block rows of the predicted and the innovation
     covariance and of the cross covariance, which one gather completes and
     symmetrizes as :func:`wlckf.linear._covariance` does (:func:`_moment_terms`).
+
+    ``f`` and ``h`` run as the caller set numpy's floating-point warnings,
+    and the moments and the update with them off, as in the linear
+    filter's loop; instead a non-finite innovation covariance (before the
+    gain solve) or a non-finite posterior raises ConsistencyError naming
+    ``t``, so every state that :meth:`_JointPoints.fill` reads is finite.
     """
     n = joint.n
     model = joint.model
@@ -363,18 +369,23 @@ def _step(joint: _JointPoints, x: np.ndarray, p: np.ndarray, y) -> WLUpdate:
     xs_next = np.asarray(model.f(joint.state_points, joint.drive_points), dtype=complex)
     ys = np.asarray(model.h(xs_next, joint.meas_points), dtype=complex)
     m = ys.shape[1]
-    z = np.concatenate([xs_next, ys], axis=1)
-    mean = joint.w_mean @ z
-    d = z - mean
-    dx, dy = d[:, :n], d[:, n:]
-    g = (joint.w_cov_column * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
-    moments = _pair_means(g.view(float).ravel(), _moment_terms(n, m)).view(complex)
-    p_end, s_end = 4 * n * n, 4 * (n * n + m * m)
-    p = moments[:p_end].reshape(2 * n, 2 * n)
-    s = moments[p_end:s_end].reshape(2 * m, 2 * m)
-    cross = moments[s_end:].reshape(2 * n, 2 * m)
-    k_top, p_post, singular = wl_gain(p, cross, s)
-    innovation, x_post = wl_estimate(mean[:n], y, mean[n:], k_top)
+    with np.errstate(all="ignore"):
+        z = np.concatenate([xs_next, ys], axis=1)
+        mean = joint.w_mean @ z
+        d = z - mean
+        dx, dy = d[:, :n], d[:, n:]
+        g = (joint.w_cov_column * d).T @ np.concatenate([np.conj(dx), dx, np.conj(dy), dy], axis=1)
+        moments = _pair_means(g.view(float).ravel(), _moment_terms(n, m)).view(complex)
+        p_end, s_end = 4 * n * n, 4 * (n * n + m * m)
+        p = moments[:p_end].reshape(2 * n, 2 * n)
+        s = moments[p_end:s_end].reshape(2 * m, 2 * m)
+        cross = moments[s_end:].reshape(2 * n, 2 * m)
+        if not np.isfinite(s).all():
+            raise ConsistencyError(f"innovation covariance at t = {t} has non-finite entries")
+        k_top, p_post, singular = wl_gain(p, cross, s)
+        innovation, x_post = wl_estimate(mean[:n], y, mean[n:], k_top)
+    if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
+        raise ConsistencyError(f"posterior at t = {t} has non-finite entries")
     return WLUpdate(mean[:n], p, innovation, s, k_top, x_post, p_post, singular)
 
 
@@ -385,7 +396,10 @@ def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
     decomposed, once per run (:class:`_JointPoints`); each step then
     decomposes the 2n x 2n state composite alone. The measurements are
     converted once: a sequence of scalars is one measurement a step, and
-    a ragged sequence raises DimensionError.
+    a ragged sequence raises DimensionError. A non-finite innovation
+    covariance or posterior raises ConsistencyError naming the step, and
+    no numpy floating-point warning of the filter's own arithmetic
+    escapes (:func:`_step`).
     """
     init = model.init
     state = FilterState(AugmentedVector(init.mean), init.augmented_cov(), t=0)
@@ -394,7 +408,7 @@ def uwlckf_run(model: NonlinearModel, measurements) -> list[StepReport]:
     x, p = state.estimate.top, _full_covariance(state.cov.m1, state.cov.m2)
     reports: list[StepReport] = []
     for t, y in enumerate(ys, start=1):
-        update = _step(joint, x, p, y)
+        update = _step(joint, x, p, y, t)
         reports.append(update.report(t))
         x, p = update.x_post, update.p_post
     return reports

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wlckf import augmented
 from wlckf.augmented import (
     RCOND,
     AugmentedMatrix,
@@ -13,6 +16,7 @@ from wlckf.augmented import (
     build_transform,
     psd_sqrt,
     real_matrix_to_augmented,
+    solve_right,
 )
 from wlckf.errors import ConsistencyError, DimensionError, NotPSDError
 
@@ -327,6 +331,149 @@ def test_solve_right_batch_takes_lstsq_only_for_the_singular_member(monkeypatch)
             alone, flag = solve_right(b_top[i], a[i])
             assert flag == singular[i]
             assert np.array_equal(alone, x_top[i])
+
+
+# --- solve_right's certificate ----------------------------------------------------
+
+
+def _eigvalsh_flags(a):
+    """solve_right's rule as ``eigvalsh`` decides it, member by member."""
+    sv = np.abs(np.linalg.eigvalsh(a))
+    largest = sv.max(axis=-1)
+    return (largest == 0) | (sv.min(axis=-1) <= RCOND * largest)
+
+
+# Smallest over largest eigenvalue of a drawn member, in units of RCOND.
+CERTIFICATE_RATIOS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 1e3)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Exactly Hermitian stacks (or single matrices) of sizes 2 to 16 at eigenvalue ratios around RCOND.
+
+    The first member has its largest eigenvalue at a scale from 1e-300 to
+    1e300 and its smallest at a drawn multiple of RCOND times it, negated
+    for an indefinite member; the others of a stack share its scale at
+    ratio 1e3 RCOND. Returns the array and whether the first member is
+    well inside the certificate's reach (ratio 1e3 RCOND, positive,
+    moderate scale).
+    """
+    k = draw(st.sampled_from([2, 4, 6, 16]))
+    dtype = draw(st.sampled_from([float, complex]))
+    batch = draw(st.sampled_from([(), (3,)]))
+    ratio = draw(st.sampled_from(CERTIFICATE_RATIOS))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    exponent = draw(st.one_of(st.floats(-300, 300), st.floats(-30, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for i in range(int(np.prod(batch))):
+        low = sign * ratio * RCOND if i == 0 else 1e3 * RCOND
+        eigenvalues = np.concatenate([[low], rng.uniform(0.01, 1.0, k - 2), [1.0]])
+        z = rng.standard_normal((k, k)) + (1j * rng.standard_normal((k, k)) if dtype is complex else 0.0)
+        q = np.linalg.qr(z)[0]
+        member = (q * (10.0**exponent * eigenvalues)) @ q.conj().T
+        members.append((member + member.conj().T) / 2)
+    reachable = ratio == 1e3 and sign > 0 and abs(exponent) < 100
+    return np.stack(members).reshape(*batch, k, k), reachable
+
+
+@given(certificate_cases())
+@example((np.zeros((4, 4)), False))
+@example((np.zeros((3, 2, 2), complex), False))
+@example((np.array([[1.0, np.nan], [np.nan, 1.0]]), False))
+@example((np.stack([np.eye(4), np.full((4, 4), np.nan), np.eye(4)]).astype(complex), False))
+@example((np.array([[np.inf, 0.0], [0.0, 1.0]]), False))
+@example((np.stack([np.eye(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.inf])]), False))
+@settings(max_examples=300, deadline=None)
+def test_solve_right_flags_what_eigvalsh_flags(case):
+    a, reachable = case
+    b_top = np.ones((*a.shape[:-2], 1, a.shape[-1]), dtype=a.dtype)
+    try:
+        want = _eigvalsh_flags(a)
+    except np.linalg.LinAlgError:
+        # A NaN member can stop eigvalsh; solve_right falls back to it and stops the same way.
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_right(b_top, a)
+        assert not augmented._certified_regular(a)
+        return
+    _, singular = solve_right(b_top, a)
+    assert np.array_equal(singular, want) and np.shape(singular) == want.shape
+    # A passing certificate is never wrong, and it passes where it should.
+    certified = augmented._certified_regular(a)
+    assert not (certified and want.any())
+    assert certified or not reachable
+
+
+def test_the_certificate_covers_the_sizes_its_proof_covers():
+    # The proof's inequality in exact rationals, as solve_right's docstring states it.
+    eps = Fraction(1, 2**53)
+
+    def gamma(j):
+        return j * eps / (1 - j * eps)
+
+    rcond, kappa = Fraction(RCOND), Fraction(augmented._SHIFT)
+    assert kappa == 2 * rcond
+
+    def theta(k):
+        g = gamma(3 * (k + 1))
+        return kappa * (1 - gamma(k)) - g / (1 - g) - 2 * eps
+
+    def margin(k):
+        eta = 10 * k * k * eps
+        return theta(k) - eta - rcond * (1 + eps) * (1 + eta)
+
+    assert kappa * (1 - 5 * eps) - 2 * eps > theta(2)  # the single 2 x 2 route
+    assert all(margin(k) > 0 for k in range(1, augmented._CERTIFIED_SIZE + 1))
+    assert margin(augmented._CERTIFIED_SIZE + 1) <= 0
+
+
+@pytest.mark.parametrize("snr_db, rho_abs, singular", [(-150.0, 1.0, 100), (20.0, 1.0, 0), (20.0, 0.7, 0)])
+def test_unscented_flags_agree_with_eigvalsh_on_improper_noise(snr_db, rho_abs, singular):
+    # rho_abs = 1 is maximally improper measurement noise; at -150 dB it makes S singular at every step.
+    from wlckf import phase, unscented
+    from wlckf.stats import substream
+
+    model = phase.PhaseModel(snr_db=snr_db, rho_abs=rho_abs)
+    _, y = phase.simulate_phase(model, 100, substream(47, 0))
+    reports = unscented.uwlckf_run(phase.nonlinear_phase_model(model), y)
+    flags = np.array([rep.singular_innovation for rep in reports])
+    assert np.count_nonzero(flags) == singular
+    assert np.array_equal(flags, _eigvalsh_flags(np.stack([rep.innovation_cov.full() for rep in reports])))
+
+
+def test_solve_right_calls_no_eigvalsh_on_regular_traffic(monkeypatch):
+    from wlckf import cli, phase, unscented
+    from wlckf.stats import substream
+
+    calls = {"solve_right": 0, "eigvalsh": 0}
+    inside = []
+
+    def solve(*args, _fn=augmented.solve_right):
+        calls["solve_right"] += 1
+        inside.append(True)
+        try:
+            return _fn(*args)
+        finally:
+            inside.pop()
+
+    def eigvalsh(*args, _fn=np.linalg.eigvalsh, **kwargs):
+        calls["eigvalsh"] += bool(inside)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(augmented, "solve_right", solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    model = phase.PhaseModel(snr_db=20.0, rho_abs=0.7)
+    _, y = phase.simulate_phase(model, 300, substream(48, 0))
+    unscented.uwlckf_run(phase.nonlinear_phase_model(model), y)
+    assert calls == {"solve_right": 300, "eigvalsh": 0}
+    # An n = 8 equivalence batch of 20: S is a stack of 20 16 x 16 matrices.
+    calls.update(solve_right=0)
+    cli.equivalence_trial(0, range(20), 8, 8, 10, False)
+    assert calls == {"solve_right": 10, "eigvalsh": 0}
+    # Above the sizes the proof covers, eigvalsh decides.
+    size = augmented._CERTIFIED_SIZE + 1
+    augmented.solve_right(np.ones((1, size)), np.eye(size))
+    assert calls == {"solve_right": 11, "eigvalsh": 1}
 
 
 def test_block_conjugate_and_covariance_act_per_slice():

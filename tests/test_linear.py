@@ -618,6 +618,14 @@ def _shift_model(rows_equal):
     return e, np.eye(2), g, np.diag([1.0, 0.0]), r, np.zeros((2, 2))
 
 
+def _computed_steps(covs):
+    """How many steps ran the covariance half: those before the first that yields its predecessor's covariance array."""
+    for k in range(1, len(covs)):
+        if covs[k] is covs[k - 1]:
+            return k
+    return len(covs)
+
+
 def test_real_kf_takes_lstsq_exactly_at_the_singular_steps(monkeypatch):
     horizon = 6
     models = [_shift_model(True), _shift_model(False), random_composite(3, n=1, m=1)]
@@ -636,15 +644,104 @@ def test_real_kf_takes_lstsq_exactly_at_the_singular_steps(monkeypatch):
         steps = real_kf_run(*model, ys)
         sv = np.linalg.svd(np.stack([step.innovation_cov for step in steps]), compute_uv=False)
         assert ((sv[:, 0] == 0) | (sv[:, -1] <= 1e-12 * sv[:, 0])).tolist() == flags
-        assert lstsq["calls"] == sum(flags)
+        # Only the steps up to the fixed point solve for a gain.
+        computed = _computed_steps([step.cov for step in steps])
+        assert lstsq["calls"] == sum(flags[:computed])
         singles.append(steps)
+    # The rows_equal model is fixed from step 3, the second from step 2, the third not within the horizon.
+    assert [_computed_steps([step.cov for step in steps]) for steps in singles] == [3, 2, horizon]
     lstsq["calls"] = 0
     batch = list(real_kf_batch(*(np.stack(arrays) for arrays in zip(*models)), meas))
+    # The stack is fixed only when every member is: not within the horizon.
+    assert _computed_steps([cov for _, cov in batch]) == horizon
     assert lstsq["calls"] == sum(map(sum, expected))
     for i, steps in enumerate(singles):
         for step, (mean, cov) in zip(steps, batch, strict=True):
             assert np.array_equal(step.mean, mean[i])
             assert np.array_equal(step.cov, cov[i])
+
+
+def _real_never_reusing(e, f, g, q, r, pi, measurements):
+    """The real filter's textbook loop on one model, covariance half at every step; a reference for the reuse."""
+    def mv(a, v):
+        return (a @ v[:, None])[:, 0]
+
+    x, p, steps = np.zeros(len(e)), np.asarray(pi, float), []
+    for t, psi in enumerate(measurements, start=1):
+        x = mv(e, x)
+        p = e @ p @ e.T + f @ q @ f.T
+        p = (p + p.T) / 2
+        s = g @ p @ g.T + r
+        s = (s + s.T) / 2
+        sv = np.abs(np.linalg.eigvalsh(s))
+        if sv.max() == 0 or sv.min() <= 1e-12 * sv.max():
+            gain = np.linalg.lstsq(s.T, (p @ g.T).T, rcond=None)[0].T
+        else:
+            gain = np.linalg.solve(s.T, (p @ g.T).T).T
+        nu = psi - mv(g, x)
+        x = x + mv(gain, nu)
+        i_kg = np.eye(len(e)) - gain @ g
+        p = i_kg @ p @ i_kg.T + gain @ r @ gain.T
+        p = (p + p.T) / 2
+        steps.append(linear.RealKFStep(nu, s, gain, x, p, t))
+    return steps
+
+
+def _stiff_real(index):
+    """Model ``index`` of the benchmark's stiff family (seed 0), as composite matrices."""
+    from test_stiff_referee import _stiff_model
+
+    return _stiff_model()(0, index)
+
+
+def _real_measurements(real, horizon, stream):
+    ys = simulate_linear(model_from_real(*real), horizon, substream(46, stream))[1]
+    return np.concatenate([ys.real, ys.imag], axis=-1)
+
+
+# Steps that run the covariance half: the stiff family 3 or 4, random_composite(2) 17, random_composite(1) all 120.
+@pytest.mark.parametrize("reals, computed", [
+    ([_stiff_real(0), _stiff_real(1), _stiff_real(3)], [4, 3, 4]),
+    ([random_composite(2), random_composite(5), random_composite(1)], [17, 22, 120]),
+], ids=["stiff", "random_composite"])
+def test_real_kf_reuse_keeps_the_bits_of_a_loop_that_never_reuses(reals, computed):
+    horizon = 120
+    meas = np.stack([_real_measurements(real, horizon, i) for i, real in enumerate(reals)])
+    fields = ("innovation", "innovation_cov", "gain", "mean", "cov")
+    for real, ys, count in zip(reals, meas, computed):
+        steps = real_kf_run(*real, ys)
+        assert _computed_steps([step.cov for step in steps]) == count
+        for got, want in zip(steps, _real_never_reusing(*real, ys), strict=True):
+            assert got.t == want.t
+            for name in fields:
+                assert _same_bits(getattr(got, name), getattr(want, name))
+        # The reused arrays are one array each, and read-only; the computed steps' arrays are not.
+        for step in steps[count:]:
+            for name in ("innovation_cov", "gain", "cov"):
+                assert getattr(step, name) is getattr(steps[count - 1], name)
+                assert not getattr(step, name).flags.writeable
+        assert all(step.cov.flags.writeable for step in steps[: count - 1])
+    batch = list(real_kf_batch(*(np.stack(arrays) for arrays in zip(*reals)), meas))
+    assert _computed_steps([cov for _, cov in batch]) == max(computed)
+    for i, (real, ys) in enumerate(zip(reals, meas)):
+        for (mean, cov), want in zip(batch, _real_never_reusing(*real, ys), strict=True):
+            assert _same_bits(mean[i], want.mean)
+            assert _same_bits(cov[i], want.cov)
+
+
+def test_real_kf_solves_for_the_gain_only_until_the_fixed_point(monkeypatch):
+    calls = {"solve": 0}
+
+    def counted(*args, _fn=np.linalg.solve):
+        calls["solve"] += 1
+        return _fn(*args)
+
+    real = _stiff_real(0)
+    ys = _real_measurements(real, 200, 0)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    steps = real_kf_run(*real, ys)
+    assert len(steps) == 200
+    assert calls["solve"] == 4
 
 
 # --- the shared kernels: completion and symmetrization, step reports ---------------
@@ -706,8 +803,8 @@ def _unscented_updates(steps):
     joint = unscented._JointPoints(nl, state)
     x, p = state.estimate.top, unscented._full_covariance(state.cov.m1, state.cov.m2)
     updates = []
-    for value in y:
-        updates.append(unscented._step(joint, x, p, np.array([value])))
+    for t, value in enumerate(y, start=1):
+        updates.append(unscented._step(joint, x, p, np.array([value]), t))
         x, p = updates[-1].x_post, updates[-1].p_post
     return updates
 
@@ -843,9 +940,7 @@ def test_runs_take_a_sequence_of_scalars_for_one_measurement(run):
 
 def _stiff(index):
     """Model ``index`` of the benchmark's stiff family (seed 0), as a widely linear model."""
-    from test_stiff_referee import _stiff_model
-
-    return model_from_real(*_stiff_model()(0, index))
+    return model_from_real(*_stiff_real(index))
 
 
 def _never_skipping(model, measurements, init=None):

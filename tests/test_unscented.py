@@ -619,13 +619,29 @@ def test_every_route_decides_psd_as_the_factor_does(case):
 
 
 def _run_past_an_overflowing_state():
-    # 1e200 x squares to inf in the state's moments. numpy's own overflow and
-    # invalid flags along the way are not the library's errors, so they are
-    # ignored here; the state they leave is what the next step rejects.
+    # 1e200 x squares to inf in the state's moments; the step that made them
+    # rejects its posterior, and no numpy warning escapes on the way.
     one = SecondOrderStats(np.zeros(1), [[1.0]])
     model = NonlinearModel(f=lambda x, w: 1e200 * x + w, h=lambda x, v: v, drive_noise=one, meas_noise=one, init=one)
-    with np.errstate(over="ignore", invalid="ignore"):
-        uwlckf_run(model, np.zeros(3))
+    uwlckf_run(model, np.zeros(3))
+
+
+@pytest.mark.parametrize("f, h, match", [
+    (lambda x, w: 1e200 * x + w, lambda x, v: v, "posterior at t = {t} has non-finite entries"),
+    (lambda x, w: x + w, lambda x, v: 1e200 * x + v, "innovation covariance at t = {t} has non-finite entries"),
+], ids=["overflowing-state", "overflowing-measurement"])
+def test_an_overflowing_step_raises_naming_it_and_no_warning_escapes(f, h, match):
+    one = SecondOrderStats(np.zeros(1), [[1.0]])
+    model = NonlinearModel(f=f, h=h, drive_noise=one, meas_noise=one, init=one)
+    settings = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=match.format(t=1)):
+            uwlckf_run(model, np.zeros(3))
+        state = FilterState(AugmentedVector(np.zeros(1)), one.augmented_cov(), t=4)
+        with pytest.raises(ConsistencyError, match=match.format(t=5)):
+            uwlckf_step(state, 0.0, model)
+    assert np.geterr() == settings
 
 
 @pytest.mark.parametrize("call, error", [

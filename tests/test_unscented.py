@@ -633,7 +633,7 @@ def _run_past_an_overflowing_state():
 def test_an_overflowing_step_raises_naming_it_and_no_warning_escapes(f, h, match):
     one = SecondOrderStats(np.zeros(1), [[1.0]])
     model = NonlinearModel(f=f, h=h, drive_noise=one, meas_noise=one, init=one)
-    settings = np.geterr()
+    floating_point = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConsistencyError, match=match.format(t=1)):
@@ -641,7 +641,7 @@ def test_an_overflowing_step_raises_naming_it_and_no_warning_escapes(f, h, match
         state = FilterState(AugmentedVector(np.zeros(1)), one.augmented_cov(), t=4)
         with pytest.raises(ConsistencyError, match=match.format(t=5)):
             uwlckf_step(state, 0.0, model)
-    assert np.geterr() == settings
+    assert np.geterr() == floating_point
 
 
 @pytest.mark.parametrize("call, error", [
